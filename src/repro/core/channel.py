@@ -24,7 +24,6 @@ from repro.core.matching import MatchQueue
 from repro.core.message import CoreParams, Envelope
 from repro.errors import FlowControlError
 from repro.sim import Resource
-from repro.via.descriptors import RecvDescriptor
 from repro.via.vi import VI
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,16 +86,12 @@ class Channel:
 
     def _prepost(self) -> None:
         params = self.engine.params
-        for i in range(params.data_tokens):
-            self.data_vi.post_recv(RecvDescriptor(
-                self.eager_region, i * params.eager_slot_bytes,
-                params.eager_slot_bytes,
-            ))
-        for i in range(params.ctrl_tokens):
-            self.ctrl_vi.post_recv(RecvDescriptor(
-                self.ctrl_region, i * Envelope.HEADER_BYTES * 4,
-                Envelope.HEADER_BYTES * 4,
-            ))
+        slot = params.eager_slot_bytes
+        self.data_vi.post_recv_slots(self.eager_region, slot, slot,
+                                     params.data_tokens)
+        slot = Envelope.HEADER_BYTES * 4
+        self.ctrl_vi.post_recv_slots(self.ctrl_region, slot, slot,
+                                     params.ctrl_tokens)
 
     # -- connection -------------------------------------------------------
     def connect(self, active: bool):

@@ -40,7 +40,7 @@ from repro.hw.fastpath import (
 from repro.hw.link import Frame, Link
 from repro.hw.node import Host, PRIO_IRQ
 from repro.hw.params import GigEParams
-from repro.sim import Simulator, Store
+from repro.sim import Simulator, Store, TokenPool
 
 #: On-board transmit FIFO depth, frames. Enough to keep the wire busy
 #: while the next descriptor is fetched.
@@ -65,8 +65,9 @@ class GigEPort:
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES,
                               name=f"{name}:txfifo")
         # Receive path.
-        self.rx_credits = Store(sim, capacity=params.rx_ring,
-                                name=f"{name}:rxcred")
+        self.rx_credits = TokenPool(sim, params.rx_ring,
+                                    level=params.rx_ring,
+                                    name=f"{name}:rxcred")
         self._rx_arrivals = Store(sim, name=f"{name}:rxarr")
         self._pending_frames: list = []
         self._irq_timer_deadline: Optional[float] = None
@@ -87,8 +88,6 @@ class GigEPort:
             "trains": 0, "train_frames": 0, "train_fallbacks": 0,
             "nic_rx": 0, "nic_tx": 0,
         }
-        for _ in range(params.rx_ring):
-            self.rx_credits.items.append(1)
         sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
         sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
         sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
@@ -278,13 +277,10 @@ class GigEPort:
 
     def post_rx_descriptors(self, count: int = 1) -> None:
         """Protocol driver returns ``count`` receive descriptors."""
-        for _ in range(count):
-            if len(self.rx_credits) >= self.rx_credits.capacity:
-                raise ConfigurationError(
-                    f"{self.name}: rx ring over-posted"
-                )
-            self.rx_credits.items.append(1)
-        self.rx_credits._dispatch()
+        credits = self.rx_credits
+        if credits.level + count > credits.capacity:
+            raise ConfigurationError(f"{self.name}: rx ring over-posted")
+        credits.add(count)
 
     def _rx_loop(self):
         params = self.params
@@ -302,7 +298,7 @@ class GigEPort:
                 # touches the host (no descriptor, DMA or interrupt).
                 self.stats["nic_rx"] += 1
                 continue
-            if len(credits) == 0:
+            if credits.level == 0:
                 self.stats["rx_stalls"] += 1
                 yield credits.get()
             elif sim._fast:

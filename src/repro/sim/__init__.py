@@ -32,7 +32,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Resource
-from repro.sim.store import FilterStore, Store
+from repro.sim.store import FilterStore, Store, TokenPool
 from repro.sim.monitor import Trace, TraceRecord
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "PriorityResource",
     "Store",
     "FilterStore",
+    "TokenPool",
     "Trace",
     "TraceRecord",
     "URGENT",

@@ -46,6 +46,11 @@ class StoreGet(Event):
         self.filter = filter
 
 
+#: ``_putters``/``_getters`` of a store nobody has blocked on yet: most
+#: never see a waiter, and an empty deque costs 760 bytes.
+_NOBODY = ()
+
+
 class Store:
     """FIFO store with finite or infinite capacity."""
 
@@ -60,8 +65,7 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: deque = deque()
-        self._putters: deque = deque()
-        self._getters: deque = deque()
+        self._putters = self._getters = _NOBODY
         self.stats = {"puts": 0, "gets": 0, "max_level": 0}
 
     def __len__(self) -> int:
@@ -75,6 +79,8 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the event fires once there is room."""
         put_event = StorePut(self, item)
+        if self._putters is _NOBODY:
+            self._putters = deque()
         self._putters.append(put_event)
         self._dispatch()
         return put_event
@@ -82,6 +88,8 @@ class Store:
     def get(self) -> StoreGet:
         """Remove the oldest item; the event fires with the item."""
         get_event = StoreGet(self)
+        if self._getters is _NOBODY:
+            self._getters = deque()
         self._getters.append(get_event)
         self._dispatch()
         return get_event
@@ -156,6 +164,83 @@ class Store:
                     break
 
 
+class TokenPool(Store):
+    """A bounded :class:`Store` of indistinguishable tokens, as a count.
+
+    A descriptor ring's free slots carry nothing but their number, so
+    ``level`` stands where a ``Store`` keeps a deque of that many ones:
+    same events in the same order, same values (a ``get`` yields 1),
+    same ``stats``.  ``level`` is a plain attribute, so the per-frame
+    "ring empty?" test is one slot read.
+    """
+
+    __slots__ = ("level",)
+
+    def __init__(self, sim: "Simulator", capacity: int, level: int = 0,
+                 name: str = "tokens") -> None:
+        super().__init__(sim, capacity, name)
+        if not 0 <= level <= capacity:
+            raise SimulationError(f"{level} tokens in a pool of {capacity}")
+        self.items = None  # the count stands in for the deque
+        self.level = level
+
+    def __len__(self) -> int:
+        return self.level
+
+    def add(self, count: int = 1) -> None:
+        """Refill ``count`` tokens at once, all or nothing: never
+        blocks, leaves ``stats`` alone (the ring owner re-posting, not
+        a producer), raises rather than exceed ``capacity``."""
+        if count < 0 or self.level + count > self.capacity:
+            raise SimulationError(
+                f"{self.name!r}: {self.level} + {count} tokens exceed "
+                f"{self.capacity}")
+        self.level += count
+        if self._getters:
+            self._dispatch()
+
+    def try_get(self) -> Any:
+        if self._getters:
+            raise SimulationError(f"try_get on {self.name!r} with waiters")
+        if not self.level:
+            return None
+        self.level -= 1
+        self.stats["gets"] += 1
+        if self._putters:
+            self._dispatch()
+        return 1
+
+    def try_put(self, item: Any = 1) -> bool:
+        if self._putters or not self._put_one():
+            return False
+        self._dispatch()
+        return True
+
+    # -- internals ----------------------------------------------------------
+    def _put_one(self) -> bool:
+        if self.level >= self.capacity:
+            return False
+        self.level += 1
+        self.stats["puts"] += 1
+        if self.level > self.stats["max_level"]:
+            self.stats["max_level"] = self.level
+        return True
+
+    def _do_put(self, event: StorePut) -> bool:
+        if self._put_one():
+            event.succeed(priority=URGENT)
+            return True
+        return False
+
+    def _do_get(self, event: StoreGet) -> bool:
+        if self.level:
+            self.level -= 1
+            self.stats["gets"] += 1
+            event.succeed(1, priority=URGENT)
+            return True
+        return False
+
+
 class FilterStore(Store):
     """Store whose getters may select items with a predicate.
 
@@ -168,6 +253,8 @@ class FilterStore(Store):
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
         get_event = StoreGet(self, filter=filter)
+        if self._getters is _NOBODY:
+            self._getters = deque()
         self._getters.append(get_event)
         self._dispatch()
         return get_event

@@ -8,6 +8,7 @@ torus) unless ``wrap=False`` is given explicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -81,6 +82,7 @@ class Torus:
             stride *= d
         self._strides.reverse()
         self.size = stride
+        self._coords = None  # rank -> coordinates, built on first use
         # Geometry is immutable, so displacement queries are memoized
         # per instance; the packet switch asks for the same (src, dst)
         # pairs millions of times during a bandwidth sweep.
@@ -126,10 +128,9 @@ class Torus:
         """Coordinates of ``rank`` (row-major)."""
         if not 0 <= rank < self.size:
             raise TopologyError(f"rank {rank} out of range [0, {self.size})")
-        out = []
-        for dim, stride in zip(self.dims, self._strides):
-            out.append((rank // stride) % dim)
-        return tuple(out)
+        if self._coords is None:
+            self._coords = list(itertools.product(*map(range, self.dims)))
+        return self._coords[rank]
 
     def rank(self, coords: Sequence[int]) -> int:
         """Rank of the node at ``coords`` (coordinates must be in range)."""

@@ -5,19 +5,18 @@ A descriptor describes one data-transfer request: control fields
 length).  Send descriptors may carry 32-bit immediate data — the
 MPI/QMP layer piggybacks flow-control tokens there, exactly as the
 paper describes ("piggybacked application message").
+
+One is built per send and per consumed receive buffer, so they are
+plain ``__slots__`` classes, equal only to themselves.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ViaDescriptorError
 from repro.via.memory import MemoryRegion
-
-_desc_ids = itertools.count()
 
 
 class DescriptorStatus(enum.Enum):
@@ -28,41 +27,45 @@ class DescriptorStatus(enum.Enum):
     ERROR = "error"
 
 
-@dataclass
 class Descriptor:
-    """Common descriptor fields."""
+    """Common descriptor fields.
 
-    region: MemoryRegion
-    offset: int
-    nbytes: int
-    status: DescriptorStatus = field(default=DescriptorStatus.PENDING)
-    #: Simulated completion timestamp (us), set by the device.
-    completed_at: Optional[float] = None
-    #: Arbitrary payload object riding with the bytes.
-    payload: Any = None
-    #: 32-bit immediate data (piggybacked tokens etc.).
-    immediate: Optional[int] = None
-    #: Optional completion hook: when set, invoked with the descriptor
-    #: *instead of* queueing the completion (callback-driven consumers
-    #: like the messaging core use this to avoid drain loops).
-    on_complete: Optional[object] = None
-    #: Explicit source route (egress port per hop, first hop included);
-    #: None routes Shortest-Direction-First.
-    route: Optional[tuple] = None
-    #: Transport error that failed this descriptor (status ERROR).
-    error: Optional[Exception] = None
-    desc_id: int = field(default_factory=lambda: next(_desc_ids))
-    #: Flight-recorder trace id (observability only).
-    trace: Any = None
+    ``payload`` is an arbitrary object riding with the bytes,
+    ``immediate`` the 32-bit immediate data (piggybacked tokens etc.).
+    ``on_complete``, when set, is invoked with the descriptor *instead
+    of* queueing the completion (callback-driven consumers like the
+    messaging core use this to avoid drain loops).  ``route`` is an
+    explicit source route (egress port per hop, first hop included);
+    None routes Shortest-Direction-First.  The device sets ``status``,
+    ``completed_at`` (simulated us), ``error`` (the transport error
+    behind status ERROR) and ``trace`` (flight-recorder id).
+    """
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ViaDescriptorError(f"negative length {self.nbytes}")
-        if self.offset < 0 or self.offset + self.nbytes > self.region.nbytes:
+    __slots__ = ("region", "offset", "nbytes", "status", "completed_at",
+                 "payload", "immediate", "on_complete", "route", "error",
+                 "trace")
+
+    def __init__(self, region: MemoryRegion, offset: int, nbytes: int,
+                 payload: Any = None, immediate: Optional[int] = None,
+                 on_complete: Optional[object] = None,
+                 route: Optional[tuple] = None) -> None:
+        if nbytes < 0:
+            raise ViaDescriptorError(f"negative length {nbytes}")
+        if offset < 0 or offset + nbytes > region.nbytes:
             raise ViaDescriptorError(
-                f"segment [{self.offset}, +{self.nbytes}) outside region "
-                f"of {self.region.nbytes} bytes"
+                f"segment [{offset}, +{nbytes}) outside region "
+                f"of {region.nbytes} bytes"
             )
+        self.region = region
+        self.offset = offset
+        self.nbytes = nbytes
+        self.status = DescriptorStatus.PENDING
+        self.completed_at = None
+        self.payload = payload
+        self.immediate = immediate
+        self.on_complete = on_complete
+        self.route = route
+        self.error = self.trace = None
 
     @property
     def addr(self) -> int:
@@ -70,7 +73,7 @@ class Descriptor:
 
     def mark_done(self, now: float) -> None:
         if self.status is not DescriptorStatus.PENDING:
-            raise ViaDescriptorError(f"descriptor {self.desc_id} completed twice")
+            raise ViaDescriptorError(f"{self!r} completed twice")
         self.status = DescriptorStatus.DONE
         self.completed_at = now
 
@@ -78,13 +81,17 @@ class Descriptor:
         self.status = DescriptorStatus.ERROR
         self.completed_at = now
 
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(region@{self.region.addr:#x}"
+                f"+{self.offset}, {self.nbytes}B, {self.status.value})")
 
-@dataclass
+
 class SendDescriptor(Descriptor):
     """An ordinary (two-sided) send."""
 
+    __slots__ = ()
 
-@dataclass
+
 class RecvDescriptor(Descriptor):
     """A posted receive buffer.
 
@@ -92,12 +99,14 @@ class RecvDescriptor(Descriptor):
     ``received_immediate`` carries the sender's immediate data.
     """
 
-    received_bytes: int = 0
-    received_payload: Any = None
-    received_immediate: Optional[int] = None
+    __slots__ = ("received_bytes", "received_payload", "received_immediate")
+
+    def __init__(self, region: MemoryRegion, offset: int, nbytes: int):
+        Descriptor.__init__(self, region, offset, nbytes)
+        self.received_bytes = 0
+        self.received_payload = self.received_immediate = None
 
 
-@dataclass
 class RmaWriteDescriptor(Descriptor):
     """A remote-DMA write: local segment -> remote registered address.
 
@@ -106,5 +115,14 @@ class RmaWriteDescriptor(Descriptor):
     descriptor there), which VIA calls "RDMA write with immediate".
     """
 
-    remote_addr: int = 0
-    notify: bool = False
+    __slots__ = ("remote_addr", "notify")
+
+    def __init__(self, region: MemoryRegion, offset: int, nbytes: int,
+                 payload: Any = None, immediate: Optional[int] = None,
+                 on_complete: Optional[object] = None,
+                 route: Optional[tuple] = None,
+                 remote_addr: int = 0, notify: bool = False) -> None:
+        Descriptor.__init__(self, region, offset, nbytes, payload,
+                            immediate, on_complete, route)
+        self.remote_addr = remote_addr
+        self.notify = notify

@@ -376,12 +376,13 @@ class KernelAgent:
         if packet.frag_index == 0:
             if vi._reassembly is not None:
                 raise ViaError(f"{vi!r}: interleaved messages on one VI")
-            if not vi.recv_queue:
+            try:
+                descriptor: RecvDescriptor = vi.recv_queue.popleft()
+            except IndexError:
                 raise ViaDescriptorError(
                     f"{vi!r}: DATA arrived with empty receive queue "
                     "(flow control violated)"
-                )
-            descriptor: RecvDescriptor = vi.recv_queue.popleft()
+                ) from None
             if packet.msg_bytes > descriptor.nbytes:
                 raise TruncationError(
                     f"{vi!r}: message of {packet.msg_bytes} bytes into "
@@ -492,11 +493,12 @@ class KernelAgent:
             if packet.payload is not None:
                 region.data = packet.payload
             if packet.notify:
-                if not vi.recv_queue:
+                try:
+                    descriptor = vi.recv_queue.popleft()
+                except IndexError:
                     raise ViaDescriptorError(
                         f"{vi!r}: RMA notify with empty receive queue"
-                    )
-                descriptor = vi.recv_queue.popleft()
+                    ) from None
                 descriptor.received_bytes = packet.msg_bytes
                 descriptor.received_payload = packet.payload
                 descriptor.received_immediate = packet.immediate

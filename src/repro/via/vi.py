@@ -13,7 +13,8 @@ Cost model (user-level library, runs at ``PRIO_USER``):
   when they *consume* a completion (~3.4 us for receives — together
   with the send side this is the paper's ~6 us host overhead);
 * ``post_recv`` is cheap (pre-posting buffers is how VIA amortizes it)
-  and modeled as free.
+  and modeled as free; ``post_recv_slots`` pre-posts a slab of equal
+  buffers as one queue entry (a ring is a count until traffic touches it).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.via.descriptors import (
     RmaWriteDescriptor,
     SendDescriptor,
 )
-from repro.via.memory import ProtectionTag
+from repro.via.memory import MemoryRegion, ProtectionTag
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.via.device import ViaDevice
@@ -59,6 +60,47 @@ class Reliability(enum.Enum):
 
 
 RELIABILITY_LEVELS = tuple(Reliability)
+
+
+class RecvQueue:
+    """A VI's posted receive buffers, consumed strictly in FIFO order
+    (VIA has no matching; tags live in the layers above).  An entry is
+    a :class:`RecvDescriptor` or a run of equal slots, ``[region,
+    offset, stride, nbytes, count]``, built into descriptors one at a
+    time as :meth:`popleft` reaches them.  ``len()`` counts buffers.
+    """
+
+    __slots__ = ("_entries", "_unbuilt", "append")
+
+    def __init__(self) -> None:
+        self._entries: deque = deque()
+        #: Buffers still inside runs, beyond each run's one entry.
+        self._unbuilt = 0
+        #: Post one descriptor (the deque's own C method).
+        self.append = self._entries.append
+
+    def __len__(self) -> int:
+        return len(self._entries) + self._unbuilt
+
+    def append_run(self, region: MemoryRegion, stride: int, nbytes: int,
+                   count: int) -> None:
+        self._entries.append([region, 0, stride, nbytes, count])
+        self._unbuilt += count - 1
+
+    def popleft(self) -> RecvDescriptor:
+        """The oldest posted buffer; ``IndexError`` when none is."""
+        entries = self._entries
+        run = entries[0]
+        if run.__class__ is not list:
+            return entries.popleft()
+        region, offset, stride, nbytes, count = run
+        if count == 1:
+            entries.popleft()
+        else:
+            run[1] = offset + stride
+            run[4] = count - 1
+            self._unbuilt -= 1
+        return RecvDescriptor(region, offset, nbytes)
 
 
 class VI:
@@ -84,9 +126,7 @@ class VI:
         sim = device.sim
         self._send_done = Store(sim, name=f"vi{vi_id}:sdone")
         self._recv_done = Store(sim, name=f"vi{vi_id}:rdone")
-        #: Posted receive buffers, consumed strictly in FIFO order
-        #: (VIA has no matching; tags live in the layers above).
-        self.recv_queue: deque = deque()
+        self.recv_queue = RecvQueue()
         #: In-flight reassembly: (msg_id, next_frag, descriptor).
         self._reassembly: Optional[list] = None
         self.stats = {"sends": 0, "recvs": 0, "rma_writes": 0,
@@ -115,6 +155,29 @@ class VI:
                 f"({self.device.params.recv_queue_depth})"
             )
         self.recv_queue.append(descriptor)
+
+    def post_recv_slots(self, region: MemoryRegion, stride: int,
+                        nbytes: int, count: int) -> None:
+        """Pre-post ``count`` buffers of ``nbytes`` at ``region`` offsets
+        ``0, stride, 2*stride, ...``: the buffers, checks and order of
+        ``count`` :meth:`post_recv` calls, but all or nothing and O(1) —
+        a slot's descriptor is built when a message consumes it.
+        """
+        if count < 1 or stride < 0:
+            raise ViaDescriptorError(
+                f"need count >= 1 and stride >= 0, got {count}, {stride}"
+            )
+        # First and last slot bound the run: apply their segment checks.
+        RecvDescriptor(region, 0, nbytes)
+        if region.tag != self.tag:
+            raise ViaDescriptorError("descriptor/VI protection tag mismatch")
+        RecvDescriptor(region, (count - 1) * stride, nbytes)
+        depth = self.device.params.recv_queue_depth
+        if len(self.recv_queue) + count > depth:
+            raise ViaDescriptorError(
+                f"VI {self.vi_id} receive queue full ({depth})"
+            )
+        self.recv_queue.append_run(region, stride, nbytes, count)
 
     def post_send(self, descriptor: SendDescriptor):
         """Process: post a send; returns once handed to the device.
@@ -202,15 +265,9 @@ class VI:
                      f"n{self.device.rank}", t0, self.device.sim.now)
         return descriptor
 
-    def recv_poll(self) -> Optional[RecvDescriptor]:
-        """Non-blocking receive-completion check (no overhead charged
-        until the caller treats it as consumed via
-        ``consume_recv_cost``)."""
-        return self._recv_done.try_get()
-
     def consume_recv_cost(self):
         """Process: pay the user-level completion-processing overhead
-        for a completion obtained through :meth:`recv_poll` or a CQ."""
+        for a completion obtained through a CQ."""
         yield from self.device.host.cpu_work(
             self.device.params.recv_overhead, PRIO_USER
         )
@@ -222,17 +279,23 @@ class VI:
             rec.event(descriptor.trace, _COMPLETION, name,
                       f"n{self.device.rank}", self.device.sim.now)
 
+    def _deliver(self, descriptor: Descriptor, cq, queue: str,
+                 done: Store) -> None:
+        """Hand a finished descriptor to its hook, else CQ, else VI."""
+        if descriptor.on_complete is not None:
+            descriptor.on_complete(descriptor)
+        elif cq is not None:
+            cq.push(self, queue, descriptor)
+        else:
+            done.items.append(descriptor)
+            done._dispatch()
+
     def complete_send(self, descriptor: Descriptor) -> None:
         self.device.sim.progress += 1
         self._record_completion(descriptor, "send-complete")
         descriptor.mark_done(self.device.sim.now)
-        if descriptor.on_complete is not None:
-            descriptor.on_complete(descriptor)
-        elif self.send_cq is not None:
-            self.send_cq.push(self, SEND_QUEUE, descriptor)
-        else:
-            self._send_done.items.append(descriptor)
-            self._send_done._dispatch()
+        self._deliver(descriptor, self.send_cq, SEND_QUEUE,
+                      self._send_done)
 
     def fail_send(self, descriptor: Descriptor) -> None:
         """Deliver a failed send completion (reliable-delivery retry
@@ -243,13 +306,8 @@ class VI:
         self._record_completion(descriptor, "send-error")
         descriptor.error = self.error
         descriptor.mark_error(self.device.sim.now)
-        if descriptor.on_complete is not None:
-            descriptor.on_complete(descriptor)
-        elif self.send_cq is not None:
-            self.send_cq.push(self, SEND_QUEUE, descriptor)
-        else:
-            self._send_done.items.append(descriptor)
-            self._send_done._dispatch()
+        self._deliver(descriptor, self.send_cq, SEND_QUEUE,
+                      self._send_done)
 
     def fail_recv(self, descriptor: RecvDescriptor) -> None:
         """Deliver a failed receive completion (peer declared dead).
@@ -263,13 +321,8 @@ class VI:
         self._record_completion(descriptor, "recv-error")
         descriptor.error = self.error
         descriptor.mark_error(self.device.sim.now)
-        if descriptor.on_complete is not None:
-            descriptor.on_complete(descriptor)
-        elif self.recv_cq is not None:
-            self.recv_cq.push(self, RECV_QUEUE, descriptor)
-        else:
-            self._recv_done.items.append(descriptor)
-            self._recv_done._dispatch()
+        self._deliver(descriptor, self.recv_cq, RECV_QUEUE,
+                      self._recv_done)
 
     def complete_recv(self, descriptor: RecvDescriptor) -> None:
         self.device.sim.progress += 1
@@ -277,13 +330,8 @@ class VI:
         self.stats["recvs"] += 1
         self.stats["recv_bytes"] += descriptor.received_bytes
         descriptor.mark_done(self.device.sim.now)
-        if descriptor.on_complete is not None:
-            descriptor.on_complete(descriptor)
-        elif self.recv_cq is not None:
-            self.recv_cq.push(self, RECV_QUEUE, descriptor)
-        else:
-            self._recv_done.items.append(descriptor)
-            self._recv_done._dispatch()
+        self._deliver(descriptor, self.recv_cq, RECV_QUEUE,
+                      self._recv_done)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -134,6 +134,52 @@ def test_rx_credits_deplete_and_recover(sim):
     assert len(p1.rx_credits) == 0
 
 
+def test_post_rx_descriptors_is_all_or_nothing_at_the_ring_boundary(sim):
+    gige = GigEParams(rx_ring=8, coalesce_delay=1e9,
+                      coalesce_frames=10**6)
+    p0, p1 = _pair(sim, gige)
+    p0.set_driver(_null_driver(p0))
+    p1.set_driver(_collector(p1, []))
+
+    def send():
+        for _ in range(3):
+            yield from p0.enqueue_tx(Frame(1458, 42))
+
+    sim.spawn(send())
+    sim.run(until=2000)
+    # Never interrupted (absurd coalescing): three credits are out.
+    assert len(p1.rx_credits) == 5
+    with pytest.raises(ConfigurationError, match="rx ring over-posted"):
+        p1.post_rx_descriptors(4)     # one more than the ring has room for
+    assert len(p1.rx_credits) == 5    # ... and nothing was half-applied
+    p1.post_rx_descriptors(3)         # exactly to the brim is fine
+    assert len(p1.rx_credits) == 8
+    with pytest.raises(ConfigurationError, match="rx ring over-posted"):
+        p1.post_rx_descriptors(1)
+    p1.post_rx_descriptors(0)
+    assert len(p1.rx_credits) == gige.rx_ring
+
+
+def test_a_multi_credit_post_wakes_the_stalled_rx_loop(sim):
+    gige = GigEParams(rx_ring=2, coalesce_delay=1e9,
+                      coalesce_frames=10**6)
+    p0, p1 = _pair(sim, gige)
+    p0.set_driver(_null_driver(p0))
+    p1.set_driver(_collector(p1, []))
+
+    def send():
+        for _ in range(5):
+            yield from p0.enqueue_tx(Frame(1458, 42))
+
+    sim.spawn(send())
+    sim.run(until=2000)
+    assert p1.stats["rx_frames"] == 2 and p1.stats["rx_stalls"] == 1
+    p1.post_rx_descriptors(2)
+    sim.run(until=4000)
+    # The stalled frame took one credit, the next frame the other.
+    assert p1.stats["rx_frames"] == 4 and len(p1.rx_credits) == 0
+
+
 def test_on_fetched_called_after_dma(sim):
     p0, p1 = _pair(sim)
     p1.set_driver(_null_driver(p1))
