@@ -23,55 +23,66 @@ from repro.sim.monitor import Probe
 _PHASES = {"X", "i", "M"}
 
 
-def to_chrome_trace(recorder: FlightRecorder) -> Dict[str, Any]:
-    """Render the recorder into a Chrome trace-event JSON object."""
-    tracks = {info.track for info in recorder.traces.values()}
-    tracks.update(span.track for span in recorder.spans)
-    tracks.update(span.track for span in recorder.events)
-    pid_of = {track: index + 1 for index, track in enumerate(sorted(tracks))}
+def recorder_items(recorder: FlightRecorder):
+    """Yield a :func:`render_trace_events` item for every root, span
+    and instant of a recorder (a root still open when the recorder was
+    read ends where it starts)."""
+    for info in sorted(recorder.traces.values(), key=lambda i: i.trace):
+        yield (info.track, "messages", "X", info.name, MESSAGE,
+               info.start, max(info.end, info.start), {"trace": info.trace})
+    for span in recorder.spans:
+        yield (span.track, span.kind, "X", f"{span.kind}:{span.name}",
+               span.kind, span.start, span.end, {"trace": span.trace})
+    for span in recorder.events:
+        yield (span.track, "events", "i", f"{span.kind}:{span.name}",
+               span.kind, span.start, span.start, {"trace": span.trace})
 
+
+def render_trace_events(items, other=None) -> Dict[str, Any]:
+    """The Chrome trace-event object for ``items``.
+
+    Each item is ``(track, lane, phase, name, cat, start, end, args)``
+    with phase ``"X"`` (slice) or ``"i"`` (instant).  Tracks become
+    processes (pids in sorted track order), lanes become threads (tids
+    in first-use order within their track); ``other``, if given, is
+    attached as ``otherData``.
+    """
+    items = list(items)
+    pid_of = {track: index + 1 for index, track
+              in enumerate(sorted({item[0] for item in items}))}
     lanes: Dict[tuple, int] = {}
     lane_count: Dict[str, int] = {}
-
-    def tid_of(track: str, lane: str) -> int:
+    events: List[Dict[str, Any]] = []
+    for track, lane, phase, name, cat, start, end, args in items:
         tid = lanes.get((track, lane))
         if tid is None:
-            tid = lane_count.get(track, 0)
+            tid = lanes[(track, lane)] = lane_count.get(track, 0)
             lane_count[track] = tid + 1
-            lanes[(track, lane)] = tid
-        return tid
-
-    events: List[Dict[str, Any]] = []
-    for info in sorted(recorder.traces.values(), key=lambda i: i.trace):
-        events.append({
-            "name": info.name, "cat": MESSAGE, "ph": "X",
-            "ts": info.start, "dur": max(info.end - info.start, 0.0),
-            "pid": pid_of[info.track], "tid": tid_of(info.track, "messages"),
-            "args": {"trace": info.trace},
-        })
-    for span in recorder.spans:
-        events.append({
-            "name": f"{span.kind}:{span.name}", "cat": span.kind, "ph": "X",
-            "ts": span.start, "dur": span.end - span.start,
-            "pid": pid_of[span.track], "tid": tid_of(span.track, span.kind),
-            "args": {"trace": span.trace},
-        })
-    for span in recorder.events:
-        events.append({
-            "name": f"{span.kind}:{span.name}", "cat": span.kind, "ph": "i",
-            "ts": span.start, "s": "t",
-            "pid": pid_of[span.track], "tid": tid_of(span.track, "events"),
-            "args": {"trace": span.trace},
-        })
-    meta: List[Dict[str, Any]] = []
-    for track, pid in sorted(pid_of.items(), key=lambda kv: kv[1]):
-        meta.append({"name": "process_name", "ph": "M", "pid": pid,
-                     "tid": 0, "args": {"name": track}})
+        event = {"name": name, "cat": cat, "ph": phase, "ts": start}
+        if phase == "X":
+            event["dur"] = end - start
+        else:
+            event["s"] = "t"
+        event.update(pid=pid_of[track], tid=tid, args=args)
+        events.append(event)
+    meta: List[Dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": track}}
+        for track, pid in pid_of.items()
+    ]
     for (track, lane), tid in sorted(lanes.items(),
                                      key=lambda kv: (pid_of[kv[0][0]], kv[1])):
         meta.append({"name": "thread_name", "ph": "M", "pid": pid_of[track],
                      "tid": tid, "args": {"name": lane}})
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+    trace = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+    if other is not None:
+        trace["otherData"] = other
+    return trace
+
+
+def to_chrome_trace(recorder: FlightRecorder) -> Dict[str, Any]:
+    """Render the recorder into a Chrome trace-event JSON object."""
+    return render_trace_events(recorder_items(recorder))
 
 
 def write_chrome_trace(recorder: FlightRecorder, path: str) -> Dict[str, Any]:

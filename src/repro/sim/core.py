@@ -32,6 +32,15 @@ TOTAL_EVENTS = 0
 _INF = float("inf")
 
 
+class _Never:
+    """What :meth:`Simulator.run` awaits: an event that never triggers."""
+
+    _value = _PENDING
+
+
+_NEVER = _Never()
+
+
 def record_external_events(count: int) -> None:
     """Fold events processed by simulators in *other* processes into
     :data:`TOTAL_EVENTS`.
@@ -73,7 +82,7 @@ class Simulator:
         #: Optional message-lifecycle flight recorder
         #: (:class:`repro.obs.recorder.FlightRecorder`).  ``None`` keeps
         #: every instrumentation site to one attribute test and leaves
-        #: the hot scheduler loops untouched.
+        #: the hot scheduler loop untouched.
         self.recorder = None
         self._crashed: list = []
         #: Events processed by this simulator.
@@ -223,13 +232,130 @@ class Simulator:
             self.trace.record(when, event)
         event._process()
         if self._crashed:
-            process, exc = self._crashed.pop()
-            exc.add_note(
-                f"(unhandled in process {process.name!r} at "
-                f"t={when:.3f}us)"
-            )
-            raise exc
+            self._raise_crashed(when)
         return when
+
+    def _drive(self, bound: float, awaited) -> bool:
+        """The scheduler loop behind :meth:`run` and
+        :meth:`run_until_complete`.
+
+        Processes events in ``(time, priority, sequence)`` order until
+        ``awaited`` triggers, the next event lies past ``bound``, or
+        nothing is queued.  Returns False only for the last reason; the
+        callers tell the other two apart by looking at ``awaited``.
+        """
+        if not self._fast or self.trace is not None:
+            # Reference scheduler, the oracle the fast loop is tested
+            # against: one merge, one trace branch, one event at a time.
+            while awaited._value is _PENDING:
+                when, source = self._select()
+                if source == 0:
+                    return False
+                if when > bound:
+                    return True
+                self.step()
+            return True
+        # Hot loop: no trace branch, the three-way merge inlined without
+        # key-tuple allocation, and same-instant heap runs drained in
+        # one batch.
+        processed = 0
+        crashed = self._crashed
+        urgent = self._urgent
+        normal = self._normal
+        queue = self._queue
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        try:
+            # ``while True`` plus a test, not ``while <test>``: CPython
+            # 3.11 warms a code object up for specialization only on
+            # calls and unconditional backward jumps (12 % per event).
+            while True:
+                if awaited._value is not _PENDING:
+                    return True
+                if urgent:
+                    head = urgent[0]
+                    when = head[0]
+                    if normal and normal[0][0] < when:
+                        head = normal[0]
+                        when = head[0]
+                        priority = NORMAL
+                        source = 2
+                    else:
+                        priority = URGENT
+                        source = 1
+                elif normal:
+                    head = normal[0]
+                    when = head[0]
+                    priority = NORMAL
+                    source = 2
+                else:
+                    source = 0
+                if queue:
+                    entry = queue[0]
+                    entry_time = entry[0]
+                    if source == 0 or entry_time < when or (
+                        entry_time == when
+                        and (entry[1] < priority
+                             or (entry[1] == priority
+                                 and entry[2] < head[1]))
+                    ):
+                        when = entry_time
+                        source = 3
+                if source == 0:
+                    return False
+                if when > bound:
+                    return True
+                self._now = when
+                if source == 1:
+                    processed += 1
+                    urgent.popleft()[2]._process()
+                elif source == 2:
+                    processed += 1
+                    normal.popleft()[2]._process()
+                else:
+                    # Batch drain: every heap entry at this
+                    # (time, priority) is already in final order — the
+                    # sequence field settles ties — and in fast mode no
+                    # new heap entry can appear at the current instant
+                    # (zero-delay scheduling goes to the deques), so
+                    # dispatching the run without re-running the merge
+                    # per event is order-exact.
+                    first = heappop(queue)
+                    priority = first[1]
+                    batch = [first]
+                    while (queue and queue[0][0] == when
+                           and queue[0][1] == priority):
+                        batch.append(heappop(queue))
+                    index = 0
+                    nbatch = len(batch)
+                    normal_batch = priority == NORMAL
+                    while index < nbatch:
+                        if awaited._value is not _PENDING:
+                            # Later same-instant events stay queued, as
+                            # the reference loop leaves them.
+                            break
+                        if normal_batch and urgent:
+                            # A zero-delay urgent event scheduled
+                            # mid-batch outranks the rest of it.
+                            break
+                        event = batch[index][3]
+                        index += 1
+                        processed += 1
+                        event._process()
+                        if crashed:
+                            break
+                    if index < nbatch:
+                        # Requeue the unprocessed tail verbatim: the
+                        # original tuples keep their sequence numbers,
+                        # so relative order against the rest holds.
+                        for item in batch[index:]:
+                            heappush(queue, item)
+                if crashed:
+                    self._raise_crashed(when)
+        finally:
+            self.events_processed += processed
+            global TOTAL_EVENTS
+            TOTAL_EVENTS += processed
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
@@ -237,132 +363,14 @@ class Simulator:
         Returns the final simulated time.  With ``until`` set, the clock
         is advanced exactly to ``until`` even if no event lands there.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            self._drive(_INF, _NEVER)
+        elif until < self._now:
             raise SimulationError(
                 f"until={until} is before now={self._now}"
             )
-        if self._fast and self.trace is None and not self._crashed:
-            # Hot loop: no trace branch, the three-way merge inlined
-            # without key-tuple allocation, and same-instant heap runs
-            # drained in one batch.  ``until`` folds into a single
-            # float compare so window-bounded callers (the PDES
-            # coordinator) get the same loop.
-            bound = _INF if until is None else until
-            processed = 0
-            crashed = self._crashed
-            urgent = self._urgent
-            normal = self._normal
-            queue = self._queue
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            try:
-                while True:
-                    if urgent:
-                        head = urgent[0]
-                        when = head[0]
-                        if normal and normal[0][0] < when:
-                            head = normal[0]
-                            when = head[0]
-                            priority = NORMAL
-                            source = 2
-                        else:
-                            priority = URGENT
-                            source = 1
-                    elif normal:
-                        head = normal[0]
-                        when = head[0]
-                        priority = NORMAL
-                        source = 2
-                    else:
-                        source = 0
-                    if queue:
-                        entry = queue[0]
-                        entry_time = entry[0]
-                        if source == 0 or entry_time < when or (
-                            entry_time == when
-                            and (entry[1] < priority
-                                 or (entry[1] == priority
-                                     and entry[2] < head[1]))
-                        ):
-                            when = entry_time
-                            source = 3
-                    if source == 0 or when > bound:
-                        break
-                    if source == 1:
-                        event = urgent.popleft()[2]
-                    elif source == 2:
-                        event = normal.popleft()[2]
-                    else:
-                        # Batch drain: every heap entry at this
-                        # (time, priority) is already in final order —
-                        # the sequence field settles ties — and in fast
-                        # mode no new heap entry can appear at the
-                        # current instant (zero-delay scheduling goes
-                        # to the deques), so dispatching the run
-                        # without re-running the merge per event is
-                        # order-exact.
-                        first = heappop(queue)
-                        priority = first[1]
-                        batch = [first]
-                        while (queue and queue[0][0] == when
-                               and queue[0][1] == priority):
-                            batch.append(heappop(queue))
-                        self._now = when
-                        index = 0
-                        nbatch = len(batch)
-                        normal_batch = priority == NORMAL
-                        while index < nbatch:
-                            if normal_batch and urgent:
-                                # A zero-delay urgent event scheduled
-                                # mid-batch outranks the rest of it.
-                                break
-                            event = batch[index][3]
-                            index += 1
-                            processed += 1
-                            event._process()
-                            if crashed:
-                                break
-                        if index < nbatch:
-                            # Requeue the unprocessed tail verbatim:
-                            # the original tuples keep their original
-                            # sequence numbers, so relative order
-                            # against everything else is untouched.
-                            for item in batch[index:]:
-                                heappush(queue, item)
-                        if crashed:
-                            process, exc = crashed.pop()
-                            exc.add_note(
-                                f"(unhandled in process {process.name!r}"
-                                f" at t={when:.3f}us)"
-                            )
-                            raise exc
-                        continue
-                    self._now = when
-                    processed += 1
-                    event._process()
-                    if crashed:
-                        process, exc = crashed.pop()
-                        exc.add_note(
-                            f"(unhandled in process {process.name!r} at "
-                            f"t={when:.3f}us)"
-                        )
-                        raise exc
-            finally:
-                self.events_processed += processed
-                global TOTAL_EVENTS
-                TOTAL_EVENTS += processed
-            if until is not None and self._now < until:
-                self._now = until
-            return self._now
-        while True:
-            when, source = self._select()
-            if source == 0:
-                break
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self.step()
-        if until is not None:
+        else:
+            self._drive(until, _NEVER)
             self._now = until
         return self._now
 
@@ -371,121 +379,15 @@ class Simulator:
         """Run until ``process`` finishes; return its value.
 
         Raises :class:`DeadlockError` if the queue drains first and
-        :class:`SimulationError` if ``limit`` is exceeded.
+        :class:`SimulationError` if the next event lies past ``limit``.
         """
-        if (self._fast and self.trace is None and limit is None
-                and not self._crashed):
-            # Mirror of run()'s hot loop: the per-event deadlock check
-            # folds into the merge, and the stop condition reads the
-            # process's triggered flag directly.
-            processed = 0
-            crashed = self._crashed
-            urgent = self._urgent
-            normal = self._normal
-            queue = self._queue
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            try:
-                while process._value is _PENDING:
-                    if urgent:
-                        head = urgent[0]
-                        when = head[0]
-                        if normal and normal[0][0] < when:
-                            head = normal[0]
-                            when = head[0]
-                            priority = NORMAL
-                            source = 2
-                        else:
-                            priority = URGENT
-                            source = 1
-                    elif normal:
-                        head = normal[0]
-                        when = head[0]
-                        priority = NORMAL
-                        source = 2
-                    else:
-                        source = 0
-                    if queue:
-                        entry = queue[0]
-                        entry_time = entry[0]
-                        if source == 0 or entry_time < when or (
-                            entry_time == when
-                            and (entry[1] < priority
-                                 or (entry[1] == priority
-                                     and entry[2] < head[1]))
-                        ):
-                            when = entry_time
-                            source = 3
-                    if source == 0:
-                        raise self._deadlock(process)
-                    if source == 1:
-                        event = urgent.popleft()[2]
-                    elif source == 2:
-                        event = normal.popleft()[2]
-                    else:
-                        # Same batch drain as run(); additionally stops
-                        # the moment the awaited process completes, so
-                        # later same-instant events stay queued exactly
-                        # as the per-event reference loop leaves them.
-                        first = heappop(queue)
-                        priority = first[1]
-                        batch = [first]
-                        while (queue and queue[0][0] == when
-                               and queue[0][1] == priority):
-                            batch.append(heappop(queue))
-                        self._now = when
-                        index = 0
-                        nbatch = len(batch)
-                        normal_batch = priority == NORMAL
-                        while index < nbatch:
-                            if process._value is not _PENDING:
-                                break
-                            if normal_batch and urgent:
-                                break
-                            event = batch[index][3]
-                            index += 1
-                            processed += 1
-                            event._process()
-                            if crashed:
-                                break
-                        if index < nbatch:
-                            for item in batch[index:]:
-                                heappush(queue, item)
-                        if crashed:
-                            proc, exc = crashed.pop()
-                            exc.add_note(
-                                f"(unhandled in process {proc.name!r} "
-                                f"at t={when:.3f}us)"
-                            )
-                            raise exc
-                        continue
-                    self._now = when
-                    processed += 1
-                    event._process()
-                    if crashed:
-                        proc, exc = crashed.pop()
-                        exc.add_note(
-                            f"(unhandled in process {proc.name!r} at "
-                            f"t={when:.3f}us)"
-                        )
-                        raise exc
-            finally:
-                self.events_processed += processed
-                global TOTAL_EVENTS
-                TOTAL_EVENTS += processed
-            if not process.ok:
-                raise process.value
-            return process.value
-        while not process.triggered:
-            when, source = self._select()
-            if source == 0:
+        queued = self._drive(_INF if limit is None else limit, process)
+        if process._value is _PENDING:
+            if not queued:
                 raise self._deadlock(process)
-            if limit is not None and when > limit:
-                raise SimulationError(
-                    f"{process.name!r} did not finish by t={limit}us"
-                )
-            self.step()
-        # Drain same-time bookkeeping? No: caller decides. Just report.
+            raise SimulationError(
+                f"{process.name!r} did not finish by t={limit}us"
+            )
         if not process.ok:
             raise process.value
         return process.value
@@ -511,5 +413,18 @@ class Simulator:
 
     # -- crash plumbing -------------------------------------------------------
     def _crash(self, process: Process, exc: BaseException) -> None:
-        """Record an unhandled process failure; re-raised by step()."""
+        """Record an unhandled process failure for the scheduler loop."""
         self._crashed.append((process, exc))
+
+    def _raise_crashed(self, when: float) -> None:
+        """Re-raise the first process failure of the event processed at
+        ``when``; any others that event caused are named in its note,
+        so nothing is left to surface at a later, unrelated event."""
+        (process, exc), *others = self._crashed
+        self._crashed.clear()
+        note = f"(unhandled in process {process.name!r} at t={when:.3f}us)"
+        for other, other_exc in others:
+            note += (f"\n(process {other.name!r} crashed on the same "
+                     f"event: {other_exc!r})")
+        exc.add_note(note)
+        raise exc

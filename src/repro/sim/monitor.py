@@ -64,7 +64,7 @@ class SampleStats:
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
+    m2: float = 0.0
     minimum: float = math.inf
     maximum: float = -math.inf
 
@@ -72,7 +72,7 @@ class SampleStats:
         self.count += 1
         delta = value - self.mean
         self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+        self.m2 += delta * (value - self.mean)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -86,13 +86,14 @@ class SampleStats:
         if self.count == 0:
             self.count = other.count
             self.mean = other.mean
-            self._m2 = other._m2
+            self.m2 = other.m2
             self.minimum = other.minimum
             self.maximum = other.maximum
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
+        self.m2 = (self.m2 + other.m2
+                   + delta * delta * self.count * other.count / total)
         self.mean += delta * other.count / total
         self.count = total
         if other.minimum < self.minimum:
@@ -105,7 +106,7 @@ class SampleStats:
     def variance(self) -> float:
         if self.count < 2:
             return 0.0
-        return self._m2 / (self.count - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def stdev(self) -> float:

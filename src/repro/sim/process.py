@@ -74,11 +74,6 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead {self!r}")
-        if self._target is None and not self.triggered:
-            # Process is starting up this instant; interrupt still works
-            # because the interrupt event carries URGENT priority and the
-            # resume hook checks for stale targets.
-            pass
         interrupt_event = Event(self.sim, name=f"interrupt:{self.name}")
         interrupt_event._ok = False
         interrupt_event._value = InterruptError(cause)
@@ -94,22 +89,18 @@ class Process(Event):
             # A stale wakeup: the process was interrupted while waiting
             # on `self._target`; that original event may fire later and
             # must not resume us twice unless we re-waited on it.
+            # So interrupt() leaves the original event's callback alone.
+            # An interrupt passes, also at start-up (target is None).
             if not isinstance(event._value, InterruptError):
                 return
         self.sim._active_process = self
         # Detach from the old target so stale wakeups are detectable.
-        old_target, self._target = self._target, None
+        self._target = None
         try:
             if event._ok:
                 next_target = self.generator.send(event._value)
             else:
-                exc = event._value
-                if isinstance(exc, InterruptError) and old_target is not None:
-                    # Leave the original event's callback in place only if
-                    # it has not fired; the stale-wakeup guard above
-                    # handles the case where it does fire.
-                    pass
-                next_target = self.generator.throw(exc)
+                next_target = self.generator.throw(event._value)
         except StopIteration as stop:
             self.is_alive = False
             self.succeed(stop.value)

@@ -24,8 +24,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.obs.export import validate_chrome_trace
-from repro.obs.recorder import MESSAGE, FlightRecorder
+from repro.obs.export import (
+    recorder_items,
+    render_trace_events,
+    validate_chrome_trace,
+)
+from repro.obs.recorder import FlightRecorder
 from repro.telemetry import Telemetry
 
 #: Wall seconds -> trace-event microseconds.
@@ -35,18 +39,13 @@ WALL_PREFIX = "wall:"
 SIM_PREFIX = "sim:"
 
 
-def _recorder_items(recorder: FlightRecorder):
-    """Yield ``(lane, phase, name, cat, trace, start, end)`` for every
-    root, span and instant of a recorder."""
-    for info in sorted(recorder.traces.values(), key=lambda i: i.trace):
-        yield ("messages", "X", info.name, MESSAGE, info.trace,
-               info.start, info.end, info.track)
-    for span in recorder.spans:
-        yield (span.kind, "X", f"{span.kind}:{span.name}", span.kind,
-               span.trace, span.start, span.end, span.track)
-    for span in recorder.events:
-        yield ("events", "i", f"{span.kind}:{span.name}", span.kind,
-               span.trace, span.start, span.start, span.track)
+def _domain_items(recorder: FlightRecorder, prefix: str, scale: float,
+                  clock: str):
+    """A recorder's trace items moved into one clock domain."""
+    for (track, lane, phase, name, cat,
+         start, end, args) in recorder_items(recorder):
+        yield (prefix + track, lane, phase, name, cat, start * scale,
+               end * scale, {**args, "clock": clock})
 
 
 def unified_trace(tel: Telemetry,
@@ -57,68 +56,20 @@ def unified_trace(tel: Telemetry,
     ``sim_recorders`` is ``(label, FlightRecorder)`` pairs; each
     recorder's tracks are exported under ``sim:<label>/<track>``.
     """
-    # (prefixed_track, lane, phase, name, cat, trace, start_us, end_us,
-    #  clock)
-    items: List[tuple] = []
-
-    for span in tel.wall_spans:
-        items.append((WALL_PREFIX + span.track, span.kind, "X",
-                      f"{span.kind}:{span.name}", span.kind, span.trace,
-                      span.start * _WALL_SCALE, span.end * _WALL_SCALE,
-                      "wall"))
+    items: List[tuple] = [
+        (WALL_PREFIX + span.track, span.kind, "X",
+         f"{span.kind}:{span.name}", span.kind, span.start * _WALL_SCALE,
+         span.end * _WALL_SCALE, {"trace": span.trace, "clock": "wall"})
+        for span in tel.wall_spans
+    ]
     for label, recorder in sorted(tel.wall_recorders.items()):
-        for (lane, phase, name, cat, trace,
-             start, end, track) in _recorder_items(recorder):
-            items.append((f"{WALL_PREFIX}{label}/{track}", lane, phase,
-                          name, cat, trace, start * _WALL_SCALE,
-                          end * _WALL_SCALE, "wall"))
+        items.extend(_domain_items(recorder, f"{WALL_PREFIX}{label}/",
+                                   _WALL_SCALE, "wall"))
     for label, recorder in sim_recorders:
-        for (lane, phase, name, cat, trace,
-             start, end, track) in _recorder_items(recorder):
-            items.append((f"{SIM_PREFIX}{label}/{track}", lane, phase,
-                          name, cat, trace, start, end, "sim"))
-
-    tracks = sorted({item[0] for item in items})
-    pid_of = {track: index + 1 for index, track in enumerate(tracks)}
-
-    lanes: Dict[tuple, int] = {}
-    lane_count: Dict[str, int] = {}
-
-    def tid_of(track: str, lane: str) -> int:
-        tid = lanes.get((track, lane))
-        if tid is None:
-            tid = lane_count.get(track, 0)
-            lane_count[track] = tid + 1
-            lanes[(track, lane)] = tid
-        return tid
-
-    events: List[Dict[str, Any]] = []
-    for (track, lane, phase, name, cat, trace,
-         start, end, clock) in items:
-        event: Dict[str, Any] = {
-            "name": name, "cat": cat, "ph": phase, "ts": start,
-            "pid": pid_of[track], "tid": tid_of(track, lane),
-            "args": {"trace": trace, "clock": clock},
-        }
-        if phase == "X":
-            event["dur"] = max(end - start, 0.0)
-        else:
-            event["s"] = "t"
-        events.append(event)
-
-    meta: List[Dict[str, Any]] = []
-    for track in tracks:
-        meta.append({"name": "process_name", "ph": "M",
-                     "pid": pid_of[track], "tid": 0,
-                     "args": {"name": track}})
-    for (track, lane), tid in sorted(
-            lanes.items(), key=lambda kv: (pid_of[kv[0][0]], kv[1])):
-        meta.append({"name": "thread_name", "ph": "M",
-                     "pid": pid_of[track], "tid": tid,
-                     "args": {"name": lane}})
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms",
-            "otherData": {"run": tel.run_id, "clockDomains":
-                          ["wall", "sim"]}}
+        items.extend(_domain_items(recorder, f"{SIM_PREFIX}{label}/",
+                                   1, "sim"))
+    return render_trace_events(
+        items, other={"run": tel.run_id, "clockDomains": ["wall", "sim"]})
 
 
 def write_unified_trace(tel: Telemetry, path: str,

@@ -13,7 +13,7 @@ Design constraints, in order:
   snapshots to the supervisor over the existing duplex pipes; the
   supervisor merges them on read.  Every merge is associative and
   commutative — counters add, gauges take the max, histograms combine
-  bucket counts plus Welford moments (Chan et al., the same formula as
+  bucket counts plus Welford moments (Chan et al., computed by
   :meth:`repro.sim.monitor.SampleStats.merge`) — so it does not matter
   how many processes contributed or in what grouping the snapshots
   were folded.
@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.sim.monitor import SampleStats
 
 #: Default histogram bucket upper bounds, in seconds: a latency ladder
 #: from 0.1 ms to 2 minutes (an implicit +Inf bucket catches the rest).
@@ -114,8 +116,7 @@ class Histogram:
     keeping raw samples.
     """
 
-    __slots__ = ("bounds", "buckets", "count", "mean", "m2",
-                 "minimum", "maximum", "sum")
+    __slots__ = ("bounds", "buckets", "moments", "sum")
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
         self.bounds = tuple(float(b) for b in bounds)
@@ -123,23 +124,12 @@ class Histogram:
             raise ValueError("histogram bounds must be strictly increasing")
         #: One count per bound, plus the trailing +Inf bucket.
         self.buckets = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
+        self.moments = SampleStats()
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
+        self.moments.add(value)
         self.sum += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
         for index, bound in enumerate(self.bounds):
             if value <= bound:
                 self.buckets[index] += 1
@@ -147,11 +137,25 @@ class Histogram:
         self.buckets[-1] += 1
 
     def state(self) -> Dict[str, object]:
-        return {
-            "count": self.count, "mean": self.mean, "m2": self.m2,
-            "min": self.minimum, "max": self.maximum, "sum": self.sum,
-            "bounds": list(self.bounds), "buckets": list(self.buckets),
-        }
+        return _histogram_state(self.moments, self.sum, self.bounds,
+                                self.buckets)
+
+
+def _histogram_state(moments: SampleStats, total: float,
+                     bounds: Iterable[float],
+                     buckets: Iterable[int]) -> Dict[str, object]:
+    """The snapshot (wire) form of a histogram."""
+    return {
+        "count": moments.count, "mean": moments.mean, "m2": moments.m2,
+        "min": moments.minimum, "max": moments.maximum, "sum": total,
+        "bounds": list(bounds), "buckets": list(buckets),
+    }
+
+
+def _state_moments(state: Dict[str, object]) -> SampleStats:
+    return SampleStats(int(state["count"]), float(state["mean"]),
+                       float(state["m2"]), float(state["min"]),
+                       float(state["max"]))
 
 
 def histogram_percentile(state: Dict[str, object], q: float) -> float:
@@ -247,27 +251,12 @@ def _merge_histogram_states(a: Dict[str, object],
                             b: Dict[str, object]) -> Dict[str, object]:
     if list(a["bounds"]) != list(b["bounds"]):
         raise ValueError("cannot merge histograms with different bounds")
-    count_a, count_b = int(a["count"]), int(b["count"])
-    if count_a == 0:
-        return {k: (list(v) if isinstance(v, list) else v)
-                for k, v in b.items()}
-    if count_b == 0:
-        return {k: (list(v) if isinstance(v, list) else v)
-                for k, v in a.items()}
-    total = count_a + count_b
-    mean_a, mean_b = float(a["mean"]), float(b["mean"])
-    delta = mean_b - mean_a
-    return {
-        "count": total,
-        "mean": mean_a + delta * count_b / total,
-        "m2": (float(a["m2"]) + float(b["m2"])
-               + delta * delta * count_a * count_b / total),
-        "min": min(float(a["min"]), float(b["min"])),
-        "max": max(float(a["max"]), float(b["max"])),
-        "sum": float(a["sum"]) + float(b["sum"]),
-        "bounds": list(a["bounds"]),
-        "buckets": [x + y for x, y in zip(a["buckets"], b["buckets"])],
-    }
+    return _histogram_state(
+        _state_moments(a).merge(_state_moments(b)),
+        float(a["sum"]) + float(b["sum"]),
+        a["bounds"],
+        [x + y for x, y in zip(a["buckets"], b["buckets"])],
+    )
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, dict]]) -> Dict[str, dict]:
