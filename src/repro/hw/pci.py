@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
-from repro.sim.events import Callback
+from repro.sim.events import Event, _PENDING
 
 #: Residual bytes below this complete immediately (a millionth of a
 #: byte).  Must be comfortably above accumulated float error so a
@@ -30,20 +30,53 @@ _EPS = 1e-6
 #: Smallest scheduled horizon (us). 1e-6 us stays above float ulp for
 #: simulated times up to ~10^9 us.
 _MIN_HORIZON = 1e-6
+_INF = float("inf")
 
 
-class _Flow:
-    """One in-progress transfer on a fluid bus."""
+class _Flow(Event):
+    """One transfer on a fluid bus: flow record, join entry, completion.
 
-    __slots__ = ("remaining", "cap", "weight", "rate", "done")
+    The caller waits on the flow itself.  :meth:`transfer_event` also
+    queues it *pending* for the end of the setup window, so the kernel
+    processes a fused flow twice at most: while pending ``_process``
+    admits it to the bus; once the bus has triggered it (reference
+    scheduler only — the fast one completes flows inline in
+    ``_settle``) ``_process`` is the ordinary callback run.
+    """
 
-    def __init__(self, nbytes: float, cap: Optional[float],
-                 weight: float, done) -> None:
+    __slots__ = ("bus", "remaining", "cap", "weight", "rate")
+
+    def __init__(self, bus: "BandwidthBus", nbytes: float,
+                 cap: Optional[float], weight: float) -> None:
+        sim = bus.sim
+        super().__init__(
+            sim, name=f"{bus.name}:xfer" if sim.trace is not None else "")
+        self.bus = bus
         self.remaining = float(nbytes)
         self.cap = cap
         self.weight = weight
         self.rate = 0.0
-        self.done = done
+
+    def _process(self) -> None:
+        if self._value is _PENDING:
+            self.bus._join(self)
+        else:
+            super()._process()
+
+
+class _Wake(Event):
+    """A bus's one wake entry, queued again for every wake instant."""
+
+    __slots__ = ("bus",)
+
+    def __init__(self, bus: "BandwidthBus") -> None:
+        super().__init__(bus.sim)
+        self.bus = bus
+        self._ok = True
+        self._value = None
+
+    def _process(self) -> None:
+        self.bus._on_wake_fast()
 
 
 class BandwidthBus:
@@ -61,10 +94,12 @@ class BandwidthBus:
         self._last_update = 0.0
         self._wake_generation = 0
         #: Fast-path wake bookkeeping: the currently valid wake target
-        #: and the fire times of outstanding wake callbacks.  Invariant
-        #: while flows are active: some outstanding time <= the target.
+        #: and the fire times of the outstanding entries of the one
+        #: reusable wake event.  Invariant while flows are active: some
+        #: outstanding time <= the target.
         self._wake_time = 0.0
         self._wake_times: List[float] = []
+        self._wake_event = _Wake(self)
         #: Transfers past the entry checks but not yet completed; covers
         #: the setup window before the flow is appended, so the frame
         #: train planner can prove the bus fully idle.
@@ -84,6 +119,23 @@ class BandwidthBus:
         """Currently allocated bytes/us across all flows."""
         return sum(flow.rate for flow in self._flows)
 
+    def _enter(self, nbytes: float, rate_cap: Optional[float],
+               weight: float) -> None:
+        """Argument checks and entry accounting shared by both
+        transfer shapes."""
+        if rate_cap is not None and rate_cap <= 0:
+            raise ConfigurationError(f"rate cap must be > 0, got {rate_cap}")
+        if weight <= 0:
+            raise ConfigurationError(f"weight must be > 0, got {weight}")
+        stats = self.stats
+        stats["transfers"] += 1
+        stats["bytes"] += nbytes
+        rec = self.sim.recorder
+        if rec is not None:
+            rec.metrics.observe("bus:" + self.name, self.sim._now,
+                                float(nbytes))
+        self._entered += 1
+
     def transfer(self, nbytes: float, rate_cap: Optional[float] = None,
                  weight: float = 1.0):
         """Process: move ``nbytes``; completes when the fluid share
@@ -95,33 +147,15 @@ class BandwidthBus:
         """
         if nbytes < 0:
             raise ConfigurationError(f"negative transfer size {nbytes}")
-        if rate_cap is not None and rate_cap <= 0:
-            raise ConfigurationError(f"rate cap must be > 0, got {rate_cap}")
-        if weight <= 0:
-            raise ConfigurationError(f"weight must be > 0, got {weight}")
-        self.stats["transfers"] += 1
-        self.stats["bytes"] += nbytes
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.metrics.observe("bus:" + self.name, self.sim._now,
-                                float(nbytes))
-        self._entered += 1
+        self._enter(nbytes, rate_cap, weight)
         try:
             if self.setup:
                 yield self.sim.timeout(self.setup)
             if nbytes == 0:
                 return 0.0
-            done = self.sim.event(
-                name=f"{self.name}:xfer" if self.sim.trace is not None
-                else ""
-            )
-            flow = _Flow(nbytes, rate_cap, weight, done)
-            self._settle()
-            self._flows.append(flow)
-            if len(self._flows) > self.stats["max_concurrency"]:
-                self.stats["max_concurrency"] = len(self._flows)
-            self._reallocate()
-            yield done
+            flow = _Flow(self, nbytes, rate_cap, weight)
+            self._join(flow)
+            yield flow
         finally:
             self._entered -= 1
         return nbytes
@@ -129,51 +163,46 @@ class BandwidthBus:
     def transfer_event(self, nbytes: float,
                        rate_cap: Optional[float] = None,
                        weight: float = 1.0,
-                       at: Optional[float] = None):
-        """Fast-path transfer: returns the completion Event directly.
+                       at: Optional[float] = None) -> Event:
+        """Fast-path transfer: returns the completion event directly.
 
         Same validation, stats, and timing as :meth:`transfer`, but the
-        setup wait and the flow join are fused into one Callback (the
-        join runs at the instant the reference path's setup timeout
-        would resume), so the caller suspends once instead of twice.
-        Requires ``setup > 0`` and ``nbytes > 0`` — other cases keep
-        the generator path.  ``at`` overrides the join instant for
-        callers that fold a preceding fixed delay into the transfer
-        (it must equal the reference path's float-rounded instant).
+        setup wait and the flow join are fused into one queue entry —
+        the returned flow itself, which joins at the instant the
+        reference path's setup timeout would resume — so the caller
+        suspends once instead of twice.  Requires ``setup > 0`` and
+        ``nbytes > 0``: a zero-delay join would queue behind entries
+        that :meth:`transfer`'s inline join runs ahead of, so those
+        cases keep the generator path.  ``at`` overrides the join
+        instant for callers that fold a preceding fixed delay into the
+        transfer (it must equal the reference path's float-rounded
+        instant).
         """
         if nbytes <= 0:
             raise ConfigurationError(f"non-positive transfer size {nbytes}")
-        if rate_cap is not None and rate_cap <= 0:
-            raise ConfigurationError(f"rate cap must be > 0, got {rate_cap}")
-        if weight <= 0:
-            raise ConfigurationError(f"weight must be > 0, got {weight}")
-        self.stats["transfers"] += 1
-        self.stats["bytes"] += nbytes
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.metrics.observe("bus:" + self.name, self.sim._now,
-                                float(nbytes))
-        self._entered += 1
-        done = self.sim.event(
-            name=f"{self.name}:xfer" if self.sim.trace is not None else ""
-        )
-        done.callbacks.append(self._transfer_done)
-        flow = _Flow(nbytes, rate_cap, weight, done)
+        if self.setup <= 0:
+            raise ConfigurationError(
+                f"transfer_event needs a setup window, bus setup is "
+                f"{self.setup}")
+        self._enter(nbytes, rate_cap, weight)
+        flow = _Flow(self, nbytes, rate_cap, weight)
+        flow.callbacks.append(self._transfer_done)
         if at is not None:
-            Callback(self.sim, lambda: self._join(flow), at=at)
+            self.sim.schedule_at(flow, at)
         else:
-            Callback(self.sim, lambda: self._join(flow), delay=self.setup)
-        return done
+            self.sim.schedule(flow, self.setup)
+        return flow
 
     def _join(self, flow: _Flow) -> None:
-        """Admit a fused-path flow (the post-setup half of transfer)."""
+        """Admit a flow (the post-setup half of a transfer)."""
         self._settle()
-        self._flows.append(flow)
-        if len(self._flows) > self.stats["max_concurrency"]:
-            self.stats["max_concurrency"] = len(self._flows)
+        flows = self._flows
+        flows.append(flow)
+        if len(flows) > self.stats["max_concurrency"]:
+            self.stats["max_concurrency"] = len(flows)
         self._reallocate()
 
-    def _transfer_done(self, _event) -> None:
+    def _transfer_done(self, _flow: _Flow) -> None:
         self._entered -= 1
 
     # -- fluid mechanics ---------------------------------------------------
@@ -183,43 +212,45 @@ class BandwidthBus:
         Flows at (or within float error of) zero remaining complete
         even when no time has elapsed — see the _EPS note above.
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim._now
         elapsed = now - self._last_update
         self._last_update = now
-        if not self._flows:
-            return
-        finished = []
-        for flow in self._flows:
+        flows = self._flows
+        finished = None
+        for flow in flows:
             if elapsed > 0:
                 flow.remaining -= elapsed * flow.rate
             if flow.remaining <= _EPS:
                 flow.remaining = 0.0
-                finished.append(flow)
-        if not finished:
+                if finished is None:
+                    finished = [flow]
+                else:
+                    finished.append(flow)
+        if finished is None:
             return
         for flow in finished:
-            self._flows.remove(flow)
-        if self.sim._fast:
-            # Completion runs the done event's callbacks inline instead
-            # of round-tripping through the zero-delay queue.  The queue
+            flows.remove(flow)
+        if sim._fast:
+            # Completion runs the flow's callbacks inline instead of
+            # round-tripping through the zero-delay queue.  The queue
             # position is identical: a completion instant drains the
-            # urgent queue before this (NORMAL) wake fires, so the done
-            # event would be at the queue head anyway, and callbacks of
+            # urgent queue before this (NORMAL) wake fires, so the flow
+            # would be at the queue head anyway, and callbacks of
             # multiple finished flows run in the same FIFO order.  All
             # flows are unlinked above before any callback runs, so a
             # re-entrant _settle from a continuation sees a consistent
             # flow list (and elapsed == 0 makes it a no-op).
             for flow in finished:
-                done = flow.done
-                done._ok = True
-                done._value = None
-                callbacks, done.callbacks = done.callbacks, None
-                done._processed = True
+                flow._ok = True
+                flow._value = None
+                callbacks, flow.callbacks = flow.callbacks, None
+                flow._processed = True
                 for callback in callbacks:
-                    callback(done)
+                    callback(flow)
         else:
             for flow in finished:
-                flow.done.succeed()
+                flow.succeed()
 
     def _reallocate(self) -> None:
         """Water-fill the rate over active flows; schedule next wake."""
@@ -228,51 +259,62 @@ class BandwidthBus:
             return
         if len(flows) == 1:
             # Same arithmetic as the general loop specialized to one
-            # flow (sum of one weight and min over one flow are exact),
-            # skipping the list copies and generator overhead.
+            # flow (sum of one weight and min over one flow are exact).
             f = flows[0]
             unit = self.rate / f.weight
             share = f.weight * unit
             cap = f.cap
             f.rate = cap if (cap is not None and cap < share) else share
             horizon = f.remaining / f.rate
-            if horizon < _MIN_HORIZON:
-                horizon = _MIN_HORIZON
         else:
             budget = self.rate
-            pending = list(flows)
+            pending = flows
             while pending:
-                total_weight = sum(f.weight for f in pending)
-                unit = budget / total_weight
-                capped = [
-                    f for f in pending
-                    if f.cap is not None and f.cap < f.weight * unit
-                ]
-                if not capped:
-                    for f in pending:
-                        f.rate = f.weight * unit
+                # sum(), not a += loop: CPython 3.12 compensates float
+                # sums, so a hand loop would move the last ulp there for
+                # weights that do not add exactly (0.1 + 0.3).
+                unit = budget / sum([f.weight for f in pending])
+                # Flows still uncapped after this round; stays None (and
+                # the shares just assigned are final) if none is capped.
+                rest = None
+                for index, f in enumerate(pending):
+                    share = f.weight * unit
+                    cap = f.cap
+                    if cap is not None and cap < share:
+                        if rest is None:
+                            rest = pending[:index]
+                        f.rate = cap
+                        budget -= cap
+                    else:
+                        f.rate = share
+                        if rest is not None:
+                            rest.append(f)
+                if rest is None:
                     break
-                for f in capped:
-                    f.rate = f.cap
-                    budget -= f.cap
-                    pending.remove(f)
-            horizon = max(min(f.remaining / f.rate for f in flows),
-                          _MIN_HORIZON)
+                pending = rest
+            horizon = _INF
+            for f in flows:
+                ahead = f.remaining / f.rate
+                if ahead < horizon:
+                    horizon = ahead
+        if horizon < _MIN_HORIZON:
+            horizon = _MIN_HORIZON
         self._wake_generation += 1
-        if self.sim._fast:
+        sim = self.sim
+        if sim._fast:
             # Reuse an outstanding wake when one already fires at or
             # before the new target: it re-arms itself on a stale fire
             # (see _on_wake_fast), so settle/reallocate still run at
             # exactly the valid instant but membership churn no longer
-            # strands a dead callback per reallocation.
-            self._wake_time = target = self.sim._now + horizon
+            # strands a dead entry per reallocation.
+            self._wake_time = target = sim._now + horizon
             for t in self._wake_times:
                 if t <= target:
                     return
             self._wake_times.append(target)
-            Callback(self.sim, self._on_wake_fast, at=target)
+            sim.schedule_at(self._wake_event, target)
         else:
-            self.sim.spawn(
+            sim.spawn(
                 self._wake(self._wake_generation, horizon),
                 name=f"{self.name}:wake",
             )
@@ -303,7 +345,7 @@ class BandwidthBus:
             if t <= target:
                 return
         times.append(target)
-        Callback(self.sim, self._on_wake_fast, at=target)
+        self.sim.schedule_at(self._wake_event, target)
 
     def _wake(self, generation: int, delay: float):
         yield self.sim.timeout(delay)

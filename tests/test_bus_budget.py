@@ -1,0 +1,117 @@
+"""What a memory-bus transfer costs the host — and must keep costing.
+
+A transfer is one record (flow = join entry = completion event) and a
+bus has one wake entry that is queued again and again.  The object
+counts fail the day a transfer grows a second event, a ``Callback`` or
+a closure again; the pinned clock, event count and sequence counter —
+taken from the commit *before* flows became records — fail the day
+someone makes the bus cheaper by changing what it schedules.
+"""
+
+from __future__ import annotations
+
+import gc
+import types
+
+import pytest
+
+from repro import fastpath
+from repro.cluster.builder import build_mesh
+from repro.cluster.process_api import build_world, run_mpi
+from repro.hw import pci
+from repro.hw.pci import BandwidthBus
+from repro.mpi.request import waitall
+from repro.sim import Simulator
+from repro.sim.events import Event, NORMAL
+
+
+def _functions_from_pci() -> int:
+    """Live function objects (closures, lambdas) compiled from pci.py."""
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, types.FunctionType)
+               and o.__code__.co_filename == pci.__file__)
+
+
+def test_fused_transfer_builds_one_record(monkeypatch):
+    built = []
+    event_init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        event_init(self, *args, **kwargs)
+
+    with fastpath.force(True):
+        sim = Simulator()
+        bus = BandwidthBus(sim, rate=2100.0, setup=0.02)
+        functions = _functions_from_pci()
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        flows = [bus.transfer_event(4096.0, rate_cap=1064.0)
+                 for _ in range(50)]
+        monkeypatch.undo()
+        # One Event subclass instance per transfer — no done event, no
+        # Callback — and it is the queue entry of its own join.
+        assert built == ["_Flow"] * 50
+        assert [entry[3] for entry in sorted(sim._queue)] == flows
+        assert _functions_from_pci() == functions
+        sim.run()
+        assert all(flow.processed for flow in flows)
+        assert sim.events_processed > 50        # joins + wakes ...
+        assert _functions_from_pci() == functions
+
+
+def test_one_wake_entry_serves_every_rearm():
+    with fastpath.force(True):
+        sim = Simulator()
+        bus = BandwidthBus(sim, rate=2100.0, setup=0.02)
+        wake = bus._wake_event
+        armed = []
+        schedule_at = sim.schedule_at
+
+        def spy(event, when, priority=NORMAL):
+            armed.append(event)
+            schedule_at(event, when, priority)
+
+        sim.schedule_at = spy       # fused joins use schedule(), not this
+
+        def churn(nbytes, cap, weight):
+            for _ in range(300):
+                yield bus.transfer_event(nbytes, rate_cap=cap,
+                                         weight=weight)
+
+        for lane in range(6):       # joins and leaves interleave: stale
+            sim.spawn(churn(1500.0 + 64 * lane, 1064.0, 1.0))   # fires
+            sim.spawn(churn(700.0 + 48 * lane, 1200.0, 5.0))    # re-arm
+        sim.run()
+        assert len(armed) >= 1000
+        assert all(event is wake for event in armed)
+        assert bus._wake_event is wake and not bus._wake_times
+
+
+def _exchange(comm, torus):
+    peers = [rank for _direction, rank in torus.neighbors(comm.rank)]
+    recvs = [comm.irecv(peer, tag=3, nbytes=4096) for peer in peers]
+    sends = [comm.isend(peer, tag=3, nbytes=4096) for peer in peers]
+    yield from waitall(sends)
+    yield from waitall(recvs)
+    return sum(request.received_bytes for request in recvs)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_exchange_schedules_what_it_always_did(fast):
+    """Same events, fewer objects: 27 memory buses at up to 6 flows,
+    pinned from the parent commit in both scheduler modes."""
+    with fastpath.force(fast):
+        cluster = build_mesh((3, 3, 3))
+        comms = build_world(cluster)
+        received = run_mpi(cluster, _exchange, args=(cluster.torus,),
+                           comms=comms)
+    assert received == [6 * 4096] * 27
+    sim = cluster.sim
+    assert (sim.now, sim.events_processed, sim._sequence) == (
+        PINNED[fast])
+
+
+#: (sim.now, events_processed, sim._sequence), measured at 845306f.
+PINNED = {True: (196.00163040935692, 17488, 17515),
+          False: (196.00163040935692, 34854, 34881)}

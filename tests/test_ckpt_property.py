@@ -157,6 +157,18 @@ class TestRestoreGuards:
             store.open_key("versioned", "item", config_hash="hash-a",
                            code_version="0.0.0+stale")
 
+    def test_store_stamped_by_the_previous_release_is_refused(
+            self, tmp_path):
+        """1.0.0 queued bus joins and wakes as ``Callback`` entries;
+        ``sim_signature`` hashes entry type names, so replaying such a
+        store would diverge mid-run instead of being refused here."""
+        store = CheckpointStore(tmp_path)
+        store.open_key("old", "item", config_hash="hash-a",
+                       code_version="1.0.0")
+        with pytest.raises(CheckpointMismatchError,
+                           match="code_version"):
+            store.open_key("old", "item", config_hash="hash-a")
+
     def test_resume_rejects_different_topology_under_same_key(
             self, tmp_path):
         store = CheckpointStore(tmp_path)

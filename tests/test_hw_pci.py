@@ -152,6 +152,26 @@ def test_bad_parameters(sim):
         run(sim, bad_weight())
 
 
+def test_transfer_event_needs_a_setup_window(sim):
+    """With setup == 0 the fused join would be a zero-delay queue entry,
+    behind entries transfer()'s inline join runs ahead of."""
+    with pytest.raises(ConfigurationError, match="setup"):
+        BandwidthBus(sim, rate=10.0).transfer_event(10)
+    with pytest.raises(ConfigurationError, match="setup"):
+        BandwidthBus(sim, rate=10.0).transfer_event(10, at=1.0)
+    bus = BandwidthBus(sim, rate=10.0, setup=0.5)
+    with pytest.raises(ConfigurationError):
+        bus.transfer_event(0)
+    assert bus.stats["transfers"] == 0 and bus._entered == 0
+
+    def proc():
+        yield bus.transfer_event(10)
+        return sim.now
+
+    assert run(sim, proc()) == pytest.approx(1.5)
+    assert bus._entered == 0 and not bus.busy()
+
+
 def test_stats_and_concurrency(sim):
     bus = BandwidthBus(sim, rate=100.0)
 
