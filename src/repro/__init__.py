@@ -24,16 +24,19 @@ The package builds, in pure Python, every system the paper describes:
 
 Quickstart::
 
-    from repro.cluster import build_torus_cluster
-    from repro.mpi import run_mpi
+    from repro.cluster import build_mesh, run_mpi
 
-    cluster = build_torus_cluster((4, 4))
+    cluster = build_mesh((3, 3), wrap=True)   # a 9-node GigE torus
+
     def program(comm):
-        if comm.rank == 0:
-            yield from comm.send(b"hello", dest=1, tag=7)
-        elif comm.rank == 1:
-            msg = yield from comm.recv(source=0, tag=7)
-    results = run_mpi(cluster, program)
+        right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+        req = yield from comm.sendrecv(dest=right, source=left,
+                                       send_nbytes=64, recv_nbytes=64,
+                                       data=f"hello from {comm.rank}")
+        total = yield from comm.allreduce(nbytes=8, data=float(comm.rank))
+        return req.received_data
+
+    print(run_mpi(cluster, program))
 """
 
 from repro._version import __version__

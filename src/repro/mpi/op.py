@@ -4,7 +4,8 @@ Each op carries a binary ``combine`` function applied to the payload
 objects (numpy-aware: the functions work element-wise on arrays and on
 plain scalars alike).  ``None`` payloads are treated as identity-less:
 combining with None returns the other operand, which lets timing-only
-benchmarks run reductions without materializing data.
+benchmarks run reductions without materializing data — and without
+numpy: the ufunc is bound by the first combine of two real operands.
 """
 
 from __future__ import annotations
@@ -12,15 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
 
+def _lift(ufunc: str) -> Callable[[Any, Any], Any]:
+    """``numpy.<ufunc>``, None standing for the absent operand; numpy
+    is imported by the first call that has two operands to combine."""
+    fn = None
 
-def _lift(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
     def combined(a: Any, b: Any) -> Any:
+        nonlocal fn
         if a is None:
             return b
         if b is None:
             return a
+        if fn is None:
+            import numpy
+
+            fn = getattr(numpy, ufunc)
         return fn(a, b)
     return combined
 
@@ -36,14 +44,14 @@ class Op:
         return self.combine(a, b)
 
 
-SUM = Op("MPI_SUM", _lift(lambda a, b: np.add(a, b)))
-PROD = Op("MPI_PROD", _lift(lambda a, b: np.multiply(a, b)))
-MAX = Op("MPI_MAX", _lift(lambda a, b: np.maximum(a, b)))
-MIN = Op("MPI_MIN", _lift(lambda a, b: np.minimum(a, b)))
-LAND = Op("MPI_LAND", _lift(lambda a, b: np.logical_and(a, b)))
-LOR = Op("MPI_LOR", _lift(lambda a, b: np.logical_or(a, b)))
-BAND = Op("MPI_BAND", _lift(lambda a, b: np.bitwise_and(a, b)))
-BOR = Op("MPI_BOR", _lift(lambda a, b: np.bitwise_or(a, b)))
+SUM = Op("MPI_SUM", _lift("add"))
+PROD = Op("MPI_PROD", _lift("multiply"))
+MAX = Op("MPI_MAX", _lift("maximum"))
+MIN = Op("MPI_MIN", _lift("minimum"))
+LAND = Op("MPI_LAND", _lift("logical_and"))
+LOR = Op("MPI_LOR", _lift("logical_or"))
+BAND = Op("MPI_BAND", _lift("bitwise_and"))
+BOR = Op("MPI_BOR", _lift("bitwise_or"))
 
 #: Null reduction: used by barrier (global combine with no data).
-NULL = Op("MPI_OP_NULL", _lift(lambda a, b: a))
+NULL = Op("MPI_OP_NULL", lambda a, b: b if a is None else a)

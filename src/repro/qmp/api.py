@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import QmpError
 from repro.mpi.communicator import Communicator
 from repro.mpi.op import MAX, MIN, SUM
@@ -126,6 +124,8 @@ class QMPMachine:
     # -- collectives -------------------------------------------------------
     def sum_double(self, value: float):
         """Process: QMP_sum_double."""
+        import numpy as np
+
         result = yield from self.comm.allreduce(
             nbytes=8, op=SUM, data=np.float64(value)
         )
@@ -133,6 +133,8 @@ class QMPMachine:
 
     def sum_double_array(self, values: "np.ndarray"):
         """Process: QMP_sum_double_array."""
+        import numpy as np
+
         arr = np.asarray(values, dtype=np.float64)
         result = yield from self.comm.allreduce(
             nbytes=arr.nbytes, op=SUM, data=arr
@@ -141,6 +143,8 @@ class QMPMachine:
 
     def max_double(self, value: float):
         """Process: QMP_max_double."""
+        import numpy as np
+
         result = yield from self.comm.allreduce(
             nbytes=8, op=MAX, data=np.float64(value)
         )
@@ -148,6 +152,8 @@ class QMPMachine:
 
     def min_double(self, value: float):
         """Process: QMP_min_double."""
+        import numpy as np
+
         result = yield from self.comm.allreduce(
             nbytes=8, op=MIN, data=np.float64(value)
         )

@@ -25,18 +25,29 @@ service-level chaos harness; ``--load-test N`` runs the concurrent
 client load test and writes ``BENCH_SERVICE.json``.
 """
 
-from repro.service.cache import ResultCache
-from repro.service.fleet import Fleet
-from repro.service.protocol import JobSpec
-from repro.service.router import Router, RouterConfig
-from repro.service.server import ServiceClient, ServiceServer
+from importlib import import_module
 
-__all__ = [
-    "Fleet",
-    "JobSpec",
-    "ResultCache",
-    "Router",
-    "RouterConfig",
-    "ServiceClient",
-    "ServiceServer",
-]
+#: Public name -> submodule that defines it.  Resolved on first access
+#: (PEP 562), so a fleet worker -- whose closure is ``worker`` +
+#: ``jobs`` + the engine -- never loads the asyncio front-end.
+_EXPORTS = {
+    "Fleet": "fleet",
+    "JobSpec": "protocol",
+    "ResultCache": "cache",
+    "Router": "router",
+    "RouterConfig": "router",
+    "ServiceClient": "server",
+    "ServiceServer": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

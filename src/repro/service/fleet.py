@@ -18,9 +18,13 @@ the keepalive idiom of the simulated failure detector in
   pool slot.
 
 Workers enter the dispatchable pool only after their ``ready``
-message, so boot time (interpreter + numpy import under spawn) is
-never misread as a hang.  ``dispatches`` counts real engine runs —
-the counter the cache tests assert against.
+message, so boot time is never misread as a hang.  Boot is the
+interpreter, multiprocessing's spawn bootstrap and the ``worker`` +
+``protocol`` modules; the engine is imported by the first job, numpy
+by the first job that reduces real data, and the asyncio front-end
+(this module, the router, the server) never (EXPERIMENTS.md, "Cold
+start").  ``dispatches`` counts real engine runs — the counter the
+cache tests assert against.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import struct
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -44,6 +45,13 @@ class PacketKind(enum.Enum):
 NIC_COLLECTIVE_KINDS = (
     PacketKind.NIC_REDUCE, PacketKind.NIC_CBCAST, PacketKind.NIC_ACK,
 )
+
+
+#: Checksummed header layout: kind code, the eleven integer header
+#: fields, ``notify``, ``immediate`` as (present, value) so None stays
+#: distinct from 0, then ``seq`` and ``ack``.
+_KIND_CODE = {kind: code for code, kind in enumerate(PacketKind)}
+_pack_header = struct.Struct("<17q").pack
 
 
 @dataclass
@@ -112,14 +120,14 @@ class ViaPacket:
         the header exactly — which is what protects against the
         misrouting/corruption bugs checksums caught in the real system.
         """
-        header = (
-            f"{self.kind.value}|{self.src_node}|{self.dst_node}|"
-            f"{self.dst_vi}|{self.src_vi}|{self.msg_id}|{self.frag_index}|"
-            f"{self.num_frags}|{self.payload_bytes}|{self.msg_offset}|"
-            f"{self.msg_bytes}|{self.remote_addr}|{self.notify}|"
-            f"{self.immediate}|{self.seq}|{self.ack}"
-        ).encode()
-        return zlib.crc32(header)
+        immediate = self.immediate
+        return zlib.crc32(_pack_header(
+            _KIND_CODE[self.kind], self.src_node, self.dst_node,
+            self.dst_vi, self.src_vi, self.msg_id, self.frag_index,
+            self.num_frags, self.payload_bytes, self.msg_offset,
+            self.msg_bytes, self.remote_addr, self.notify,
+            immediate is not None, immediate or 0, self.seq, self.ack,
+        ))
 
     def clone(self) -> "ViaPacket":
         """Fresh shallow copy for (re)transmission.

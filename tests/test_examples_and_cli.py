@@ -1,8 +1,10 @@
 """Integration tests: the shipped examples and the bench CLI."""
 
 import io
+import re
 import runpy
 import sys
+import textwrap
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -22,6 +24,19 @@ def test_quickstart_example():
     output = _run_example("quickstart.py")
     assert "total simulated time" in output
     assert "'rank_sum': 36.0" in output
+
+
+def test_package_docstring_quickstart_runs_and_is_the_readme_one():
+    import repro
+
+    block = textwrap.dedent(repro.__doc__.split("Quickstart::\n", 1)[1])
+    readme = (EXAMPLES.parent / "README.md").read_text()
+    fenced = re.search(r"## Quickstart\n\n```python\n(.*?)```", readme, re.S)
+    assert block.strip() == fenced.group(1).strip()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "repro.__doc__", "exec"), {})
+    assert out.getvalue().startswith("['hello from 8', 'hello from 0',")
 
 
 def test_raw_via_pingpong_example():

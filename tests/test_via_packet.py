@@ -1,5 +1,7 @@
 """Tests for VIA wire packets and checksums."""
 
+import dataclasses
+
 from repro.via.packet import PacketKind, ViaPacket
 
 
@@ -42,3 +44,39 @@ def test_route_excluded_from_checksum():
 
 def test_msg_ids_monotone():
     assert ViaPacket.next_msg_id() < ViaPacket.next_msg_id()
+
+
+#: Every dataclass field with a second value: the sixteen header fields
+#: the checksum covers, then the four it must not see.
+_COVERED = dict(
+    kind=PacketKind.RMA_WRITE, src_node=7, dst_node=8, dst_vi=9, src_vi=10,
+    msg_id=11, frag_index=1, num_frags=3, payload_bytes=101, msg_offset=64,
+    msg_bytes=201, remote_addr=4096, notify=True, immediate=0, seq=0, ack=0,
+)
+_EXCLUDED = dict(route=(0, 1), payload=b"x", checksum=1, trace=object())
+
+
+def test_checksum_covers_exactly_the_header_fields():
+    assert set(_COVERED) | set(_EXCLUDED) == {
+        f.name for f in dataclasses.fields(ViaPacket)}
+    base = _packet().compute_checksum()
+    for name, value in _COVERED.items():
+        assert _packet(**{name: value}).compute_checksum() != base, name
+    for name, value in _EXCLUDED.items():
+        assert _packet(**{name: value}).compute_checksum() == base, name
+
+
+def test_checksum_tells_every_kind_and_absent_immediate_apart():
+    sums = {_packet(kind=kind).compute_checksum() for kind in PacketKind}
+    assert len(sums) == len(PacketKind)
+    none, zero, one = (_packet(immediate=i).compute_checksum()
+                       for i in (None, 0, 1))
+    assert len({none, zero, one}) == 3
+
+
+def test_verify_recomputes_rather_than_trusting_the_seal():
+    packet = _packet(immediate=5).seal()
+    for name, value in _COVERED.items():
+        tampered = packet.clone()
+        setattr(tampered, name, value)
+        assert not tampered.verify(), name
