@@ -9,9 +9,15 @@ Transmit pipeline (two overlapping stages, as on the real adapter):
 
 Receive pipeline:
 
-1. *rx* — per-frame NIC processing, consume one receive descriptor
-   (blocking when the ring is empty, which models 802.3x pause
-   back-pressure rather than drops), DMA the frame to host memory;
+1. *rx* — a serial stage: per-frame NIC processing (``rx_proc``), the
+   optional ``collective_hook`` (a frame it consumes never reaches the
+   host), one receive descriptor (waiting when the ring is empty, which
+   models 802.3x pause back-pressure rather than drops), DMA of the
+   frame to host memory.  It exists in two forms that schedule the same
+   instants: ``_rx_loop``, a process, under the reference scheduler;
+   under the fast one a callback recurrence on one reusable queue entry
+   per port (``frame_arrived`` → ``_RxStage`` → DMA join → completion),
+   with frames that land on a busy stage waiting in a plain deque;
 2. *interrupt coalescing* — a pending-frame buffer raises the rx
    interrupt ``coalesce_delay`` us after the first undelivered frame or
    immediately once ``coalesce_frames`` are waiting (the "interrupt
@@ -29,6 +35,7 @@ already held) and must re-post receive descriptors via
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError
@@ -41,10 +48,28 @@ from repro.hw.link import Frame, Link
 from repro.hw.node import Host, PRIO_IRQ
 from repro.hw.params import GigEParams
 from repro.sim import Simulator, Store, TokenPool
+from repro.sim.events import Event
 
 #: On-board transmit FIFO depth, frames. Enough to keep the wire busy
 #: while the next descriptor is fetched.
 TX_FIFO_FRAMES = 4
+
+
+class _RxStage(Event):
+    """A port's one receive-stage entry (fast scheduler): queued for
+    the end of each frame's NIC processing.  The stage is serial, so at
+    most one is ever outstanding."""
+
+    __slots__ = ("port",)
+
+    def __init__(self, port: "GigEPort") -> None:
+        super().__init__(port.sim)
+        self.port = port
+        self._ok = True
+        self._value = None
+
+    def _process(self) -> None:
+        self.port._rx_processed()
 
 
 class GigEPort:
@@ -68,7 +93,17 @@ class GigEPort:
         self.rx_credits = TokenPool(sim, params.rx_ring,
                                     level=params.rx_ring,
                                     name=f"{name}:rxcred")
-        self._rx_arrivals = Store(sim, name=f"{name}:rxarr")
+        #: Frames landed but not yet in the rx stage.  The reference
+        #: scheduler's rx process waits on a Store; the fast one runs
+        #: the stage as callbacks on one reusable entry, so nothing ever
+        #: waits and a deque will do (built with the entry, on the
+        #: port's first frame).
+        self._rx_arrivals = (None if sim._fast
+                             else Store(sim, name=f"{name}:rxarr"))
+        self._rx_stage: Optional[_RxStage] = None
+        #: The frame in the rx stage (fast form), and when its DMA began.
+        self._rx_frame: Optional[Frame] = None
+        self._rx_t0 = 0.0
         self._pending_frames: list = []
         self._irq_timer_deadline: Optional[float] = None
         self._irq_timer_cb: Optional[TrainCallback] = None
@@ -90,7 +125,8 @@ class GigEPort:
         }
         sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
         sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
-        sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
+        if not sim._fast:
+            sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
 
     # -- wiring ------------------------------------------------------------
     def attach_link(self, link: Link, side: int) -> None:
@@ -118,9 +154,7 @@ class GigEPort:
         if (len(self.tx_queue) + self._tx_extra
                 >= self.tx_queue.capacity):
             return False
-        self.tx_queue.items.append(frame)
-        self.tx_queue._dispatch()
-        return True
+        return self.tx_queue.try_put(frame)
 
     def send_frames(self, frames: list):
         """Process: enqueue a frame burst; as one train when eligible.
@@ -183,7 +217,10 @@ class GigEPort:
         rec = sim.recorder
         if rec is not None:
             t0 = sim._now
-        yield from self.host.dma(wire, self.pci_index)
+        if sim._fast:
+            yield self.host.dma_event(wire, self.pci_index)
+        else:
+            yield from self.host.dma(wire, self.pci_index)
         if rec is not None:
             ctx = getattr(frame.payload, "trace", None)
             if ctx is not None:
@@ -272,8 +309,12 @@ class GigEPort:
     # -- receive ---------------------------------------------------------
     def frame_arrived(self, frame: Frame) -> None:
         """Called by the link when a frame lands on this port."""
-        self._rx_arrivals.items.append(frame)
-        self._rx_arrivals._dispatch()
+        if not self.sim._fast:
+            self._rx_arrivals.try_put(frame)
+        elif self._rx_frame is None:
+            self._rx_begin(frame)
+        else:
+            self._rx_arrivals.append(frame)
 
     def post_rx_descriptors(self, count: int = 1) -> None:
         """Protocol driver returns ``count`` receive descriptors."""
@@ -283,14 +324,14 @@ class GigEPort:
         credits.add(count)
 
     def _rx_loop(self):
+        """The rx stage as a process: the reference scheduler's form,
+        and the oracle for the callback form below."""
         params = self.params
         sim = self.sim
         arrivals = self._rx_arrivals
         credits = self.rx_credits
         while True:
-            frame = arrivals.try_get() if sim._fast else None
-            if frame is None:
-                frame = yield arrivals.get()
+            frame = yield arrivals.get()
             yield sim.timeout(params.rx_proc)
             hook = self.collective_hook
             if hook is not None and hook(frame):
@@ -300,41 +341,86 @@ class GigEPort:
                 continue
             if credits.level == 0:
                 self.stats["rx_stalls"] += 1
-                yield credits.get()
-            elif sim._fast:
-                credits.try_get()
+            yield credits.get()
+            t0 = sim._now
+            yield from self.host.dma(
+                frame.wire_bytes(params.frame_overhead), self.pci_index)
+            self._rx_delivered(frame, t0)
+
+    # The same stage under the fast scheduler: a callback recurrence on
+    # one reusable queue entry.  Each step runs where the process form
+    # would have been resumed, so every entry keeps its sequence
+    # position relative to the rest of the simulation.
+    def _rx_begin(self, frame: Frame) -> None:
+        stage = self._rx_stage
+        if stage is None:
+            stage = self._rx_stage = _RxStage(self)
+            self._rx_arrivals = deque()
+        self._rx_frame = frame
+        self.sim.schedule(stage, self.params.rx_proc)
+
+    def _rx_processed(self) -> None:
+        hook = self.collective_hook
+        if hook is not None and hook(self._rx_frame):
+            self.stats["nic_rx"] += 1
+            self._rx_next()
+            return
+        credits = self.rx_credits
+        if credits.level == 0:
+            self.stats["rx_stalls"] += 1
+            credits.get().callbacks.append(self._rx_dma)
+        else:
+            credits.try_get()
+            self._rx_dma()
+
+    def _rx_dma(self, _credit: Optional[Event] = None) -> None:
+        self._rx_t0 = self.sim._now
+        self.host.dma_event(
+            self._rx_frame.wire_bytes(self.params.frame_overhead),
+            self.pci_index,
+        ).callbacks.append(self._rx_dma_done)
+
+    def _rx_dma_done(self, _flow: Event) -> None:
+        self._rx_delivered(self._rx_frame, self._rx_t0)
+        self._rx_next()
+
+    def _rx_next(self) -> None:
+        if self._rx_arrivals:
+            self._rx_begin(self._rx_arrivals.popleft())
+        else:
+            self._rx_frame = None
+
+    def _rx_delivered(self, frame: Frame, t0: float) -> None:
+        """A frame's DMA to host memory has completed: count it and
+        run interrupt coalescing.  Shared by both rx-stage forms."""
+        params = self.params
+        sim = self.sim
+        rec = sim.recorder
+        if rec is not None:
+            ctx = getattr(frame.payload, "trace", None)
+            if ctx is not None:
+                rec.span(ctx, _DMA, self.name,
+                         f"n{self.host.node_id}", t0, sim._now)
+                # handle_frame turns this into the irq-wait span.
+                frame.rx_ready = sim._now
+        self.stats["rx_frames"] += 1
+        self.stats["rx_bytes"] += frame.payload_bytes
+        self._pending_frames.append(frame)
+        if len(self._pending_frames) >= params.coalesce_frames:
+            self._fire_irq()
+        elif self._irq_timer_deadline is None:
+            deadline = sim._now + params.coalesce_delay
+            self._irq_timer_deadline = deadline
+            if sim._fast:
+                # Same fire instant as the spawned timer: the delay
+                # expression matches _irq_timer's timeout op-for-op
+                # (the spawn's init event runs at this same instant).
+                self._irq_timer_cb = TrainCallback(
+                    sim, lambda: self._irq_timer_fired(deadline),
+                    delay=max(0.0, deadline - sim._now))
             else:
-                yield credits.get()
-            wire = frame.wire_bytes(params.frame_overhead)
-            rec = sim.recorder
-            if rec is not None:
-                t0 = sim._now
-            yield from self.host.dma(wire, self.pci_index)
-            if rec is not None:
-                ctx = getattr(frame.payload, "trace", None)
-                if ctx is not None:
-                    rec.span(ctx, _DMA, self.name,
-                             f"n{self.host.node_id}", t0, sim._now)
-                    # handle_frame turns this into the irq-wait span.
-                    frame.rx_ready = sim._now
-            self.stats["rx_frames"] += 1
-            self.stats["rx_bytes"] += frame.payload_bytes
-            self._pending_frames.append(frame)
-            if len(self._pending_frames) >= params.coalesce_frames:
-                self._fire_irq()
-            elif self._irq_timer_deadline is None:
-                deadline = sim.now + params.coalesce_delay
-                self._irq_timer_deadline = deadline
-                if sim._fast:
-                    # Same fire instant as the spawned timer: the delay
-                    # expression matches _irq_timer's timeout op-for-op
-                    # (the spawn's init event runs at this same instant).
-                    self._irq_timer_cb = TrainCallback(
-                        sim, lambda: self._irq_timer_fired(deadline),
-                        delay=max(0.0, deadline - sim.now))
-                else:
-                    sim.spawn(self._irq_timer(deadline),
-                              name=f"{self.name}:irqtimer")
+                sim.spawn(self._irq_timer(deadline),
+                          name=f"{self.name}:irqtimer")
 
     def _irq_timer_fired(self, deadline: float) -> None:
         if self._irq_timer_deadline == deadline:
@@ -343,7 +429,7 @@ class GigEPort:
                 self._fire_irq()
 
     def _irq_timer(self, deadline: float):
-        yield self.sim.timeout(max(0.0, deadline - self.sim.now))
+        yield self.sim.timeout(max(0.0, deadline - self.sim._now))
         self._irq_timer_fired(deadline)
 
     def _fire_irq(self) -> None:

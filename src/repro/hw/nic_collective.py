@@ -334,7 +334,7 @@ class NicCollective:
             sim.progress += 1
             waiter.succeed(value)
 
-    # -- rx path (port hook, called from GigEPort._rx_loop) ------------
+    # -- rx path (port hook, called from the GigEPort rx stage) ------------
 
     def handle_rx(self, frame: Frame) -> bool:
         """Synchronous port hook; True = frame consumed by the NIC."""

@@ -32,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.hw.params import HostParams
 from repro.hw.pci import BandwidthBus
 from repro.sim import PriorityResource, Simulator
+from repro.sim.events import Event, URGENT
 
 PRIO_IRQ = 0
 PRIO_KERNEL = 1
@@ -59,6 +60,8 @@ class IrqController:
         self._pending = []
         self._seq = 0
         self._running = False
+        #: What the parked dispatcher waits on; None until it exists.
+        self._kick: Optional[Event] = None
         self.stats = {"entries": 0, "items": 0, "polls": 0}
 
     def raise_irq(self, items, source: str = "") -> None:
@@ -77,52 +80,62 @@ class IrqController:
             heapq.heappush(self._pending, (now, source, self._seq) + item)
         if not self._running and self._pending:
             self._running = True
-            self.host.sim.spawn(
-                self._dispatch(), name=f"irq[{self.host.node_id}]"
-            )
+            kick, self._kick = self._kick, None
+            if kick is None:
+                # First interrupt on this node (or the dispatcher died):
+                # the new process's start-up entry is the kick.
+                self.host.sim.spawn(
+                    self._dispatch(), name=f"irq[{self.host.node_id}]"
+                )
+            else:
+                kick.succeed(priority=URGENT)
 
     def _dispatch(self):
+        """The node's one dispatcher process: services an interrupt,
+        then parks on a kick event until ``raise_irq`` has the next."""
         host = self.host
-        req = (host.cpu.try_acquire(PRIO_IRQ)
-               if host.sim._fast else None)
-        if req is None:
-            req = host.cpu.request(PRIO_IRQ)
-            yield req
-        try:
-            self.stats["entries"] += 1
-            yield host.sim.timeout(host.params.interrupt_cost)
-            per_frame = host.params.interrupt_per_frame
-            while True:
-                while self._pending:
-                    handler, frame = heapq.heappop(self._pending)[3:]
-                    self.stats["items"] += 1
-                    if (host.sim._fast
-                            and getattr(handler, "folds_irq_cost", False)):
-                        # The driver folds the per-frame cost into its
-                        # own first wait (see KernelAgent.handle_frame).
-                        yield from handler(
-                            frame, host.sim._now + per_frame
-                        )
-                        continue
-                    yield host.sim.timeout(per_frame)
-                    yield from handler(frame)
-                # NAPI-style mitigation (the paper's section 7 second
-                # item): keep polling briefly instead of re-arming the
-                # interrupt; frames landing in the window are handled
-                # without another entry cost.
-                window = host.params.napi_poll_window
-                if window <= 0:
-                    break
-                self.stats["polls"] += 1
-                yield host.sim.timeout(window)
-                if not self._pending:
-                    break
-        finally:
-            self._running = False
-            host.cpu.release(req)
-        # Work raised while we were releasing restarts the dispatcher.
-        if self._pending and not self._running:
+        sim = host.sim
+        while True:
+            req = host.cpu.try_acquire(PRIO_IRQ) if sim._fast else None
+            if req is None:
+                req = host.cpu.request(PRIO_IRQ)
+                yield req
+            try:
+                self.stats["entries"] += 1
+                yield sim.timeout(host.params.interrupt_cost)
+                per_frame = host.params.interrupt_per_frame
+                while True:
+                    while self._pending:
+                        handler, frame = heapq.heappop(self._pending)[3:]
+                        self.stats["items"] += 1
+                        if (sim._fast and getattr(
+                                handler, "folds_irq_cost", False)):
+                            # The driver folds the per-frame cost into
+                            # its own first wait (see
+                            # KernelAgent.handle_frame).
+                            yield from handler(frame, sim._now + per_frame)
+                            continue
+                        yield sim.timeout(per_frame)
+                        yield from handler(frame)
+                    # NAPI-style mitigation (the paper's section 7
+                    # second item): keep polling briefly instead of
+                    # re-arming the interrupt; frames landing in the
+                    # window are handled without another entry cost.
+                    window = host.params.napi_poll_window
+                    if window <= 0:
+                        break
+                    self.stats["polls"] += 1
+                    yield sim.timeout(window)
+                    if not self._pending:
+                        break
+            finally:
+                self._running = False
+                host.cpu.release(req)
+            self._kick = kick = Event(sim)
+            # Work raised while the CPU was being released takes the
+            # kick at once — the entry a respawn's start-up used to be.
             self.raise_irq([])
+            yield kick
 
 
 class Host:
@@ -231,12 +244,8 @@ class Host:
         return nbytes / self.params.copy_rate
 
     # -- DMA ------------------------------------------------------------
-    def dma(self, nbytes: float, pci_index: int = 0):
-        """Process: a device DMA of ``nbytes`` to/from host memory.
-
-        Contends on the fluid memory bus, individually capped at the
-        PCI-X segment rate; never touches the CPU.
-        """
+    def _dma_enter(self, nbytes: float, pci_index: int) -> None:
+        """Argument check and accounting shared by both DMA shapes."""
         if not 0 <= pci_index < len(self.pci_bytes):
             raise ConfigurationError(
                 f"pci index {pci_index} out of range "
@@ -249,11 +258,26 @@ class Host:
         if rec is not None:
             rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
                                 self.sim._now, float(nbytes))
+
+    def dma(self, nbytes: float, pci_index: int = 0):
+        """Process: a device DMA of ``nbytes`` to/from host memory.
+
+        Contends on the fluid memory bus, individually capped at the
+        PCI-X segment rate; never touches the CPU.
+        """
         if self.sim._fast and nbytes > 0 and self.membus.setup:
-            yield self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
+            yield self.dma_event(nbytes, pci_index)
         else:
+            self._dma_enter(nbytes, pci_index)
             yield from self.membus.transfer(nbytes, rate_cap=PCIX_RATE)
         return nbytes
+
+    def dma_event(self, nbytes: float, pci_index: int = 0):
+        """Fast-path DMA: the completion event itself, for callers that
+        are not processes (or would only ``yield from`` :meth:`dma`).
+        Needs ``nbytes > 0``, as ``membus.transfer_event`` does."""
+        self._dma_enter(nbytes, pci_index)
+        return self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
 
     def interrupt_entry_cost(self) -> float:
         return self.params.interrupt_cost

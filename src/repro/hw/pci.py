@@ -3,11 +3,13 @@
 :class:`BandwidthBus` is a *fluid* (generalized-processor-sharing) bus:
 concurrent transfers share the byte rate max-min fairly, with optional
 per-transfer rate caps (a memory copy cannot stream at full bus speed;
-a DMA cannot exceed its PCI-X segment rate).  The fluid model costs two
-events per transfer plus one per concurrency change — far cheaper and
-far more accurate at microsecond scale than chunked FIFO arbitration,
-which would make a 1.5 KB copy wait multi-microsecond turns behind
-queued DMA bursts.
+a DMA cannot exceed its PCI-X segment rate).  Under the fast scheduler
+the fluid model costs one queue entry per transfer (its join; the
+completion runs inline in the wake that settles it) plus the bus's wake
+entry once per instant at which a flow may finish and no join already
+queued gets there first — far cheaper and far more accurate at
+microsecond scale than chunked FIFO arbitration, which would make a
+1.5 KB copy wait multi-microsecond turns behind queued DMA bursts.
 
 Allocation is water-filling: every active transfer gets an equal share
 of the remaining rate; transfers capped below their share release the
@@ -59,7 +61,9 @@ class _Flow(Event):
 
     def _process(self) -> None:
         if self._value is _PENDING:
-            self.bus._join(self)
+            bus = self.bus
+            bus._join_times.remove(bus.sim._now)
+            bus._join(self)
         else:
             super()._process()
 
@@ -100,6 +104,10 @@ class BandwidthBus:
         self._wake_time = 0.0
         self._wake_times: List[float] = []
         self._wake_event = _Wake(self)
+        #: Instants of the fused joins still queued.  A join settles and
+        #: reallocates itself, so one landing strictly before a wake
+        #: target makes that wake redundant (see _arm_wake).
+        self._join_times: List[float] = []
         #: Transfers past the entry checks but not yet completed; covers
         #: the setup window before the flow is appended, so the frame
         #: train planner can prove the bus fully idle.
@@ -187,10 +195,13 @@ class BandwidthBus:
         self._enter(nbytes, rate_cap, weight)
         flow = _Flow(self, nbytes, rate_cap, weight)
         flow.callbacks.append(self._transfer_done)
+        sim = self.sim
         if at is not None:
-            self.sim.schedule_at(flow, at)
+            sim.schedule_at(flow, at)
         else:
-            self.sim.schedule(flow, self.setup)
+            at = sim._now + self.setup      # where schedule() lands it
+            sim.schedule(flow, self.setup)
+        self._join_times.append(at)
         return flow
 
     def _join(self, flow: _Flow) -> None:
@@ -302,17 +313,8 @@ class BandwidthBus:
         self._wake_generation += 1
         sim = self.sim
         if sim._fast:
-            # Reuse an outstanding wake when one already fires at or
-            # before the new target: it re-arms itself on a stale fire
-            # (see _on_wake_fast), so settle/reallocate still run at
-            # exactly the valid instant but membership churn no longer
-            # strands a dead entry per reallocation.
             self._wake_time = target = sim._now + horizon
-            for t in self._wake_times:
-                if t <= target:
-                    return
-            self._wake_times.append(target)
-            sim.schedule_at(self._wake_event, target)
+            self._arm_wake(target)
         else:
             sim.spawn(
                 self._wake(self._wake_generation, horizon),
@@ -339,10 +341,27 @@ class BandwidthBus:
             self._settle()
             self._reallocate()
             return
-        # Stale fire ahead of the valid target: re-arm unless another
-        # outstanding wake already covers it.
+        # Stale fire ahead of the valid target: re-arm.
+        self._arm_wake(target)
+
+    def _arm_wake(self, target: float) -> None:
+        """Queue the wake entry for ``target`` unless an entry already
+        queued will do its work.
+
+        An outstanding wake at or before the target re-arms itself on a
+        stale fire (see _on_wake_fast), so settle/reallocate still run
+        at exactly the valid instant and membership churn strands no
+        dead entry per reallocation.  A queued join *strictly* before
+        the target settles and reallocates itself, which supersedes
+        this target; one *at* the target does not count — the wake was
+        sequenced first and must settle before the join does.
+        """
+        times = self._wake_times
         for t in times:
             if t <= target:
+                return
+        for t in self._join_times:
+            if t < target:
                 return
         times.append(target)
         self.sim.schedule_at(self._wake_event, target)

@@ -103,7 +103,17 @@ class Process(Event):
                 next_target = self.generator.throw(event._value)
         except StopIteration as stop:
             self.is_alive = False
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody is waiting, so a queue entry would be popped
+                # only to run an empty callback list: end in place.  A
+                # later ``yield proc`` / ``add_callback`` / condition
+                # takes the already-processed path.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
+                self._processed = True
             return
         except BaseException as exc:
             self.is_alive = False

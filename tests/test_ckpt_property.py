@@ -160,14 +160,22 @@ class TestRestoreGuards:
     def test_store_stamped_by_the_previous_release_is_refused(
             self, tmp_path):
         """1.0.0 queued bus joins and wakes as ``Callback`` entries;
-        ``sim_signature`` hashes entry type names, so replaying such a
-        store would diverge mid-run instead of being refused here."""
+        1.0.1 queued a ``StoreGet`` and a ``Timeout`` per received frame
+        where 1.0.2 queues the port's one ``_RxStage``, and a ``Process``
+        entry for every termination nobody awaited.  ``sim_signature``
+        hashes entry type names, the sequence counter and the event
+        count, so replaying such a store would diverge mid-run instead
+        of being refused here."""
+        from repro import __version__
+        assert __version__ == "1.0.2"
         store = CheckpointStore(tmp_path)
-        store.open_key("old", "item", config_hash="hash-a",
-                       code_version="1.0.0")
-        with pytest.raises(CheckpointMismatchError,
-                           match="code_version"):
-            store.open_key("old", "item", config_hash="hash-a")
+        for stale in ("1.0.0", "1.0.1"):
+            store.open_key(f"old-{stale}", "item", config_hash="hash-a",
+                           code_version=stale)
+            with pytest.raises(CheckpointMismatchError,
+                               match="code_version"):
+                store.open_key(f"old-{stale}", "item",
+                               config_hash="hash-a")
 
     def test_resume_rejects_different_topology_under_same_key(
             self, tmp_path):

@@ -253,7 +253,11 @@ class TestRunUntilComplete:
                 results[mode] = (value, list(log), sim.now,
                                  sim.queue_length, sim.events_processed)
         assert results[True] == results[False]
-        assert results[True][:4] == ("done", ["before", "proc"], 1.0, 4)
+        # Left queued: the three "after" callbacks and nothing else —
+        # the awaited process ended with no waiter, so it was marked
+        # processed in place instead of queueing its own termination
+        # (which used to make this 4).
+        assert results[True][:4] == ("done", ["before", "proc"], 1.0, 3)
 
 
 def _ticker(sim, log, period, count):
