@@ -16,7 +16,7 @@ performs:
 
 ====================  =====================================================
 fetch join            the tx DMA joins the memory bus (end of setup window)
-wire sleep            serialization end: the frame leaves the sender
+wire end              serialization end: the frame leaves the sender
 arrival               propagation end: the frame lands on the peer port
 rx_proc               NIC receive processing done: hook / credit / DMA start
 rx join               the rx DMA joins the memory bus
@@ -25,9 +25,13 @@ copy join             the handler's copy to user memory joins the bus
 ====================  =====================================================
 
 plus the bus wakes that complete the three joins: 3.93 per frame today,
-against a floor of one per transfer (3.07).  Everything else — 2.8
-entries per frame — belongs to the layers above the NIC or to the
-transmit FIFO hand-off, and is listed in ``EXPECTED`` by who waits.
+against a floor of one per transfer (3.07).  Everything else — 2.09
+entries per frame, 13.03 in all — belongs to the layers above the NIC
+or starts an idle transmit stage (0.11 per frame each for the ring's
+``StoreGet`` and the wire stage's take-up hop), and is listed in
+``EXPECTED`` by who waits.  Handing a freed FIFO slot to the blocked
+fetch stage is not on the list: it used to be a ``StorePut`` entry for
+0.73 of the frames, and is a call inside the serialization end now.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ def _count_processed(monkeypatch, census: Counter) -> None:
             kind = type(self).__name__
             if kind == "_Flow":
                 kind += ":join" if self._value is _PENDING else ":done"
+            elif kind == "_TxWire":
+                kind += ":end" if self.sending else ":take-up"
             census[kind, _waiter(self)] += 1
             _original(self)
 
@@ -134,8 +140,8 @@ FRAMES = 8742
 _DONE = "BandwidthBus._transfer_done+"
 #: The seven entries every frame needs (see the module docstring).
 PER_FRAME = {
-    ("_Flow:join", _DONE + "txfetch"): "fetch join",
-    ("Event", "txwire"): "wire sleep",
+    ("_Flow:join", _DONE + "GigEPort._tx_fetched"): "fetch join",
+    ("_TxWire:end", "-"): "wire end",
     ("Callback", "-"): "arrival",
     ("_RxStage", "-"): "rx_proc",
     ("_Flow:join", _DONE + "GigEPort._rx_dma_done"): "rx join",
@@ -143,18 +149,20 @@ PER_FRAME = {
     ("_Flow:join", _DONE + "irq"): "copy join",
 }
 #: The checked table: (entry type, waiter) -> entries processed in the
-#: run phase.  ``sum`` = 120 239 = the ledger's ``sim.events`` for
+#: run phase.  ``sum`` = 113 899 = the ledger's ``sim.events`` for
 #: ``mesh_aggregate`` at the default seed.
 EXPECTED = {
     **dict.fromkeys(PER_FRAME, FRAMES),
     # Completions of the 26 874 joins (41 157 before the wake skip; the
     # floor is one per transfer, stale re-arms under churn are the rest).
     ("_Wake", "-"): 34394,
-    # Transmit FIFO hand-off between the fetch and the wire stage.
-    ("StorePut", "txfetch"): 6340,
-    ("StoreGet", "txfetch"): 966,
-    ("StoreGet", "txwire"): 966,
-    ("Timeout", "txfetch"): 1518,        # train planner's quiescence spins
+    # An idle transmit pipeline starts: the ring hands the parked
+    # fetch stage a burst, and the parked wire stage takes up its first
+    # frame behind whatever the put's instant still has queued.
+    ("StoreGet", "GigEPort._tx_ring_got"): 966,
+    ("_TxWire:take-up", "-"): 966,
+    # The train planner's quiescence spins (all 486 trains fall back).
+    ("Timeout", "GigEPort._tx_plan.<locals>.<lambda>"): 1518,
     # Interrupt dispatch: one kick and one entry cost per interrupt.
     ("Event", "irq"): 1367,
     ("Timeout", "irq"): 1367,
@@ -202,7 +210,7 @@ def test_mesh_aggregate_event_census(benchmark, monkeypatch):
         print(f"{count:8d} {count / frames:5.2f}/frame  {key[0]:16s}"
               f"{key[1]}  {PER_FRAME.get(key, '')}")
 
-    assert frames == FRAMES and events == sum(census.values()) == 120239
+    assert frames == FRAMES and events == sum(census.values()) == 113899
     assert dict(census) == EXPECTED
     # Seven entries per frame mark its seven instants; the joins among
     # them are every transfer but the 648 copies above the interrupt.
@@ -215,8 +223,13 @@ def test_mesh_aggregate_event_census(benchmark, monkeypatch):
     assert not any(kind == "_Flow:done" for kind, _ in census)
     assert transfers <= census["_Wake", "-"] <= 34394
     # Nothing is queued for a process nobody waits on, no process is
-    # started per interrupt or per port, no Store hop feeds the rx stage.
+    # started per interrupt or per port, no Store hop feeds the rx stage
+    # and none hands a FIFO slot from the wire to the fetch stage (all
+    # 162 ports are on plain links, so none runs a transmit process).
     assert not any(kind == "Process" for kind, _ in census)
     assert not any(kind == "_Initialize" and waiter in ("irq", "rx")
                    for kind, waiter in census)
     assert ("StoreGet", "rx") not in census
+    assert not any(kind == "StorePut" and "tx" in waiter
+                   for kind, waiter in census)
+    assert not any(waiter in ("txfetch", "txwire") for _, waiter in census)

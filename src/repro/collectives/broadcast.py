@@ -15,8 +15,7 @@ from typing import Any
 from repro.collectives.tree import (
     binomial_children,
     binomial_parent,
-    dimension_order_children,
-    dimension_order_parent,
+    dimension_order_tree,
 )
 from repro.mpi.request import waitall
 
@@ -28,9 +27,8 @@ TAG_BCAST = 101
 def bcast(comm, root: int, nbytes: int, data: Any):
     """Process: SPMD broadcast; returns the broadcast data on every rank."""
     if comm.is_whole_torus:
-        torus = comm.torus
-        parent = dimension_order_parent(torus, root, comm.rank)
-        children = dimension_order_children(torus, root, comm.rank)
+        parents, children = dimension_order_tree(comm.torus, root)
+        parent, children = parents[comm.rank], children[comm.rank]
     else:
         parent = binomial_parent(comm.size, root, comm.rank)
         children = binomial_children(comm.size, root, comm.rank)

@@ -12,8 +12,7 @@ from typing import Any
 from repro.collectives.tree import (
     binomial_children,
     binomial_parent,
-    dimension_order_children,
-    dimension_order_parent,
+    dimension_order_tree,
 )
 
 TAG_REDUCE = 102
@@ -22,9 +21,8 @@ TAG_REDUCE = 102
 def reduce(comm, root: int, nbytes: int, op, data: Any):
     """Process: SPMD reduce; root returns the combined value, others None."""
     if comm.is_whole_torus:
-        torus = comm.torus
-        parent = dimension_order_parent(torus, root, comm.rank)
-        children = dimension_order_children(torus, root, comm.rank)
+        parents, children = dimension_order_tree(comm.torus, root)
+        parent, children = parents[comm.rank], children[comm.rank]
     else:
         parent = binomial_parent(comm.size, root, comm.rank)
         children = binomial_children(comm.size, root, comm.rank)

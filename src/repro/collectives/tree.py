@@ -12,49 +12,67 @@ fallbacks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.torus import Direction, Torus
+
+#: ``(parents, children)`` of every rank; see :func:`dimension_order_tree`.
+Tree = Tuple[Tuple[Optional[int], ...], Tuple[Tuple[int, ...], ...]]
+
+
+def dimension_order_tree(torus: Torus, root: int) -> Tree:
+    """The dimension-order tree rooted at ``root``: ``(parents,
+    children)``, each indexed by rank.
+
+    Built once per ``(torus, root)`` and kept on the torus (its
+    geometry is immutable), so the table lives exactly as long as the
+    cluster it describes.  A rank's children are the neighbors whose
+    parent it is, farthest from the root first (ties by rank) so that
+    the long ring pipelines start as early as possible.
+    """
+    tree = torus._tree_cache.get(root)
+    if tree is None:
+        parents: List[Optional[int]] = []
+        children: List[List[int]] = [[] for _ in torus.ranks()]
+        for rank in torus.ranks():
+            if rank == root:
+                parents.append(None)
+                continue
+            # Toward the root along the highest axis that still
+            # differs, the minimal way around the ring.
+            offset = torus.offset(rank, root)
+            axis = max(a for a, delta in enumerate(offset) if delta != 0)
+            parent = torus.neighbor(
+                rank, Direction(axis, 1 if offset[axis] > 0 else -1))
+            parents.append(parent)
+            # Each rank is listed once, under its one parent — also on
+            # an extent-2 wrapped axis, where both directions reach it.
+            children[parent].append(rank)
+        for below in children:
+            below.sort(key=lambda n: (-torus.distance(root, n), n))
+        tree = torus._tree_cache[root] = (
+            tuple(parents), tuple(map(tuple, children)))
+    return tree
+
+
+def _checked(torus: Torus, rank: int) -> int:
+    if not 0 <= rank < torus.size:
+        raise TopologyError(f"rank {rank} out of range [0, {torus.size})")
+    return rank
 
 
 def dimension_order_parent(torus: Torus, root: int,
                            rank: int) -> Optional[int]:
     """Parent of ``rank`` in the dimension-order tree (None at root)."""
-    if rank == root:
-        return None
-    # offset from rank toward root: the minimal signed displacement.
-    offset = torus.offset(rank, root)
-    axis = max(a for a, delta in enumerate(offset) if delta != 0)
-    direction = Direction(axis, 1 if offset[axis] > 0 else -1)
-    return torus.neighbor(rank, direction)
+    return dimension_order_tree(torus, root)[0][_checked(torus, rank)]
 
 
 def dimension_order_children(torus: Torus, root: int,
-                             rank: int) -> List[int]:
-    """Children of ``rank``: neighbors whose parent is ``rank``.
-
-    Ordered with ring-continuation children (same axis as our own
-    parent link) first, so pipelines stream without stalls.
-    """
-    children = []
-    for _direction, neighbor in torus.neighbors(rank):
-        if neighbor != rank and dimension_order_parent(
-                torus, root, neighbor) == rank:
-            children.append(neighbor)
-    # Deterministic order: farther-from-root children first so the long
-    # ring pipelines start as early as possible.
-    children.sort(key=lambda n: (-torus.distance(root, n), n))
-    # A node can be its own... no: neighbor != rank keeps self out, but
-    # on extent-2 wrapped axes both directions reach the same neighbor;
-    # de-duplicate while preserving order.
-    seen = set()
-    unique = []
-    for child in children:
-        if child not in seen:
-            seen.add(child)
-            unique.append(child)
-    return unique
+                             rank: int) -> Tuple[int, ...]:
+    """Children of ``rank``: the neighbors whose parent is ``rank``,
+    farthest from the root first."""
+    return dimension_order_tree(torus, root)[1][_checked(torus, rank)]
 
 
 def tree_depth(torus: Torus, root: int) -> int:
@@ -63,23 +81,12 @@ def tree_depth(torus: Torus, root: int) -> int:
     For a full torus this is ``sum(ceil(dim/2))`` over axes with
     extent > 1, the paper's step count.
     """
-    return max(
-        _tree_distance(torus, root, rank) for rank in torus.ranks()
-    )
-
-
-def _tree_distance(torus: Torus, root: int, rank: int) -> int:
+    children = dimension_order_tree(torus, root)[1]
     depth = 0
-    node = rank
-    limit = torus.diameter() + 1
-    while node != root:
-        parent = dimension_order_parent(torus, root, node)
-        if parent is None:  # pragma: no cover - defensive
-            raise TopologyError("orphan node in dimension-order tree")
-        node = parent
+    level = children[root]
+    while level:
         depth += 1
-        if depth > limit:  # pragma: no cover - defensive
-            raise TopologyError("dimension-order tree has a cycle")
+        level = [child for node in level for child in children[node]]
     return depth
 
 

@@ -9,7 +9,7 @@ posting order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import List
 
 from repro.core.message import ANY_SOURCE, ANY_TAG
 
@@ -27,6 +27,13 @@ def match(posted_src: int, posted_tag: int, posted_context: int,
     return True
 
 
+#: ``_entries`` of a queue nothing was ever appended to.  Most queues
+#: (a posted and an unexpected one per channel end) stay that way for a
+#: whole run, an empty deque costs 760 bytes, and an empty tuple reads
+#: the same.
+_EMPTY = ()
+
+
 class MatchQueue:
     """An ordered queue of entries matched by (src, tag, context).
 
@@ -37,7 +44,7 @@ class MatchQueue:
     """
 
     def __init__(self) -> None:
-        self._entries: Deque = deque()
+        self._entries = _EMPTY
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -47,6 +54,8 @@ class MatchQueue:
 
     def append(self, entry, src: int, tag: int, context: int) -> None:
         """Add ``entry`` with its matching key (may include wildcards)."""
+        if self._entries is _EMPTY:
+            self._entries = deque()
         self._entries.append((entry, src, tag, context))
 
     def pop_first_match(self, src: int, tag: int, context: int):

@@ -31,8 +31,8 @@ Engagement guard
 ----------------
 The plan is valid only if nothing can perturb the sender's resources
 (memory bus, transmit FIFO, wire) before the fetch stage drains at
-``P_{n-1}``.  The guard requires the memory bus idle, the wire loop
-parked on its FIFO get, the zero-delay queues drained, and every
+``P_{n-1}``.  The guard requires the memory bus idle, the wire stage
+parked on an empty FIFO, the zero-delay queues drained, and every
 pending heap entry to either fire at/after the train's last DMA or be
 provably harmless: a preempted interrupt-coalescing timer (fires as a
 no-op), or a mid-message train delivery terminating at a *different*
@@ -174,9 +174,11 @@ def plan_train(port, frames) -> Optional[_Plan]:
     membus = host.membus
     if membus._flows or membus._entered or membus.setup <= 0:
         return None
-    # The wire stage must be parked on its FIFO get with nothing queued.
-    fifo = port._tx_fifo
-    if fifo.items or fifo._putters or len(fifo._getters) != 1:
+    # The wire stage must be parked — which says the FIFO is empty and
+    # no producer blocked, too: it parks only on an empty FIFO and takes
+    # up whatever is put there next.  (A port that runs its transmit
+    # pipeline as processes never gets here: see the link test above.)
+    if port._tx_wire_frame is not None:
         return None
     line = link._lines[port.side]
     if line._holders or line._waiters:
@@ -207,7 +209,7 @@ def plan_train(port, frames) -> Optional[_Plan]:
     wire_overhead = link.frame_overhead
     wire_rate = link.wire_rate
     propagation = link.propagation
-    fifo_cap = int(fifo.capacity)
+    fifo_cap = int(port._tx_fifo.capacity)
 
     dma_done: List[float] = []
     arrivals: List[float] = []

@@ -3,9 +3,27 @@
 Transmit pipeline (two overlapping stages, as on the real adapter):
 
 1. *fetch* — pop the next transmit descriptor, DMA the frame from host
-   memory into the on-board FIFO (PCI-X + memory-bus contention);
+   memory into the on-board FIFO (PCI-X + memory-bus contention), run
+   the frame's ``on_fetched`` hook, wait for a FIFO slot;
 2. *wire* — per-descriptor NIC processing, then serialization onto the
    link.
+
+Like the receive stage below, the pipeline exists in two forms that
+schedule the same instants, chosen once, when the link is attached,
+from what the port can see of itself.  ``_tx_fetch_loop`` /
+``_tx_wire_loop``, a pair of processes joined by a ``Store``, is the
+form of the reference scheduler and of every port whose wire step has
+to stay a process: one on a :class:`~repro.hw.link.BoundaryLink`
+(egress is committed at serialization *start*) and one that checksums
+in software (CPU work sits between FIFO and wire).  Under the fast
+scheduler a port on a plain link runs a callback recurrence instead:
+the fetch step hangs off the DMA flow's callback list, a producer that
+finds the FIFO full waits in a plain list, and the wire step is one
+reusable queue entry per port (``_TxWire``) that, at serialization
+end, runs ``Link.complete_tx``, takes the next frame, admits the
+longest-blocked producer and — if that was the fetch stage — starts
+the next fetch inline, which is where the process form's put would
+have resumed it.
 
 Receive pipeline:
 
@@ -48,17 +66,17 @@ from repro.hw.link import Frame, Link
 from repro.hw.node import Host, PRIO_IRQ
 from repro.hw.params import GigEParams
 from repro.sim import Simulator, Store, TokenPool
-from repro.sim.events import Event
+from repro.sim.events import Callback, Event, URGENT
 
 #: On-board transmit FIFO depth, frames. Enough to keep the wire busy
 #: while the next descriptor is fetched.
 TX_FIFO_FRAMES = 4
 
 
-class _RxStage(Event):
-    """A port's one receive-stage entry (fast scheduler): queued for
-    the end of each frame's NIC processing.  The stage is serial, so at
-    most one is ever outstanding."""
+class _StageEntry(Event):
+    """A queue entry one serial stage of a port owns and queues again
+    for each of its instants (fast scheduler); the stage is serial, so
+    at most one is ever outstanding."""
 
     __slots__ = ("port",)
 
@@ -68,8 +86,34 @@ class _RxStage(Event):
         self._ok = True
         self._value = None
 
+
+class _RxStage(_StageEntry):
+    """The receive stage's entry: queued for the end of each frame's
+    NIC processing."""
+
+    __slots__ = ()
+
     def _process(self) -> None:
         self.port._rx_processed()
+
+
+class _TxWire(_StageEntry):
+    """The wire stage's entry (plain link): queued for the instant the
+    stage takes up a frame handed to it while parked, for the end of a
+    committed train's residue and — ``sending`` — for the frame's
+    serialization end."""
+
+    __slots__ = ("sending",)
+
+    def __init__(self, port: "GigEPort") -> None:
+        super().__init__(port)
+        self.sending = False
+
+    def _process(self) -> None:
+        if self.sending:
+            self.port._tx_sent()
+        else:
+            self.port._tx_wire_start()
 
 
 class GigEPort:
@@ -89,6 +133,23 @@ class GigEPort:
                               name=f"{name}:txq")
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES,
                               name=f"{name}:txfifo")
+        #: The wire stage's entry; set (by ``attach_link``) on a port
+        #: whose transmit pipeline runs as callbacks, which then uses
+        #: the FIFO Store as deque and counters only: no put or get
+        #: event, waiters in ``_tx_blocked``.
+        self._tx_wire: Optional[_TxWire] = None
+        #: Callback form: the frame in the fetch stage and when its DMA
+        #: began; the frame at the wire stage (None while it is parked)
+        #: and when its serialization began.
+        self._tx_frame: Optional[Frame] = None
+        self._tx_t0 = 0.0
+        self._tx_wire_frame: Optional[Frame] = None
+        self._tx_started = 0.0
+        #: Producers that found the FIFO full, oldest first: (frame,
+        #: event to succeed on admission — None for the fetch stage).
+        self._tx_blocked: list = []
+        #: Frames left of a train that was not planned, else None.
+        self._tx_unbundled = None
         # Receive path.
         self.rx_credits = TokenPool(sim, params.rx_ring,
                                     level=params.rx_ring,
@@ -123,8 +184,6 @@ class GigEPort:
             "trains": 0, "train_frames": 0, "train_fallbacks": 0,
             "nic_rx": 0, "nic_tx": 0,
         }
-        sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
-        sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
         if not sim._fast:
             sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
 
@@ -135,22 +194,42 @@ class GigEPort:
         link.attach(side, self)
         self.link = link
         self.side = side
+        sim = self.sim
+        if sim._fast and self.params.hw_checksum and not link.is_boundary:
+            # Nothing but this port's wire step ever asks for the line
+            # and no CPU work sits between FIFO and wire, so the wire
+            # step need not be a process: the callback form.
+            self._tx_wire = _TxWire(self)
+            # The fetch stage parks on the ring once the simulation
+            # runs, as a spawned process would.
+            Callback(sim, self._tx_fetch_next, priority=URGENT)
+        else:
+            sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
+            sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
 
     def set_driver(self, driver: Callable[[Frame], Generator]) -> None:
         """Install the protocol rx handler (a generator function)."""
         self._driver = driver
 
     # -- transmit ---------------------------------------------------------
+    def _need_link(self) -> None:
+        # The pipeline starts with the link; a frame handed to a port
+        # that has none would sit in the ring for ever.
+        if self.link is None:
+            raise ConfigurationError(f"{self.name} has no link")
+
     def enqueue_tx(self, frame: Frame):
         """Process: place a frame on the transmit descriptor ring.
 
         Blocks when the ring is full (the paper's driver used 2048
         descriptors exactly to make such stalls rare).
         """
+        self._need_link()
         yield self.tx_queue.put(frame)
 
     def try_enqueue_tx(self, frame: Frame) -> bool:
         """Non-blocking ring post; False if the ring is full."""
+        self._need_link()
         if (len(self.tx_queue) + self._tx_extra
                 >= self.tx_queue.capacity):
             return False
@@ -165,10 +244,11 @@ class GigEPort:
         per-frame path.  The whole burst must fit the ring — a burst
         that would block mid-way keeps the per-frame puts.
         """
+        self._need_link()
         tx_queue = self.tx_queue
         if (self.sim._fast and len(frames) >= TRAIN_MIN_FRAMES
                 and not tx_queue._putters
-                and len(tx_queue.items) + self._tx_extra + len(frames)
+                and len(tx_queue) + self._tx_extra + len(frames)
                 <= tx_queue.capacity):
             self._tx_extra += len(frames) - 1
             tx_queue.stats["puts"] += len(frames) - 1
@@ -177,66 +257,13 @@ class GigEPort:
         for frame in frames:
             yield tx_queue.put(frame)
 
-    def _tx_fetch_loop(self):
-        sim = self.sim
-        tx_queue = self.tx_queue
-        while True:
-            frame = tx_queue.try_get() if sim._fast else None
-            if frame is None:
-                frame = yield tx_queue.get()
-            if type(frame) is FrameTrain:
-                frames = frame.frames
-                self._tx_extra -= len(frames) - 1
-                tx_queue.stats["gets"] += len(frames) - 1
-                # Let same-instant bookkeeping (the enqueueing
-                # process's continuation, completion plumbing) drain
-                # before judging quiescence.
-                spins = 0
-                while (sim._urgent or sim._normal) and spins < 8:
-                    spins += 1
-                    yield sim.timeout(0)
-                plan = plan_train(self, frames)
-                if plan is None:
-                    self.stats["train_fallbacks"] += 1
-                    for item in frames:
-                        yield from self._fetch_one(item)
-                    continue
-                self.stats["trains"] += 1
-                self.stats["train_frames"] += len(frames)
-                commit_train(self, frames, plan)
-                # Park until the reference fetch stage would return to
-                # the ring (its last FIFO put).
-                yield sim.sleep_until(plan.fetch_free)
-                continue
-            yield from self._fetch_one(frame)
-
-    def _fetch_one(self, frame: Frame):
-        sim = self.sim
-        fifo = self._tx_fifo
-        wire = frame.wire_bytes(self.params.frame_overhead)
-        rec = sim.recorder
-        if rec is not None:
-            t0 = sim._now
-        if sim._fast:
-            yield self.host.dma_event(wire, self.pci_index)
-        else:
-            yield from self.host.dma(wire, self.pci_index)
-        if rec is not None:
-            ctx = getattr(frame.payload, "trace", None)
-            if ctx is not None:
-                rec.span(ctx, _DMA, self.name,
-                         f"n{self.host.node_id}", t0, sim._now)
-        if frame.on_fetched is not None:
-            frame.on_fetched()
-        virt = self._virt
-        if virt is not None:
-            # FIFO slots still virtually held by a committed train
-            # count against the put, at their planned pop instants.
-            while (len(fifo.items) + virt.occupancy(sim._now)
-                    >= fifo.capacity and virt.free_at):
-                yield sim.sleep_until(virt.free_at[0])
-        if not (sim._fast and fifo.try_put(frame)):
-            yield fifo.put(frame)
+    def _open_train(self, train: FrameTrain) -> list:
+        """A train leaves the ring: its frames, counted as the ring
+        would have counted them one by one."""
+        frames = train.frames
+        self._tx_extra -= len(frames) - 1
+        self.tx_queue.stats["gets"] += len(frames) - 1
+        return frames
 
     def nic_inject_tx(self, frame: Frame):
         """Process: transmit a NIC-originated frame (no descriptor).
@@ -248,16 +275,71 @@ class GigEPort:
         like the fetch stage) and the wire stage treats it like any
         other frame.
         """
+        self._need_link()
         sim = self.sim
         fifo = self._tx_fifo
         virt = self._virt
         if virt is not None:
-            while (len(fifo.items) + virt.occupancy(sim._now)
+            while (len(fifo) + virt.occupancy(sim._now)
                     >= fifo.capacity and virt.free_at):
                 yield sim.sleep_until(virt.free_at[0])
         self.stats["nic_tx"] += 1
+        if self._tx_wire is not None:
+            if not self._tx_fifo_put(frame):
+                admitted = Event(sim)
+                self._tx_blocked.append((frame, admitted))
+                yield admitted
+        elif not (sim._fast and fifo.try_put(frame)):
+            yield fifo.put(frame)
+
+    # The pipeline as two processes: the reference scheduler's form, the
+    # oracle for the callback form below, and the fast scheduler's form
+    # for a port whose wire step has to be a process (shard boundary,
+    # software checksum).  Such a port never plans a train
+    # (``plan_train`` refuses both) and so never sees a train's residue.
+    def _tx_fetch_loop(self):
+        sim = self.sim
+        tx_queue = self.tx_queue
+        while True:
+            frame = tx_queue.try_get() if sim._fast else None
+            if frame is None:
+                frame = yield tx_queue.get()
+            if type(frame) is FrameTrain:
+                frames = self._open_train(frame)
+                # Unbundle at the instant the callback form would have
+                # judged quiescence (see _tx_plan).
+                spins = 0
+                while (sim._urgent or sim._normal) and spins < 8:
+                    spins += 1
+                    yield sim.timeout(0)
+                self.stats["train_fallbacks"] += 1
+                for item in frames:
+                    yield from self._fetch_one(item)
+                continue
+            yield from self._fetch_one(frame)
+
+    def _fetch_one(self, frame: Frame):
+        sim = self.sim
+        fifo = self._tx_fifo
+        wire = frame.wire_bytes(self.params.frame_overhead)
+        t0 = sim._now
+        if sim._fast:
+            yield self.host.dma_event(wire, self.pci_index)
+        else:
+            yield from self.host.dma(wire, self.pci_index)
+        if sim.recorder is not None:
+            self._tx_fetched_span(frame, t0)
+        if frame.on_fetched is not None:
+            frame.on_fetched()
         if not (sim._fast and fifo.try_put(frame)):
             yield fifo.put(frame)
+
+    def _tx_fetched_span(self, frame: Frame, t0: float) -> None:
+        ctx = getattr(frame.payload, "trace", None)
+        if ctx is not None:
+            self.sim.recorder.span(ctx, _DMA, self.name,
+                                   f"n{self.host.node_id}", t0,
+                                   self.sim._now)
 
     def _tx_wire_loop(self):
         params = self.params
@@ -267,31 +349,6 @@ class GigEPort:
             frame = fifo.try_get() if sim._fast else None
             if frame is None:
                 frame = yield fifo.get()
-            if self.link is None:
-                raise ConfigurationError(f"{self.name} has no link")
-            if sim._fast and params.hw_checksum and not self.link.is_boundary:
-                virt = self._virt
-                if virt is not None:
-                    if sim._now < virt.wire_ready:
-                        # The virtual wire is still draining a train:
-                        # this frame starts only once it frees, and its
-                        # FIFO slot (popped early here) stays occupied
-                        # until then for fetch backpressure.
-                        virt.free_at.append(virt.wire_ready)
-                        yield sim.sleep_until(virt.wire_ready)
-                    self._virt = None
-                # Per-descriptor processing and serialization are two
-                # back-to-back waits with nothing observable between
-                # them (the line has no other requester), so fold them
-                # into one absolute wakeup.  The additions mirror the
-                # two timeout schedules of the reference path exactly.
-                start = sim._now + params.tx_proc
-                done = start + self.link.serialization_time(frame)
-                yield sim.sleep_until(done)
-                self.stats["tx_frames"] += 1
-                self.stats["tx_bytes"] += frame.payload_bytes
-                self.link.complete_tx(self.side, frame, started=start)
-                continue
             # Per-descriptor NIC processing is serial with the wire:
             # this is the ~0.9us that caps a saturated link at ~110 MB/s
             # of user payload (paper section 4.1).
@@ -305,6 +362,163 @@ class GigEPort:
             self.stats["tx_frames"] += 1
             self.stats["tx_bytes"] += frame.payload_bytes
             yield from self.link.transmit(self.side, frame)
+
+    # The same pipeline as a callback recurrence (fast scheduler, plain
+    # link).  Each step runs where the process form would have been
+    # resumed and queues what it would have queued, in the same order,
+    # with one exception: the FIFO slot a serialization end frees for a
+    # blocked producer.  The process form queues the producer's put in
+    # the urgent lane — empty, or the serialization end (a NORMAL entry
+    # of the same instant) would not be running — so it is the very next
+    # entry processed; the wire step admits the frame and, when it is
+    # the fetch stage that waited, calls it on the spot instead.  An
+    # entry goes, no other changes place.
+    def _tx_fetch_next(self, _event: Optional[Event] = None) -> None:
+        """The fetch stage is free: the next frame of an unbundled
+        train, else the ring's next item, else park on the ring."""
+        rest = self._tx_unbundled
+        if rest is not None:
+            frame = next(rest, None)
+            if frame is not None:
+                self._tx_fetch(frame)
+                return
+            self._tx_unbundled = None
+        item = self.tx_queue.try_get()
+        if item is None:
+            self.tx_queue.get().callbacks.append(self._tx_ring_got)
+        else:
+            self._tx_take(item)
+
+    def _tx_ring_got(self, got: Event) -> None:
+        self._tx_take(got._value)
+
+    def _tx_take(self, item) -> None:
+        if type(item) is FrameTrain:
+            self._tx_plan(self._open_train(item), 0)
+        else:
+            self._tx_fetch(item)
+
+    def _tx_plan(self, frames: list, spins: int) -> None:
+        sim = self.sim
+        # Let same-instant bookkeeping (the enqueueing process's
+        # continuation, completion plumbing) drain before judging
+        # quiescence.
+        if (sim._urgent or sim._normal) and spins < 8:
+            sim.timeout(0).callbacks.append(
+                lambda _spin: self._tx_plan(frames, spins + 1))
+            return
+        plan = plan_train(self, frames)
+        if plan is None:
+            self.stats["train_fallbacks"] += 1
+            self._tx_unbundled = iter(frames)
+            self._tx_fetch_next()
+            return
+        self.stats["trains"] += 1
+        self.stats["train_frames"] += len(frames)
+        commit_train(self, frames, plan)
+        # Park until the per-frame fetch stage would return to the ring
+        # (its last FIFO put).
+        sim.sleep_until(plan.fetch_free).callbacks.append(
+            self._tx_fetch_next)
+
+    def _tx_fetch(self, frame: Frame) -> None:
+        self._tx_frame = frame
+        self._tx_t0 = self.sim._now
+        self.host.dma_event(
+            frame.wire_bytes(self.params.frame_overhead), self.pci_index,
+        ).callbacks.append(self._tx_fetched)
+
+    def _tx_fetched(self, _flow: Event) -> None:
+        frame = self._tx_frame
+        if self.sim.recorder is not None:
+            self._tx_fetched_span(frame, self._tx_t0)
+        if frame.on_fetched is not None:
+            try:
+                frame.on_fetched()
+            except BaseException as exc:
+                # What a process that raises does: this stage stops and
+                # the kernel re-raises once the entry is done.
+                self.sim._crash(self, exc)
+                return
+        self._tx_put(frame, self._virt)
+
+    def _tx_put(self, frame: Frame, virt) -> None:
+        """The fetch stage's FIFO put."""
+        sim = self.sim
+        fifo = self._tx_fifo
+        # FIFO slots still virtually held by a committed train count
+        # against the put, until their planned pop instants.
+        if (virt is not None
+                and len(fifo) + virt.occupancy(sim._now) >= fifo.capacity
+                and virt.free_at):
+            sim.sleep_until(virt.free_at[0]).callbacks.append(
+                lambda _freed: self._tx_put(frame, virt))
+        elif self._tx_fifo_put(frame):
+            self._tx_fetch_next()
+        else:
+            self._tx_blocked.append((frame, None))
+
+    def _tx_fifo_put(self, frame: Frame) -> bool:
+        """Put without waiting; False when the FIFO is full.  (Full
+        whenever a producer is blocked: a freed slot is refilled at
+        once.)"""
+        fifo = self._tx_fifo
+        if not fifo.try_put(frame):
+            return False
+        if self._tx_wire_frame is None:
+            # The wire stage is parked, so the FIFO was empty: the frame
+            # goes straight through, and the stage takes it up at this
+            # instant behind the entries already queued — where the
+            # process form's get would have resumed.
+            self._tx_wire_frame = fifo.try_get()
+            self.sim.schedule(self._tx_wire, 0.0, URGENT)
+        return True
+
+    def _tx_wire_start(self) -> None:
+        sim = self.sim
+        wire = self._tx_wire
+        virt = self._virt
+        if virt is not None:
+            if sim._now < virt.wire_ready:
+                # The virtual wire is still draining a train: this frame
+                # starts only once it frees, and its FIFO slot (popped
+                # early here) stays occupied until then for fetch
+                # backpressure.
+                virt.free_at.append(virt.wire_ready)
+                sim.schedule_at(wire, virt.wire_ready)
+                return
+            self._virt = None
+        # Per-descriptor processing and serialization are two
+        # back-to-back waits with nothing observable between them (the
+        # line has no other requester), so they are one absolute
+        # wakeup.  The additions mirror the two timeout schedules of
+        # the process form exactly.
+        self._tx_started = start = sim._now + self.params.tx_proc
+        wire.sending = True
+        sim.schedule_at(
+            wire, start + self.link.serialization_time(self._tx_wire_frame))
+
+    def _tx_sent(self) -> None:
+        frame = self._tx_wire_frame
+        self.stats["tx_frames"] += 1
+        self.stats["tx_bytes"] += frame.payload_bytes
+        self.link.complete_tx(self.side, frame, started=self._tx_started)
+        self._tx_wire.sending = False
+        fifo = self._tx_fifo
+        self._tx_wire_frame = fifo.try_get()
+        if self._tx_wire_frame is None:
+            return  # parked
+        fetch_waited = False
+        if self._tx_blocked:
+            held, admitted = self._tx_blocked.pop(0)
+            fifo.try_put(held)
+            if admitted is None:
+                fetch_waited = True
+            else:
+                admitted.succeed(priority=URGENT)
+        self._tx_wire_start()
+        if fetch_waited:
+            self._tx_fetch_next()
 
     # -- receive ---------------------------------------------------------
     def frame_arrived(self, frame: Frame) -> None:

@@ -50,10 +50,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.collectives.tree import (
-    dimension_order_children,
-    dimension_order_parent,
-)
+from repro.collectives.tree import dimension_order_tree
 from repro.errors import ViaError
 from repro.hw.link import Frame
 from repro.hw.node import PRIO_USER
@@ -119,8 +116,6 @@ class NicCollective:
         self.torus = device.torus
         self._sequence = 0
         self._ops: Dict[int, _OpState] = {}
-        #: (parent, children) per root, cached (arbitrary-root bcast).
-        self._trees: Dict[int, Tuple[Optional[int], Tuple[int, ...]]] = {}
         # NIC-level go-back-N state (engaged iff device.reliable).
         self._tx_next: Dict[int, int] = {}
         self._unacked: Dict[int, Dict[int, ViaPacket]] = {}
@@ -138,15 +133,8 @@ class NicCollective:
     # -- tree geometry ------------------------------------------------
 
     def _tree(self, root: int) -> Tuple[Optional[int], Tuple[int, ...]]:
-        tree = self._trees.get(root)
-        if tree is None:
-            tree = (
-                dimension_order_parent(self.torus, root, self.rank),
-                tuple(dimension_order_children(self.torus, root,
-                                               self.rank)),
-            )
-            self._trees[root] = tree
-        return tree
+        parents, children = dimension_order_tree(self.torus, root)
+        return parents[self.rank], children[self.rank]
 
     def _state(self, sequence: int, mode: str, root: int) -> _OpState:
         state = self._ops.get(sequence)

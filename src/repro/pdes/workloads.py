@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.collectives.tree import dimension_order_parent
+from repro.collectives.tree import dimension_order_tree
 from repro.errors import ConfigurationError
 from repro.mpi.request import waitall
 from repro.topology.torus import Torus
@@ -45,13 +45,10 @@ Edge = Tuple[int, int]
 
 def tree_edges(torus: Torus, root: int = 0) -> List[Edge]:
     """Channel pairs of the dimension-order collective tree."""
-    edges = set()
-    for rank in torus.ranks():
-        if rank == root:
-            continue
-        parent = dimension_order_parent(torus, root, rank)
-        edges.add((min(rank, parent), max(rank, parent)))
-    return sorted(edges)
+    parents = dimension_order_tree(torus, root)[0]
+    return sorted({(min(rank, parent), max(rank, parent))
+                   for rank, parent in enumerate(parents)
+                   if parent is not None})
 
 
 def neighbor_edges(torus: Torus) -> List[Edge]:

@@ -46,9 +46,11 @@ class StoreGet(Event):
         self.filter = filter
 
 
-#: ``_putters``/``_getters`` of a store nobody has blocked on yet: most
-#: never see a waiter, and an empty deque costs 760 bytes.
-_NOBODY = ()
+#: ``items`` of a store nothing has been put into yet and its
+#: ``_putters``/``_getters`` while nobody has blocked on it: most stores
+#: stay empty and never see a waiter, and an empty deque costs 760
+#: bytes.  Length, truth and iteration read like an empty deque's.
+_EMPTY = ()
 
 
 class Store:
@@ -64,8 +66,7 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.items: deque = deque()
-        self._putters = self._getters = _NOBODY
+        self.items = self._putters = self._getters = _EMPTY
         self.stats = {"puts": 0, "gets": 0, "max_level": 0}
 
     def __len__(self) -> int:
@@ -79,7 +80,7 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the event fires once there is room."""
         put_event = StorePut(self, item)
-        if self._putters is _NOBODY:
+        if self._putters is _EMPTY:
             self._putters = deque()
         self._putters.append(put_event)
         self._dispatch()
@@ -88,11 +89,21 @@ class Store:
     def get(self) -> StoreGet:
         """Remove the oldest item; the event fires with the item."""
         get_event = StoreGet(self)
-        if self._getters is _NOBODY:
+        if self._getters is _EMPTY:
             self._getters = deque()
         self._getters.append(get_event)
         self._dispatch()
         return get_event
+
+    def push(self, item: Any) -> None:
+        """Deposit ``item`` as the store's owner, not as a producer:
+        no capacity check, no ``puts`` count, never blocks (a
+        completion the device hands up, a frame the kernel backlogs);
+        a waiting getter is served at once."""
+        if self.items is _EMPTY:
+            self.items = deque()
+        self.items.append(item)
+        self._dispatch()
 
     def try_get(self) -> Any:
         """Non-blocking get: the item, or None if empty.
@@ -119,20 +130,25 @@ class Store:
         """
         if self._putters or len(self.items) >= self.capacity:
             return False
-        self.items.append(item)
-        self.stats["puts"] += 1
-        if len(self.items) > self.stats["max_level"]:
-            self.stats["max_level"] = len(self.items)
+        self._insert(item)
         self._dispatch()
         return True
 
     # -- internals ----------------------------------------------------------
+    def _insert(self, item: Any) -> None:
+        """A counted put, room already checked."""
+        items = self.items
+        if items is _EMPTY:
+            items = self.items = deque()
+        items.append(item)
+        stats = self.stats
+        stats["puts"] += 1
+        if len(items) > stats["max_level"]:
+            stats["max_level"] = len(items)
+
     def _do_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            self.stats["puts"] += 1
-            if len(self.items) > self.stats["max_level"]:
-                self.stats["max_level"] = len(self.items)
+            self._insert(event.item)
             event.succeed(priority=URGENT)
             return True
         return False
@@ -253,7 +269,7 @@ class FilterStore(Store):
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
         get_event = StoreGet(self, filter=filter)
-        if self._getters is _NOBODY:
+        if self._getters is _EMPTY:
             self._getters = deque()
         self._getters.append(get_event)
         self._dispatch()

@@ -231,13 +231,11 @@ class TcpStack:
         out = Frame(frame.payload_bytes, frame.header_bytes,
                     payload=segment, kind=frame.kind)
         if len(self._forward_backlog) > 0:
-            self._forward_backlog.items.append(out)
-            self._forward_backlog._dispatch()
+            self._forward_backlog.push(out)
             return
         egress = self._egress(segment.dst_node)
         if not egress.try_enqueue_tx(out):
-            self._forward_backlog.items.append(out)
-            self._forward_backlog._dispatch()
+            self._forward_backlog.push(out)
 
     def _forward_drain(self):
         while True:

@@ -88,6 +88,9 @@ class Torus:
         # pairs millions of times during a bandwidth sweep.
         self._offset_cache: dict = {}
         self._distance_cache: dict = {}
+        #: root -> dimension-order spanning tree over every rank, filled
+        #: by :func:`repro.collectives.tree.dimension_order_tree`.
+        self._tree_cache: dict = {}
         self.cache_stats = {"hits": 0, "misses": 0}
 
     # -- basic properties -----------------------------------------------------

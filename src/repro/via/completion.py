@@ -32,8 +32,7 @@ class CompletionQueue:
 
     def push(self, vi: "VI", queue: str, descriptor: "Descriptor") -> None:
         """Device-side: enqueue a completion."""
-        self._store.items.append((vi, queue, descriptor))
-        self._store._dispatch()
+        self._store.push((vi, queue, descriptor))
 
     def wait(self):
         """Process: block until a completion is available; returns it."""

@@ -617,8 +617,7 @@ class KernelAgent:
         # queues behind it.
         if len(self._switch_backlog) > 0 or not egress.try_enqueue_tx(out):
             self.stats["backlogged"] += 1
-            self._switch_backlog.items.append((out, egress))
-            self._switch_backlog._dispatch()
+            self._switch_backlog.push((out, egress))
 
     def _backlog_drain(self):
         """Kernel thread that drains switch frames blocked on full

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
-from repro.collectives.tree import (
-    dimension_order_children,
-    dimension_order_parent,
-)
+from repro.collectives.tree import dimension_order_tree
 from repro.errors import ViaError
 from repro.hw.node import PRIO_USER
 from repro.obs.recorder import (
@@ -71,10 +68,9 @@ class KernelCollective:
         self.device = device
         self.sim = device.sim
         self.root = root
-        torus = device.torus
-        rank = device.rank
-        self.parent = dimension_order_parent(torus, root, rank)
-        self.children = dimension_order_children(torus, root, rank)
+        parents, children = dimension_order_tree(device.torus, root)
+        self.parent = parents[device.rank]
+        self.children = children[device.rank]
         self._sequence = 0
         self._ops: Dict[int, _OpState] = {}
         self.stats = {"reductions": 0, "combines": 0, "aborted": 0}

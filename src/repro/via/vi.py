@@ -287,8 +287,7 @@ class VI:
         elif cq is not None:
             cq.push(self, queue, descriptor)
         else:
-            done.items.append(descriptor)
-            done._dispatch()
+            done.push(descriptor)
 
     def complete_send(self, descriptor: Descriptor) -> None:
         self.device.sim.progress += 1

@@ -162,14 +162,17 @@ class TestRestoreGuards:
         """1.0.0 queued bus joins and wakes as ``Callback`` entries;
         1.0.1 queued a ``StoreGet`` and a ``Timeout`` per received frame
         where 1.0.2 queues the port's one ``_RxStage``, and a ``Process``
-        entry for every termination nobody awaited.  ``sim_signature``
+        entry for every termination nobody awaited; 1.0.2 queued an
+        ``Event`` per serialization end, a ``StoreGet`` per idle wire
+        stage and a ``StorePut`` per full transmit FIFO where 1.0.3
+        queues the port's one ``_TxWire`` or nothing.  ``sim_signature``
         hashes entry type names, the sequence counter and the event
         count, so replaying such a store would diverge mid-run instead
         of being refused here."""
         from repro import __version__
-        assert __version__ == "1.0.2"
+        assert __version__ == "1.0.3"
         store = CheckpointStore(tmp_path)
-        for stale in ("1.0.0", "1.0.1"):
+        for stale in ("1.0.0", "1.0.1", "1.0.2"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

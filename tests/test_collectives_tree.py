@@ -8,9 +8,12 @@ from repro.collectives.tree import (
     binomial_parent,
     dimension_order_children,
     dimension_order_parent,
+    dimension_order_tree,
     tree_depth,
 )
+from repro.errors import TopologyError
 from repro.topology import Torus
+from repro.topology.torus import Direction
 
 DIMS = st.sampled_from([(4,), (8,), (3, 3), (4, 4), (2, 4, 4), (4, 8, 8)])
 
@@ -53,6 +56,70 @@ def test_tree_is_spanning(dims):
             covered.add(child)
             frontier.append(child)
     assert covered == set(torus.ranks())
+
+
+def _parent_per_call(torus, root, rank):
+    """The tree as it was derived before the table: one rank at a time,
+    straight from the geometry."""
+    if rank == root:
+        return None
+    offset = torus.offset(rank, root)
+    axis = max(a for a, delta in enumerate(offset) if delta != 0)
+    return torus.neighbor(
+        rank, Direction(axis, 1 if offset[axis] > 0 else -1))
+
+
+def _children_per_call(torus, root, rank):
+    children = [neighbor for _direction, neighbor in torus.neighbors(rank)
+                if neighbor != rank
+                and _parent_per_call(torus, root, neighbor) == rank]
+    children.sort(key=lambda n: (-torus.distance(root, n), n))
+    return list(dict.fromkeys(children))    # extent-2 axes list one twice
+
+
+@given(st.sampled_from([(4,), (2, 2), (3, 3), (2, 4, 4), (2, 2, 2), (3, 4, 5),
+                        (4, 8, 8)]), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_table_is_the_per_call_derivation(dims, wrap, data):
+    torus = Torus(dims, wrap=wrap)
+    root = data.draw(st.integers(min_value=0, max_value=torus.size - 1))
+    parents, children = dimension_order_tree(torus, root)
+    assert list(parents) == [_parent_per_call(torus, root, rank)
+                             for rank in torus.ranks()]
+    assert [list(below) for below in children] == [
+        _children_per_call(torus, root, rank) for rank in torus.ranks()]
+    for rank in torus.ranks():
+        assert dimension_order_parent(torus, root, rank) == parents[rank]
+        assert dimension_order_children(torus, root, rank) is children[rank]
+
+
+def test_the_table_is_built_once_and_lives_on_its_torus():
+    torus = Torus((4, 4, 8))
+    tree = dimension_order_tree(torus, 5)
+    misses = torus.cache_stats["misses"]
+    for _ in range(3):
+        assert dimension_order_tree(torus, 5) is tree
+        assert tree_depth(torus, 5) == 2 + 2 + 4
+    assert torus.cache_stats["misses"] == misses      # no geometry asked
+    assert dimension_order_tree(torus, 6) is not tree
+    assert set(torus._tree_cache) == {5, 6}
+    # An equal torus is another object with its own (empty) table, and
+    # nobody can edit the shared one through what they were handed.
+    assert Torus((4, 4, 8))._tree_cache == {}
+    assert isinstance(tree[0], tuple) and isinstance(tree[1], tuple)
+    assert all(isinstance(below, tuple) for below in tree[1])
+
+
+def test_ranks_outside_the_torus_are_refused():
+    torus = Torus((3, 3))
+    for rank in (-1, 9):
+        with pytest.raises(TopologyError):
+            dimension_order_parent(torus, 0, rank)
+        with pytest.raises(TopologyError):
+            dimension_order_children(torus, 0, rank)
+        with pytest.raises(TopologyError):
+            dimension_order_tree(torus, rank)
+    assert torus._tree_cache.keys() == {0}
 
 
 def test_depth_matches_paper_formula():

@@ -52,6 +52,23 @@ def test_pop_by_probe_with_probe_wildcards():
     assert queue.pop_first_match_by_probe(3, ANY_TAG, 0) == "m2"
 
 
+def test_an_untouched_queue_holds_no_deque_and_answers_like_an_empty_one():
+    queue = MatchQueue()
+    assert queue._entries == () and len(queue) == 0
+    assert list(queue) == [] and queue.entries() == []
+    assert queue.pop_first_match(0, 0, 0) is None
+    assert queue.pop_first_match_by_probe(ANY_SOURCE, ANY_TAG, 0) is None
+    assert queue.pop_first_match_where(0, 0, 0, lambda entry: True) is None
+    assert queue.peek_first_match(0, 0, 0) is None
+    assert not queue.remove("nothing")
+    assert queue._entries == ()             # none of that allocated
+    queue.append("a", 0, 0, 0)
+    drained = queue._entries
+    assert queue.pop_first_match(0, 0, 0) == "a" and len(queue) == 0
+    queue.append("b", 0, 0, 0)
+    assert queue._entries is drained        # one deque, kept once built
+
+
 def test_non_matching_entries_skipped():
     queue = MatchQueue()
     queue.append("wrong-tag", 1, 8, 0)

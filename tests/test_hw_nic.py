@@ -219,6 +219,24 @@ def test_double_attach_rejected(sim):
         port.attach_link(link2, 0)
 
 
+def test_a_port_without_a_link_refuses_frames(sim):
+    """The transmit pipeline starts when the link is attached; before
+    that a frame would sit in the ring for ever, so the hand-over
+    itself fails."""
+    port = GigEPort(sim, Host(sim, 0), GigEParams(), name="loose")
+    attempts = [
+        lambda: sim.spawn(port.enqueue_tx(Frame(10, 0))),
+        lambda: sim.spawn(port.send_frames([Frame(10, 0)] * 3)),
+        lambda: sim.spawn(port.nic_inject_tx(Frame(10, 0))),
+        lambda: port.try_enqueue_tx(Frame(10, 0)),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ConfigurationError, match="loose has no link"):
+            attempt()
+            sim.run()
+    assert len(port.tx_queue) == 0 and sim.queue_length == 0
+
+
 def test_software_checksum_costs_cpu(sim):
     fast = GigEParams(hw_checksum=True)
     slow = GigEParams(hw_checksum=False)

@@ -78,8 +78,40 @@ def test_fifo_ordering(sim):
 def test_try_get(sim):
     store = Store(sim)
     assert store.try_get() is None
-    store.items.append("x")
+    store.push("x")
     assert store.try_get() == "x"
+
+
+def test_push_is_an_uncounted_deposit_that_serves_a_waiting_getter(sim):
+    store = Store(sim, capacity=1)
+    got = []
+
+    def consumer():
+        for _ in range(3):
+            got.append((yield store.get()))
+
+    sim.spawn(consumer())
+    sim.run()
+    for item in "abc":
+        store.push(item)            # past the capacity of 1, too
+    assert len(store) == 2          # "a" went straight to the getter
+    sim.run()
+    assert got == ["a", "b", "c"]
+    assert store.stats == {"puts": 0, "gets": 3, "max_level": 0}
+
+
+def test_an_untouched_store_holds_no_deque(sim):
+    """``items``, ``_putters`` and ``_getters`` are empty tuples until
+    used (an empty deque is 760 bytes, and most stores stay empty)."""
+    for store in (Store(sim), Store(sim, capacity=4), FilterStore(sim)):
+        assert store.items == store._putters == store._getters == ()
+        assert len(store) == 0 and store.level == 0 and not store.items
+        assert list(store.items) == [] and store.try_get() is None
+        assert store.items == ()            # looking allocates nothing
+        assert store.try_put("x") and list(store.items) == ["x"]
+        assert store.try_get() == "x"
+        store.push("y")
+        assert len(store) == 1 and store._putters == store._getters == ()
 
 
 def test_try_get_with_waiters_rejected(sim):

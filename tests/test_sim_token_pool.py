@@ -10,6 +10,8 @@ other without moving a single simulated timestamp.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ class _StoreOfOnes:
 
     def __init__(self, sim, capacity, level):
         self.store = Store(sim, capacity=capacity, name="ring")
-        self.store.items.extend([1] * level)
+        self.store.items = deque([1] * level)
 
     put = property(lambda self: self.store.put)
     get = property(lambda self: self.store.get)
