@@ -169,7 +169,7 @@ class GigEPort:
         self._irq_timer_deadline: Optional[float] = None
         self._irq_timer_cb: Optional[TrainCallback] = None
         self._driver: Optional[Callable[[Frame], Generator]] = None
-        #: NIC-resident collective engine hook (hw.nic_collective),
+        #: NIC-site collective hook (via.offload_collective),
         #: consulted in the rx stage before any receive descriptor is
         #: consumed.  A True return means the frame was consumed
         #: entirely inside the NIC: no credit, no DMA, no interrupt.

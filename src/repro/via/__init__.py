@@ -18,6 +18,8 @@ Layer map (mirrors Figure 1 of the paper):
   queues, RMA);
 * :mod:`repro.via.kernel_agent` — connection management, rx dispatch,
   the mesh packet switch;
+* :mod:`repro.via.offload_collective` — the tree-collective state
+  machine and its two sites (interrupt level, NIC firmware);
 * :mod:`repro.via.device` — per-node binding of VIA onto the GigE
   ports (the Jlab e1000 M-VIA driver's role);
 * :mod:`repro.via.vipl` — thin VIPL-style functional facade.

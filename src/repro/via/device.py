@@ -75,11 +75,13 @@ class ViaDevice:
         self.frame_payload = mtu - self.params.header_bytes
         if self.frame_payload <= 0:
             raise ConfigurationError("VIA header larger than MTU")
-        #: Interrupt-level collective engine (paper section 7 future
-        #: work); created by :meth:`enable_kernel_collectives`.
+        #: The offload-collective state machine
+        #: (:mod:`repro.via.offload_collective`) at its interrupt-level
+        #: site (paper section 7 future work); created by
+        #: :meth:`enable_kernel_collectives`.
         self.kernel_collective = None
-        #: NIC-resident collective engine (Yu et al. offload); created
-        #: by :meth:`enable_nic_collectives`.
+        #: The same machine at its NIC-firmware site (Yu et al.
+        #: offload); created by :meth:`enable_nic_collectives`.
         self.nic_collective = None
         #: Reliable delivery: explicit knob, else automatic — engage
         #: exactly when some attached link can *lose* frames (the
@@ -112,7 +114,7 @@ class ViaDevice:
         in-flight state) and mixing offload tiers on one device (both
         engines would claim the same collective traffic) raise instead.
         """
-        from repro.via.kernel_collective import KernelCollective
+        from repro.via.offload_collective import KernelCollective
 
         if self.nic_collective is not None:
             raise ViaError(
@@ -135,12 +137,13 @@ class ViaDevice:
     def enable_nic_collectives(self):
         """Load the NIC-resident collective engine onto every port.
 
-        Installs the :class:`~repro.hw.nic_collective.NicCollective`
-        firmware hook on each attached GigE port so collective frames
-        are consumed at wire level.  Idempotent; mutually exclusive
-        with :meth:`enable_kernel_collectives`.
+        Installs the
+        :class:`~repro.via.offload_collective.NicCollective` firmware
+        hook on each attached GigE port so collective frames are
+        consumed at wire level.  Idempotent; mutually exclusive with
+        :meth:`enable_kernel_collectives`.
         """
-        from repro.hw.nic_collective import NicCollective
+        from repro.via.offload_collective import NicCollective
 
         if self.kernel_collective is not None:
             raise ViaError(
@@ -155,6 +158,11 @@ class ViaDevice:
         for port in self.ports.values():
             port.collective_hook = engine.handle_rx
         return engine
+
+    @property
+    def collective(self):
+        """The enabled offload-collective engine (either site), if any."""
+        return self.kernel_collective or self.nic_collective
 
     # -- user-facing object factory ---------------------------------------------
     def create_protection_tag(self) -> ProtectionTag:

@@ -22,7 +22,12 @@ from repro.obs.recorder import IRQ_WAIT as _IRQ_WAIT, \
     SWITCH_FORWARD as _SWITCH_FORWARD
 from repro.sim import Store
 from repro.via.descriptors import RecvDescriptor
-from repro.via.packet import NIC_COLLECTIVE_KINDS, PacketKind, ViaPacket
+from repro.via.packet import (
+    KERNEL_COLLECTIVE_KINDS,
+    NIC_COLLECTIVE_KINDS,
+    PacketKind,
+    ViaPacket,
+)
 from repro.via.reliability import ReliableChannel
 from repro.via.vi import VI, ViState
 
@@ -132,8 +137,7 @@ class KernelAgent:
                 )
                 self.stats["rel_failures"] += 1
                 wake.succeed(None)
-                if self._fd is not None:
-                    self._fd.suspect(dst_node, "connect retries exhausted")
+                self.suspect(dst_node, "connect retries exhausted")
                 return
             self.stats["connect_retries"] += 1
             rto = min(rto * params.rel_rto_backoff, params.rel_rto_max)
@@ -276,6 +280,14 @@ class KernelAgent:
                     # partitioned off: no live route, drop it.
                     self.stats["dropped_dead"] += 1
                 return
+            engine = self.device.kernel_collective
+            if engine is not None and packet.kind in engine.kinds:
+                # Interrupt-level collective site: its own per-peer ARQ
+                # gates these frames, not a VI channel's.
+                if paid_until is not None:
+                    yield self.sim.sleep_until(paid_until)
+                yield from engine.handle_irq(packet)
+                return
             if packet.kind is PacketKind.ACK:
                 # Explicit cumulative ACK: pure sender-side bookkeeping.
                 self.stats["acks_received"] += 1
@@ -307,12 +319,6 @@ class KernelAgent:
                     yield from self._handle_accept(packet)
                 elif packet.kind is PacketKind.DISCONNECT:
                     yield from self._handle_disconnect(packet)
-                elif packet.kind is PacketKind.REDUCE:
-                    yield from self._kernel_collective().handle_reduce(
-                        packet)
-                elif packet.kind is PacketKind.CBCAST:
-                    yield from self._kernel_collective().handle_cbcast(
-                        packet)
                 elif packet.kind is PacketKind.KEEPALIVE:
                     self.stats["keepalives_received"] += 1
                     if self._fd is not None:
@@ -321,15 +327,18 @@ class KernelAgent:
                     self.stats["dead_notices_received"] += 1
                     dead_rank, reason = packet.payload
                     self.on_peer_dead(dead_rank, f"notice: {reason}")
-                elif packet.kind in NIC_COLLECTIVE_KINDS:
-                    # A NIC-collective frame reached the host rx path:
-                    # this node has no NIC engine installed while a
-                    # peer is running the offloaded protocol.  Fail
-                    # loudly instead of silently eating the frame and
-                    # hanging the sender's collective.
+                elif (packet.kind in KERNEL_COLLECTIVE_KINDS
+                        or packet.kind in NIC_COLLECTIVE_KINDS):
+                    # An offload-collective frame reached the generic
+                    # host rx path: a peer runs a collective site this
+                    # node has not enabled.  Fail loudly instead of
+                    # silently eating the frame and hanging the
+                    # sender's collective.
+                    site = ("NIC" if packet.kind in NIC_COLLECTIVE_KINDS
+                            else "kernel")
                     raise ViaError(
                         f"node {self.device.rank}: received "
-                        f"{packet.kind.value} frame but NIC "
+                        f"{packet.kind.value} frame but {site} "
                         f"collectives are not enabled on this node"
                     )
         finally:
@@ -563,15 +572,6 @@ class KernelAgent:
             vi.state = ViState.IDLE
             vi.peer = None
 
-    def _kernel_collective(self):
-        collective = getattr(self.device, "kernel_collective", None)
-        if collective is None:
-            raise ViaError(
-                f"node {self.device.rank}: kernel-collective packet "
-                "but interrupt-level collectives not enabled"
-            )
-        return collective
-
     # ------------------------------------------------------------------
     # The mesh packet switch.
     # ------------------------------------------------------------------
@@ -655,15 +655,23 @@ class KernelAgent:
                 return False
         return True
 
-    def report_retry_exhausted(self, vi: VI) -> None:
-        """Reliable-channel evidence: a whole retry budget burned.
+    def suspect(self, rank: int, reason: str) -> bool:
+        """A whole retry budget burned on ``rank``: tell the detector.
 
-        With the failure detector armed this is treated as a death
-        verdict for the peer node; without it (plain link faults, PR 3
-        semantics) it stays a per-VI error.
+        With the failure detector armed this is a death verdict for the
+        node (True: the notice tears everything down); without it
+        (plain link faults, PR 3 semantics) the caller keeps its own
+        per-VI / per-collective error.
         """
-        if self._fd is not None and vi.peer is not None:
-            self._fd.suspect(vi.peer[0], "retry budget exhausted")
+        if self._fd is None:
+            return False
+        self._fd.suspect(rank, reason)
+        return True
+
+    def report_retry_exhausted(self, vi: VI) -> None:
+        """Reliable-channel evidence against ``vi``'s peer node."""
+        if vi.peer is not None:
+            self.suspect(vi.peer[0], "retry budget exhausted")
 
     def on_peer_dead(self, dead_rank: int, reason: str = "declared dead"
                      ) -> None:
@@ -685,10 +693,9 @@ class KernelAgent:
                 self._fail_vi(vi, ViaError(
                     f"{vi!r}: peer node {dead_rank} {reason}"
                 ))
-        if device.kernel_collective is not None:
-            device.kernel_collective.on_peer_dead(dead_rank, reason)
-        if device.nic_collective is not None:
-            device.nic_collective.on_peer_dead(dead_rank, reason)
+        engine = device.collective
+        if engine is not None:
+            engine.on_peer_dead(dead_rank, reason)
         for callback in list(self.death_callbacks):
             callback(dead_rank)
 
@@ -708,10 +715,9 @@ class KernelAgent:
             if vi is not None and vi.error is None:
                 vi.error = ViaError(f"{vi!r}: local {reason}")
             wake.succeed(None)
-        if device.kernel_collective is not None:
-            device.kernel_collective.on_local_crash(reason)
-        if device.nic_collective is not None:
-            device.nic_collective.on_local_crash(reason)
+        engine = device.collective
+        if engine is not None:
+            engine.on_local_crash(reason)
         for callback in list(self.death_callbacks):
             callback(device.rank)
 

@@ -37,11 +37,18 @@ class PacketKind(enum.Enum):
     NIC_REDUCE = "nic_reduce"  # NIC-resident partial reduction
     NIC_CBCAST = "nic_cbcast"  # NIC-resident result/broadcast wave
     NIC_ACK = "nic_ack"        # NIC-resident go-back-N cumulative ACK
+    CACK = "cack"              # interrupt-level go-back-N cumulative ACK
 
 
-#: Wire kinds owned by the NIC-resident collective engine
-#: (:mod:`repro.hw.nic_collective`): the port-level hook consumes them
-#: before the host rx path; a node without the engine rejects them.
+#: Wire kinds of the offload-collective state machine
+#: (:mod:`repro.via.offload_collective`), one triple per execution site:
+#: (reduce-up, wave-down, cumulative ACK).  The kernel site takes its
+#: frames in the receive interrupt; the NIC site's port-level hook
+#: consumes them before the host rx path.  A node without the matching
+#: site rejects them.
+KERNEL_COLLECTIVE_KINDS = (
+    PacketKind.REDUCE, PacketKind.CBCAST, PacketKind.CACK,
+)
 NIC_COLLECTIVE_KINDS = (
     PacketKind.NIC_REDUCE, PacketKind.NIC_CBCAST, PacketKind.NIC_ACK,
 )

@@ -168,11 +168,13 @@ class TestRestoreGuards:
         queues the port's one ``_TxWire`` or nothing.  ``sim_signature``
         hashes entry type names, the sequence counter and the event
         count, so replaying such a store would diverge mid-run instead
-        of being refused here."""
+        of being refused here.  1.0.3 folded a kernel-tier reduction in
+        arrival order where 1.0.4 folds in tree order: a cached
+        kernel-tier payload can differ in its last bits."""
         from repro import __version__
-        assert __version__ == "1.0.3"
+        assert __version__ == "1.0.4"
         store = CheckpointStore(tmp_path)
-        for stale in ("1.0.0", "1.0.1", "1.0.2"):
+        for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -1,11 +1,14 @@
 """Three-tier differential harness: host vs kernel vs NIC collectives.
 
-Every collective must produce bit-identical results on every tier
-(values use exact float64 arithmetic, so fold-order differences cannot
-hide behind rounding), reruns must be trace-deterministic, and the NIC
+Every collective must produce bit-identical results on every tier —
+on exact float64 values entered in lockstep, and on ordinary float64
+values entered with per-rank skew, where a fold in arrival order shows
+in the last bits — reruns must be trace-deterministic, and the NIC
 tier must do strictly less host-side work (api-call / irq-wait spans)
 than the kernel tier on the same workload.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -51,20 +54,48 @@ def _build(dims, tier, observe=False, trace=False):
     return cluster, comms
 
 
-def _grid_program(comm):
+def _grid_program(comm, seed=None):
     """One pass over the collective x op x root grid; returns a dict
-    whose repr is the cross-tier comparison key."""
+    whose repr is the cross-tier comparison key.
+
+    With a ``seed`` each rank enters every call after its own seeded
+    skew (0-40 us, so children report in a different order each time)
+    and contributes an ordinary float64 of any magnitude and sign,
+    keyed by ``.hex()``: only a fold in canonical order survives that.
+    """
     size = comm.size
+    sim = comm.engine.sim
+    rng = random.Random(f"{seed}/{comm.rank}")
     out = {}
+
+    def value(exact):
+        if seed is None:
+            return exact
+        return np.float64(rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8))
+
+    def key(result):
+        if seed is None or result is None:
+            return result
+        return float(result).hex()
+
+    def skew():
+        if seed is not None:
+            yield sim.timeout(rng.uniform(0, 40))
+
     for label, op, value_of in OPS:
-        out[f"allreduce-{label}"] = yield from comm.allreduce(
-            nbytes=64, op=op, data=value_of(comm.rank))
-        out[f"reduce-{label}"] = yield from comm.reduce(
-            root=0, nbytes=64, op=op, data=value_of(comm.rank))
+        yield from skew()
+        out[f"allreduce-{label}"] = key((yield from comm.allreduce(
+            nbytes=64, op=op, data=value(value_of(comm.rank)))))
+        yield from skew()
+        out[f"reduce-{label}"] = key((yield from comm.reduce(
+            root=0, nbytes=64, op=op, data=value(value_of(comm.rank)))))
     for root in (0, size - 1):
-        out[f"bcast-r{root}"] = yield from comm.bcast(
+        yield from skew()
+        out[f"bcast-r{root}"] = key((yield from comm.bcast(
             root=root, nbytes=128,
-            data=np.float64(root + 17) if comm.rank == root else None)
+            data=(value(np.float64(root + 17)) if comm.rank == root
+                  else None))))
+    yield from skew()
     yield from comm.barrier()
     out["barrier_done"] = True
     return out
@@ -80,6 +111,22 @@ def test_tiers_bit_identical(dims):
         cluster, comms = _build(dims, tier)
         results = run_mpi(cluster, _grid_program, comms=comms)
         per_tier[tier] = [repr(r) for r in results]
+    assert per_tier["host"] == per_tier["kernel"]
+    assert per_tier["host"] == per_tier["nic"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dims", MESHES + ((3, 3, 3),),
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_tiers_bit_identical_under_entry_skew(dims, seed):
+    """Skewed entry, ordinary values: still the same bits on every
+    tier, because every tier folds local-then-children in tree order
+    at subtree completion, never as frames arrive."""
+    per_tier = {}
+    for tier in TIERS:
+        cluster, comms = _build(dims, tier)
+        per_tier[tier] = run_mpi(cluster, _grid_program, comms=comms,
+                                 args=(seed,))
     assert per_tier["host"] == per_tier["kernel"]
     assert per_tier["host"] == per_tier["nic"]
 

@@ -124,14 +124,14 @@ def test_same_seed_identical_event_trace():
     assert first[0] == second[0]
 
 
-# -- NIC-resident tier under loss ----------------------------------------
+# -- the offload tiers under loss --------------------------------------------
 
-def _nic_program(comm, results):
-    """NIC-tier allreduce/bcast/barrier rounds (exact float64 values)."""
-    comm.set_collective_tier("nic")
+def _offload_program(comm, results, tier):
+    """Offload-tier allreduce/bcast/barrier rounds (exact float64)."""
+    comm.set_collective_tier(tier)
     rank = comm.rank
     out = {}
-    for i in range(3):
+    for i in range(60):
         out[f"sum{i}"] = yield from comm.allreduce(
             nbytes=64, data=np.float64(rank + i + 1))
     out["bcast"] = yield from comm.bcast(
@@ -141,32 +141,40 @@ def _nic_program(comm, results):
     results[rank] = out
 
 
-def _run_nic(seed=None):
+def _run_offload(tier, seed=None):
     cluster = _build(seed=seed)
     comms = build_world(cluster)
-    for node in cluster.nodes:
-        node.via.enable_nic_collectives()
+    engines = [getattr(node.via, f"enable_{tier}_collectives")()
+               for node in cluster.nodes]
     results = [None] * cluster.size
-    run_mpi(cluster, _nic_program, args=(results,), comms=comms)
-    return cluster, results
+    run_mpi(cluster, _offload_program, args=(results, tier), comms=comms)
+    return cluster, results, engines
 
 
 @pytest.fixture(scope="module")
-def nic_lossless_results():
-    _cluster, results = _run_nic(seed=None)
-    return results
+def offload_lossless_results():
+    return {tier: _run_offload(tier)[1] for tier in ("nic", "kernel")}
 
 
-@pytest.mark.parametrize("seed", [101, 202, 303])
-def test_nic_collectives_bit_identical_under_loss(seed,
-                                                  nic_lossless_results):
-    """The NIC engine's own go-back-N makes 1% loss invisible: every
-    rank's results are bit-identical to the lossless run."""
-    cluster, results = _run_nic(seed=seed)
+# The NIC rows keep the ids they had before the tier was a parameter.
+@pytest.mark.parametrize("tier,seed", [
+    pytest.param(tier, seed,
+                 id=str(seed) if tier == "nic" else f"{tier}-{seed}")
+    for tier in ("nic", "kernel") for seed in (101, 202, 303)
+])
+def test_nic_collectives_bit_identical_under_loss(tier, seed,
+                                                  offload_lossless_results):
+    """The state machine's own go-back-N makes 1% loss invisible at
+    either site: every rank's results are bit-identical to the
+    lossless run."""
+    cluster, results, engines = _run_offload(tier, seed=seed)
     dropped = sum(sum(link.stats["dropped"]) for link in cluster.links)
     assert dropped > 0, "1% loss injected nothing; test is vacuous"
+    # ...with the site's own ARQ engaged: frames sequenced and ACKed.
+    assert sum(engine.stats["acks_received"] for engine in engines) > 0
+    lossless = offload_lossless_results[tier]
     for rank in range(cluster.size):
-        assert repr(results[rank]) == repr(nic_lossless_results[rank])
+        assert repr(results[rank]) == repr(lossless[rank])
         assert results[rank]["sum0"] == np.float64(36.0)
 
 
@@ -216,16 +224,21 @@ def test_nic_arq_interops_with_kernel_gobackn():
     assert nic_totals["acks_sent"] > 0  # the NIC ARQ engaged
 
 
+ARQ_COUNTERS = ("acks_sent", "acks_received", "retransmits",
+                "dup_frames", "ooo_dropped", "dropped_bad_checksum")
+
+
 def test_nic_arq_stays_cold_without_loss():
-    """On a lossless fabric the NIC engine never sequences frames or
-    sends ACKs — default runs are identical to pre-ARQ behavior."""
-    cluster, results = _run_nic(seed=None)
-    for node in cluster.nodes:
-        stats = node.via.nic_collective.stats
-        assert stats["acks_sent"] == 0
-        assert stats["acks_received"] == 0
-        assert stats["retransmits"] == 0
-    assert results[0]["sum0"] == np.float64(36.0)
+    """On a lossless fabric neither site ever sequences a frame or
+    sends an ACK — default runs are identical to pre-ARQ behavior."""
+    for tier in ("nic", "kernel"):
+        cluster, results, engines = _run_offload(tier)
+        for engine in engines:
+            assert not any(engine.stats[key] for key in ARQ_COUNTERS)
+            # No frame was ever given a sequence number, none tracked.
+            assert not engine._tx_next and not engine._rx_next
+            assert not engine._unacked and not engine._rto_armed
+        assert results[0]["sum0"] == np.float64(36.0)
 
 
 def test_lossless_torus_stays_cold():

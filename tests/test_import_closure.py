@@ -66,6 +66,39 @@ def test_numpy_loads_on_the_first_data_carrying_reduction():
     assert out.splitlines() == ["False", "{'int64'} [6, 6, 6, 6]", "True"]
 
 
+def test_hardware_models_import_nothing_of_the_protocol_above_them():
+    """``repro.hw`` is the layer ``repro.via`` stands on: no submodule
+    of it may reach back up (the NIC-site collective used to live in
+    ``hw`` and pulled nine ``repro.via`` modules in with it)."""
+    loaded = _fresh(
+        "import importlib, pkgutil, sys, repro.hw\n"
+        "for found in pkgutil.walk_packages(repro.hw.__path__, 'repro.hw.'):\n"
+        "    importlib.import_module(found.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.via')))"
+    )
+    assert loaded == "[]"
+
+
+def test_default_run_never_loads_the_offload_collective_engine():
+    """The tree-collective state machine is imported by
+    ``enable_kernel_collectives`` / ``enable_nic_collectives``, not by
+    a run that stays on the host tier."""
+    out = _fresh(
+        "import sys\n"
+        "from repro.cluster import build_mesh, run_mpi\n"
+        "def program(comm):\n"
+        "    total = yield from comm.allreduce(nbytes=8, data=comm.rank)\n"
+        "    yield from comm.barrier()\n"
+        "    return int(total)\n"
+        "cluster = build_mesh((2, 2), wrap=True)\n"
+        "print(run_mpi(cluster, program))\n"
+        "print('repro.via.offload_collective' in sys.modules)\n"
+        "cluster.nodes[0].via.enable_kernel_collectives()\n"
+        "print('repro.via.offload_collective' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["[6, 6, 6, 6]", "False", "True"]
+
+
 def test_service_package_exports_resolve_lazily():
     out = _fresh(
         "import sys, repro.service as service\n"

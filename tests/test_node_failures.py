@@ -99,19 +99,22 @@ def test_collectives_raise_instead_of_hanging():
             assert what in ("MpiProcFailed", "MpiRevoked")
 
 
-def test_nic_collective_crash_raises_everywhere():
-    """A node dying mid-NIC-collective surfaces as ``MpiProcFailed``
-    on every group member — the NIC state machine aborts its waiters
-    through the ULFM path instead of wedging."""
-    cluster = _faulty_mesh(victim=2, crash_at=200.0)
+def _offload_crash_run(tier, crash_at, entries=None):
+    """60 offload-tier allreduces on 2x2x2 with rank 2 crashing at
+    ``crash_at``: per-rank outcome names, and how many in-flight
+    entries the survivors' engines still hold afterwards.  ``entries``
+    collects the instants at which the victim enters each call."""
+    cluster = _faulty_mesh(victim=2, crash_at=crash_at)
     comms = build_world(cluster)
-    for node in cluster.nodes:
-        node.via.enable_nic_collectives()
+    engines = [getattr(node.via, f"enable_{tier}_collectives")()
+               for node in cluster.nodes]
 
     def program(comm):
-        comm.set_collective_tier("nic")
+        comm.set_collective_tier(tier)
         try:
             for i in range(60):
+                if entries is not None and comm.rank == 2:
+                    entries.append(comm.engine.sim.now)
                 yield from comm.allreduce(nbytes=64,
                                           data=float(comm.rank + 1))
                 if i % 4 == 0:
@@ -121,17 +124,32 @@ def test_nic_collective_crash_raises_everywhere():
             return type(exc).__name__
 
     results = run_mpi(cluster, program, comms=comms, limit=100_000.0)
-    assert results[2] == "MpiProcFailed"
-    for rank, what in enumerate(results):
-        if rank != 2:
-            # ULFM contract: the death is visible as a process-failure
-            # error on every member, never a hang (run_mpi returning
-            # within the limit proves no rank wedged).
-            assert what == "MpiProcFailed", (rank, what)
-    # The engines hold no leaked in-flight state after the abort.
-    for rank, node in enumerate(cluster.nodes):
-        if cluster.node_alive(rank):
-            assert node.via.nic_collective._ops == {}
+    leaked = sum(len(engine._ops) for rank, engine in enumerate(engines)
+                 if cluster.node_alive(rank))
+    return results, leaked
+
+
+@pytest.mark.parametrize("crash_at", (200.0, 333.0, 1000.0))
+@pytest.mark.parametrize("tier", ("nic", "kernel"))
+def test_nic_collective_crash_raises_everywhere(tier, crash_at):
+    """A node dying mid-offload-collective surfaces as
+    ``MpiProcFailed`` on every group member, the victim included, at
+    either site and wherever in the wave the crash lands — never a raw
+    transport error, never a hang (run_mpi returning within the limit
+    proves no rank wedged): the state machine aborts its waiters
+    through the ULFM path and keeps no in-flight state behind."""
+    assert _offload_crash_run(tier, crash_at) == (["MpiProcFailed"] * 8, 0)
+
+
+@pytest.mark.parametrize("tier", ("nic", "kernel"))
+def test_offload_collective_crash_inside_the_deposit(tier):
+    """The victim crashes while its own call is still paying for the
+    deposit (doorbell / syscall): the waiter exists from entry, so the
+    call fails instead of waiting for a wave that cannot come."""
+    entries = []
+    assert _offload_crash_run(tier, 1e9, entries) == (["finished"] * 8, 0)
+    assert _offload_crash_run(tier, entries[5] + 0.1) == (
+        ["MpiProcFailed"] * 8, 0)
 
 
 def test_nic_collective_chaos_scenario_recovers():
