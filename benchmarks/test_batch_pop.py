@@ -9,7 +9,9 @@ re-compare of the three event sources per event.  This benchmark runs
 a same-instant-heavy workload both ways and reports the delta; the
 assertion only pins that batching never *loses* (the table stays
 bit-identical and the batched run is not meaningfully slower), since
-single-core CI timing is too noisy to pin a exact speedup.
+single-core CI timing is too noisy to pin a exact speedup.  The cost of
+an entry in Python calls is exact, and asserted (see
+``tests/test_entry_cost.py``).
 """
 
 import time
@@ -17,6 +19,7 @@ import time
 from repro import fastpath
 from repro.sim import Simulator
 from repro.sim.events import Callback
+from tests.test_entry_cost import python_calls
 
 
 def _burst_workload(sim: Simulator, instants: int, per_instant: int,
@@ -66,3 +69,16 @@ def test_batch_pop_order_identical_and_not_slower(benchmark):
     # (Measured ~1.2-1.4x faster on one core; timing noise on shared
     # CI runners makes a tighter floor flaky.)
     assert batched_wall < reference_wall * 1.5
+    # The budget, as a count: an entry is born queued in one call
+    # (``Callback.__init__`` pushes itself; ``Event.__init__`` and
+    # ``schedule_at`` were two more) behind this file's closure factory,
+    # and run in two (``Callback._process``, the closure).
+    with fastpath.force(True):
+        sim = Simulator()
+        with python_calls() as calls:
+            _burst_workload(sim, 400, 64, [])
+            sim.run()
+    print(f"{calls.total / sim.events_processed:.3f} Python calls per "
+          f"entry, built and run")
+    assert sim.events_processed == batched_events
+    assert calls.total <= 4 * batched_events + 3

@@ -15,7 +15,8 @@ counts are printed, not compared: the reference scheduler wakes the bus
 from a spawned process (three queue entries per wake), and when a join
 lands on the very instant of a wake the two modes order that pair
 differently — two steps there, or one that does both jobs.  No timing
-assert: single-core CI is too noisy.
+assert: single-core CI is too noisy.  What is asserted instead is the
+step's cost in Python calls (exact, see ``tests/test_entry_cost.py``).
 """
 
 import time
@@ -23,11 +24,12 @@ import time
 from repro import fastpath
 from repro.hw.pci import BandwidthBus
 from repro.sim import Simulator
+from tests.test_entry_cost import python_calls
 
 LANES = [(1064.0, 1.0)] * 6 + [(1200.0, 5.0)] * 6
 
 
-def _run(enabled: bool, per_lane: int = 400):
+def _run(enabled: bool, per_lane: int = 400, count_calls: bool = False):
     with fastpath.force(enabled):
         sim = Simulator()
         bus = BandwidthBus(sim, rate=2100.0, setup=0.02)
@@ -53,6 +55,10 @@ def _run(enabled: bool, per_lane: int = 400):
 
         for index, (cap, weight) in enumerate(LANES):
             lane(index, cap, weight)
+        if count_calls:
+            with python_calls() as calls:
+                sim.run()
+            return calls.total, sim.events_processed
         started = time.perf_counter()
         sim.run()
         wall = time.perf_counter() - started
@@ -78,3 +84,19 @@ def test_bus_step_identical_across_schedulers(benchmark):
           f"({fast_steps} steps, {fast_events} events), "
           f"reference {ref_wall / ref_steps * 1e9:.0f} ns/step "
           f"({ref_steps} steps, {ref_events} events)")
+    # The budget, as a count.  Every entry the bus queues — a join or a
+    # wake — runs in at most four calls: its ``_process``, ``_settle``,
+    # ``_reallocate`` and ``_arm_wake`` (which pushes the wake itself).
+    # Every transfer adds the two it is born in (``transfer_event``,
+    # ``_Flow.__init__``), its ``_transfer_done`` and this file's own
+    # continuation (``issue`` and the ``sim.now`` property): five.
+    # ``run`` and ``_drive`` once.  All told 6.49 per entry; 10.48
+    # before the constructor chain, ``_enter``, ``_join``,
+    # ``_on_wake_fast``, ``schedule`` / ``schedule_at`` and the
+    # water-fill's list comprehension went.
+    calls, events = _run(True, count_calls=True)
+    transfers = len(LANES) * 400
+    print(f"{calls} Python calls: {calls / events:.2f} per entry "
+          f"({events} entries, {transfers} transfers)")
+    assert events == fast_events
+    assert calls <= 4 * events + 5 * transfers + 2

@@ -50,6 +50,7 @@ immediately still observe the exact reference timing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.hw.node import PCIX_RATE
@@ -87,7 +88,7 @@ class TrainCallback(Callback):
     def __init__(self, sim, fn, guard_scope=None, delay: float = 0.0,
                  at: Optional[float] = None) -> None:
         self.guard_scope = guard_scope
-        super().__init__(sim, fn, delay=delay, at=at)
+        super().__init__(sim, fn, delay, at)
 
 
 class VirtualResidue:
@@ -220,7 +221,7 @@ def plan_train(port, frames) -> Optional[_Plan]:
     dma_bytes = 0
     payload_bytes = 0
     for i, frame in enumerate(frames):
-        wire = frame.wire_bytes(dma_overhead)
+        wire = frame.padded_bytes + dma_overhead
         dma_bytes += wire
         payload_bytes += frame.payload_bytes
         join = p_prev + setup
@@ -234,7 +235,7 @@ def plan_train(port, frames) -> Optional[_Plan]:
             p_i = d_i
         w_i = p_i if (s_prev is None or s_prev < p_i) else s_prev
         slot_release.append(w_i)
-        ser = frame.wire_bytes(wire_overhead) / wire_rate
+        ser = (frame.padded_bytes + wire_overhead) / wire_rate
         s_prev = (w_i + tx_proc) + ser
         arrivals.append(s_prev + propagation)
         p_prev = p_i
@@ -316,10 +317,8 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
         if callable(target):
             Callback(sim, target, at=when)
         else:
-            TrainCallback(
-                sim, (lambda f=target: peer.frame_arrived(f)),
-                guard_scope=scope, at=when,
-            )
+            TrainCallback(sim, partial(peer.frame_arrived, target), scope,
+                          at=when)
 
     rec = sim.recorder
     if rec is not None:
@@ -350,7 +349,7 @@ def _record_train_spans(port, frames, plan: _Plan, rec) -> None:
     pci_series = f"pci{port.pci_index}:{node}"
     p_prev = sim._now
     for i, frame in enumerate(frames):
-        wire = frame.wire_bytes(dma_overhead)
+        wire = frame.padded_bytes + dma_overhead
         rec.metrics.observe(bus_series, p_prev, float(wire))
         rec.metrics.observe(pci_series, p_prev, float(wire))
         ctx = getattr(frame.payload, "trace", None)

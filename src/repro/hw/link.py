@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -60,14 +61,26 @@ class Frame:
     #: Set by fault injection: the frame was damaged on the wire.
     corrupted: bool = False
     frame_id: int = field(default_factory=_frame_ids.__next__)
+    #: The body as serialized: Ethernet pads short frames to the 64-byte
+    #: minimum (header 14 + body + FCS 4 >= 64).  The byte counts never
+    #: change after construction, so every DMA and wire stage a frame
+    #: crosses adds its own framing overhead to this one number.
+    padded_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.padded_bytes = max(self.payload_bytes + self.header_bytes,
+                                64 - 18)
+
+    def __setstate__(self, state: dict) -> None:
+        # Window logs checkpointed before ``padded_bytes`` existed hold
+        # frames without it, under this same code version.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def wire_bytes(self, frame_overhead: int, min_frame: int = 64) -> int:
         """Total serialized bytes including Ethernet framing."""
         body = self.payload_bytes + self.header_bytes
-        # Ethernet pads short frames to the 64-byte minimum
-        # (header 14 + body + FCS 4 >= 64).
-        padded = max(body, min_frame - 18)
-        return padded + frame_overhead
+        return max(body, min_frame - 18) + frame_overhead
 
 
 class Link:
@@ -128,7 +141,7 @@ class Link:
         return port
 
     def serialization_time(self, frame: Frame) -> float:
-        return frame.wire_bytes(self.frame_overhead) / self.wire_rate
+        return (frame.padded_bytes + self.frame_overhead) / self.wire_rate
 
     @property
     def fault_capable(self) -> bool:
@@ -203,8 +216,8 @@ class Link:
         if self.sim._fast:
             # One queue entry instead of a spawned delivery process;
             # lands at the identical instant.
-            Callback(self.sim, lambda: peer.frame_arrived(frame),
-                     delay=self.propagation)
+            Callback(self.sim, partial(peer.frame_arrived, frame),
+                     self.propagation)
         else:
             self.sim.spawn(
                 self._deliver(peer, frame), name=f"{self.name}:deliver"
@@ -242,8 +255,8 @@ class Link:
                               self.sim._now)
         if not deliver:
             return
-        Callback(self.sim, lambda: peer.frame_arrived(frame),
-                 delay=self.propagation)
+        Callback(self.sim, partial(peer.frame_arrived, frame),
+                 self.propagation)
 
 
 class BoundaryLink(Link):

@@ -54,6 +54,7 @@ already held) and must re-post receive descriptors via
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError
@@ -321,7 +322,7 @@ class GigEPort:
     def _fetch_one(self, frame: Frame):
         sim = self.sim
         fifo = self._tx_fifo
-        wire = frame.wire_bytes(self.params.frame_overhead)
+        wire = frame.padded_bytes + self.params.frame_overhead
         t0 = sim._now
         if sim._fast:
             yield self.host.dma_event(wire, self.pci_index)
@@ -425,7 +426,7 @@ class GigEPort:
         self._tx_frame = frame
         self._tx_t0 = self.sim._now
         self.host.dma_event(
-            frame.wire_bytes(self.params.frame_overhead), self.pci_index,
+            frame.padded_bytes + self.params.frame_overhead, self.pci_index,
         ).callbacks.append(self._tx_fetched)
 
     def _tx_fetched(self, _flow: Event) -> None:
@@ -515,7 +516,7 @@ class GigEPort:
             if admitted is None:
                 fetch_waited = True
             else:
-                admitted.succeed(priority=URGENT)
+                admitted.succeed(None, URGENT)
         self._tx_wire_start()
         if fetch_waited:
             self._tx_fetch_next()
@@ -558,7 +559,7 @@ class GigEPort:
             yield credits.get()
             t0 = sim._now
             yield from self.host.dma(
-                frame.wire_bytes(params.frame_overhead), self.pci_index)
+                frame.padded_bytes + params.frame_overhead, self.pci_index)
             self._rx_delivered(frame, t0)
 
     # The same stage under the fast scheduler: a callback recurrence on
@@ -590,7 +591,7 @@ class GigEPort:
     def _rx_dma(self, _credit: Optional[Event] = None) -> None:
         self._rx_t0 = self.sim._now
         self.host.dma_event(
-            self._rx_frame.wire_bytes(self.params.frame_overhead),
+            self._rx_frame.padded_bytes + self.params.frame_overhead,
             self.pci_index,
         ).callbacks.append(self._rx_dma_done)
 
@@ -630,7 +631,7 @@ class GigEPort:
                 # expression matches _irq_timer's timeout op-for-op
                 # (the spawn's init event runs at this same instant).
                 self._irq_timer_cb = TrainCallback(
-                    sim, lambda: self._irq_timer_fired(deadline),
+                    sim, partial(self._irq_timer_fired, deadline),
                     delay=max(0.0, deadline - sim._now))
             else:
                 sim.spawn(self._irq_timer(deadline),

@@ -88,7 +88,7 @@ class IrqController:
                     self._dispatch(), name=f"irq[{self.host.node_id}]"
                 )
             else:
-                kick.succeed(priority=URGENT)
+                kick.succeed(None, URGENT)
 
     def _dispatch(self):
         """The node's one dispatcher process: services an interrupt,

@@ -18,11 +18,13 @@ surplus to the rest.
 
 from __future__ import annotations
 
+from heapq import heappush
+from operator import attrgetter
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Simulator
-from repro.sim.events import Event, _PENDING
+from repro.sim.events import Event, NORMAL, _PENDING
 
 #: Residual bytes below this complete immediately (a millionth of a
 #: byte).  Must be comfortably above accumulated float error so a
@@ -33,43 +35,77 @@ _EPS = 1e-6
 #: simulated times up to ~10^9 us.
 _MIN_HORIZON = 1e-6
 _INF = float("inf")
+_weight = attrgetter("weight")
 
 
 class _Flow(Event):
     """One transfer on a fluid bus: flow record, join entry, completion.
 
-    The caller waits on the flow itself.  :meth:`transfer_event` also
-    queues it *pending* for the end of the setup window, so the kernel
-    processes a fused flow twice at most: while pending ``_process``
-    admits it to the bus; once the bus has triggered it (reference
-    scheduler only — the fast one completes flows inline in
+    Building the record is entering the bus — argument checks and entry
+    accounting, the same for both transfer shapes.  The caller waits on
+    the flow itself.  :meth:`transfer_event` also has it queued
+    *pending* (``join_at``) for the end of the setup window, so the
+    kernel processes a fused flow twice at most: while pending
+    ``_process`` admits it to the bus; once the bus has triggered it
+    (reference scheduler only — the fast one completes flows inline in
     ``_settle``) ``_process`` is the ordinary callback run.
     """
 
     __slots__ = ("bus", "remaining", "cap", "weight", "rate")
 
     def __init__(self, bus: "BandwidthBus", nbytes: float,
-                 cap: Optional[float], weight: float) -> None:
-        sim = bus.sim
-        super().__init__(
-            sim, name=f"{bus.name}:xfer" if sim.trace is not None else "")
+                 cap: Optional[float], weight: float,
+                 join_at: Optional[float] = None) -> None:
+        if cap is not None and cap <= 0:
+            raise ConfigurationError(f"rate cap must be > 0, got {cap}")
+        if weight <= 0:
+            raise ConfigurationError(f"weight must be > 0, got {weight}")
+        self.sim = sim = bus.sim
+        now = sim._now
+        if join_at is not None and join_at < now:
+            raise SimulationError(
+                f"cannot schedule at {join_at} before now={now}")
+        stats = bus.stats
+        stats["transfers"] += 1
+        stats["bytes"] += nbytes
+        rec = sim.recorder
+        if rec is not None:
+            rec.metrics.observe("bus:" + bus.name, now, float(nbytes))
+        bus._entered += 1
+        self.name = f"{bus.name}:xfer" if sim.trace is not None else ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self.bus = bus
         self.remaining = float(nbytes)
         self.cap = cap
         self.weight = weight
         self.rate = 0.0
+        if join_at is not None:
+            sim._sequence = sequence = sim._sequence + 1
+            if join_at == now and sim._fast:
+                sim._normal.append((join_at, sequence, self))
+            else:
+                heappush(sim._queue, (join_at, NORMAL, sequence, self))
 
     def _process(self) -> None:
         if self._value is _PENDING:
+            # The post-setup half of a transfer: admit the flow.
             bus = self.bus
             bus._join_times.remove(bus.sim._now)
-            bus._join(self)
+            bus._settle()
+            flows = bus._flows
+            flows.append(self)
+            if len(flows) > bus.stats["max_concurrency"]:
+                bus.stats["max_concurrency"] = len(flows)
+            bus._reallocate()
         else:
             super()._process()
 
 
 class _Wake(Event):
-    """A bus's one wake entry, queued again for every wake instant."""
+    """A bus's one wake entry (fast scheduler), queued again for every
+    wake instant."""
 
     __slots__ = ("bus",)
 
@@ -80,7 +116,22 @@ class _Wake(Event):
         self._value = None
 
     def _process(self) -> None:
-        self.bus._on_wake_fast()
+        bus = self.bus
+        now = bus.sim._now
+        try:
+            bus._wake_times.remove(now)
+        except ValueError:  # pragma: no cover - defensive
+            pass
+        if not bus._flows:
+            return
+        target = bus._wake_time
+        if now >= target:
+            bus._settle()
+            if bus._flows:
+                bus._reallocate()
+        else:
+            # Stale fire ahead of the valid target: re-arm.
+            bus._arm_wake(target)
 
 
 class BandwidthBus:
@@ -127,23 +178,6 @@ class BandwidthBus:
         """Currently allocated bytes/us across all flows."""
         return sum(flow.rate for flow in self._flows)
 
-    def _enter(self, nbytes: float, rate_cap: Optional[float],
-               weight: float) -> None:
-        """Argument checks and entry accounting shared by both
-        transfer shapes."""
-        if rate_cap is not None and rate_cap <= 0:
-            raise ConfigurationError(f"rate cap must be > 0, got {rate_cap}")
-        if weight <= 0:
-            raise ConfigurationError(f"weight must be > 0, got {weight}")
-        stats = self.stats
-        stats["transfers"] += 1
-        stats["bytes"] += nbytes
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.metrics.observe("bus:" + self.name, self.sim._now,
-                                float(nbytes))
-        self._entered += 1
-
     def transfer(self, nbytes: float, rate_cap: Optional[float] = None,
                  weight: float = 1.0):
         """Process: move ``nbytes``; completes when the fluid share
@@ -155,14 +189,17 @@ class BandwidthBus:
         """
         if nbytes < 0:
             raise ConfigurationError(f"negative transfer size {nbytes}")
-        self._enter(nbytes, rate_cap, weight)
+        flow = _Flow(self, nbytes, rate_cap, weight)
         try:
             if self.setup:
                 yield self.sim.timeout(self.setup)
             if nbytes == 0:
                 return 0.0
-            flow = _Flow(self, nbytes, rate_cap, weight)
-            self._join(flow)
+            # A join is the pending flow's own step and takes its
+            # instant off ``_join_times``; this one was never queued,
+            # so it is listed only to run at once.
+            self._join_times.append(self.sim._now)
+            flow._process()
             yield flow
         finally:
             self._entered -= 1
@@ -192,26 +229,12 @@ class BandwidthBus:
             raise ConfigurationError(
                 f"transfer_event needs a setup window, bus setup is "
                 f"{self.setup}")
-        self._enter(nbytes, rate_cap, weight)
-        flow = _Flow(self, nbytes, rate_cap, weight)
+        if at is None:
+            at = self.sim._now + self.setup
+        flow = _Flow(self, nbytes, rate_cap, weight, at)
         flow.callbacks.append(self._transfer_done)
-        sim = self.sim
-        if at is not None:
-            sim.schedule_at(flow, at)
-        else:
-            at = sim._now + self.setup      # where schedule() lands it
-            sim.schedule(flow, self.setup)
         self._join_times.append(at)
         return flow
-
-    def _join(self, flow: _Flow) -> None:
-        """Admit a flow (the post-setup half of a transfer)."""
-        self._settle()
-        flows = self._flows
-        flows.append(flow)
-        if len(flows) > self.stats["max_concurrency"]:
-            self.stats["max_concurrency"] = len(flows)
-        self._reallocate()
 
     def _transfer_done(self, _flow: _Flow) -> None:
         self._entered -= 1
@@ -256,7 +279,6 @@ class BandwidthBus:
                 flow._ok = True
                 flow._value = None
                 callbacks, flow.callbacks = flow.callbacks, None
-                flow._processed = True
                 for callback in callbacks:
                     callback(flow)
         else:
@@ -284,7 +306,7 @@ class BandwidthBus:
                 # sum(), not a += loop: CPython 3.12 compensates float
                 # sums, so a hand loop would move the last ulp there for
                 # weights that do not add exactly (0.1 + 0.3).
-                unit = budget / sum([f.weight for f in pending])
+                unit = budget / sum(map(_weight, pending))
                 # Flows still uncapped after this round; stays None (and
                 # the shares just assigned are final) if none is capped.
                 rest = None
@@ -327,29 +349,12 @@ class BandwidthBus:
         self._settle()
         self._reallocate()
 
-    def _on_wake_fast(self) -> None:
-        now = self.sim._now
-        times = self._wake_times
-        try:
-            times.remove(now)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        if not self._flows:
-            return
-        target = self._wake_time
-        if now >= target:
-            self._settle()
-            self._reallocate()
-            return
-        # Stale fire ahead of the valid target: re-arm.
-        self._arm_wake(target)
-
     def _arm_wake(self, target: float) -> None:
         """Queue the wake entry for ``target`` unless an entry already
         queued will do its work.
 
         An outstanding wake at or before the target re-arms itself on a
-        stale fire (see _on_wake_fast), so settle/reallocate still run
+        stale fire (see _Wake._process), so settle/reallocate still run
         at exactly the valid instant and membership churn strands no
         dead entry per reallocation.  A queued join *strictly* before
         the target settles and reallocates itself, which supersedes
@@ -364,7 +369,12 @@ class BandwidthBus:
             if t < target:
                 return
         times.append(target)
-        self.sim.schedule_at(self._wake_event, target)
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        if target == sim._now:
+            sim._normal.append((target, sequence, self._wake_event))
+        else:
+            heappush(sim._queue, (target, NORMAL, sequence, self._wake_event))
 
     def _wake(self, generation: int, delay: float):
         yield self.sim.timeout(delay)

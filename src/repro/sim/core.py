@@ -161,14 +161,14 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` microseconds from now."""
-        return Timeout(self, delay, value=value)
+        return Timeout(self, delay, value)
 
     def sleep_until(self, when: float) -> Event:
         """A pre-triggered event that fires at absolute time ``when``."""
         event = Event(self)
         event._ok = True
         event._value = None
-        self.schedule_at(event, when, priority=NORMAL)
+        self.schedule_at(event, when)
         return event
 
     def event(self, name: str = "") -> Event:
@@ -256,8 +256,8 @@ class Simulator:
                 self.step()
             return True
         # Hot loop: no trace branch, the three-way merge inlined without
-        # key-tuple allocation, and same-instant heap runs drained in
-        # one batch.
+        # key-tuple allocation, a lone heap entry dispatched as popped
+        # and same-instant heap runs drained in one batch.
         processed = 0
         crashed = self._crashed
         urgent = self._urgent
@@ -313,43 +313,49 @@ class Simulator:
                     processed += 1
                     normal.popleft()[2]._process()
                 else:
-                    # Batch drain: every heap entry at this
-                    # (time, priority) is already in final order — the
-                    # sequence field settles ties — and in fast mode no
-                    # new heap entry can appear at the current instant
-                    # (zero-delay scheduling goes to the deques), so
-                    # dispatching the run without re-running the merge
-                    # per event is order-exact.
                     first = heappop(queue)
                     priority = first[1]
-                    batch = [first]
-                    while (queue and queue[0][0] == when
-                           and queue[0][1] == priority):
-                        batch.append(heappop(queue))
-                    index = 0
-                    nbatch = len(batch)
-                    normal_batch = priority == NORMAL
-                    while index < nbatch:
-                        if awaited._value is not _PENDING:
-                            # Later same-instant events stay queued, as
-                            # the reference loop leaves them.
-                            break
-                        if normal_batch and urgent:
-                            # A zero-delay urgent event scheduled
-                            # mid-batch outranks the rest of it.
-                            break
-                        event = batch[index][3]
-                        index += 1
+                    if not (queue and queue[0][0] == when
+                            and queue[0][1] == priority):
                         processed += 1
-                        event._process()
-                        if crashed:
-                            break
-                    if index < nbatch:
-                        # Requeue the unprocessed tail verbatim: the
-                        # original tuples keep their sequence numbers,
-                        # so relative order against the rest holds.
-                        for item in batch[index:]:
-                            heappush(queue, item)
+                        first[3]._process()
+                    else:
+                        # Batch drain: every heap entry at this
+                        # (time, priority) is already in final order —
+                        # the sequence field settles ties — and in fast
+                        # mode no new heap entry can appear at the
+                        # current instant (zero-delay scheduling goes to
+                        # the deques), so dispatching the run without
+                        # re-running the merge per event is order-exact.
+                        batch = [first, heappop(queue)]
+                        while (queue and queue[0][0] == when
+                               and queue[0][1] == priority):
+                            batch.append(heappop(queue))
+                        index = 0
+                        nbatch = len(batch)
+                        normal_batch = priority == NORMAL
+                        while index < nbatch:
+                            if awaited._value is not _PENDING:
+                                # Later same-instant events stay queued,
+                                # as the reference loop leaves them.
+                                break
+                            if normal_batch and urgent:
+                                # A zero-delay urgent event scheduled
+                                # mid-batch outranks the rest of it.
+                                break
+                            event = batch[index][3]
+                            index += 1
+                            processed += 1
+                            event._process()
+                            if crashed:
+                                break
+                        if index < nbatch:
+                            # Requeue the unprocessed tail verbatim: the
+                            # original tuples keep their sequence
+                            # numbers, so relative order against the
+                            # rest holds.
+                            for item in batch[index:]:
+                                heappush(queue, item)
                 if crashed:
                     self._raise_crashed(when)
         finally:

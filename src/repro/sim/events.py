@@ -14,6 +14,7 @@ generator (or throwing its exception).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -38,18 +39,27 @@ class Event:
         Owning simulator.
     name:
         Optional label used in traces and ``repr``.
+
+    An entry's host cost is counted in Python calls, and the budget is
+    one to be born queued and one to run.  So the subclasses hot paths
+    build (``Timeout``, ``Callback``, the store, resource, process-start
+    and bus-flow events) repeat the five assignments below — and, those
+    born queued, the lane choice of :meth:`Simulator.schedule` — in
+    their own ``__init__`` instead of calling up.  That is the whole
+    duplication and it is what buys the call; a label is built only
+    when a trace is attached to read it.
     """
 
-    __slots__ = ("sim", "name", "callbacks", "_value", "_ok", "_processed")
+    __slots__ = ("sim", "name", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
-        #: Callables invoked with this event when it is processed.
+        #: Callables invoked with this event when it is processed;
+        #: ``None`` from then on, which is what *processed* means.
         self.callbacks: Optional[list] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        self._processed = False
 
     # -- state ------------------------------------------------------------
     @property
@@ -60,7 +70,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -79,11 +89,18 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Set a success value and schedule processing now."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim.schedule(self, delay=0.0, priority=priority)
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        if sim._fast and priority == URGENT:
+            sim._urgent.append((sim._now, sequence, self))
+        elif sim._fast and priority == NORMAL:
+            sim._normal.append((sim._now, sequence, self))
+        else:
+            heappush(sim._queue, (sim._now, priority, sequence, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -91,20 +108,19 @@ class Event:
 
         The exception is thrown into every process waiting on the event.
         """
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
         self._ok = False
         self._value = exception
-        self.sim.schedule(self, delay=0.0, priority=priority)
+        self.sim.schedule(self, 0.0, priority)
         return self
 
     # -- kernel hook --------------------------------------------------------
     def _process(self) -> None:
         """Run callbacks. Called exactly once by the simulator."""
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         for callback in callbacks:
             callback(self)
 
@@ -116,14 +132,14 @@ class Event:
             stub.callbacks.append(lambda _e: callback(self))
             stub._ok = self._ok
             stub._value = self._value if self._value is not _PENDING else None
-            self.sim.schedule(stub, delay=0.0, priority=URGENT)
+            self.sim.schedule(stub, 0.0, URGENT)
         else:
             self.callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
-            "processed" if self._processed
-            else "triggered" if self.triggered
+            "processed" if self.callbacks is None
+            else "triggered" if self._value is not _PENDING
             else "pending"
         )
         label = f" {self.name!r}" if self.name else ""
@@ -152,15 +168,19 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        # Building the label costs more than the rest of the
-        # constructor; only pay for it when a trace will read it.
         if not name and sim.trace is not None:
             name = f"timeout({delay:g})"
-        super().__init__(sim, name=name)
-        self.delay = delay
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._ok = True
         self._value = value
-        sim.schedule(self, delay=delay, priority=NORMAL)
+        self.delay = delay
+        sim._sequence = sequence = sim._sequence + 1
+        if delay == 0.0 and sim._fast:
+            sim._normal.append((sim._now, sequence, self))
+        else:
+            heappush(sim._queue, (sim._now + delay, NORMAL, sequence, self))
 
 
 class Callback(Event):
@@ -177,18 +197,34 @@ class Callback(Event):
     def __init__(self, sim: "Simulator", fn: Callable[[], None],
                  delay: float = 0.0, at: Optional[float] = None,
                  priority: int = NORMAL, name: str = "") -> None:
-        super().__init__(sim, name=name)
-        self.fn = fn
+        now = sim._now
+        if at is None:
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule into the past ({delay})")
+            at = now + delay
+            same_instant = delay == 0.0
+        elif at < now:
+            raise SimulationError(
+                f"cannot schedule at {at} before now={now}")
+        else:
+            same_instant = at == now
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._ok = True
         self._value = None
-        if at is not None:
-            sim.schedule_at(self, at, priority=priority)
+        self.fn = fn
+        sim._sequence = sequence = sim._sequence + 1
+        if same_instant and sim._fast and priority == NORMAL:
+            sim._normal.append((at, sequence, self))
+        elif same_instant and sim._fast and priority == URGENT:
+            sim._urgent.append((at, sequence, self))
         else:
-            sim.schedule(self, delay=delay, priority=priority)
+            heappush(sim._queue, (at, priority, sequence, self))
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         self.fn()
         for callback in callbacks:
             callback(self)
@@ -227,7 +263,7 @@ class Condition(Event):
         raise NotImplementedError
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
@@ -243,7 +279,7 @@ class Condition(Event):
         return {
             event: event._value
             for event in self.events
-            if event._processed and event._ok
+            if event.callbacks is None and event._ok
         }
 
 

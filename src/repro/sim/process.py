@@ -16,6 +16,7 @@ with the generator's return value, so processes can wait on each other::
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import InterruptError, SimulationError
@@ -31,14 +32,16 @@ class _Initialize(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(
-            sim,
-            name=f"init:{process.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim
+        self.name = f"init:{process.name}" if sim.trace is not None else ""
+        self.callbacks = [process._resume]
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
-        sim.schedule(self, delay=0.0, priority=URGENT)
+        sim._sequence = sequence = sim._sequence + 1
+        if sim._fast:
+            sim._urgent.append((sim._now, sequence, self))
+        else:
+            heappush(sim._queue, (sim._now, URGENT, sequence, self))
 
 
 class Process(Event):
@@ -78,7 +81,7 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = InterruptError(cause)
         interrupt_event.callbacks.append(self._resume)
-        self.sim.schedule(interrupt_event, delay=0.0, priority=URGENT)
+        self.sim.schedule(interrupt_event, 0.0, URGENT)
 
     # -- kernel hook --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -93,7 +96,8 @@ class Process(Event):
             # An interrupt passes, also at start-up (target is None).
             if not isinstance(event._value, InterruptError):
                 return
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         # Detach from the old target so stale wakeups are detectable.
         self._target = None
         try:
@@ -102,6 +106,7 @@ class Process(Event):
             else:
                 next_target = self.generator.throw(event._value)
         except StopIteration as stop:
+            sim._active_process = None
             self.is_alive = False
             if self.callbacks:
                 self.succeed(stop.value)
@@ -113,40 +118,42 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 self.callbacks = None
-                self._processed = True
             return
         except BaseException as exc:
+            sim._active_process = None
             self.is_alive = False
             if self.callbacks:
                 self.fail(exc)
             else:
                 # Nobody is waiting on this process: surface the crash
                 # instead of losing it.
-                self.sim._crash(self, exc)
+                sim._crash(self, exc)
             return
-        finally:
-            self.sim._active_process = None
-        if not isinstance(next_target, Event):
-            self.is_alive = False
-            self.fail(SimulationError(
-                f"{self.name} yielded non-event {next_target!r}"
-            ))
-            return
-        if next_target.sim is not self.sim:
+        sim._active_process = None
+        # An event of this simulator has both attributes; anything else
+        # is told apart on the way out.
+        try:
+            owner = next_target.sim
+            waiters = next_target.callbacks
+        except AttributeError:
+            owner = None
+        if owner is not sim:
             self.is_alive = False
             self.fail(SimulationError(
                 f"{self.name} yielded event from another simulator"
+                if isinstance(next_target, Event) else
+                f"{self.name} yielded non-event {next_target!r}"
             ))
             return
-        self._target = next_target
-        if next_target.callbacks is None:
+        if waiters is None:
             # Already processed: resume on the next URGENT tick with the
             # same outcome, preserving causal ordering.
-            shim = Event(self.sim, name=f"shim:{self.name}")
+            shim = Event(sim, f"shim:{self.name}")
             shim._ok = next_target._ok
             shim._value = next_target._value
             shim.callbacks.append(self._resume)
             self._target = shim
-            self.sim.schedule(shim, delay=0.0, priority=URGENT)
+            sim.schedule(shim, 0.0, URGENT)
         else:
-            next_target.callbacks.append(self._resume)
+            self._target = next_target
+            waiters.append(self._resume)

@@ -13,7 +13,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, URGENT, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -28,11 +28,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        sim = resource.sim
-        super().__init__(
-            sim,
-            name=f"request:{resource.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim = resource.sim
+        self.name = (f"request:{resource.name}" if sim.trace is not None
+                     else "")
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self.resource = resource
 
 
@@ -103,7 +104,7 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self._holders.add(req)
         self.stats["grants"] += 1
-        req.succeed(req, priority=URGENT)
+        req.succeed(req, URGENT)
 
     def _dispatch(self) -> None:
         while self._waiters and len(self._holders) < self.capacity:
@@ -131,7 +132,13 @@ class PriorityRequest(Request):
 
     def __init__(self, resource: "PriorityResource", priority: int,
                  order: int) -> None:
-        super().__init__(resource)
+        self.sim = sim = resource.sim
+        self.name = (f"request:{resource.name}" if sim.trace is not None
+                     else "")
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.resource = resource
         self.priority = priority
         self._order = order
 

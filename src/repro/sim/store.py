@@ -11,7 +11,7 @@ from collections import deque
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, URGENT, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -23,11 +23,11 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
-        sim = store.sim
-        super().__init__(
-            sim,
-            name=f"put:{store.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim = store.sim
+        self.name = f"put:{store.name}" if sim.trace is not None else ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self.item = item
 
 
@@ -38,11 +38,11 @@ class StoreGet(Event):
 
     def __init__(self, store: "Store",
                  filter: Optional[Callable[[Any], bool]] = None) -> None:
-        sim = store.sim
-        super().__init__(
-            sim,
-            name=f"get:{store.name}" if sim.trace is not None else "",
-        )
+        self.sim = sim = store.sim
+        self.name = f"get:{store.name}" if sim.trace is not None else ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self.filter = filter
 
 
@@ -149,14 +149,14 @@ class Store:
     def _do_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
             self._insert(event.item)
-            event.succeed(priority=URGENT)
+            event.succeed(None, URGENT)
             return True
         return False
 
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:
             self.stats["gets"] += 1
-            event.succeed(self.items.popleft(), priority=URGENT)
+            event.succeed(self.items.popleft(), URGENT)
             return True
         return False
 
@@ -244,7 +244,7 @@ class TokenPool(Store):
 
     def _do_put(self, event: StorePut) -> bool:
         if self._put_one():
-            event.succeed(priority=URGENT)
+            event.succeed(None, URGENT)
             return True
         return False
 
@@ -252,7 +252,7 @@ class TokenPool(Store):
         if self.level:
             self.level -= 1
             self.stats["gets"] += 1
-            event.succeed(1, priority=URGENT)
+            event.succeed(1, URGENT)
             return True
         return False
 
@@ -282,7 +282,7 @@ class FilterStore(Store):
             if event.filter(item):
                 del self.items[index]
                 self.stats["gets"] += 1
-                event.succeed(item, priority=URGENT)
+                event.succeed(item, URGENT)
                 return True
         return False
 

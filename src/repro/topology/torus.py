@@ -75,6 +75,8 @@ class Torus:
             raise TopologyError(f"all dimensions must be >= 1, got {dims}")
         self.dims: Coords = dims
         self.wrap = wrap
+        # Immutable, and hashed on every routing-cache lookup.
+        self._hash = hash((dims, wrap))
         self._strides = []
         stride = 1
         for d in reversed(dims):
@@ -124,7 +126,7 @@ class Torus:
         )
 
     def __hash__(self) -> int:
-        return hash((self.dims, self.wrap))
+        return self._hash
 
     # -- rank/coordinate mapping ----------------------------------------------
     def coords(self, rank: int) -> Coords:

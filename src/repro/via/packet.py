@@ -56,8 +56,11 @@ NIC_COLLECTIVE_KINDS = (
 
 #: Checksummed header layout: kind code, the eleven integer header
 #: fields, ``notify``, ``immediate`` as (present, value) so None stays
-#: distinct from 0, then ``seq`` and ``ack``.
-_KIND_CODE = {kind: code for code, kind in enumerate(PacketKind)}
+#: distinct from 0, then ``seq`` and ``ack``.  The code is the kind's
+#: position, carried on the member: a dict keyed by kind would hash an
+#: Enum (a Python-level ``__hash__``) twice per frame.
+for _code, _kind in enumerate(PacketKind):
+    _kind.wire_code = _code
 _pack_header = struct.Struct("<17q").pack
 
 
@@ -129,7 +132,7 @@ class ViaPacket:
         """
         immediate = self.immediate
         return zlib.crc32(_pack_header(
-            _KIND_CODE[self.kind], self.src_node, self.dst_node,
+            self.kind.wire_code, self.src_node, self.dst_node,
             self.dst_vi, self.src_vi, self.msg_id, self.frag_index,
             self.num_frags, self.payload_bytes, self.msg_offset,
             self.msg_bytes, self.remote_addr, self.notify,

@@ -24,7 +24,7 @@ from repro.hw import pci
 from repro.hw.pci import BandwidthBus
 from repro.mpi.request import waitall
 from repro.sim import Simulator
-from repro.sim.events import Event, NORMAL
+from tests.test_entry_cost import constructed
 
 
 def _functions_from_pci() -> int:
@@ -35,22 +35,16 @@ def _functions_from_pci() -> int:
                and o.__code__.co_filename == pci.__file__)
 
 
-def test_fused_transfer_builds_one_record(monkeypatch):
-    built = []
-    event_init = Event.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(type(self).__name__)
-        event_init(self, *args, **kwargs)
-
+def test_fused_transfer_builds_one_record():
     with fastpath.force(True):
         sim = Simulator()
         bus = BandwidthBus(sim, rate=2100.0, setup=0.02)
         functions = _functions_from_pci()
-        monkeypatch.setattr(Event, "__init__", counting_init)
-        flows = [bus.transfer_event(4096.0, rate_cap=1064.0)
-                 for _ in range(50)]
-        monkeypatch.undo()
+        # Counted where objects are constructed, not in Event.__init__:
+        # a flow fills its own slots and never calls up.
+        with constructed() as built:
+            flows = [bus.transfer_event(4096.0, rate_cap=1064.0)
+                     for _ in range(50)]
         # One Event subclass instance per transfer — no done event, no
         # Callback — and it is the queue entry of its own join.
         assert built == ["_Flow"] * 50
@@ -62,19 +56,19 @@ def test_fused_transfer_builds_one_record(monkeypatch):
         assert _functions_from_pci() == functions
 
 
-def test_one_wake_entry_serves_every_rearm():
+def test_one_wake_entry_serves_every_rearm(monkeypatch):
     with fastpath.force(True):
         sim = Simulator()
         bus = BandwidthBus(sim, rate=2100.0, setup=0.02)
         wake = bus._wake_event
-        armed = []
-        schedule_at = sim.schedule_at
+        fired = []
+        wake_process = pci._Wake._process
 
-        def spy(event, when, priority=NORMAL):
-            armed.append(event)
-            schedule_at(event, when, priority)
+        def spy(self):          # the bus pushes its wake itself, so the
+            fired.append(self)  # seam is where a wake entry is run
+            wake_process(self)
 
-        sim.schedule_at = spy       # fused joins use schedule(), not this
+        monkeypatch.setattr(pci._Wake, "_process", spy)
 
         def churn(nbytes, cap, weight):
             for _ in range(300):
@@ -84,9 +78,12 @@ def test_one_wake_entry_serves_every_rearm():
         for lane in range(6):       # joins and leaves interleave: stale
             sim.spawn(churn(1500.0 + 64 * lane, 1064.0, 1.0))   # fires
             sim.spawn(churn(700.0 + 48 * lane, 1200.0, 5.0))    # re-arm
-        sim.run()
-        assert len(armed) >= 1000
-        assert all(event is wake for event in armed)
+        with constructed() as built:
+            sim.run()
+        assert len(fired) >= 1000
+        assert all(event is wake for event in fired)
+        # Nothing but the transfers' own records was built on the way.
+        assert set(built) == {"_Flow"} and len(built) == 12 * 300
         assert bus._wake_event is wake and not bus._wake_times
 
 

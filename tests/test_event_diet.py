@@ -26,9 +26,10 @@ from repro.hw.node import Host
 from repro.hw.params import GigEParams
 from repro.mpi import SUM
 from repro.sim import Simulator
-from repro.sim.events import AllOf, Event
+from repro.sim.events import AllOf
 from repro.sim.process import Process
 from repro.sim.store import StoreGet
+from tests.test_entry_cost import constructed
 from tests.test_hw_nic import _pair
 
 BOTH = pytest.mark.parametrize("fast", [True, False],
@@ -55,32 +56,31 @@ def _ports(cluster):
 # -- (b) the NIC receive stage ---------------------------------------------
 
 def test_fast_rx_stage_is_one_entry_per_port_and_no_store_hop(monkeypatch):
-    built = Counter()
     gets_on = Counter()
-    event_init = Event.__init__
     get_init = StoreGet.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built[type(self).__name__] += 1
-        event_init(self, *args, **kwargs)
 
     def counting_get(self, store, *args, **kwargs):
         gets_on[store.name.rpartition(":")[2]] += 1
         get_init(self, store, *args, **kwargs)
 
     with fastpath.force(True):
-        monkeypatch.setattr(Event, "__init__", counting_init)
+        # StoreGet's own constructor is a seam; what else gets built is
+        # counted per object constructed (hot events never reach
+        # Event.__init__).
         monkeypatch.setattr(StoreGet, "__init__", counting_get)
-        cluster = build_mesh((2,), wrap=False)
-        assert run_mpi(cluster, _stream) == [0, 1]
+        with constructed() as names:
+            cluster = build_mesh((2,), wrap=False)
+            assert run_mpi(cluster, _stream) == [0, 1]
         monkeypatch.undo()
         idle = build_mesh((2,), wrap=False)
+    built = Counter(names)
     ports = _ports(cluster)
     frames = sum(port.stats["rx_frames"] for port in ports)
     assert len(ports) == 2 and frames > 150
     # No process ever waits for an arrival: there is no arrivals Store,
     # so no StoreGet on one (other stores still see gets).
     assert gets_on and "rxarr" not in gets_on
+    assert built["StoreGet"] == sum(gets_on.values())
     # One receive entry object per port for the whole run, re-queued for
     # every frame, built on the port's first frame.
     assert built["_RxStage"] == 2

@@ -85,7 +85,8 @@ def test_cap_never_exceeded(cap):
 # -- differential oracle: the bus as it was before flows became records ----
 #
 # ``_FrozenBus`` is the pre-rewrite implementation kept verbatim (minus
-# argument checks and the recorder hook): a plain flow record plus a done
+# argument checks, the recorder hook and the ``_processed`` store the
+# kernel no longer has): a plain flow record plus a done
 # Event, a Callback per fused join and per wake, list-copying water-fill.
 # The live bus must reproduce it bit for bit — completion order and
 # instants, statistics, reallocation count — under both schedulers; under
@@ -192,7 +193,6 @@ class _FrozenBus:
                 done._ok = True
                 done._value = None
                 callbacks, done.callbacks = done.callbacks, None
-                done._processed = True
                 for callback in callbacks:
                     callback(done)
         else:
