@@ -1,64 +1,62 @@
 """CLI: ``python -m repro.bench <experiment ...> [--quick] [--csv]``.
 
-``python -m repro.bench all`` runs everything (the full set takes a
-while; add ``--quick`` for the reduced sweeps).  ``--profile`` also
-records per-experiment wall-clock seconds and simulator event counts
-into ``BENCH_PERF.json``, keyed by whether the fast path was active —
-the file CI publishes to track the fast-path speedup.
+``python -m repro.bench all`` runs every experiment of the paper (the
+full set takes a while; add ``--quick`` for the reduced sweeps).  Each
+experiment closes with its wall-clock seconds and simulator event
+count — ``[fig4: 45.6s wall, 7093563 events]`` — on stdout; nothing is
+written to disk unless a path is named (``--trace``,
+``--telemetry-trace``).  Host-time numbers that are *compared* live in
+``ledger/`` (``python3 ledger/run.py``), not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 
 from repro.bench.harness import EXPERIMENTS, run_experiment
 
 
-def _write_profile(path: str, mode: str, profile: dict) -> None:
-    """Merge this run's numbers into ``path`` under ``mode``.
+def _run_experiments(args) -> None:
+    """The named experiments, under ambient ``--loss`` faults if asked;
+    the ambient default and the injector registry are restored even
+    when an experiment raises."""
+    from repro.hw import faults
+    from repro.sim import core as sim_core
 
-    The file keeps both modes side by side so one CI job per mode can
-    fill it in; ``speedup`` is derived wherever both are present.
-    """
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("fastpath_on", {})
-    data.setdefault("fastpath_off", {})
-    data[mode].update(profile)
-    speedups = {}
-    for name, on in data["fastpath_on"].items():
-        off = data["fastpath_off"].get(name)
-        if off and on["wall_s"] > 0:
-            speedups[name] = round(off["wall_s"] / on["wall_s"], 2)
-    data["speedup"] = speedups
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _merge_section(path: str, key: str, value: dict) -> None:
-    """Write ``value`` as BENCH_PERF.json's ``key`` section, preserving
-    whatever the other jobs recorded."""
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = value
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    names = args.experiments
+    if names == ["all"]:
+        names = EXPERIMENTS
+    faulty = args.loss > 0.0
+    if faulty:
+        faults.clear_registry()
+        faults.set_ambient(faults.FaultParams(
+            seed=args.fault_seed, loss_rate=args.loss,
+        ))
+    try:
+        for name in names:
+            events_before = sim_core.TOTAL_EVENTS
+            started = time.perf_counter()
+            result = run_experiment(name, quick=args.quick)
+            wall = time.perf_counter() - started
+            sys.stdout.write(result.csv() if args.csv else result.render())
+            sys.stdout.write(
+                f"[{name}: {wall:.1f}s wall, "
+                f"{sim_core.TOTAL_EVENTS - events_before} events]\n\n")
+        if faulty:
+            totals = faults.injected_totals()
+            sys.stdout.write(
+                f"[faults: seed={args.fault_seed} loss={args.loss} "
+                f"injected={sum(totals.values())} "
+                + " ".join(f"{k}={v}" for k, v in sorted(totals.items())
+                           if v)
+                + "]\n"
+            )
+    finally:
+        if faulty:
+            faults.set_ambient(None)
+            faults.clear_registry()
 
 
 def main(argv=None) -> int:
@@ -68,7 +66,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiments", nargs="*",
-        help=f"experiment ids ({', '.join(EXPERIMENTS)}) or 'all'",
+        help=f"experiment ids ({', '.join(EXPERIMENTS)}), 'all' for "
+             f"those, or a study outside the paper's set: "
+             f"conformance, nic-collectives",
     )
     parser.add_argument("--chaos", type=int, default=0, metavar="N",
                         help="run N seeded chaos campaigns (node "
@@ -78,9 +78,6 @@ def main(argv=None) -> int:
                         help="reduced sweeps (CI-sized)")
     parser.add_argument("--csv", action="store_true",
                         help="emit CSV instead of tables")
-    parser.add_argument("--profile", action="store_true",
-                        help="record wall-clock and event counts into "
-                             "BENCH_PERF.json")
     parser.add_argument("--loss", type=float, default=0.0, metavar="P",
                         help="inject per-frame loss probability P on "
                              "every link (reliable delivery engages "
@@ -94,10 +91,6 @@ def main(argv=None) -> int:
                         help="pin every --chaos campaign to one "
                              "scenario (e.g. checkpoint-resume) "
                              "instead of the seeded rotation")
-    parser.add_argument("--ckpt-profile", action="store_true",
-                        help="measure window-checkpoint overhead on "
-                             "the quick sharded suite and record the "
-                             "'checkpoint' section of BENCH_PERF.json")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="run an 8-node fig5-style collective with "
                              "the flight recorder on and write a "
@@ -109,22 +102,11 @@ def main(argv=None) -> int:
                         help="run one sharded (PDES) workload across N "
                              "shard processes and print its table")
     parser.add_argument("--shard-dims", default="4,8,8", metavar="DxDxD",
-                        help="torus dims for --shards/--shard-scaling "
-                             "(comma separated, default 4,8,8 = the "
-                             "256-node fig4 mesh)")
+                        help="torus dims for --shards (comma separated, "
+                             "default 4,8,8 = the 256-node fig4 mesh)")
     parser.add_argument("--shard-workload", default="aggregate",
                         choices=("pingpong", "collective", "aggregate"),
-                        help="PDES workload for --shards/--shard-scaling")
-    parser.add_argument("--shard-scaling", action="store_true",
-                        help="profile the sharded engine at 1/2/4 "
-                             "shards and record the 'sharded' section "
-                             "of BENCH_PERF.json (implies --profile "
-                             "output for that section)")
-    parser.add_argument("--nic-collectives", action="store_true",
-                        help="run the collective-tier crossover study "
-                             "(host vs kernel vs nic) and record the "
-                             "'nic_collectives' section of "
-                             "BENCH_PERF.json")
+                        help="PDES workload for --shards")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the wall-clock telemetry plane, "
                              "drive the instrumented subsystems "
@@ -137,150 +119,51 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.telemetry_trace and not args.telemetry:
         parser.error("--telemetry-trace requires --telemetry")
-    if (not args.experiments and not args.chaos and not args.trace
-            and not args.breakdown and not args.shards
-            and not args.shard_scaling and not args.nic_collectives
-            and not args.ckpt_profile and not args.telemetry):
+    if not (args.experiments or args.chaos or args.trace
+            or args.breakdown or args.shards or args.telemetry):
         parser.error("name at least one experiment (or use --chaos N, "
                      "--trace OUT.json, --breakdown, --shards N, "
-                     "--shard-scaling, --nic-collectives, "
-                     "--ckpt-profile, --telemetry)")
+                     "--telemetry)")
 
     if args.telemetry:
         from repro.bench.telemetry import telemetry_report
 
         sys.stdout.write(telemetry_report(
             trace_path=args.telemetry_trace, quick=args.quick))
-        if (not args.experiments and not args.chaos and not args.trace
-                and not args.breakdown and not args.shards
-                and not args.shard_scaling and not args.nic_collectives
-                and not args.ckpt_profile):
-            return 0
+    if args.trace:
+        from repro.bench.observability import export_trace
 
-    if args.trace or args.breakdown:
-        from repro.bench import observability as obs_bench
+        sys.stdout.write(export_trace(args.trace, quick=args.quick))
+    if args.breakdown:
+        from repro.bench.observability import breakdown_report
 
-        if args.trace:
-            sys.stdout.write(
-                obs_bench.export_trace(args.trace, quick=args.quick)
-            )
-        if args.breakdown:
-            sys.stdout.write(
-                obs_bench.breakdown_report(quick=args.quick)
-            )
-        if not args.experiments and not args.chaos:
-            return 0
-
-    if args.shards or args.shard_scaling:
-        from repro.pdes import run_sharded, shard_scaling_profile
+        sys.stdout.write(breakdown_report(quick=args.quick))
+    if args.shards:
+        from repro.pdes import run_sharded
 
         dims = tuple(int(d) for d in args.shard_dims.split(","))
-        if args.shards:
-            result = run_sharded(dims, workload=args.shard_workload,
-                                 nshards=args.shards, processes=True)
-            sys.stdout.write(
-                f"[sharded {args.shard_workload} dims={dims} "
-                f"nshards={result.nshards} windows={result.windows} "
-                f"events={result.events_processed} "
-                f"wall={result.wall_seconds:.2f}s]\n"
-                f"{result.table}\n\n"
-            )
-        if args.shard_scaling:
-            scaling = shard_scaling_profile(
-                dims, workload=args.shard_workload)
-            for count, entry in sorted(scaling["shards"].items(),
-                                       key=lambda kv: int(kv[0])):
-                sys.stdout.write(
-                    f"[shard-scaling n={count}: "
-                    f"{entry['wall_seconds']:.2f}s wall, "
-                    f"{entry['events']} events, "
-                    f"speedup x{entry['speedup_vs_baseline']}]\n"
-                )
-            sys.stdout.write(
-                f"[shard-scaling tables identical: "
-                f"{scaling['tables_identical']}]\n\n"
-            )
-            _merge_section("BENCH_PERF.json", "sharded", scaling)
-        if (not args.experiments and not args.chaos and not args.trace
-                and not args.breakdown and not args.nic_collectives):
-            return 0
-
-    if args.nic_collectives:
-        from repro.bench.nic_collectives import run_study
-
-        result, section = run_study(quick=args.quick)
-        sys.stdout.write(result.csv() if args.csv else result.render())
-        _merge_section("BENCH_PERF.json", "nic_collectives", section)
-        if not args.experiments and not args.chaos:
-            return 0
-
-    if args.ckpt_profile:
-        from repro.bench.ckpt import overhead_profile, render_profile
-
-        section = overhead_profile()
-        sys.stdout.write(render_profile(section))
-        _merge_section("BENCH_PERF.json", "checkpoint", section)
-        if not args.experiments and not args.chaos:
-            return 0
-
+        result = run_sharded(dims, workload=args.shard_workload,
+                             nshards=args.shards, processes=True)
+        sys.stdout.write(
+            f"[sharded {args.shard_workload} dims={dims} "
+            f"nshards={result.nshards} windows={result.windows} "
+            f"events={result.events_processed} "
+            f"wall={result.wall_seconds:.2f}s]\n"
+            f"{result.table}\n\n"
+        )
     if args.chaos:
         from repro.bench.chaos import run_chaos
-        from repro.hw import faults as fault_registry
-
-        fault_registry.clear_registry()
-        result = run_chaos(args.chaos, fault_seed=args.fault_seed,
-                           scenario=args.chaos_scenario)
-        sys.stdout.write(result.csv() if args.csv else result.render())
-        fault_registry.clear_registry()
-        if not args.experiments:
-            return 0
-
-    faulty = args.loss > 0.0
-    if faulty:
         from repro.hw import faults
 
         faults.clear_registry()
-        faults.set_ambient(faults.FaultParams(
-            seed=args.fault_seed, loss_rate=args.loss,
-        ))
-
-    names = list(args.experiments)
-    if names == ["all"]:
-        names = list(EXPERIMENTS)
-    profile = {}
-    for name in names:
-        from repro.sim import core as sim_core
-
-        events_before = sim_core.TOTAL_EVENTS
-        started = time.time()
-        result = run_experiment(name, quick=args.quick)
-        wall = time.time() - started
-        output = result.csv() if args.csv else result.render()
-        sys.stdout.write(output)
-        sys.stdout.write(f"[{name}: {wall:.1f}s wall]\n\n")
-        profile[name] = {
-            "wall_s": round(wall, 3),
-            "events": sim_core.TOTAL_EVENTS - events_before,
-            "quick": args.quick,
-        }
-    if faulty:
-        from repro.hw import faults
-
-        totals = faults.injected_totals()
-        injected = sum(totals.values())
-        sys.stdout.write(
-            f"[faults: seed={args.fault_seed} loss={args.loss} "
-            f"injected={injected} "
-            + " ".join(f"{k}={v}" for k, v in sorted(totals.items())
-                       if v)
-            + "]\n"
-        )
-        faults.set_ambient(None)
-    if args.profile:
-        from repro import fastpath
-
-        mode = "fastpath_on" if fastpath.enabled() else "fastpath_off"
-        _write_profile("BENCH_PERF.json", mode, profile)
+        try:
+            result = run_chaos(args.chaos, fault_seed=args.fault_seed,
+                               scenario=args.chaos_scenario)
+        finally:
+            faults.clear_registry()
+        sys.stdout.write(result.csv() if args.csv else result.render())
+    if args.experiments:
+        _run_experiments(args)
     return 0
 
 

@@ -64,6 +64,9 @@ def _registry() -> Dict[str, Callable[[bool], ExperimentResult]]:
         # Meta-experiment: evaluates every encoded paper claim.  Not in
         # EXPERIMENTS (and so not in `all`) since it re-runs the others.
         "conformance": _conformance,
+        # Study beyond the paper (host vs kernel vs NIC collective
+        # tiers): a name, not a figure, so not in EXPERIMENTS either.
+        "nic-collectives": _nic_collectives,
     }
 
 
@@ -73,7 +76,14 @@ def _conformance(quick: bool) -> "ExperimentResult":
     return run_conformance(quick=quick)
 
 
-#: Names of all registered experiments.
+def _nic_collectives(quick: bool) -> "ExperimentResult":
+    from repro.bench.nic_collectives import run_study
+
+    return run_study(quick=quick)
+
+
+#: The paper's experiments: what ``all`` runs and what a service
+#: ``figure`` job may name.
 EXPERIMENTS = (
     "fig2", "fig3", "fig4", "fig5", "fig6", "routing", "table1",
     "ablation-threshold", "ablation-coalescing", "ablation-tokens",

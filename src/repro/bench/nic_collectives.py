@@ -1,18 +1,16 @@
 """Crossover study: host vs kernel vs NIC-resident collectives.
 
-``python -m repro.bench --nic-collectives`` measures barrier,
-broadcast and global-combine latency on every tier across a sweep of
-mesh sizes, prints the comparison table, and records a
-``nic_collectives`` section into ``BENCH_PERF.json``:
+``python -m repro.bench nic-collectives`` measures barrier, broadcast
+and global-combine latency on every tier across a sweep of mesh sizes
+and prints the comparison table.  Its notes carry:
 
-* per-mesh/per-tier latencies (us per operation),
 * the **crossover verdict** — at every mesh of 8+ nodes the NIC tier
   must beat the kernel tier on barrier and broadcast strictly (the
   firmware state machine pays no per-hop interrupt or coalescing
   delay, so its advantage *grows* with node count),
-* the **host-overhead comparison** — total and per-operation time the
-  host CPU spends in ``api-call``/``irq-wait`` spans for the kernel vs
-  NIC tiers on the paper's 2x2x2 mesh.  The NIC tier must cut the
+* the **host-overhead comparison** — per-operation time the host CPU
+  spends in ``api-call``/``irq-wait`` spans for the kernel vs NIC
+  tiers on the paper's 2x2x2 mesh.  The NIC tier must cut the
   per-operation mean by at least half: a doorbell write replaces the
   deposit syscall and the completion IRQ replaces one interrupt *per
   collective* instead of one per tree hop.
@@ -20,6 +18,7 @@ mesh sizes, prints the comparison table, and records a
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from repro.bench.harness import ExperimentResult
@@ -87,86 +86,47 @@ def _measure(dims: Tuple[int, ...], tier: str, observe: bool = False):
     return latency, cluster
 
 
-def _host_overhead(recorder, prefix: str) -> dict:
-    """api-call + irq-wait time charged to collective traces."""
+def _host_overhead(recorder, prefix: str) -> float:
+    """Mean api-call + irq-wait us per collective trace."""
     ids = {trace for trace, info in recorder.traces.items()
            if info.name.startswith(prefix)}
-    spans = [span for span in recorder.spans
-             if span.trace in ids and span.kind in (API_CALL, IRQ_WAIT)]
-    total = sum(span.duration for span in spans)
-    return {
-        "spans": len(spans),
-        "total_us": round(total, 4),
-        "mean_us_per_op": round(total / max(len(ids), 1), 4),
-    }
+    total = sum(span.duration for span in recorder.spans
+                if span.trace in ids
+                and span.kind in (API_CALL, IRQ_WAIT))
+    return round(total / max(len(ids), 1), 4)
 
 
-def run_study(quick: bool = False):
-    """The ``--nic-collectives`` entry point.
-
-    Returns ``(ExperimentResult, section)`` where ``section`` is the
-    dict merged into BENCH_PERF.json as ``nic_collectives``.
-    """
-    meshes = MESHES_QUICK if quick else MESHES_FULL
+def run_study(quick: bool = False) -> ExperimentResult:
+    """The ``nic-collectives`` experiment."""
     rows = []
-    latencies: Dict[Tuple[Tuple[int, ...], str], Dict[str, float]] = {}
-    mesh_section: Dict[str, dict] = {}
-    for dims in meshes:
-        size = 1
-        for d in dims:
-            size *= d
+    crossover_failures = []
+    for dims in (MESHES_QUICK if quick else MESHES_FULL):
+        size = math.prod(dims)
         label = "x".join(str(d) for d in dims)
-        mesh_section[label] = {"nodes": size, "tiers": {}}
+        latencies = {}
         for tier in TIERS:
             latency, _cluster = _measure(dims, tier)
-            latencies[(dims, tier)] = latency
-            mesh_section[label]["tiers"][tier] = latency
+            latencies[tier] = latency
             rows.append([label, size, tier, latency["barrier"],
                          latency["bcast"], latency["combine"]])
-
-    crossover_ok = True
-    crossover_failures = []
-    for dims in meshes:
-        size = 1
-        for d in dims:
-            size *= d
         if size < CROSSOVER_SIZE:
             continue
         for kind in ("barrier", "bcast"):
-            nic = latencies[(dims, "nic")][kind]
-            kernel = latencies[(dims, "kernel")][kind]
+            nic = latencies["nic"][kind]
+            kernel = latencies["kernel"][kind]
             if not nic < kernel:
-                crossover_ok = False
                 crossover_failures.append(
-                    f"{kind}@{'x'.join(map(str, dims))}: "
-                    f"nic {nic} !< kernel {kernel}")
+                    f"{kind}@{label}: nic {nic} !< kernel {kernel}")
 
     # Host-overhead comparison on the paper's 2x2x2 mesh, recorder on.
     _lat_k, cluster_k = _measure((2, 2, 2), "kernel", observe=True)
     _lat_n, cluster_n = _measure((2, 2, 2), "nic", observe=True)
     kernel_oh = _host_overhead(cluster_k.sim.recorder, "kcoll-")
     nic_oh = _host_overhead(cluster_n.sim.recorder, "nicoll-")
-    if kernel_oh["mean_us_per_op"] > 0:
-        reduction_pct = round(
-            (1.0 - nic_oh["mean_us_per_op"]
-             / kernel_oh["mean_us_per_op"]) * 100.0, 1)
-    else:
-        reduction_pct = 0.0
+    reduction_pct = (round((1.0 - nic_oh / kernel_oh) * 100.0, 1)
+                     if kernel_oh > 0 else 0.0)
 
-    section = {
-        "repeats": REPEATS,
-        "nbytes": NBYTES,
-        "meshes": mesh_section,
-        "crossover_ok": crossover_ok,
-        "crossover_failures": crossover_failures,
-        "host_overhead": {
-            "mesh": "2x2x2",
-            "kernel": kernel_oh,
-            "nic": nic_oh,
-            "reduction_pct": reduction_pct,
-        },
-    }
-    result = ExperimentResult(
+    return ExperimentResult(
         experiment="nic-collectives",
         title="Collective tier crossover: host vs kernel vs "
               "NIC-resident",
@@ -178,11 +138,9 @@ def run_study(quick: bool = False):
             f"latency = span of the slowest rank / repeats.",
             f"crossover (nic < kernel on barrier+bcast at >= "
             f"{CROSSOVER_SIZE} nodes): "
-            + ("holds everywhere" if crossover_ok
-               else "; ".join(crossover_failures)),
+            + ("; ".join(crossover_failures) or "holds everywhere"),
             f"host overhead per op on 2x2x2 (api-call + irq-wait): "
-            f"kernel {kernel_oh['mean_us_per_op']}us -> nic "
-            f"{nic_oh['mean_us_per_op']}us ({reduction_pct}% lower)",
+            f"kernel {kernel_oh}us -> nic {nic_oh}us "
+            f"({reduction_pct}% lower)",
         ],
     )
-    return result, section

@@ -14,7 +14,6 @@ from repro.pdes.runner import (
     PdesResult,
     PipeShard,
     run_sharded,
-    shard_scaling_profile,
 )
 from repro.pdes.shard import ShardConnectionManager, ShardRuntime
 from repro.pdes.workloads import (
@@ -39,6 +38,5 @@ __all__ = [
     "get_workload",
     "neighbor_edges",
     "run_sharded",
-    "shard_scaling_profile",
     "tree_edges",
 ]

@@ -44,11 +44,9 @@ uninterrupted run.
 from __future__ import annotations
 
 import copy
-import hashlib
 import pickle
 import math
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -369,7 +367,7 @@ class _ShardSet:
                 # bytes are GC-untracked — a thousand-window log of
                 # live tuples makes every gen-2 collection scan the
                 # whole engine heap, which showed up as wall-clock
-                # spikes in the overhead profile.  Subprocess shards
+                # spikes in checkpointed runs.  Subprocess shards
                 # get isolation for free via the pipe's pickling.
                 entry = pickle.dumps(entry, protocol=4)
             self.logs[index].append(entry)
@@ -715,63 +713,3 @@ def run_sharded(dims: Sequence[int], wrap: bool = True,
         )
     finally:
         shardset.close_all()
-
-
-def shard_scaling_profile(dims: Sequence[int] = (4, 8, 8),
-                          wrap: bool = True,
-                          workload: str = "aggregate",
-                          shard_counts: Sequence[int] = (1, 2, 4),
-                          kwargs: Optional[dict] = None,
-                          processes: Optional[bool] = None) -> dict:
-    """Wall-clock scaling of one workload across shard counts.
-
-    The returned dict is the ``sharded`` section of ``BENCH_PERF.json``
-    — per-count wall seconds, event totals and the experiment table,
-    plus the cross-count identity verdict (the tables must match for
-    the speedup claim to mean anything) and the host's usable core
-    count (the speedup is only meaningful relative to it).
-
-    ``processes=None`` auto-selects: worker processes when more than
-    one core is usable, in-process shards otherwise — on a single core
-    subprocess barriers are pure context-switch tax with no parallel
-    win to pay for it.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    if processes is None:
-        processes = cores > 1
-    profile: dict = {
-        "dims": list(dims),
-        "wrap": wrap,
-        "workload": workload,
-        "kwargs": dict(kwargs or {}),
-        "processes": processes,
-        "cores": cores,
-        "shards": {},
-    }
-    tables = []
-    for count in shard_counts:
-        result = run_sharded(dims, wrap=wrap, workload=workload,
-                             nshards=count, kwargs=kwargs,
-                             processes=processes)
-        tables.append(repr(result.table))
-        profile["shards"][str(count)] = {
-            "wall_seconds": round(result.wall_seconds, 3),
-            "events": result.events_processed,
-            "windows": result.windows,
-            # The full table is hundreds of per-rank floats; the digest
-            # is enough to prove cross-count identity in the record.
-            "table_sha256": hashlib.sha256(
-                tables[-1].encode()).hexdigest()[:16],
-        }
-    profile["tables_identical"] = len(set(tables)) == 1
-    baseline = profile["shards"][str(shard_counts[0])]["wall_seconds"]
-    for count in shard_counts:
-        entry = profile["shards"][str(count)]
-        entry["speedup_vs_baseline"] = (
-            round(baseline / entry["wall_seconds"], 2)
-            if entry["wall_seconds"] > 0 else None
-        )
-    return profile

@@ -27,7 +27,7 @@ The three built-ins mirror the paper's figures: ``pingpong`` is the
 fig. 2 latency microbenchmark stretched across the mesh's longest axis
 (so it always crosses shard boundaries), ``collective`` is the fig. 5
 global-combine pattern, and ``aggregate`` is the fig. 4/5 all-neighbor
-exchange used for the shard-scaling benchmark.
+exchange the ledger's ``pdes_shards`` workload runs.
 """
 
 from __future__ import annotations

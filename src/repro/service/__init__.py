@@ -22,7 +22,7 @@ Robustness contract (see ``docs/SERVICE.md``):
 
 ``python -m repro.service`` serves; ``--chaos`` runs the seeded
 service-level chaos harness; ``--load-test N`` runs the concurrent
-client load test and writes ``BENCH_SERVICE.json``.
+client load test and prints its report.
 """
 
 from importlib import import_module

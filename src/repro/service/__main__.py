@@ -5,7 +5,8 @@
 * ``python -m repro.service --chaos --seed 1`` runs the seeded
   service-level chaos campaign twice and verifies determinism.
 * ``python -m repro.service --load-test 1000`` runs the concurrent
-  client load test and writes ``BENCH_SERVICE.json``.
+  client load test and prints its report (``--bench-out PATH`` also
+  writes it as JSON).
 * ``--telemetry`` enables the wall-clock telemetry plane for any of
   the above (adds the ``metrics`` op to the server, and the counter
   reconciliation section + summary to the load test);
@@ -70,8 +71,9 @@ def main(argv=None) -> int:
                         help="chaos campaign request count")
     parser.add_argument("--load-test", type=int, default=0, metavar="N",
                         help="run the N-client load test and exit")
-    parser.add_argument("--bench-out", default="BENCH_SERVICE.json",
-                        help="load-test report path")
+    parser.add_argument("--bench-out", default=None, metavar="PATH",
+                        help="also write the load-test report to PATH "
+                             "as JSON")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the wall-clock telemetry plane "
                              "(metrics registry + event log; adds the "
@@ -104,9 +106,10 @@ def main(argv=None) -> int:
         report = asyncio.run(loadtest.run_load_test(
             clients=args.load_test, workers=args.workers))
         loadtest.check_report(report)
-        loadtest.write_report(args.bench_out, report)
         sys.stdout.write(loadtest.render_report(report))
-        sys.stdout.write(f"[report written to {args.bench_out}]\n")
+        if args.bench_out:
+            loadtest.write_report(args.bench_out, report)
+            sys.stdout.write(f"[report written to {args.bench_out}]\n")
         if args.telemetry:
             _telemetry_epilogue(args.telemetry_trace)
         return 0

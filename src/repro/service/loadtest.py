@@ -13,8 +13,10 @@ The contract asserted by ``tests/test_service_load.py`` and the CI
 smoke: **zero dropped accepted requests** — every client ends with an
 ``ok`` response (sheds are pre-acceptance and retriable by design) —
 and exactly one engine dispatch per distinct configuration.  The
-report (throughput, p50/p99/max latency, counter totals) is written to
-``BENCH_SERVICE.json``, the start of the BENCH service trajectory.
+report (throughput, p50/p99/max latency, counter totals) is printed;
+``write_report`` saves it where the caller names a path.  The numbers
+that are compared across commits are the ledger's ``service.*`` metrics
+(``service_closed_loop``), not this one shot.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ async def run_load_test(clients: int = 1000, workers: int = 2,
                         max_client_retries: int = 400) -> Dict[str, Any]:
     """Run the load test; returns the report dict (pure: no files, no
     stdout — callers decide where the report goes)."""
-    pool = _spec_pool(distinct)
+    # Fewer clients than configurations would leave some never run,
+    # so the hit wave (one request per configuration) could not hit.
+    pool = _spec_pool(min(distinct, clients))
     fleet = Fleet(workers, heartbeat_interval=0.1, hang_timeout=30.0)
     router = Router(fleet, ResultCache(), RouterConfig(
         max_pending=max_pending, max_attempts=3, deadline_s=120.0,
@@ -230,7 +234,7 @@ def check_report(report: Dict[str, Any]) -> None:
 
 
 def write_report(path: str, report: Dict[str, Any]) -> None:
-    """Write the report as pretty sorted JSON (the CI artifact)."""
+    """Write the report as pretty sorted JSON."""
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -26,7 +26,8 @@ from repro.sim.events import Event, NORMAL, Timeout, URGENT, _PENDING
 from repro.sim.process import Process
 
 #: Events processed across every simulator in this interpreter; read by
-#: ``python -m repro.bench --profile`` to report events per experiment.
+#: the ledger, the service worker and ``python -m repro.bench``'s closing
+#: line to report events per run.
 TOTAL_EVENTS = 0
 
 _INF = float("inf")

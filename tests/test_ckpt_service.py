@@ -232,22 +232,3 @@ class TestHangSurfaces:
         assert excinfo.value.checkpoint_id == f"{'b' * 16}/item-000004"
         assert excinfo.value.checkpoint_index == 4
         assert "latest checkpoint:" in str(excinfo.value)
-
-
-# -- bench profile plumbing ---------------------------------------------
-
-class TestOverheadProfile:
-    def test_profile_section_shape(self):
-        from repro.bench.ckpt import overhead_profile, render_profile
-
-        section = overhead_profile(every=64, repeats=2,
-                                   configs=(((2, 2, 2), 2),))
-        assert section["every"] == 64
-        (row,) = section["configs"]
-        assert row["dims"] == [2, 2, 2] and row["nshards"] == 2
-        assert row["tables_identical"] is True
-        assert section["all_tables_identical"] is True
-        assert isinstance(section["worst_overhead_pct"], float)
-        rendered = render_profile(section)
-        assert "worst overhead" in rendered
-        assert "budget <5%" in rendered

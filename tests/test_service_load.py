@@ -3,9 +3,7 @@
 Asserts the headline service contract at scale — zero dropped accepted
 requests, exactly one engine run per distinct configuration, a pure
 cache-hit second wave — and round-trips the report (throughput and
-p50/p99/max latency) through ``write_report`` into ``tmp_path``.  The
-tracked repo-root ``BENCH_SERVICE.json`` is refreshed only by
-``python -m repro.service --load-test``, never by a test run.
+p50/p99/max latency) through ``write_report`` into ``tmp_path``.
 """
 
 import asyncio
@@ -35,7 +33,7 @@ def test_thousand_clients_zero_drops_exactly_once(tmp_path):
     latency = report["latency_ms"]
     assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
 
-    out = tmp_path / "BENCH_SERVICE.json"
+    out = tmp_path / "report.json"
     loadtest.write_report(str(out), report)
     written = json.loads(out.read_text())
     assert written["latency_ms"]["p99"] == latency["p99"]

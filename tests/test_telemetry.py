@@ -426,42 +426,6 @@ def test_unified_trace_validation_catches_tampering(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Perf-regression sentinel
-# ---------------------------------------------------------------------------
-
-def test_regression_sentinel_pass_and_fail(capsys):
-    from repro.bench.regression import compare
-
-    baseline = {"fig2": {"wall_s": 1.0, "events": 100},
-                "sharded": {"n2": {"wall_seconds": 2.0}}}
-    same, regressed = compare(baseline, json.loads(json.dumps(baseline)))
-    assert not regressed
-    slower = {"fig2": {"wall_s": 1.6, "events": 100},
-              "sharded": {"n2": {"wall_seconds": 2.0}}}
-    lines, regressed = compare(baseline, slower, tolerance=0.2)
-    assert regressed
-    assert any("REGRESSED" in line for line in lines)
-    # Event counts are determinism facts, not perf facts: changing one
-    # must not trip the time-only sentinel.
-    noisy = {"fig2": {"wall_s": 1.0, "events": 999},
-             "sharded": {"n2": {"wall_seconds": 2.0}}}
-    _lines, regressed = compare(baseline, noisy)
-    assert not regressed
-
-
-def test_regression_sentinel_cli_exit_codes(tmp_path):
-    from repro.bench.regression import main
-
-    baseline = tmp_path / "base.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"fig2": {"wall_s": 1.0}}))
-    fresh.write_text(json.dumps({"fig2": {"wall_s": 1.05}}))
-    assert main([str(baseline), str(fresh)]) == 0
-    fresh.write_text(json.dumps({"fig2": {"wall_s": 9.0}}))
-    assert main([str(baseline), str(fresh)]) == 1
-
-
-# ---------------------------------------------------------------------------
 # Service metrics op (module-level response builder; no fleet needed)
 # ---------------------------------------------------------------------------
 
