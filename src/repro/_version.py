@@ -1,3 +1,3 @@
 """Package version (single source of truth)."""
 
-__version__ = "1.0.4"
+__version__ = "1.0.5"

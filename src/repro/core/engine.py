@@ -340,9 +340,7 @@ class MessagingEngine:
             route=request.route,
         )
         if self.sim.recorder is not None:
-            ctx = getattr(request, "trace", None)
-            envelope.trace = ctx
-            descriptor.trace = ctx
+            _stamp_trace(request, envelope, descriptor)
         yield from channel.data_vi.post_send(descriptor)
         # Eager semantics: user buffer already staged -> send complete.
         # (Guarded: a death notice may have failed the request while
@@ -382,9 +380,7 @@ class MessagingEngine:
                     payload=envelope, on_complete=_noop,
                 )
                 if self.sim.recorder is not None:
-                    ctx = getattr(request, "trace", None)
-                    envelope.trace = ctx
-                    descriptor.trace = ctx
+                    _stamp_trace(request, envelope, descriptor)
                 yield from channel.data_vi.post_send(descriptor)
                 # The advert handler performs the RMA on arrival.
                 return
@@ -409,12 +405,8 @@ class MessagingEngine:
         interleave with another message's fragments on the data VI.
         """
         if request.nbytes > advert.nbytes:
-            if not request.triggered:
-                request.fail(MessagingError(
-                    f"send of {request.nbytes} bytes into adverted "
-                    f"buffer of {advert.nbytes}"
-                ))
-            return
+            return _refuse(request, "send of {} bytes into adverted "
+                           "buffer of {}", request.nbytes, advert.nbytes)
         lock = channel.send_lock.request()
         yield lock
         try:
@@ -444,9 +436,7 @@ class MessagingEngine:
                 route=request.route,
             )
             if self.sim.recorder is not None:
-                ctx = getattr(request, "trace", None)
-                envelope.trace = ctx
-                descriptor.trace = ctx
+                _stamp_trace(request, envelope, descriptor)
             yield from channel.data_vi.post_rma_write(descriptor)
         finally:
             channel.send_lock.release(lock)
@@ -501,23 +491,16 @@ class MessagingEngine:
     def _bind_to_rts(self, request: RecvRequest, entry):
         envelope, _descriptor, channel = entry
         if envelope.nbytes > request.nbytes:
-            if not request.triggered:
-                request.fail(MessagingError(
-                    f"RTS for {envelope.nbytes} bytes, receive of "
-                    f"{request.nbytes}"
-                ))
-            return
+            return _refuse(request, "RTS for {} bytes, receive of {}",
+                           envelope.nbytes, request.nbytes)
         yield from self._advertise(channel, request)
 
     def _deliver_unexpected(self, request: RecvRequest, entry):
         envelope, descriptor, channel = entry
         if envelope.nbytes > request.nbytes:
-            if not request.triggered:
-                request.fail(MessagingError(
-                    f"unexpected message of {envelope.nbytes} bytes "
-                    f"for receive of {request.nbytes}"
-                ))
-            return
+            return _refuse(request, "unexpected message of {} bytes "
+                           "for receive of {}", envelope.nbytes,
+                           request.nbytes)
         if envelope.nbytes:
             yield from self.device.host.copy(envelope.nbytes, PRIO_USER)
         self._complete_recv(request, envelope)
@@ -623,12 +606,8 @@ class MessagingEngine:
             self._queue_unexpected(envelope, descriptor, channel)
             return
         if envelope.nbytes > request.nbytes:
-            if not request.triggered:
-                request.fail(MessagingError(
-                    f"message of {envelope.nbytes} bytes for receive "
-                    f"of {request.nbytes}"
-                ))
-            return
+            return _refuse(request, "message of {} bytes for receive "
+                           "of {}", envelope.nbytes, request.nbytes)
         rec = self.sim.recorder
         if rec is not None:
             t0 = self.sim.now
@@ -691,12 +670,8 @@ class MessagingEngine:
         )
         if request is not None:
             if envelope.nbytes > request.nbytes:
-                if not request.triggered:
-                    request.fail(MessagingError(
-                        f"RTS for {envelope.nbytes} bytes, receive of "
-                        f"{request.nbytes}"
-                    ))
-                return
+                return _refuse(request, "RTS for {} bytes, receive of {}",
+                               envelope.nbytes, request.nbytes)
             # Spawned: an advert may block on control tokens, and the
             # progress loop must never block on flow control.
             self.sim.spawn(self._advertise_safe(channel, request),
@@ -897,6 +872,18 @@ class MessagingEngine:
         for request in self.pending_requests():
             if request.context == ft_context:
                 self._fail_request(request, error)
+
+
+def _stamp_trace(request, envelope: Envelope, descriptor) -> None:
+    """Carry the request's flight-recorder trace onto what it sends."""
+    envelope.trace = descriptor.trace = getattr(request, "trace", None)
+
+
+def _refuse(request, text: str, nbytes: int, room: int) -> None:
+    """Payload larger than the buffer: fail ``request`` with ``text``
+    (unless a death notice already settled it)."""
+    if not request.triggered:
+        request.fail(MessagingError(text.format(nbytes, room)))
 
 
 def _noop(_descriptor) -> None:

@@ -17,6 +17,7 @@ from typing import Any, Optional
 
 from repro.errors import ViaDescriptorError
 from repro.via.memory import MemoryRegion
+from repro.via.packet import PacketKind
 
 
 class DescriptorStatus(enum.Enum):
@@ -87,9 +88,21 @@ class Descriptor:
 
 
 class SendDescriptor(Descriptor):
-    """An ordinary (two-sided) send."""
+    """An ordinary (two-sided) send.
+
+    The class attributes are what the one data path (``VI._post``,
+    ``ViaDevice.transmit``) reads off the kind of message: wire kind,
+    API span name, trace label, VI stats key, and the RMA-only wire
+    fields, which a two-sided send leaves unset.
+    """
 
     __slots__ = ()
+    packet_kind = PacketKind.DATA
+    post_name = "post_send"
+    trace_label = "via-send"
+    stat = "sends"
+    remote_addr = None
+    notify = False
 
 
 class RecvDescriptor(Descriptor):
@@ -116,6 +129,10 @@ class RmaWriteDescriptor(Descriptor):
     """
 
     __slots__ = ("remote_addr", "notify")
+    packet_kind = PacketKind.RMA_WRITE
+    post_name = "post_rma_write"
+    trace_label = "via-rma"
+    stat = "rma_writes"
 
     def __init__(self, region: MemoryRegion, offset: int, nbytes: int,
                  payload: Any = None, immediate: Optional[int] = None,

@@ -22,7 +22,7 @@ from repro.sim import Simulator
 from repro.topology.routing import alive_path, sdf_next_direction
 from repro.topology.torus import Torus
 from repro.via.completion import CompletionQueue
-from repro.via.descriptors import RmaWriteDescriptor, SendDescriptor
+from repro.via.descriptors import Descriptor
 from repro.via.kernel_agent import KernelAgent
 from repro.via.memory import MemoryRegion, ProtectionTag, RegisteredSpace
 from repro.via.packet import PacketKind, ViaPacket
@@ -275,79 +275,27 @@ class ViaDevice:
         return self.egress_port(dst_node)
 
     def _use_reliable(self, vi: VI) -> bool:
-        from repro.via.vi import Reliability
-
         return self.reliable and vi.reliability is not Reliability.UNRELIABLE
 
-    def transmit_send(self, vi: VI, descriptor: SendDescriptor):
-        """Process: fragment and enqueue a two-sided send."""
-        peer_node, peer_vi = vi.peer
-        route = tuple(descriptor.route) if descriptor.route else None
-        msg_id = self.next_msg_id()
-        frags = list(self._fragments(descriptor.nbytes))
-        packets = []
-        for index, (offset, frag_bytes) in enumerate(frags):
-            last = index == len(frags) - 1
-            packets.append(ViaPacket(
-                kind=PacketKind.DATA,
-                src_node=self.rank,
-                dst_node=peer_node,
-                dst_vi=peer_vi,
-                src_vi=vi.vi_id,
-                msg_id=msg_id,
-                frag_index=index,
-                num_frags=len(frags),
-                payload_bytes=frag_bytes,
-                msg_offset=offset,
-                msg_bytes=descriptor.nbytes,
-                immediate=descriptor.immediate if last else None,
-                route=route[1:] if route else None,
-                payload=descriptor.payload if last else None,
-            ))
-        rec = self.sim.recorder
-        if rec is not None and descriptor.trace is not None:
-            for packet in packets:
-                packet.trace = descriptor.trace
-        if self._use_reliable(vi):
-            yield from self.agent.reliable_transmit(
-                vi, packets, "via-data", route, descriptor,
-            )
-            return
-        port = self._route_egress(peer_node, route)
-        frames = []
-        for index, packet in enumerate(packets):
-            last = index == len(packets) - 1
-            packet.seal()
-            frames.append(Frame(
-                payload_bytes=packet.payload_bytes,
-                header_bytes=self.params.header_bytes,
-                payload=packet,
-                kind="via-data",
-                on_fetched=(
-                    (lambda v=vi, d=descriptor: v.complete_send(d))
-                    if last else None
-                ),
-            ))
-        if rec is not None and descriptor.trace is not None:
-            rec.event(descriptor.trace, _DESC_QUEUED, port.name,
-                      f"n{self.rank}", self.sim.now)
-            rec.metrics.observe(
-                "ring:" + port.name, self.sim.now,
-                float(len(port.tx_queue) + port._tx_extra),
-            )
-        yield from port.send_frames(frames)
+    def transmit(self, vi: VI, descriptor: Descriptor):
+        """Process: fragment and enqueue one message.
 
-    def transmit_rma(self, vi: VI, descriptor: RmaWriteDescriptor):
-        """Process: fragment and enqueue a remote-DMA write."""
+        A two-sided send and a remote-DMA write take this one path; the
+        descriptor's class supplies the wire kind and the RMA-only
+        header fields (see
+        :class:`~repro.via.descriptors.SendDescriptor`).
+        """
         peer_node, peer_vi = vi.peer
         route = tuple(descriptor.route) if descriptor.route else None
         msg_id = self.next_msg_id()
+        kind = descriptor.packet_kind
+        remote_addr = descriptor.remote_addr
         frags = list(self._fragments(descriptor.nbytes))
         packets = []
         for index, (offset, frag_bytes) in enumerate(frags):
             last = index == len(frags) - 1
             packets.append(ViaPacket(
-                kind=PacketKind.RMA_WRITE,
+                kind=kind,
                 src_node=self.rank,
                 dst_node=peer_node,
                 dst_vi=peer_vi,
@@ -358,36 +306,29 @@ class ViaDevice:
                 payload_bytes=frag_bytes,
                 msg_offset=offset,
                 msg_bytes=descriptor.nbytes,
-                remote_addr=descriptor.remote_addr + offset,
+                remote_addr=0 if remote_addr is None
+                else remote_addr + offset,
                 notify=descriptor.notify and last,
                 immediate=descriptor.immediate if last else None,
                 route=route[1:] if route else None,
                 payload=descriptor.payload if last else None,
+                trace=descriptor.trace,
             ))
-        rec = self.sim.recorder
-        if rec is not None and descriptor.trace is not None:
-            for packet in packets:
-                packet.trace = descriptor.trace
         if self._use_reliable(vi):
             yield from self.agent.reliable_transmit(
-                vi, packets, "via-rma", route, descriptor,
+                vi, packets, route, descriptor,
             )
             return
         port = self._route_egress(peer_node, route)
-        frames = []
-        for index, packet in enumerate(packets):
-            last = index == len(packets) - 1
-            packet.seal()
-            frames.append(Frame(
-                payload_bytes=packet.payload_bytes,
-                header_bytes=self.params.header_bytes,
-                payload=packet,
-                kind="via-rma",
-                on_fetched=(
-                    (lambda v=vi, d=descriptor: v.complete_send(d))
-                    if last else None
-                ),
-            ))
+        frames = [
+            Frame(packet.payload_bytes, self.params.header_bytes,
+                  payload=packet.seal(), kind=kind.frame_label)
+            for packet in packets
+        ]
+        # VIA send completion: the buffer is reusable once the last
+        # fragment has been DMA'd out of host memory.
+        frames[-1].on_fetched = lambda: vi.complete_send(descriptor)
+        rec = self.sim.recorder
         if rec is not None and descriptor.trace is not None:
             rec.event(descriptor.trace, _DESC_QUEUED, port.name,
                       f"n{self.rank}", self.sim.now)
@@ -412,7 +353,7 @@ class ViaDevice:
         ).seal()
         port = self.egress_port(dst_node, packet=packet)
         frame = Frame(0, self.params.header_bytes, payload=packet,
-                      kind=f"via-{kind.value}")
+                      kind=kind.frame_label)
         yield from port.enqueue_tx(frame)
 
     def __repr__(self) -> str:  # pragma: no cover

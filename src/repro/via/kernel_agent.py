@@ -189,8 +189,7 @@ class KernelAgent:
             self._channels[vi.vi_id] = channel
         return channel
 
-    def reliable_transmit(self, vi: VI, packets, frame_kind: str,
-                          route, descriptor):
+    def reliable_transmit(self, vi: VI, packets, route, descriptor):
         """Process: send ``packets`` (one message's fragments) through
         the VI's reliable channel.
 
@@ -205,8 +204,7 @@ class KernelAgent:
         for index, packet in enumerate(packets):
             yield from channel.admit()
             yield from channel.transmit(
-                packet, frame_kind, route,
-                descriptor if index == last else None,
+                packet, route, descriptor if index == last else None,
             )
 
     def _apply_ack(self, packet: ViaPacket) -> None:
@@ -232,11 +230,12 @@ class KernelAgent:
         """Generator: process one received frame (driver entry point).
 
         ``paid_until`` (fast path only) is the instant up to which the
-        interrupt dispatcher's per-frame cost is owed but not yet slept;
-        every exit path below waits at least to that instant, folding
-        the dispatcher's per-frame timeout into the handler's first
-        wait.  Bookkeeping that moves ahead of the wait is unobservable:
-        the CPU is held at IRQ priority for the whole batch.
+        interrupt dispatcher's per-frame cost is owed but not yet slept.
+        A frame folds that cost into its handler's first wait only if
+        handling it touches no reliability state: a transit frame, or a
+        payload fragment carrying neither a sequence number nor an ACK,
+        on a fabric without node faults.  Every other frame pays here,
+        so go-back-N and teardown run from the reference instants.
         """
         self.stats["frames"] += 1
         packet: ViaPacket = frame.payload
@@ -253,26 +252,35 @@ class KernelAgent:
                 rec.span(ctx, _IRQ_WAIT, port.name,
                          f"n{self.device.rank}", ready, base)
         try:
-            if self.device.params.verify_checksums and (
-                    frame.corrupted or not packet.verify()):
+            device = self.device
+            kind = packet.kind
+            damaged = device.params.verify_checksums and (
+                frame.corrupted or not packet.verify())
+            transit = packet.dst_node != device.rank
+            is_payload = (kind is PacketKind.DATA
+                          or kind is PacketKind.RMA_WRITE)
+            node_faults = self._node_faults_armed()
+            if paid_until is not None and (
+                    damaged or node_faults or not (
+                        transit or (is_payload and packet.seq < 0
+                                    and packet.ack < 0))):
+                yield self.sim.sleep_until(paid_until)
+                paid_until = None
+            if damaged:
                 # The Jlab driver change (section 4): every packet is
                 # checksummed, so wire damage is detected and the frame
                 # dropped rather than delivered as good data.
                 self.stats["checksum_errors"] += 1
                 self.stats["dropped_bad_checksum"] += 1
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
                 return
-            if not self._inbound_alive(packet):
+            if node_faults and not self._inbound_alive(packet):
                 # Node-fault teardown: a crashed node's NIC is silent
                 # (it neither forwards, ACKs, nor accepts), and
                 # survivors drop late traffic for VIs a death notice
                 # already tore down.
                 self.stats["dropped_dead"] += 1
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
                 return
-            if packet.dst_node != self.device.rank:
+            if transit:
                 try:
                     yield from self._forward(frame, packet, paid_until)
                 except ViaError:
@@ -280,20 +288,16 @@ class KernelAgent:
                     # partitioned off: no live route, drop it.
                     self.stats["dropped_dead"] += 1
                 return
-            engine = self.device.kernel_collective
-            if engine is not None and packet.kind in engine.kinds:
+            engine = device.kernel_collective
+            if engine is not None and kind in engine.kinds:
                 # Interrupt-level collective site: its own per-peer ARQ
                 # gates these frames, not a VI channel's.
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
                 yield from engine.handle_irq(packet)
                 return
-            if packet.kind is PacketKind.ACK:
+            if kind is PacketKind.ACK:
                 # Explicit cumulative ACK: pure sender-side bookkeeping.
                 self.stats["acks_received"] += 1
                 self._apply_ack(packet)
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
                 return
             if packet.ack >= 0:
                 # Piggybacked cumulative ACK on reverse-direction data.
@@ -301,58 +305,63 @@ class KernelAgent:
             if packet.seq >= 0 and not self._reliable_rx(packet):
                 # Duplicate or out-of-order fragment: dropped (and
                 # re-ACKed) before any demux/copy cost is paid.
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
                 return
-            if packet.kind is PacketKind.DATA:
-                yield from self._handle_data(packet, paid_until)
-            elif packet.kind is PacketKind.RMA_WRITE:
-                yield from self._handle_rma(packet, paid_until)
-            else:
-                # Rare control kinds: pay off the folded dispatcher
-                # cost, then run the unmodified handlers.
-                if paid_until is not None:
-                    yield self.sim.sleep_until(paid_until)
-                if packet.kind is PacketKind.CONNECT:
-                    yield from self._handle_connect(packet)
-                elif packet.kind is PacketKind.ACCEPT:
-                    yield from self._handle_accept(packet)
-                elif packet.kind is PacketKind.DISCONNECT:
-                    yield from self._handle_disconnect(packet)
-                elif packet.kind is PacketKind.KEEPALIVE:
-                    self.stats["keepalives_received"] += 1
-                    if self._fd is not None:
-                        self._fd.heard(packet.src_node)
-                elif packet.kind is PacketKind.DEADNOTICE:
-                    self.stats["dead_notices_received"] += 1
-                    dead_rank, reason = packet.payload
-                    self.on_peer_dead(dead_rank, f"notice: {reason}")
-                elif (packet.kind in KERNEL_COLLECTIVE_KINDS
-                        or packet.kind in NIC_COLLECTIVE_KINDS):
-                    # An offload-collective frame reached the generic
-                    # host rx path: a peer runs a collective site this
-                    # node has not enabled.  Fail loudly instead of
-                    # silently eating the frame and hanging the
-                    # sender's collective.
-                    site = ("NIC" if packet.kind in NIC_COLLECTIVE_KINDS
-                            else "kernel")
-                    raise ViaError(
-                        f"node {self.device.rank}: received "
-                        f"{packet.kind.value} frame but {site} "
-                        f"collectives are not enabled on this node"
-                    )
+            if is_payload:
+                yield from self._handle_payload(packet, paid_until)
+            elif kind is PacketKind.CONNECT:
+                yield from self._handle_connect(packet)
+            elif kind is PacketKind.ACCEPT:
+                yield from self._handle_accept(packet)
+            elif kind is PacketKind.DISCONNECT:
+                yield from self._handle_disconnect(packet)
+            elif kind is PacketKind.KEEPALIVE:
+                self.stats["keepalives_received"] += 1
+                if self._fd is not None:
+                    self._fd.heard(packet.src_node)
+            elif kind is PacketKind.DEADNOTICE:
+                self.stats["dead_notices_received"] += 1
+                dead_rank, reason = packet.payload
+                self.on_peer_dead(dead_rank, f"notice: {reason}")
+            elif (kind in KERNEL_COLLECTIVE_KINDS
+                    or kind in NIC_COLLECTIVE_KINDS):
+                # An offload-collective frame reached the generic host
+                # rx path: a peer runs a collective site this node has
+                # not enabled.  Fail loudly instead of silently eating
+                # the frame and hanging the sender's collective.
+                site = ("NIC" if kind in NIC_COLLECTIVE_KINDS
+                        else "kernel")
+                raise ViaError(
+                    f"node {device.rank}: received {kind.value} frame "
+                    f"but {site} collectives are not enabled on this "
+                    f"node"
+                )
         finally:
             # Recycle the ring descriptor this frame consumed.
             port.post_rx_descriptors(1)
 
-    def _handle_data(self, packet: ViaPacket,
-                     paid_until: Optional[float] = None):
-        """Two-sided data: per-fragment demux + the single receive copy."""
-        self.stats["data_frames"] += 1
+    def _handle_payload(self, packet: ViaPacket,
+                        paid_until: Optional[float] = None):
+        """One DATA or RMA_WRITE fragment: demux, then the receive copy.
+
+        On a commodity GigE adapter every incoming frame is DMA'd into
+        the kernel ring buffers, so a two-sided send and a "remote DMA"
+        write both pay M-VIA's single kernel copy into the user buffer
+        or target region ("one memory copy on receiving").  What RMA
+        eliminates is the *user-level* staging: no bounce buffer, no
+        library copy, no receive-descriptor consumption except for the
+        final notify.  The kind supplies the demux and what the last
+        fragment finishes.
+        """
         device = self.device
         sim = self.sim
-        if (sim._fast and device.params.recv_copy and packet.payload_bytes
-                and device.host.membus.setup):
+        if packet.kind is PacketKind.DATA:
+            self.stats["data_frames"] += 1
+            demux = self._demux_data
+        else:
+            self.stats["rma_frames"] += 1
+            demux = self._demux_rma
+        nbytes = packet.payload_bytes if device.params.recv_copy else 0
+        if sim._fast and nbytes and device.host.membus.setup:
             # Demux bookkeeping runs now instead of after the demux
             # timeout: the CPU is held at IRQ level for the whole
             # interrupt batch, so no other process can observe the
@@ -360,22 +369,26 @@ class KernelAgent:
             # the reference path's exact instant.
             base = sim._now if paid_until is None else paid_until
             when = base + device.params.rx_demux_cost
-            vi = self._demux_data(packet)
-            yield device.host.copy_at(packet.payload_bytes, when)
-            self._finish_data(vi, packet)
-            return
-        if paid_until is not None:
-            yield sim.sleep_until(paid_until)
-        yield sim.timeout(device.params.rx_demux_cost)
-        vi = self._demux_data(packet)
-        # The M-VIA single receive copy: ring buffer -> user buffer,
-        # performed by the kernel at interrupt level.
-        if device.params.recv_copy and packet.payload_bytes:
-            yield from device.host.copy(packet.payload_bytes,
-                                        hold_cpu=False)
-        self._finish_data(vi, packet)
+            target = demux(packet)
+            if target is None:
+                yield sim.sleep_until(when)
+                return
+            yield device.host.copy_at(nbytes, when)
+        else:
+            if paid_until is not None:
+                yield sim.sleep_until(paid_until)
+            yield sim.timeout(device.params.rx_demux_cost)
+            target = demux(packet)
+            if target is None:
+                return
+            if nbytes:
+                # Ring buffer -> user buffer, performed by the kernel
+                # at interrupt level.
+                yield from device.host.copy(nbytes, hold_cpu=False)
+        self._finish(packet, *target)
 
-    def _demux_data(self, packet: ViaPacket) -> VI:
+    def _demux_data(self, packet: ViaPacket):
+        """``(vi, None)``: per-fragment reassembly bookkeeping."""
         device = self.device
         vi = device.vis.get(packet.dst_vi)
         if vi is None:
@@ -407,10 +420,42 @@ class KernelAgent:
                 f"expected {reassembly[1]}"
             )
         reassembly[1] += 1
-        return vi
+        return vi, None
 
-    def _finish_data(self, vi: VI, packet: ViaPacket) -> None:
-        if packet.frag_index == packet.num_frags - 1:
+    def _demux_rma(self, packet: ViaPacket):
+        """``(vi, landing region)``, or None for a stale frame once
+        node faults are armed.
+
+        A death notice tears down pending receives (deregistering their
+        landing regions) while the matching RMA data can already be in
+        flight; under node faults such a frame is dropped like any
+        other traffic addressed to torn-down state, never an error.
+        """
+        device = self.device
+        try:
+            vi = device.vis.get(packet.dst_vi)
+            if vi is None:
+                raise ViaError(
+                    f"node {device.rank}: RMA for unknown VI "
+                    f"{packet.dst_vi}"
+                )
+            return vi, device.memory.find(
+                packet.remote_addr, packet.payload_bytes, vi.tag,
+                for_rma_write=True,
+            )
+        except ViaError:
+            if not self._node_faults_armed():
+                raise
+            self.stats["dropped_dead"] += 1
+            return None
+
+    def _finish(self, packet: ViaPacket, vi: VI, region) -> None:
+        """The message's last fragment completes the receive it
+        consumed: the reassembly's descriptor for a two-sided send, a
+        freshly popped one for an RMA write that asked for notify."""
+        if packet.frag_index != packet.num_frags - 1:
+            return
+        if region is None:
             if vi._reassembly is None and vi.state is ViState.ERROR:
                 # A death notice tore this VI down (draining the
                 # in-progress reassembly) while the receive copy held
@@ -418,102 +463,24 @@ class KernelAgent:
                 self.stats["dropped_dead"] += 1
                 return
             descriptor = vi._reassembly[2]
-            descriptor.received_bytes = packet.msg_bytes
-            descriptor.received_payload = packet.payload
-            descriptor.received_immediate = packet.immediate
-            if self.sim.recorder is not None:
-                descriptor.trace = packet.trace
             vi._reassembly = None
-            vi.complete_recv(descriptor)
-
-    def _handle_rma(self, packet: ViaPacket,
-                    paid_until: Optional[float] = None):
-        """Remote-DMA write.
-
-        On a commodity GigE adapter every incoming frame is DMA'd into
-        the kernel ring buffers, so "remote DMA" still pays the single
-        kernel copy into the target region (M-VIA's unavoidable "one
-        memory copy on receiving").  What RMA eliminates is the
-        *user-level* staging: no bounce buffer, no library copy, no
-        receive-descriptor consumption except for the final notify.
-        """
-        self.stats["rma_frames"] += 1
-        device = self.device
-        sim = self.sim
-        if (sim._fast and device.params.recv_copy and packet.payload_bytes
-                and device.host.membus.setup):
-            # Same demux fold as _handle_data: safe because the CPU is
-            # held at IRQ level until the batch completes.
-            base = sim._now if paid_until is None else paid_until
-            when = base + device.params.rx_demux_cost
-            demux = self._demux_rma_safe(packet)
-            if demux is None:
-                yield sim.sleep_until(paid_until or sim._now)
-                return
-            vi, region = demux
-            yield device.host.copy_at(packet.payload_bytes, when)
-            self._finish_rma(vi, region, packet)
-            return
-        if paid_until is not None:
-            yield sim.sleep_until(paid_until)
-        yield sim.timeout(device.params.rx_demux_cost)
-        demux = self._demux_rma_safe(packet)
-        if demux is None:
-            return
-        vi, region = demux
-        if device.params.recv_copy and packet.payload_bytes:
-            yield from device.host.copy(packet.payload_bytes,
-                                        hold_cpu=False)
-        self._finish_rma(vi, region, packet)
-
-    def _demux_rma_safe(self, packet: ViaPacket):
-        """Demux, tolerating stale frames once node faults are armed.
-
-        A death notice tears down pending receives (deregistering their
-        landing regions) while the matching RMA data can already be in
-        flight; under node faults such a frame is dropped like any
-        other traffic addressed to torn-down state, never an error.
-        """
-        try:
-            return self._demux_rma(packet)
-        except ViaError:
-            health = self.device._fabric_health
-            if health is not None and getattr(health, "has_node_faults",
-                                              False):
-                self.stats["dropped_dead"] += 1
-                return None
-            raise
-
-    def _demux_rma(self, packet: ViaPacket):
-        device = self.device
-        vi = device.vis.get(packet.dst_vi)
-        if vi is None:
-            raise ViaError(
-                f"node {device.rank}: RMA for unknown VI {packet.dst_vi}"
-            )
-        region = device.memory.find(
-            packet.remote_addr, packet.payload_bytes, vi.tag,
-            for_rma_write=True,
-        )
-        return vi, region
-
-    def _finish_rma(self, vi: VI, region, packet: ViaPacket) -> None:
-        if packet.frag_index == packet.num_frags - 1:
+        else:
             if packet.payload is not None:
                 region.data = packet.payload
-            if packet.notify:
-                try:
-                    descriptor = vi.recv_queue.popleft()
-                except IndexError:
-                    raise ViaDescriptorError(
-                        f"{vi!r}: RMA notify with empty receive queue"
-                    ) from None
-                descriptor.received_bytes = packet.msg_bytes
-                descriptor.received_payload = packet.payload
-                descriptor.received_immediate = packet.immediate
-                if self.sim.recorder is not None:
-                    descriptor.trace = packet.trace
-                vi.complete_recv(descriptor)
+            if not packet.notify:
+                return
+            try:
+                descriptor = vi.recv_queue.popleft()
+            except IndexError:
+                raise ViaDescriptorError(
+                    f"{vi!r}: RMA notify with empty receive queue"
+                ) from None
+        descriptor.received_bytes = packet.msg_bytes
+        descriptor.received_payload = packet.payload
+        descriptor.received_immediate = packet.immediate
+        if self.sim.recorder is not None:
+            descriptor.trace = packet.trace
+        vi.complete_recv(descriptor)
 
     def _handle_connect(self, packet: ViaPacket):
         self.stats["connects"] += 1
@@ -581,15 +548,15 @@ class KernelAgent:
         self.stats["forwarded"] += 1
         device = self.device
         rec = self.sim.recorder
-        if rec is not None:
-            t0 = paid_until if paid_until is not None else self.sim._now
         if paid_until is not None:
             # Folds the dispatcher's per-frame cost: same instant as
             # sleeping to paid_until and then the forward timeout.
+            t0 = paid_until
             yield self.sim.sleep_until(
                 paid_until + device.params.switch_forward_cost
             )
         else:
+            t0 = self.sim._now
             yield self.sim.timeout(device.params.switch_forward_cost)
         if rec is not None and packet.trace is not None:
             rec.span(packet.trace, _SWITCH_FORWARD, f"n{device.rank}",
@@ -634,19 +601,20 @@ class KernelAgent:
         if self._fd is None:
             self._fd = _FailureDetector(self, cluster)
 
+    def _node_faults_armed(self) -> bool:
+        health = self.device._fabric_health
+        return health is not None and getattr(health, "has_node_faults",
+                                              False)
+
     def _inbound_alive(self, packet: ViaPacket) -> bool:
-        """May this frame be processed, or is an endpoint torn down?
+        """Under node faults: may this frame be processed, or is an
+        endpoint torn down?
 
         False when this node has crashed (fail-stop: the NIC goes
         silent with it) or when the frame targets a local VI already
-        moved to ERROR by a death notice.  Always True without node
-        faults — one short-circuited check on the hot path.
+        moved to ERROR by a death notice.
         """
-        health = self.device._fabric_health
-        if health is None or not getattr(health, "has_node_faults",
-                                         False):
-            return True
-        if not health.node_alive(self.device.rank):
+        if not self.device._fabric_health.node_alive(self.device.rank):
             return False
         if packet.dst_node == self.device.rank and packet.kind in (
                 PacketKind.DATA, PacketKind.RMA_WRITE):

@@ -410,7 +410,7 @@ class TreeCollective:
         return port, Frame(packet.payload_bytes,
                            self.device.params.header_bytes,
                            payload=packet,
-                           kind=f"via-{packet.kind.value}")
+                           kind=packet.kind.frame_label)
 
     # -- per-peer go-back-N --------------------------------------------
 

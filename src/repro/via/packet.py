@@ -58,9 +58,12 @@ NIC_COLLECTIVE_KINDS = (
 #: fields, ``notify``, ``immediate`` as (present, value) so None stays
 #: distinct from 0, then ``seq`` and ``ack``.  The code is the kind's
 #: position, carried on the member: a dict keyed by kind would hash an
-#: Enum (a Python-level ``__hash__``) twice per frame.
+#: Enum (a Python-level ``__hash__``) twice per frame.  ``frame_label``
+#: is the debug label of the Ethernet frame that carries the kind.
 for _code, _kind in enumerate(PacketKind):
     _kind.wire_code = _code
+    _kind.frame_label = f"via-{_kind.value}"
+PacketKind.RMA_WRITE.frame_label = "via-rma"
 _pack_header = struct.Struct("<17q").pack
 
 

@@ -39,6 +39,7 @@ from repro.obs.recorder import ACK as _ACK, \
     TIMEOUT as _TIMEOUT
 from repro.sim.events import Callback
 from repro.via.packet import PacketKind, ViaPacket
+from repro.via.vi import ViState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.via.kernel_agent import KernelAgent
@@ -48,16 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class _SendEntry:
     """One unacknowledged fragment: pristine packet template plus the
-    frame metadata needed to rebuild a wire copy per attempt."""
+    route and descriptor needed to rebuild a wire copy per attempt."""
 
-    __slots__ = ("seq", "packet", "frame_kind", "route", "descriptor")
+    __slots__ = ("seq", "packet", "route", "descriptor")
 
-    def __init__(self, seq: int, packet: ViaPacket, frame_kind: str,
+    def __init__(self, seq: int, packet: ViaPacket,
                  route: Optional[tuple],
                  descriptor: Optional["Descriptor"]) -> None:
         self.seq = seq
         self.packet = packet
-        self.frame_kind = frame_kind
         #: Full source route (first hop included) of the original
         #: attempt; retransmissions under a dead-link fabric drop it
         #: and let fault-aware routing find a live path.
@@ -108,21 +108,17 @@ class ReliableChannel:
         self._check_error()
 
     def _check_error(self) -> None:
-        from repro.via.vi import ViState
-
         if self.vi.state is ViState.ERROR:
             raise self.vi.error or ViaError(
                 f"{self.vi!r}: reliable channel failed"
             )
 
-    def transmit(self, packet: ViaPacket, frame_kind: str,
-                 route: Optional[tuple],
+    def transmit(self, packet: ViaPacket, route: Optional[tuple],
                  descriptor: Optional["Descriptor"]):
         """Process: sequence, track, and enqueue one fragment."""
         packet.seq = self.next_seq
         self.next_seq += 1
-        entry = _SendEntry(packet.seq, packet, frame_kind, route,
-                           descriptor)
+        entry = _SendEntry(packet.seq, packet, route, descriptor)
         self.unacked.append(entry)
         rec = self.sim.recorder
         if rec is not None:
@@ -152,7 +148,7 @@ class ReliableChannel:
             payload_bytes=packet.payload_bytes,
             header_bytes=device.params.header_bytes,
             payload=packet,
-            kind=entry.frame_kind,
+            kind=packet.kind.frame_label,
         )
         if route:
             port = device.ports.get(route[0])
@@ -230,37 +226,26 @@ class ReliableChannel:
 
     def _fail(self) -> None:
         """Retry budget exhausted: surface a VIA error on the VI."""
-        from repro.via.vi import ViState
-
         vi = self.vi
-        agent = self.agent
-        vi.state = ViState.ERROR
-        vi.error = ViaError(
+        self.agent.stats["rel_failures"] += 1
+        self.fail_peer_dead(ViaError(
             f"{vi!r}: reliable delivery failed after "
             f"{self.params.rel_max_retries} retransmission timeouts "
             f"(seq {self.unacked[0].seq if self.unacked else '?'} "
             f"unacknowledged)"
-        )
-        agent.stats["rel_failures"] += 1
-        while self.unacked:
-            entry = self.unacked.popleft()
-            if entry.descriptor is not None:
-                vi.fail_send(entry.descriptor)
-        self._wake_window_waiters()
+        ))
         # A whole retry budget burned without one ACK is strong
         # evidence the peer is gone — hand it to the failure detector
         # (a no-op unless the cluster carries node faults).
-        agent.report_retry_exhausted(vi)
+        self.agent.report_retry_exhausted(vi)
 
     def fail_peer_dead(self, error: ViaError) -> None:
-        """Tear down the transmit side: the peer was declared dead.
+        """Tear down the transmit side: the peer is (as good as) dead.
 
         Unacknowledged sends fail through the normal completion path
         (``DescriptorStatus.ERROR``) and window waiters wake into
         ``_check_error`` so blocked senders raise instead of hanging.
         """
-        from repro.via.vi import ViState
-
         vi = self.vi
         if vi.state is not ViState.ERROR:
             vi.state = ViState.ERROR
@@ -376,7 +361,7 @@ class ReliableChannel:
             ack=self.rx_expected - 1,
         ).seal()
         frame = Frame(0, device.params.header_bytes, payload=packet,
-                      kind="via-ack")
+                      kind=packet.kind.frame_label)
         try:
             port = device.egress_port(peer_node, packet=packet)
         except ViaError:

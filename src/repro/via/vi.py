@@ -185,21 +185,32 @@ class VI:
         Completion (buffer reusable) is reported separately through
         :meth:`send_wait` / the send CQ.
         """
+        return self._post(descriptor, SendDescriptor, "a SendDescriptor")
+
+    def post_rma_write(self, descriptor: RmaWriteDescriptor):
+        """Process: post a remote-DMA write (zero-copy on both ends)."""
+        return self._post(descriptor, RmaWriteDescriptor,
+                          "RmaWriteDescriptor")
+
+    def _post(self, descriptor, wanted, needs: str):
+        """Process: the one post.  The descriptor's class names what
+        differs between the kinds (see :class:`SendDescriptor`)."""
         self.require_connected()
-        if not isinstance(descriptor, SendDescriptor):
+        if not isinstance(descriptor, wanted):
             raise ViaDescriptorError(
-                f"post_send needs a SendDescriptor, got {type(descriptor)}"
+                f"{wanted.post_name} needs {needs}, got {type(descriptor)}"
             )
         if descriptor.region.tag != self.tag:
             raise ViaDescriptorError("descriptor/VI protection tag mismatch")
-        self.stats["sends"] += 1
+        self.stats[wanted.stat] += 1
         self.stats["send_bytes"] += descriptor.nbytes
         rec = self.device.sim.recorder
         if rec is not None:
             if descriptor.trace is None:
                 # Raw VIA entry point: this is where the message is born.
                 descriptor.trace = rec.start_trace(
-                    f"via-send vi{self.vi_id} {descriptor.nbytes}B",
+                    f"{wanted.trace_label} vi{self.vi_id} "
+                    f"{descriptor.nbytes}B",
                     f"n{self.device.rank}", self.device.sim.now,
                 )
             t0 = self.device.sim.now
@@ -207,35 +218,9 @@ class VI:
             self.device.params.send_overhead, PRIO_USER
         )
         if rec is not None:
-            rec.span(descriptor.trace, _API_CALL, "post_send",
+            rec.span(descriptor.trace, _API_CALL, wanted.post_name,
                      f"n{self.device.rank}", t0, self.device.sim.now)
-        yield from self.device.transmit_send(self, descriptor)
-
-    def post_rma_write(self, descriptor: RmaWriteDescriptor):
-        """Process: post a remote-DMA write (zero-copy on both ends)."""
-        self.require_connected()
-        if not isinstance(descriptor, RmaWriteDescriptor):
-            raise ViaDescriptorError(
-                f"post_rma_write needs RmaWriteDescriptor, "
-                f"got {type(descriptor)}"
-            )
-        self.stats["rma_writes"] += 1
-        self.stats["send_bytes"] += descriptor.nbytes
-        rec = self.device.sim.recorder
-        if rec is not None:
-            if descriptor.trace is None:
-                descriptor.trace = rec.start_trace(
-                    f"via-rma vi{self.vi_id} {descriptor.nbytes}B",
-                    f"n{self.device.rank}", self.device.sim.now,
-                )
-            t0 = self.device.sim.now
-        yield from self.device.host.cpu_work(
-            self.device.params.send_overhead, PRIO_USER
-        )
-        if rec is not None:
-            rec.span(descriptor.trace, _API_CALL, "post_rma_write",
-                     f"n{self.device.rank}", t0, self.device.sim.now)
-        yield from self.device.transmit_rma(self, descriptor)
+        yield from self.device.transmit(self, descriptor)
 
     # -- completion consumption ---------------------------------------------
     def send_wait(self):

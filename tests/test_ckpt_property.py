@@ -170,11 +170,15 @@ class TestRestoreGuards:
         count, so replaying such a store would diverge mid-run instead
         of being refused here.  1.0.3 folded a kernel-tier reduction in
         arrival order where 1.0.4 folds in tree order: a cached
-        kernel-tier payload can differ in its last bits."""
+        kernel-tier payload can differ in its last bits.  1.0.4's fast
+        scheduler ran go-back-N bookkeeping ahead of the interrupt
+        dispatcher's per-frame cost where 1.0.5 runs it at the
+        reference instants: a cached result under loss or node faults
+        can differ."""
         from repro import __version__
-        assert __version__ == "1.0.4"
+        assert __version__ == "1.0.5"
         store = CheckpointStore(tmp_path)
-        for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3"):
+        for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -103,3 +103,142 @@ def test_trains_engage_on_healthy_links():
     with fastpath.force(True):
         cluster = _stream(GigEParams())
     assert _total_trains(cluster) > 0
+
+
+# ---------------------------------------------------------------------------
+# Reliable delivery: go-back-N recovery and node-death teardown run from
+# the same instants under both schedulers.  tools/fastpath_defects.py
+# prints what these assert.
+# ---------------------------------------------------------------------------
+
+LOSS = 0.01
+EXCHANGE_SIZES = (512, 4096, 40_000)
+TIER_MESH = (2, 2, 2)
+CRASH_VICTIMS = (1, 3, 6)
+CRASH_INSTANTS = (137.3, 260.5, 401.3)
+
+
+def both_schedulers(run):
+    """``[run() on the fast scheduler, run() on the reference]``."""
+    from repro.hw import faults
+
+    observed = []
+    for fast in (True, False):
+        faults.clear_registry()  # injectors register process-wide
+        with fastpath.force(fast):
+            observed.append(run())
+    faults.clear_registry()
+    return observed
+
+
+def _observe(cluster, results):
+    return (results, cluster.sim.now, cluster.reliability_stats(),
+            cluster.sim.recorder.span_keys())
+
+
+def _lossy_mesh(dims, seed):
+    from repro.cluster.builder import build_mesh
+    from repro.hw.faults import FaultParams
+    from repro.hw.params import GigEParams
+    from repro.obs.recorder import FlightRecorder
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sim.recorder = FlightRecorder()
+    return build_mesh(dims, sim=sim, gige_params=GigEParams(
+        faults=FaultParams(seed=seed, loss_rate=LOSS)))
+
+
+def _exchange(comm, torus, sizes):
+    from repro.mpi.request import waitall
+
+    peers = [rank for _direction, rank in torus.neighbors(comm.rank)]
+    received = []
+    for nbytes in sizes:
+        recvs = [comm.irecv(peer, tag=3, nbytes=nbytes) for peer in peers]
+        yield from waitall([comm.isend(peer, tag=3, nbytes=nbytes)
+                            for peer in peers])
+        yield from waitall(recvs)
+        received.append(sum(request.received_bytes for request in recvs))
+    return received, comm.engine.sim.now
+
+
+def lossy_exchange(seed, sizes=EXCHANGE_SIZES):
+    """3x3 torus, every rank to all four neighbours, at 1% loss."""
+    from repro.cluster.process_api import run_mpi
+
+    cluster = _lossy_mesh((3, 3), seed)
+    return _observe(cluster, run_mpi(cluster, _exchange,
+                                     args=(cluster.torus, sizes)))
+
+
+def _tier_rounds(comm, tier):
+    comm.set_collective_tier(tier)
+    out = []
+    for i in range(6):
+        total = yield from comm.allreduce(nbytes=64,
+                                          data=float(comm.rank + i + 1))
+        value = yield from comm.bcast(
+            root=i % comm.size, nbytes=256,
+            data=("wave", i) if comm.rank == i % comm.size else None)
+        yield from comm.barrier()
+        out.append((total, value, comm.engine.sim.now))
+    return out
+
+
+def lossy_collectives(tier, seed):
+    """allreduce + bcast + barrier x6 on 2x2x2 at 1% loss, one tier."""
+    from repro.cluster.process_api import build_world, run_mpi
+
+    cluster = _lossy_mesh(TIER_MESH, seed)
+    comms = build_world(cluster)
+    if tier != "host":
+        for node in cluster.nodes:
+            getattr(node.via, f"enable_{tier}_collectives")()
+    return _observe(cluster, run_mpi(cluster, _tier_rounds, args=(tier,),
+                                     comms=comms))
+
+
+def crashed_campaign(scenario, victim, crash_at):
+    """One chaos campaign's resilient program, no ``Trace`` attached."""
+    from repro.bench import chaos
+    from repro.cluster.builder import build_mesh
+    from repro.cluster.process_api import build_world, run_mpi
+    from repro.hw.faults import NodeFaultSpec
+    from repro.obs.recorder import FlightRecorder
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sim.recorder = FlightRecorder()
+    cluster = build_mesh(
+        chaos.MACHINE, sim=sim,
+        node_faults=[NodeFaultSpec(rank=victim, crash_at=crash_at)])
+    program = chaos._resilient(cluster, chaos.SCENARIOS[scenario])
+    results = run_mpi(cluster, program, comms=build_world(cluster),
+                      limit=chaos.LIMIT_US)
+    return _observe(cluster, results)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lossy_exchange_identical_across_schedulers(seed):
+    fast, reference = both_schedulers(lambda: lossy_exchange(seed))
+    assert fast[2]["frames_dropped"] > 0, "1% loss dropped nothing"
+    assert fast == reference
+
+
+@pytest.mark.parametrize("tier", ["host", "kernel", "nic"])
+def test_lossy_collectives_identical_across_schedulers(tier):
+    fast, reference = both_schedulers(lambda: lossy_collectives(tier, 5))
+    assert fast[2]["frames_dropped"] > 0, "1% loss dropped nothing"
+    assert fast == reference
+
+
+@pytest.mark.parametrize("scenario", ["pt2pt", "lqcd-cg"])
+@pytest.mark.parametrize("crash_at", CRASH_INSTANTS)
+@pytest.mark.parametrize("victim", CRASH_VICTIMS)
+def test_node_crash_identical_across_schedulers(scenario, victim,
+                                                crash_at):
+    fast, reference = both_schedulers(
+        lambda: crashed_campaign(scenario, victim, crash_at))
+    assert any(row["verdict"] == "dead" for row in fast[0])
+    assert fast == reference

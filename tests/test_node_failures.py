@@ -252,6 +252,48 @@ def test_descriptors_drained_with_error_status():
     assert sim.now < 3_000.0
 
 
+def _stale_rma_run(fast):
+    """3-node line under (far-future) node faults: an RMA write to an
+    address nothing is registered at, then a 64 B send behind it.
+    Returns the far agent's ``dropped_dead`` and the receive."""
+    from repro import fastpath
+    from repro.via.descriptors import (
+        RecvDescriptor, RmaWriteDescriptor, SendDescriptor,
+    )
+    from tests.conftest import make_via_pair
+
+    with fastpath.force(fast):
+        cluster, (vi0, r0), (vi2, r2) = make_via_pair(
+            hops=2, node_faults=[NodeFaultSpec(rank=1, crash_at=1e9)]
+        )
+        sim = cluster.sim
+        vi2.post_recv(RecvDescriptor(r2, 0, 4096))
+
+        def sender():
+            yield from vi0.post_rma_write(RmaWriteDescriptor(
+                r0, 0, 64, remote_addr=0xDEAD0000,
+            ))
+            yield from vi0.post_send(SendDescriptor(r0, 0, 64))
+
+        sim.spawn(sender())
+        descriptor = sim.run_until_complete(sim.spawn(vi2.recv_wait()),
+                                            limit=100_000.0)
+    return cluster.nodes[2].via.agent.stats["dropped_dead"], descriptor
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+def test_stale_rma_frame_dropped_at_the_reference_instant(fast):
+    """Under node faults an RMA frame for a region that is no longer
+    registered is dropped, not an error — after the same demux cost
+    whichever scheduler runs, so the send behind it lands on time."""
+    dropped, descriptor = _stale_rma_run(fast)
+    assert dropped == 1
+    assert descriptor.status is DescriptorStatus.DONE
+    # The reference scheduler's value at the parent commit, where the
+    # fast scheduler read 80.29931829573934 (one rx_demux_cost early).
+    assert descriptor.completed_at == 80.59931829573934
+
+
 def test_watchdog_raises_hang_error():
     """With node faults armed, a distributed hang (a receive nothing
     will ever match) trips the watchdog instead of spinning forever —

@@ -145,6 +145,27 @@ def test_recv_queue_depth_enforced(via_pair):
         vi1.post_recv(RecvDescriptor(r1, 0, 64))
 
 
+@pytest.mark.parametrize("post,build", [
+    ("post_send", SendDescriptor),
+    ("post_rma_write", RmaWriteDescriptor),
+])
+def test_post_under_foreign_protection_tag_rejected(post, build):
+    """One post body: a local segment registered under a tag other than
+    the VI's is refused by both posts, before anything is sent."""
+    cluster, (vi0, _r0), (_vi1, _r1) = make_via_pair()
+    device0 = cluster.nodes[0].via
+    foreign = device0.register_memory_now(
+        4096, device0.create_protection_tag())
+
+    def poster():
+        yield from getattr(vi0, post)(build(foreign, 0, 64))
+
+    with pytest.raises(ViaDescriptorError) as info:
+        run(cluster.sim, poster())
+    assert str(info.value) == "descriptor/VI protection tag mismatch"
+    assert vi0.stats["send_bytes"] == 0
+
+
 def test_rma_write_lands_in_enabled_region():
     cluster, (vi0, r0), (vi1, _r1) = make_via_pair()
     sim = cluster.sim
