@@ -8,10 +8,12 @@
   client load test and prints its report (``--bench-out PATH`` also
   writes it as JSON).
 * ``--telemetry`` enables the wall-clock telemetry plane for any of
-  the above (adds the ``metrics`` op to the server, and the counter
-  reconciliation section + summary to the load test);
-  ``--telemetry-trace unified.json`` additionally writes the unified
-  wall+sim Chrome/Perfetto trace.
+  the above: the server answers the ``metrics`` op, and the load test
+  ends by listing every counter series the plane exports (the
+  router's ``service_*_total`` and the fleet's ``fleet_*_total`` are
+  its two counters dicts, so they read what the report reads).  The
+  unified wall+sim trace is ``python -m repro.bench --telemetry
+  --telemetry-trace PATH``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ async def _serve(args) -> int:
     host, port = await server.start()
     sys.stdout.write(
         f"[repro.service: {args.workers} workers, listening on "
-        f"{host}:{port}; JSON lines, ops: submit/status/ping/"
-        f"shutdown]\n"
+        f"{host}:{port}; JSON lines, ops: submit/status/metrics/"
+        f"ping/shutdown]\n"
     )
     sys.stdout.flush()
     await server.serve_until_shutdown()
@@ -77,16 +79,10 @@ def main(argv=None) -> int:
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the wall-clock telemetry plane "
                              "(metrics registry + event log; adds the "
-                             "'metrics' op and the load-test "
-                             "reconciliation section)")
-    parser.add_argument("--telemetry-trace", default=None, metavar="PATH",
-                        help="with --telemetry: write the unified "
-                             "wall+sim Chrome/Perfetto trace to PATH "
-                             "on exit")
+                             "'metrics' op and the load test's counter "
+                             "listing)")
     args = parser.parse_args(argv)
 
-    if args.telemetry_trace and not args.telemetry:
-        parser.error("--telemetry-trace requires --telemetry")
     if args.telemetry:
         from repro import telemetry
 
@@ -111,41 +107,22 @@ def main(argv=None) -> int:
             loadtest.write_report(args.bench_out, report)
             sys.stdout.write(f"[report written to {args.bench_out}]\n")
         if args.telemetry:
-            _telemetry_epilogue(args.telemetry_trace)
+            _print_counters()
         return 0
 
     return asyncio.run(_serve(args))
 
 
-def _telemetry_epilogue(trace_path) -> None:
-    """Print the live counter totals; optionally write the unified
-    wall+sim trace (the sim domain comes from a small in-process
-    traced collective — worker-process sim recorders stay worker-side)."""
+def _print_counters() -> None:
+    """Every counter series the plane exports, by name."""
     from repro import telemetry
-    from repro.telemetry.registry import top_counters
 
-    tel = telemetry.ACTIVE
+    counters = telemetry.ACTIVE.merged_snapshot()["counters"]
     sys.stdout.write("[telemetry counters]\n")
-    for name, value in top_counters(tel.merged_snapshot(), limit=12):
-        sys.stdout.write(f"  {name} = {value}\n")
-    if trace_path:
-        from repro.bench.observability import traced_collective
-        from repro.telemetry.export import (
-            validate_unified_trace,
-            write_unified_trace,
-        )
-
-        sim_recorder = traced_collective(nbytes=1024)
-        trace = write_unified_trace(tel, trace_path,
-                                    [("collective", sim_recorder)])
-        problems = validate_unified_trace(trace)
-        if problems:
-            raise RuntimeError("unified trace failed validation: "
-                               + "; ".join(problems[:5]))
-        sys.stdout.write(
-            f"[unified trace: {trace_path} — "
-            f"{len(trace['traceEvents'])} events, clock domains "
-            f"wall+sim; open at https://ui.perfetto.dev]\n")
+    for name in sorted(counters):
+        for key, value in sorted(counters[name].items()):
+            label = f"{name}{{{key}}}" if key else name
+            sys.stdout.write(f"  {label} = {value}\n")
 
 
 if __name__ == "__main__":

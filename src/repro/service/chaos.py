@@ -220,8 +220,7 @@ async def run_service_chaos(seed: int = 0, requests: int = 12,
         "distinct_keys": len(references),
         "faults_planned": {k[:16]: v for k, v in fault_plan.items()},
         "faults_injected": dict(injected),
-        "fleet": {"dispatches": fleet.dispatches,
-                  **{k: v for k, v in fleet.counters.items()}},
+        "fleet": dict(fleet.counters),
         "router": dict(router.counters),
         "verdicts": verdicts,
         "ok": sum(1 for v in verdicts.values()

@@ -23,7 +23,9 @@ interpreter, multiprocessing's spawn bootstrap and the ``worker`` +
 ``protocol`` modules; the engine is imported by the first job, numpy
 by the first job that reduces real data, and the asyncio front-end
 (this module, the router, the server) never (EXPERIMENTS.md, "Cold
-start").  ``dispatches`` counts real engine runs — the counter the
+start").  ``counters`` is the fleet's one book (with the telemetry
+plane on it is exported live as ``fleet_<key>_total``);
+``dispatches`` reads its count of real engine runs — the counter the
 cache tests assert against.
 """
 
@@ -116,13 +118,11 @@ class Fleet:
         #: Chaos/test hook, called as ``on_dispatch(fleet, handle,
         #: spec)`` right after a job is written to a worker.
         self.on_dispatch = on_dispatch
-        #: Engine runs actually dispatched to workers (cache-hit and
-        #: coalesced requests never increment this).
-        self.dispatches = 0
         self.counters: Dict[str, int] = {
-            "jobs_ok": 0, "jobs_failed": 0, "crashes": 0, "hangs": 0,
-            "restarts": 0, "deadline_kills": 0, "worker_events": 0,
-            "ckpt_loaded": 0, "ckpt_computed": 0, "ckpt_resumes": 0,
+            "dispatches": 0, "jobs_ok": 0, "jobs_failed": 0,
+            "crashes": 0, "hangs": 0, "restarts": 0, "deadline_kills": 0,
+            "worker_events": 0, "ckpt_loaded": 0, "ckpt_computed": 0,
+            "ckpt_resumes": 0,
         }
         self.workers: List[WorkerHandle] = []
         self._idle: "asyncio.Queue[WorkerHandle]" = None  # set in start
@@ -131,6 +131,15 @@ class Fleet:
         self._running = False
         self._next_job_id = itertools.count()
         self._ctx = multiprocessing.get_context("spawn")
+        tel = telemetry.ACTIVE
+        if tel is not None:
+            tel.register_counters("fleet", self.counters)
+
+    @property
+    def dispatches(self) -> int:
+        """Engine runs actually dispatched to workers (cache-hit and
+        coalesced requests never increment this)."""
+        return self.counters["dispatches"]
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
@@ -229,11 +238,9 @@ class Fleet:
         handle.state = "busy"
         handle.job = (job_id, spec, future)
         handle.last_heartbeat = time.monotonic()
-        self.dispatches += 1
+        self.counters["dispatches"] += 1
         tel = telemetry.ACTIVE
         dispatch_start = tel.now() if tel is not None else 0.0
-        if tel is not None:
-            tel.registry.counter("fleet_dispatch_total").inc()
         try:
             handle.conn.send(("job", job_id, spec.to_wire()))
         except (OSError, ValueError):
@@ -252,7 +259,6 @@ class Fleet:
         except asyncio.TimeoutError:
             self.counters["deadline_kills"] += 1
             if tel is not None:
-                tel.registry.counter("fleet_deadline_kills_total").inc()
                 tel.events.warn(
                     "fleet.deadline_kill",
                     f"{spec.label()} blew its {timeout:.1f}s deadline",
@@ -314,9 +320,6 @@ class Fleet:
             tel = telemetry.ACTIVE
             if op == "result":
                 self.counters["jobs_ok"] += 1
-                if tel is not None:
-                    tel.registry.counter("fleet_jobs_total",
-                                         outcome="ok").inc()
                 if len(message) > 3:
                     # Fold the worker simulator's event count into this
                     # process's global tally; without this, fleet runs
@@ -346,9 +349,6 @@ class Fleet:
                     future.set_result(message[2])
             else:
                 self.counters["jobs_failed"] += 1
-                if tel is not None:
-                    tel.registry.counter("fleet_jobs_total",
-                                         outcome="failed").inc()
                 if not future.done():
                     future.set_exception(JobFailed(message[2], message[3]))
 
@@ -360,7 +360,6 @@ class Fleet:
         if self._running:
             self.counters["crashes"] += 1
             if tel is not None:
-                tel.registry.counter("fleet_crashes_total").inc()
                 tel.events.warn(
                     "fleet.crash",
                     f"worker #{handle.index} (pid {handle.pid}) died",
@@ -369,8 +368,6 @@ class Fleet:
         self._retire(handle, fail_job=True)
         if self._running:
             self.counters["restarts"] += 1
-            if tel is not None:
-                tel.registry.counter("fleet_respawns_total").inc()
             self._spawn_worker()
 
     def _retire(self, handle: WorkerHandle, fail_job: bool) -> None:
@@ -414,8 +411,6 @@ class Fleet:
                     self.counters["hangs"] += 1
                     tel = telemetry.ACTIVE
                     if tel is not None:
-                        tel.registry.counter(
-                            "fleet_hang_kills_total").inc()
                         tel.events.error(
                             "fleet.hang",
                             f"worker #{handle.index} silent for "

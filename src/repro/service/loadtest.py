@@ -13,10 +13,12 @@ The contract asserted by ``tests/test_service_load.py`` and the CI
 smoke: **zero dropped accepted requests** — every client ends with an
 ``ok`` response (sheds are pre-acceptance and retriable by design) —
 and exactly one engine dispatch per distinct configuration.  The
-report (throughput, p50/p99/max latency, counter totals) is printed;
-``write_report`` saves it where the caller names a path.  The numbers
-that are compared across commits are the ledger's ``service.*`` metrics
-(``service_closed_loop``), not this one shot.
+report (throughput, p50/p99/max latency, the router's and the fleet's
+counters) is printed; ``write_report`` saves it where the caller names
+a path.  With the telemetry plane on, its ``service_*_total`` and
+``fleet_*_total`` series are those same two counters dicts, read live.
+The numbers that are compared across commits are the ledger's
+``service.*`` metrics (``service_closed_loop``), not this one shot.
 """
 
 from __future__ import annotations
@@ -26,39 +28,11 @@ import json
 import time
 from typing import Any, Dict, List
 
-from repro import telemetry
 from repro.service.cache import ResultCache
 from repro.service.fleet import Fleet
 from repro.service.protocol import JobSpec, ServiceError
 from repro.service.router import Router, RouterConfig
 from repro.sim.monitor import Probe
-from repro.telemetry.registry import snapshot_counter
-
-#: Telemetry counter -> load-report field, the exact-reconciliation
-#: contract: after a load test, each telemetry counter's *delta* must
-#: equal the corresponding router/fleet total in the report.
-_RECONCILE = (
-    ("service_requests_total", {}, ("router", "requests")),
-    ("service_cache_total", {"result": "hit"}, ("router", "cache_hits")),
-    ("service_retries_total", {}, ("router", "retries")),
-    ("service_shed_total", {}, ("router", "shed")),
-    ("service_coalesced_total", {}, ("router", "coalesced")),
-    ("service_completed_total", {}, ("router", "completed")),
-    ("fleet_dispatch_total", {}, ("engine_dispatches",)),
-)
-
-
-def _series_label(name: str, labels: Dict[str, str]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
-
-
-def _reconcile_counters(snapshot: Dict[str, Any]) -> Dict[str, int]:
-    return {_series_label(name, labels):
-            snapshot_counter(snapshot, name, **labels)
-            for name, labels, _path in _RECONCILE}
 
 
 class LoadTestFailed(ServiceError):
@@ -93,11 +67,6 @@ async def run_load_test(clients: int = 1000, workers: int = 2,
         retry_after_s=0.02))
     probe = Probe()
     outcomes = {"ok": 0, "failed": 0, "gave_up": 0}
-    tel = telemetry.ACTIVE
-    # Counter *baselines*, so the report reconciles even when earlier
-    # runs in this process already advanced the plane's counters.
-    tel_before = (_reconcile_counters(tel.merged_snapshot())
-                  if tel is not None else None)
 
     async def client(index: int) -> Dict[str, Any]:
         spec = pool[index % len(pool)]
@@ -174,23 +143,6 @@ async def run_load_test(clients: int = 1000, workers: int = 2,
         },
         "failures": bad[:5],
     }
-    if tel is not None:
-        tel_after = _reconcile_counters(tel.merged_snapshot())
-        deltas = {label: tel_after[label] - tel_before[label]
-                  for label in tel_after}
-        expected = {}
-        for name, labels, path in _RECONCILE:
-            value: Any = report
-            for step in path:
-                value = value[step]
-            expected[_series_label(name, labels)] = value
-        report["telemetry"] = {
-            "enabled": True,
-            "run": tel.run_id,
-            "counters": deltas,
-            "expected": expected,
-            "reconciled": deltas == expected,
-        }
     return report
 
 
@@ -219,18 +171,6 @@ def check_report(report: Dict[str, Any]) -> None:
             f"engine runs, saw {wave['hits']} hits and "
             f"{wave['dispatches']} dispatches"
         )
-    section = report.get("telemetry")
-    if section is not None and not section["reconciled"]:
-        mismatches = {
-            label: (section["counters"][label],
-                    section["expected"][label])
-            for label in section["expected"]
-            if section["counters"].get(label) != section["expected"][label]
-        }
-        raise LoadTestFailed(
-            f"telemetry counters do not reconcile with the load report "
-            f"(telemetry, expected): {mismatches!r}"
-        )
 
 
 def write_report(path: str, report: Dict[str, Any]) -> None:
@@ -242,7 +182,7 @@ def write_report(path: str, report: Dict[str, Any]) -> None:
 
 def render_report(report: Dict[str, Any]) -> str:
     latency = report["latency_ms"]
-    lines = (
+    return (
         f"service load test: {report['clients']} clients, "
         f"{report['workers']} workers, {report['distinct_jobs']} "
         f"distinct jobs, max_pending={report['max_pending']}\n"
@@ -259,12 +199,6 @@ def render_report(report: Dict[str, Any]) -> str:
         f"p50={latency['p50']}ms p99={latency['p99']}ms "
         f"max={latency['max']}ms\n"
     )
-    section = report.get("telemetry")
-    if section is not None:
-        verdict = "reconciled" if section["reconciled"] else "MISMATCH"
-        lines += (f"  telemetry: {verdict} "
-                  f"({len(section['counters'])} counters checked)\n")
-    return lines
 
 
 __all__ = [

@@ -20,9 +20,11 @@ client) and the fleet.  For each submit request it:
 
 Every accepted request therefore terminates: attempts are bounded,
 each attempt is bounded by its deadline (enforced by killing the
-worker), and backoffs are finite.  Per-request lifecycle spans and
-fleet metrics go to a wall-clock :class:`~repro.obs.FlightRecorder`,
-reusing the simulator's observability layer one level up.
+worker), and backoffs are finite.  ``Router.counters`` is the one book
+of what happened; with the telemetry plane on it is registered under
+the ``service`` prefix (exported live as ``service_<key>_total``), and
+each request and attempt leaves a wall span on the plane's bounded
+``service`` track.  With the plane off a request leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro import telemetry
-from repro.obs import FlightRecorder
 from repro.service.cache import ResultCache
 from repro.service.fleet import Fleet, FleetStopped
 from repro.service.protocol import (
@@ -68,6 +69,21 @@ class RouterConfig:
     drain_timeout_s: float = 60.0
 
 
+def _span(tel: "telemetry.Telemetry", kind: str, spec: JobSpec,
+          start: float) -> None:
+    """A wall span on the ``service`` track from ``start`` (a
+    ``time.monotonic()`` reading) to now."""
+    tel.wall_span(kind, spec.label(), "service", start - tel.t0, tel.now())
+
+
+def _attempt(tel: "telemetry.Telemetry", outcome: str, spec: JobSpec,
+             start: float) -> None:
+    """One finished attempt: its latency histogram and its span."""
+    tel.registry.histogram("service_attempt_seconds", outcome=outcome
+                           ).observe(time.monotonic() - start)
+    _span(tel, f"attempt-{outcome}", spec, start)
+
+
 class Router:
     """Dispatches validated requests to the fleet through the cache."""
 
@@ -76,10 +92,8 @@ class Router:
         self.fleet = fleet
         self.cache = cache if cache is not None else ResultCache()
         self.config = config or RouterConfig()
-        #: Wall-clock observability: per-request spans + fleet metrics
-        #: timeline (0.25 s buckets; times are seconds since router
-        #: creation on the "service" track).
-        self.recorder = FlightRecorder(metrics_interval=0.25)
+        #: The router's one book: every count ``status()``, the reports,
+        #: the ledger and (with the plane on) the telemetry plane read.
         self.counters: Dict[str, int] = {
             "requests": 0, "accepted": 0, "completed": 0,
             "cache_hits": 0, "coalesced": 0, "shed": 0,
@@ -94,24 +108,12 @@ class Router:
         self._t0 = time.monotonic()
         tel = telemetry.ACTIVE
         if tel is not None:
-            # The wall-clock request recorder joins the unified trace
-            # export under the "wall:router/..." tracks.
-            tel.register_wall_recorder("router", self.recorder)
+            tel.register_counters("service", self.counters)
 
-    # -- observability helpers ---------------------------------------------
-    def _now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def _observe_load(self) -> None:
-        t = self._now()
-        self.recorder.metrics.observe("queue_depth", t, self._pending)
-        self.recorder.metrics.observe("busy_workers", t,
-                                      len(self.fleet.busy_workers()))
-        tel = telemetry.ACTIVE
-        if tel is not None:
-            tel.registry.gauge("service_queue_depth").set(self._pending)
-            tel.registry.gauge("service_busy_workers").set(
-                len(self.fleet.busy_workers()))
+    def _observe_load(self, tel: "telemetry.Telemetry") -> None:
+        tel.registry.gauge("service_queue_depth").set(self._pending)
+        tel.registry.gauge("service_busy_workers").set(
+            len(self.fleet.busy_workers()))
 
     # -- the submit path ----------------------------------------------------
     async def submit(self, request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -119,8 +121,6 @@ class Router:
         response dict, never raises, never hangs."""
         self.counters["requests"] += 1
         tel = telemetry.ACTIVE
-        if tel is not None:
-            tel.registry.counter("service_requests_total").inc()
         rid = request.get("id")
         started = time.monotonic()
         try:
@@ -128,72 +128,56 @@ class Router:
         except ProtocolError as exc:
             self.counters["bad_requests"] += 1
             if tel is not None:
-                tel.registry.counter("service_bad_requests_total").inc()
                 tel.events.warn("service.bad_request", str(exc),
                                 run=tel.run_id)
             return error_response(rid, "ProtocolError", str(exc),
                                   retriable=False)
         key = spec.cache_key()
-        trace = self.recorder.start_trace(spec.label(), "service",
-                                          self._now())
 
         cached = self.cache.get(key)
         if cached is not None:
             self.counters["cache_hits"] += 1
             if tel is not None:
-                tel.registry.counter("service_cache_total",
-                                     result="hit").inc()
-            self.recorder.event(trace, "cache-hit", spec.label(),
-                                "service", self._now())
+                _span(tel, "request", spec, started)
             return ok_response(rid, key, cached, "hit", attempts=0,
                                elapsed_s=time.monotonic() - started)
 
         leader = self._inflight.get(key)
         if leader is not None:
             self.counters["coalesced"] += 1
-            if tel is not None:
-                tel.registry.counter("service_coalesced_total").inc()
-            self.recorder.event(trace, "coalesced", spec.label(),
-                                "service", self._now())
             response = dict(await leader)
             response["id"] = rid
             if response["status"] == "ok":
                 response["cache"] = "coalesced"
             response["elapsed_s"] = round(time.monotonic() - started, 6)
+            if tel is not None:
+                _span(tel, "request", spec, started)
             return response
 
         if self._draining:
             self.counters["drained_rejects"] += 1
-            if tel is not None:
-                tel.registry.counter("service_drained_rejects_total").inc()
             return error_response(rid, "ShuttingDown",
                                   "service is draining; resubmit later",
                                   retriable=True)
         if self._pending >= self.config.max_pending:
             self.counters["shed"] += 1
             if tel is not None:
-                tel.registry.counter("service_shed_total").inc()
                 tel.events.warn("service.shed", spec.label(),
                                 run=tel.run_id, pending=self._pending)
-            self.recorder.event(trace, "shed", spec.label(), "service",
-                                self._now())
             return overloaded_response(rid, self.config.retry_after_s)
 
         # Accepted: from here the request MUST terminate with a
         # response, and the single-flight future MUST resolve so
         # coalesced waiters can never hang.
         self.counters["accepted"] += 1
-        if tel is not None:
-            tel.registry.counter("service_accepted_total").inc()
-            tel.registry.counter("service_cache_total",
-                                 result="miss").inc()
         self._pending += 1
         self._drained.clear()
-        self._observe_load()
+        if tel is not None:
+            self._observe_load(tel)
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            response = await self._execute(rid, spec, key, trace, started,
+            response = await self._execute(rid, spec, key, started,
                                            request.get("deadline_s"))
         except Exception as exc:  # belt and braces: never leak a raise
             response = error_response(rid, type(exc).__name__, str(exc),
@@ -204,13 +188,14 @@ class Router:
             self._pending -= 1
             if self._pending == 0:
                 self._drained.set()
-            self._observe_load()
-        self.recorder.span(trace, "request", spec.label(), "service",
-                           started - self._t0, self._now())
+            if tel is not None:
+                self._observe_load(tel)
+        if tel is not None:
+            _span(tel, "request", spec, started)
         return response
 
     async def _execute(self, rid: Any, spec: JobSpec, key: str,
-                       trace: int, started: float,
+                       started: float,
                        requested_deadline: Any = None) -> Dict[str, Any]:
         # The deadline is a *request* field, not part of the job spec,
         # so it can never perturb the cache key.
@@ -222,20 +207,15 @@ class Router:
         last_error: Optional[Exception] = None
         tel = telemetry.ACTIVE
         for attempt in range(1, self.config.max_attempts + 1):
-            attempt_start = self._now()
+            attempt_start = time.monotonic()
             try:
                 payload = await self.fleet.run_job(spec, timeout=deadline)
             except JobFailed as exc:
                 # Deterministic failure: retrying re-runs the same
                 # engine on the same config — surface it immediately.
                 self.counters["job_failures"] += 1
-                self.recorder.span(trace, "attempt-failed", spec.label(),
-                                   "service", attempt_start, self._now())
                 if tel is not None:
-                    tel.registry.histogram(
-                        "service_attempt_seconds", outcome="failed",
-                    ).observe(self._now() - attempt_start)
-                    tel.registry.counter("service_job_failures_total").inc()
+                    _attempt(tel, "failed", spec, attempt_start)
                     tel.events.error("service.job_failure", exc.detail,
                                      run=tel.run_id, job=spec.label(),
                                      error_type=exc.error_type,
@@ -245,12 +225,8 @@ class Router:
                                       key=key)
             except (WorkerCrashed, DeadlineExceeded, FleetStopped) as exc:
                 last_error = exc
-                self.recorder.span(trace, "attempt-lost", spec.label(),
-                                   "service", attempt_start, self._now())
                 if tel is not None:
-                    tel.registry.histogram(
-                        "service_attempt_seconds", outcome="lost",
-                    ).observe(self._now() - attempt_start)
+                    _attempt(tel, "lost", spec, attempt_start)
                     tel.events.warn("service.attempt_lost", str(exc),
                                     run=tel.run_id, job=spec.label(),
                                     error_type=type(exc).__name__,
@@ -259,29 +235,19 @@ class Router:
                         exc, FleetStopped):
                     break
                 self.counters["retries"] += 1
-                if tel is not None:
-                    tel.registry.counter("service_retries_total").inc()
                 backoff = (self.config.backoff_base_s *
                            self.config.backoff_factor ** (attempt - 1))
-                self.recorder.event(trace, "retry", spec.label(),
-                                    "service", self._now())
                 await asyncio.sleep(backoff)
             else:
                 self.cache.put(key, payload)
                 self.counters["completed"] += 1
-                self.recorder.span(trace, "attempt-ok", spec.label(),
-                                   "service", attempt_start, self._now())
                 if tel is not None:
-                    tel.registry.histogram(
-                        "service_attempt_seconds", outcome="ok",
-                    ).observe(self._now() - attempt_start)
-                    tel.registry.counter("service_completed_total").inc()
+                    _attempt(tel, "ok", spec, attempt_start)
                 return ok_response(rid, key, payload, "miss",
                                    attempts=attempt,
                                    elapsed_s=time.monotonic() - started)
         self.counters["retriable_errors"] += 1
         if tel is not None:
-            tel.registry.counter("service_retriable_errors_total").inc()
             tel.events.error(
                 "service.retry_exhausted",
                 f"{spec.label()}: {last_error}", run=tel.run_id,
@@ -345,8 +311,7 @@ class Router:
             "counters": dict(self.counters),
             "cache": self.cache.snapshot(),
             "fleet": self.fleet.status(),
-            "uptime_s": round(self._now(), 3),
-            "metrics_series": self.recorder.metrics.names(),
+            "uptime_s": round(time.monotonic() - self._t0, 3),
         }
 
 

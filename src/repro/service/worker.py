@@ -97,8 +97,6 @@ def worker_main(conn: Any, heartbeat_interval: float = 0.1,
                 meta = {"events": sim_core.TOTAL_EVENTS - before}
                 meta.update(jobs.LAST_RUN_META)
                 if worker_tel is not None:
-                    worker_tel.registry.counter(
-                        "worker_jobs_total").inc()
                     meta["telemetry"] = worker_tel.registry.snapshot()
                 reply = ("result", job_id, payload, meta)
             except Exception as exc:  # deterministic job failure

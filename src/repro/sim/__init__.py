@@ -32,7 +32,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Resource
-from repro.sim.store import FilterStore, Store, TokenPool
+from repro.sim.store import Store, TokenPool
 from repro.sim.monitor import Trace, TraceRecord
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Store",
-    "FilterStore",
     "TokenPool",
     "Trace",
     "TraceRecord",

@@ -8,7 +8,7 @@ blocks when it is empty.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, URGENT, _PENDING
@@ -34,16 +34,14 @@ class StorePut(Event):
 class StoreGet(Event):
     """Event returned by :meth:`Store.get`; fires with the item."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         self.sim = sim = store.sim
         self.name = f"get:{store.name}" if sim.trace is not None else ""
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
-        self.filter = filter
 
 
 #: ``items`` of a store nothing has been put into yet and its
@@ -256,52 +254,3 @@ class TokenPool(Store):
             return True
         return False
 
-
-class FilterStore(Store):
-    """Store whose getters may select items with a predicate.
-
-    Used for receive-side message matching (match by tag/source).
-    Getters are served in FIFO order *per matching item*: a getter whose
-    filter matches nothing waits without blocking later getters.
-    """
-
-    __slots__ = ()
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        get_event = StoreGet(self, filter=filter)
-        if self._getters is _EMPTY:
-            self._getters = deque()
-        self._getters.append(get_event)
-        self._dispatch()
-        return get_event
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if event.filter is None:
-            return super()._do_get(event)
-        for index, item in enumerate(self.items):
-            if event.filter(item):
-                del self.items[index]
-                self.stats["gets"] += 1
-                event.succeed(item, URGENT)
-                return True
-        return False
-
-    def _dispatch(self) -> None:
-        # Unlike the FIFO store, a blocked getter must not stall the
-        # rest: scan all getters each round.
-        progress = True
-        while progress:
-            progress = False
-            while self._putters:
-                if self._do_put(self._putters[0]):
-                    self._putters.popleft()
-                    progress = True
-                else:
-                    break
-            satisfied = []
-            for index, getter in enumerate(self._getters):
-                if self._do_get(getter):
-                    satisfied.append(index)
-                    progress = True
-            for index in reversed(satisfied):
-                del self._getters[index]

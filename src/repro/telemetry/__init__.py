@@ -11,10 +11,13 @@ called, and every instrumentation site is::
 
     tel = telemetry.ACTIVE
     if tel is not None:
-        tel.registry.counter("service_requests_total").inc()
+        tel.registry.counter("pdes_windows_total").inc()
 
 so a disabled plane costs one module-attribute load per site and
-records nothing.  Nothing in here ever touches simulation state:
+records nothing.  A subsystem that already keeps a counters dict (the
+service router, the fleet) is not counted twice: it registers the dict
+once with :meth:`Telemetry.register_counters` and every snapshot reads
+it live.  Nothing in here ever touches simulation state:
 telemetry rides out-of-band (worker registry snapshots travel in the
 result ``meta`` dict next to ``LAST_RUN_META``, never inside cached
 payloads or cache keys), which is what keeps every differential
@@ -28,9 +31,10 @@ Pieces:
 * :class:`~repro.telemetry.events.EventLog` — bounded structured
   JSONL event buffer (:mod:`repro.telemetry.events`).
 * Wall spans — reuses :class:`repro.obs.recorder.Span` with wall
-  *seconds* for start/end; :mod:`repro.telemetry.export` merges them
-  with sim-time FlightRecorder tracks into one Chrome/Perfetto file
-  with two clock domains.
+  *seconds* for start/end, in one bounded deque (``WALL_SPAN_LIMIT``);
+  :mod:`repro.telemetry.export` merges them with sim-time
+  FlightRecorder tracks into one Chrome/Perfetto file with two clock
+  domains.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.obs.recorder import FlightRecorder, Span
+from repro.obs.recorder import Span
 from repro.telemetry.events import EventLog
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -67,9 +71,9 @@ class Telemetry:
         #: Wall-clock spans; ``Span`` with start/end in *seconds since
         #: t0* (the exporter scales to microseconds).
         self.wall_spans: deque = deque(maxlen=WALL_SPAN_LIMIT)
-        #: Wall-clock FlightRecorders registered by subsystems that
-        #: already keep one (the router's "service" track).
-        self.wall_recorders: Dict[str, FlightRecorder] = {}
+        #: Counters dicts owned by subsystems, by export prefix (the
+        #: router's "service", the fleet's "fleet"); read live.
+        self.counter_books: Dict[str, Dict[str, int]] = {}
         #: Latest cumulative registry snapshot per worker process,
         #: keyed by a stable worker key (fleet worker index).  Workers
         #: ship *cumulative* snapshots, so keeping only the newest per
@@ -90,10 +94,12 @@ class Telemetry:
         self.wall_spans.append(
             Span(WALL_TRACE, kind, name, track, start, end))
 
-    def register_wall_recorder(self, name: str,
-                               recorder: FlightRecorder) -> None:
-        """Adopt a subsystem's wall-clock FlightRecorder for export."""
-        self.wall_recorders[name] = recorder
+    def register_counters(self, prefix: str,
+                          counters: Dict[str, int]) -> None:
+        """Export a subsystem's own counters dict: every snapshot reads
+        ``counters[key]`` live as the ``<prefix>_<key>_total`` series.
+        A later registration under ``prefix`` replaces the earlier."""
+        self.counter_books[prefix] = counters
 
     # -- cross-process merge ---------------------------------------------
 
@@ -103,9 +109,14 @@ class Telemetry:
         self.worker_snapshots[key] = snapshot
 
     def merged_snapshot(self) -> Dict[str, dict]:
-        """This process's registry merged with all worker snapshots."""
-        return merge_snapshots(
-            [self.registry.snapshot(), *self.worker_snapshots.values()])
+        """This process's registry and registered counters dicts merged
+        with all worker snapshots."""
+        books = {"counters": {
+            f"{prefix}_{key}_total": {"": value}
+            for prefix, counters in self.counter_books.items()
+            for key, value in counters.items()}}
+        return merge_snapshots([self.registry.snapshot(), books,
+                                *self.worker_snapshots.values()])
 
 
 #: The process-global plane; ``None`` means telemetry is disabled and

@@ -3,10 +3,9 @@
 Merges two clock domains into one Chrome trace-event file that
 Perfetto loads directly:
 
-* **wall** — spans recorded against wall-clock seconds: the telemetry
-  plane's own wall spans (fleet dispatches, PDES windows, checkpoint
-  captures) plus any wall-clock FlightRecorders registered with the
-  plane (the router's per-attempt "service" recorder).  Tracks are
+* **wall** — the telemetry plane's wall spans, recorded against
+  wall-clock seconds (router requests and attempts on ``service``,
+  fleet dispatches, PDES windows, checkpoint captures).  Tracks are
   prefixed ``wall:``; seconds are scaled to microseconds for the
   ``ts``/``dur`` fields.
 * **sim** — ordinary sim-time FlightRecorders (microsecond
@@ -39,15 +38,6 @@ WALL_PREFIX = "wall:"
 SIM_PREFIX = "sim:"
 
 
-def _domain_items(recorder: FlightRecorder, prefix: str, scale: float,
-                  clock: str):
-    """A recorder's trace items moved into one clock domain."""
-    for (track, lane, phase, name, cat,
-         start, end, args) in recorder_items(recorder):
-        yield (prefix + track, lane, phase, name, cat, start * scale,
-               end * scale, {**args, "clock": clock})
-
-
 def unified_trace(tel: Telemetry,
                   sim_recorders: Iterable[Tuple[str, FlightRecorder]] = (),
                   ) -> Dict[str, Any]:
@@ -62,12 +52,12 @@ def unified_trace(tel: Telemetry,
          span.end * _WALL_SCALE, {"trace": span.trace, "clock": "wall"})
         for span in tel.wall_spans
     ]
-    for label, recorder in sorted(tel.wall_recorders.items()):
-        items.extend(_domain_items(recorder, f"{WALL_PREFIX}{label}/",
-                                   _WALL_SCALE, "wall"))
     for label, recorder in sim_recorders:
-        items.extend(_domain_items(recorder, f"{SIM_PREFIX}{label}/",
-                                   1, "sim"))
+        items.extend(
+            (f"{SIM_PREFIX}{label}/{track}", lane, phase, name, cat, start,
+             end, {**args, "clock": "sim"})
+            for (track, lane, phase, name, cat, start, end,
+                 args) in recorder_items(recorder))
     return render_trace_events(
         items, other={"run": tel.run_id, "clockDomains": ["wall", "sim"]})
 

@@ -198,3 +198,44 @@ def test_nic_collectives_is_a_registry_name_outside_the_paper_set():
         "host overhead per op on 2x2x2 (api-call + irq-wait): "
         "kernel 16.4125us -> nic 0.3us (98.2% lower)",
     ]
+
+
+#: Where the repo tells a reader to run one of its CLIs.
+COMMAND_DOCS = ["README.md", "DESIGN.md", "docs/*.md",
+                ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"]
+_COMMAND = re.compile(r"python3? -m (repro\.(?:bench|service))(?![\w.])"
+                      r"([^`;|&)#\n]*)")
+
+
+def _documented_commands():
+    """``(where, package, options)`` for every documented command line
+    (backslash continuations joined)."""
+    root = EXAMPLES.parent
+    for pattern in COMMAND_DOCS:
+        for path in sorted(root.glob(pattern)):
+            number = 1
+            for line in re.split(r"(?<!\\)\n", path.read_text()):
+                where = f"{path.relative_to(root)}:{number}"
+                number += line.count("\n") + 1
+                for package, rest in _COMMAND.findall(
+                        line.replace("\\\n", " ")):
+                    options = re.findall(r"(?<!\S)(--[a-z][a-z0-9-]*)", rest)
+                    yield where, package, options
+
+
+def test_documented_command_lines_use_only_real_options():
+    import importlib
+
+    helps = {}
+    for package in ("repro.bench", "repro.service"):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            importlib.import_module(f"{package}.__main__").main(["--help"])
+        helps[package] = set(re.findall(r"--[a-z][a-z0-9-]*",
+                                        out.getvalue()))
+    commands = list(_documented_commands())
+    assert len(commands) > 10
+    unknown = [f"{where}: {package} {option}"
+               for where, package, options in commands
+               for option in options if option not in helps[package]]
+    assert not unknown, unknown

@@ -72,3 +72,45 @@ def test_server_rejects_garbage_lines_with_structured_errors():
             await server.shutdown(drain=False)
 
     asyncio.run(scenario())
+
+
+def test_documented_server_command_serves_metrics_and_shuts_down():
+    """``python -m repro.service --workers 1 --port 0 --telemetry`` as
+    docs/OBSERVABILITY.md runs it: the ``metrics`` op over a real socket
+    sees the fleet's own counters, and ``shutdown`` ends the process."""
+    import os
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--workers", "1",
+         "--port", "0", "--telemetry"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        banner = proc.stdout.readline()
+        host, port = re.search(r"listening on ([\d.]+):(\d+)",
+                               banner).groups()
+
+        async def scenario():
+            client = await ServiceClient(host, int(port)).connect()
+            metrics = await client.request({"op": "metrics", "id": "m"})
+            down = await client.request({"op": "shutdown", "id": "d"})
+            await client.close()
+            return metrics, down
+
+        metrics, down = asyncio.run(scenario())
+        assert metrics["enabled"] is True
+        assert "fleet_dispatches_total 0" in metrics["prometheus"].splitlines()
+        assert down["draining"] is True
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -1,9 +1,9 @@
-"""Tests for Store and FilterStore."""
+"""Tests for Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import FilterStore, Store
+from repro.sim import Store
 from tests.conftest import run
 
 
@@ -103,7 +103,7 @@ def test_push_is_an_uncounted_deposit_that_serves_a_waiting_getter(sim):
 def test_an_untouched_store_holds_no_deque(sim):
     """``items``, ``_putters`` and ``_getters`` are empty tuples until
     used (an empty deque is 760 bytes, and most stores stay empty)."""
-    for store in (Store(sim), Store(sim, capacity=4), FilterStore(sim)):
+    for store in (Store(sim), Store(sim, capacity=4)):
         assert store.items == store._putters == store._getters == ()
         assert len(store) == 0 and store.level == 0 and not store.items
         assert list(store.items) == [] and store.try_get() is None
@@ -135,53 +135,3 @@ def test_level_and_stats(sim):
     assert store.stats["gets"] == 1
     assert store.stats["max_level"] == 2
 
-
-def test_filter_store_selects_matching(sim):
-    store = FilterStore(sim)
-
-    def proc():
-        yield store.put(("b", 2))
-        yield store.put(("a", 1))
-        value = yield store.get(lambda item: item[0] == "a")
-        return value
-
-    assert run(sim, proc()) == ("a", 1)
-
-
-def test_filter_store_blocked_getter_does_not_stall_others(sim):
-    store = FilterStore(sim)
-    log = []
-
-    def picky():
-        value = yield store.get(lambda item: item == "rare")
-        log.append(("picky", value, sim.now))
-
-    def easy():
-        value = yield store.get()
-        log.append(("easy", value, sim.now))
-
-    def producer():
-        yield sim.timeout(1)
-        yield store.put("common")
-        yield sim.timeout(1)
-        yield store.put("rare")
-
-    sim.spawn(picky())
-    sim.spawn(easy())
-    sim.spawn(producer())
-    sim.run()
-    assert ("easy", "common", 1) in log
-    assert ("picky", "rare", 2) in log
-
-
-def test_filter_store_plain_get_is_fifo(sim):
-    store = FilterStore(sim)
-
-    def proc():
-        yield store.put(1)
-        yield store.put(2)
-        first = yield store.get()
-        second = yield store.get()
-        return (first, second)
-
-    assert run(sim, proc()) == (1, 2)

@@ -442,3 +442,104 @@ def test_metrics_response_disabled_and_enabled():
     assert snapshot_counter(on["snapshot"], "service_requests_total") == 2
     assert "service_requests_total 2" in on["prometheus"]
     assert on["events"][-1]["schema"] == "svc.probe"
+
+
+# ---------------------------------------------------------------------------
+# One book: the plane reads the router's and the fleet's own counters
+# ---------------------------------------------------------------------------
+
+class _StubFleet:
+    """A fleet without processes: every job answers at once."""
+
+    ckpt_dir = None
+
+    def busy_workers(self):
+        return []
+
+    async def run_job(self, spec, timeout):
+        return {"answer": 42}
+
+
+def _stub_router_run(hits, bad=0):
+    """A stub-fleet router after 1 miss, ``hits`` hits and ``bad``
+    malformed requests (built inside the loop that runs it)."""
+    import asyncio
+
+    from repro.service import Router
+    from repro.service.protocol import JobSpec
+
+    async def scenario():
+        router = Router(_StubFleet())
+        wire = JobSpec.make("point", "via_latency", nbytes=4).to_wire()
+        for index in range(1 + hits):
+            await router.submit({"id": index, "job": wire})
+        for index in range(bad):
+            await router.submit({"id": f"bad{index}", "job": {"kind": "?"}})
+        return router
+
+    return asyncio.run(scenario())
+
+
+def test_plane_reads_the_router_and_fleet_counters_live():
+    from repro.service import Fleet
+    from repro.service.server import metrics_response
+
+    telemetry.enable("live-books")
+    router = _stub_router_run(hits=3, bad=1)
+    assert router.counters["cache_hits"] == 3
+    assert router.counters["bad_requests"] == 1
+    snapshot = metrics_response()["snapshot"]
+    for key, value in router.counters.items():
+        assert snapshot_counter(snapshot, f"service_{key}_total") == value
+    assert "service_cache_hits_total 3" in metrics_response()["prometheus"]
+    summary = telemetry.hang_summary()
+    for key in ("requests", "cache_hits", "accepted", "bad_requests"):
+        assert f"service_{key}_total = {router.counters[key]}" in summary
+    # Live, not copied: the next bump shows without re-registering.
+    router.counters["cache_hits"] += 1
+    assert "service_cache_hits_total 4" in metrics_response()["prometheus"]
+
+    fleet = Fleet(1)  # registers at construction; no process spawned
+    snapshot = metrics_response()["snapshot"]
+    assert snapshot_counter(snapshot, "fleet_dispatches_total") == 0
+    assert set(fleet.counters) == {
+        name[len("fleet_"):-len("_total")]
+        for name in snapshot["counters"] if name.startswith("fleet_")}
+
+
+def test_a_request_leaves_nothing_behind(monkeypatch):
+    import asyncio
+    import os
+    import tracemalloc
+
+    import repro
+    from repro.service.protocol import JobSpec
+
+    roots = tuple(os.path.join(os.path.dirname(repro.__file__), package)
+                  for package in ("service", "obs"))
+    router = _stub_router_run(hits=200)
+    wire = JobSpec.make("point", "via_latency", nbytes=4).to_wire()
+
+    async def hits(count):
+        for index in range(count):
+            response = await router.submit({"id": index, "job": wire})
+            assert response["cache"] == "hit"
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        asyncio.run(hits(2000))
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    growth = sum(stat.size_diff
+                 for stat in after.compare_to(before, "filename")
+                 if stat.traceback[0].filename.startswith(roots))
+    assert growth < 64 * 1024, f"{growth} bytes retained by 2000 hits"
+
+    # Plane on: the router's spans go to the plane's one bounded deque.
+    monkeypatch.setattr(telemetry, "WALL_SPAN_LIMIT", 50)
+    tel = telemetry.enable("bounded")
+    _stub_router_run(hits=120)
+    assert len(tel.wall_spans) == 50
+    assert {span.track for span in tel.wall_spans} == {"service"}
