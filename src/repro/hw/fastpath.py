@@ -2,9 +2,9 @@
 
 When a sender queues a burst of back-to-back frames on an otherwise
 idle NIC pipeline (the steady state of every bandwidth experiment), the
-reference simulation pays ~6 queue events per frame: the DMA join and
-bus wake, the FIFO put/get pair, the wire-stage sleep, and the delivery
-callback.  None of those intermediate events are observable — only the
+per-frame path pays ~5 queue entries per frame: the DMA join, the bus
+wake, the wire stage's take-up and serialization end, and the delivery
+callback.  None of those intermediate entries are observable — only the
 per-frame DMA-completion instants (send-completion semantics) and the
 arrival instants at the peer port matter.  This module collapses the
 whole train into an analytic plan computed with *exactly* the float
@@ -24,7 +24,7 @@ order the live code performs them):
   wire-pop instant that frees the i-th slot of the 4-deep FIFO;
 * ``W_i = max(S_{i-1}, P_i)`` — the wire stage pops frame *i*;
 * ``S_i = fl(fl(W_i + tx_proc) + fl(wire_bytes / wire_rate))`` — the
-  serialization epilogue of the wire loop's folded wait;
+  serialization end of the wire stage's folded wait;
 * ``A_i = fl(S_i + propagation)`` — arrival at the peer port.
 
 Engagement guard
@@ -175,14 +175,10 @@ def plan_train(port, frames) -> Optional[_Plan]:
     membus = host.membus
     if membus._flows or membus._entered or membus.setup <= 0:
         return None
-    # The wire stage must be parked — which says the FIFO is empty and
-    # no producer blocked, too: it parks only on an empty FIFO and takes
-    # up whatever is put there next.  (A port that runs its transmit
-    # pipeline as processes never gets here: see the link test above.)
+    # The wire stage must be parked — which says the FIFO is empty, no
+    # producer blocked and the line idle, too: it parks only on an empty
+    # FIFO and takes up whatever is put there next.
     if port._tx_wire_frame is not None:
-        return None
-    line = link._lines[port.side]
-    if line._holders or line._waiters:
         return None
     # Send completion mid-train would wake the application while the
     # plan assumes exclusive host resources; only the final frame may
@@ -287,7 +283,6 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
 
     port.stats["tx_frames"] += n
     port.stats["tx_bytes"] += plan.payload_bytes
-    link._lines[side].stats["grants"] += n
     link.stats["frames"][side] += n
     link.stats["bytes"][side] += plan.payload_bytes
 

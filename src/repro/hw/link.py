@@ -1,13 +1,13 @@
 """Full-duplex point-to-point GigE link model.
 
 A :class:`Link` joins two NIC ports with independent directional
-channels.  Transmitting a frame holds the direction's line for the
-serialization time of the full wire footprint (payload + protocol
-header + Ethernet overhead), then delivers the frame to the remote
-port after the propagation delay.  Because each direction is a
-dedicated resource, full-duplex traffic never self-interferes — which
-is exactly the property that makes the mesh's aggregated-bandwidth
-numbers possible.
+channels.  A frame occupies the direction's line for the
+serialization time of its full wire footprint (payload + protocol
+header + Ethernet overhead), then reaches the remote port after the
+propagation delay.  Because each direction serves one sending port
+alone, full-duplex traffic never self-interferes — which is exactly
+the property that makes the mesh's aggregated-bandwidth numbers
+possible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.hw.faults import CORRUPT, DROP, FaultInjector
-from repro.sim import Resource, Simulator
+from repro.sim import Simulator
 from repro.sim.events import Callback
 from repro.obs.recorder import DROP as _DROP, \
     WIRE_HOP as _WIRE_HOP
@@ -87,14 +87,16 @@ class Link:
     """A cable between two ports.
 
     Ports attach with :meth:`attach`; side 0 and side 1 are symmetric.
+    The sending port's wire stage times a frame's serialization (it is
+    the direction's only user, so the line needs no arbitration); the
+    link applies what happens at its end, :meth:`complete_tx`.
     """
 
     #: Whether this is a PDES shard-boundary proxy (see
-    #: :class:`BoundaryLink`).  The NIC wire loop and the frame-train
-    #: fast path key off this: both shortcut serialization through
-    #: :meth:`complete_tx`, which boundary links cannot honor (their
-    #: egress must be committed at serialization *start* to respect the
-    #: synchronization lookahead).
+    #: :class:`BoundaryLink`).  A port on one gives its wire stage an
+    #: entry at serialization start, where :meth:`begin_tx` commits the
+    #: frame's egress; the frame-train planner, which commits whole
+    #: bursts at once, refuses it.
     is_boundary = False
 
     def __init__(self, sim: Simulator, wire_rate: float,
@@ -118,10 +120,6 @@ class Link:
         self.corrupt_every = corrupt_every
         #: Generalized fault engine (loss/flap/death; see hw.faults).
         self.faults = faults
-        self._lines = (
-            Resource(sim, 1, name=f"{name}:0->1"),
-            Resource(sim, 1, name=f"{name}:1->0"),
-        )
         self._ports: list = [None, None]
         self.stats = {"frames": [0, 0], "bytes": [0, 0],
                       "corrupted": [0, 0], "dropped": [0, 0]}
@@ -160,9 +158,7 @@ class Link:
 
     def _judge(self, side: int, frame: Frame) -> bool:
         """Post-serialization fault verdict; returns whether to
-        deliver.  Shared between :meth:`transmit` and
-        :meth:`complete_tx` so both execution strategies apply the
-        identical fault schedule at the identical instants."""
+        deliver."""
         if (self.corrupt_every is not None
                 and self.stats["frames"][side]
                 % self.corrupt_every == 0):
@@ -181,27 +177,20 @@ class Link:
                     self.stats["corrupted"][side] += 1
         return True
 
-    def transmit(self, side: int, frame: Frame):
-        """Process: serialize ``frame`` out of ``side``; deliver to peer.
+    def begin_tx(self, side: int, frame: Frame) -> None:
+        """Serialization of ``frame`` out of ``side`` starts now.  A
+        plain link has nothing to do then."""
 
-        Returns (via StopIteration) after serialization completes; the
-        delivery itself happens ``propagation`` later without blocking
-        the caller (the line is free for the next frame immediately).
-        """
-        peer = self.peer(side)
-        line = self._lines[side]
-        duration = self.serialization_time(frame)
-        req = line.request()
-        yield req
+    def complete_tx(self, side: int, frame: Frame, started: float) -> None:
+        """Serialization of ``frame`` out of ``side``, begun at
+        ``started``, ends now: count the frame, apply the fault verdict
+        and, unless it is lost, deliver it to the peer port
+        ``propagation`` later — a boundary link committed it at
+        serialization start (:meth:`BoundaryLink.begin_tx`)."""
+        self.stats["frames"][side] += 1
+        self.stats["bytes"][side] += frame.payload_bytes
+        deliver = self._judge(side, frame)
         rec = self.sim.recorder
-        started = self.sim._now if rec is not None else 0.0
-        try:
-            yield self.sim.timeout(duration)
-            self.stats["frames"][side] += 1
-            self.stats["bytes"][side] += frame.payload_bytes
-            deliver = self._judge(side, frame)
-        finally:
-            line.release(req)
         if rec is not None:
             ctx = getattr(frame.payload, "trace", None)
             if ctx is not None:
@@ -211,73 +200,31 @@ class Link:
                 else:
                     rec.event(ctx, _DROP, self.name, self.name,
                               self.sim._now)
-        if not deliver:
-            return
-        if self.sim._fast:
-            # One queue entry instead of a spawned delivery process;
-            # lands at the identical instant.
-            Callback(self.sim, partial(peer.frame_arrived, frame),
+        if deliver and not self.is_boundary:
+            Callback(self.sim, partial(self.peer(side).frame_arrived, frame),
                      self.propagation)
-        else:
-            self.sim.spawn(
-                self._deliver(peer, frame), name=f"{self.name}:deliver"
-            )
-
-    def _deliver(self, peer: "GigEPort", frame: Frame):
-        yield self.sim.timeout(self.propagation)
-        peer.frame_arrived(frame)
-
-    def complete_tx(self, side: int, frame: Frame,
-                    started: float = None) -> None:
-        """Fast-path epilogue of :meth:`transmit`.
-
-        The caller has already waited out the serialization time; this
-        applies the same stats, fault injection, and delivery schedule
-        as the reference path at the identical instant.  The line
-        resource is not cycled — the wire loop is its only requester,
-        so the grant is unconditional; the grant counter is kept in
-        sync for stats parity.
-        """
-        peer = self.peer(side)
-        self._lines[side].stats["grants"] += 1
-        self.stats["frames"][side] += 1
-        self.stats["bytes"][side] += frame.payload_bytes
-        deliver = self._judge(side, frame)
-        rec = self.sim.recorder
-        if rec is not None:
-            ctx = getattr(frame.payload, "trace", None)
-            if ctx is not None:
-                if deliver and started is not None:
-                    rec.span(ctx, _WIRE_HOP, self.name, self.name,
-                             started, self.sim._now + self.propagation)
-                elif not deliver:
-                    rec.event(ctx, _DROP, self.name, self.name,
-                              self.sim._now)
-        if not deliver:
-            return
-        Callback(self.sim, partial(peer.frame_arrived, frame),
-                 self.propagation)
 
 
 class BoundaryLink(Link):
     """Local half of a cut link in a sharded (PDES) simulation.
 
     Exactly one side is attached — the port that lives in this shard.
-    Transmits replay :meth:`Link.transmit`'s float arithmetic op for
-    op (line grant, ``fl(now + duration)`` serialization end,
-    ``fl(end + propagation)`` arrival), but instead of delivering to an
-    attached peer the frame is *committed* to the shard's egress outbox
-    at serialization **start**.  Committing at start is what makes the
-    conservative window sound: the frame's arrival is then at least one
-    full lookahead (min-frame serialization + propagation) after the
-    commit event, so a frame committed inside window ``(B_prev, B]``
-    always arrives at or after the next barrier and can be exchanged at
-    barrier ``B`` without ever landing in the receiving shard's past.
+    Serialization is timed and counted as on a plain link, but instead
+    of delivering to an attached peer the frame is *committed* to the
+    shard's egress outbox at serialization **start**
+    (:meth:`begin_tx`), with the arrival instant a plain link would
+    deliver at: ``fl(fl(start + serialization) + propagation)``.
+    Committing at start is what makes the conservative window sound:
+    the frame's arrival is then at least one full lookahead (min-frame
+    serialization + propagation) after the commit, so a frame committed
+    inside window ``(B_prev, B]`` always arrives at or after the next
+    barrier and can be exchanged at barrier ``B`` without ever landing
+    in the receiving shard's past.
 
     Ingress (frames committed by the remote half) is injected by the
     shard runtime straight into the attached port's ``frame_arrived``
-    at the precomputed arrival instant — the same callback the
-    reference path schedules, at the bit-identical time.
+    at the precomputed arrival instant — the same callback a plain link
+    schedules, at the bit-identical time.
 
     Fault injection is refused: the PDES engine is fault-free in v1
     (loss/death verdicts depend on cross-shard state the conservative
@@ -306,48 +253,18 @@ class BoundaryLink(Link):
             f"another process"
         )
 
-    def transmit(self, side: int, frame: Frame):
-        """Process: serialize out of the shard; commit to the outbox.
-
-        Mirrors :meth:`Link.transmit`'s timing exactly: the line is
-        held for the serialization time and stats/recorder effects land
-        at serialization end, so a sharded run and the sequential
-        reference process the identical event schedule on the sending
-        side.  Only the delivery differs — an outbox record instead of
-        a :class:`~repro.sim.events.Callback`, carrying the arrival
-        instant the reference path would have used.
-        """
-        if self.corrupt_every is not None or self.faults is not None:
+    def begin_tx(self, side: int, frame: Frame) -> None:
+        """Commit ``frame`` to the outbox; it ships to the coordinator
+        at the next barrier."""
+        if self.fault_capable:
             raise ConfigurationError(
                 f"{self.name}: fault injection unsupported on shard "
                 f"boundaries"
             )
-        line = self._lines[side]
-        duration = self.serialization_time(frame)
-        req = line.request()
-        yield req
-        started = self.sim._now
-        # The reference path schedules delivery at serialization end
-        # (= fl(started + duration), the timeout's landing instant)
-        # plus propagation; precompute the identical chained roundings.
-        arrival = (started + duration) + self.propagation
-        self._commit(side, frame, arrival)
-        try:
-            yield self.sim.timeout(duration)
-            self.stats["frames"][side] += 1
-            self.stats["bytes"][side] += frame.payload_bytes
-            self._judge(side, frame)
-        finally:
-            line.release(req)
-        rec = self.sim.recorder
-        if rec is not None:
-            ctx = getattr(frame.payload, "trace", None)
-            if ctx is not None:
-                rec.span(ctx, _WIRE_HOP, self.name, self.name,
-                         started, arrival)
-
-    def _commit(self, side: int, frame: Frame, arrival: float) -> None:
-        """Egress record: ships to the coordinator at the next barrier."""
+        # The serialization end a plain link would deliver at, plus
+        # propagation: the identical chained roundings.
+        arrival = (self.sim._now + self.serialization_time(frame)
+                   ) + self.propagation
         self._egress_seq += 1
         # The send-completion hook has already run (the NIC fetch stage
         # invokes it before the frame reaches the wire); drop it so the
@@ -356,11 +273,4 @@ class BoundaryLink(Link):
         self.outbox.append(
             (arrival, self.name, self._egress_seq,
              self.remote_rank, self.remote_port, frame)
-        )
-
-    def complete_tx(self, side: int, frame: Frame,
-                    started: float = None) -> None:
-        raise ConfigurationError(
-            f"{self.name}: the fast wire path must not engage on a "
-            f"shard boundary"
         )

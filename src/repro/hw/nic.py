@@ -5,37 +5,32 @@ Transmit pipeline (two overlapping stages, as on the real adapter):
 1. *fetch* — pop the next transmit descriptor, DMA the frame from host
    memory into the on-board FIFO (PCI-X + memory-bus contention), run
    the frame's ``on_fetched`` hook, wait for a FIFO slot;
-2. *wire* — per-descriptor NIC processing, then serialization onto the
-   link.
+2. *wire* — per-descriptor NIC processing; the software checksum, CPU
+   work at interrupt priority, when the port has no checksum offload;
+   then serialization onto the link.
 
-Like the receive stage below, the pipeline exists in two forms that
-schedule the same instants, chosen once, when the link is attached,
-from what the port can see of itself.  ``_tx_fetch_loop`` /
-``_tx_wire_loop``, a pair of processes joined by a ``Store``, is the
-form of the reference scheduler and of every port whose wire step has
-to stay a process: one on a :class:`~repro.hw.link.BoundaryLink`
-(egress is committed at serialization *start*) and one that checksums
-in software (CPU work sits between FIFO and wire).  Under the fast
-scheduler a port on a plain link runs a callback recurrence instead:
-the fetch step hangs off the DMA flow's callback list, a producer that
-finds the FIFO full waits in a plain list, and the wire step is one
-reusable queue entry per port (``_TxWire``) that, at serialization
-end, runs ``Link.complete_tx``, takes the next frame, admits the
-longest-blocked producer and — if that was the fetch stage — starts
-the next fetch inline, which is where the process form's put would
-have resumed it.
+Every stage of a port is a callback recurrence, under either scheduler;
+none is a process.  The fetch step hangs off the DMA flow's callback
+list, and a producer that finds the FIFO full waits in a plain list.
+The wire step is one reusable queue entry per port (``_TxWire``).  With
+checksum offload on a plain link, processing and serialization are one
+absolute wakeup.  A software checksum puts the CPU step between them,
+and a :class:`~repro.hw.link.BoundaryLink` commits the frame's egress
+at the serialization-start instant, so those ports give processing an
+entry of its own.  At serialization end the stage runs
+``link.complete_tx``, takes the next frame, admits the longest-blocked
+producer and — if that was the fetch stage — starts the next fetch
+inline.
 
 Receive pipeline:
 
-1. *rx* — a serial stage: per-frame NIC processing (``rx_proc``), the
-   optional ``collective_hook`` (a frame it consumes never reaches the
-   host), one receive descriptor (waiting when the ring is empty, which
-   models 802.3x pause back-pressure rather than drops), DMA of the
-   frame to host memory.  It exists in two forms that schedule the same
-   instants: ``_rx_loop``, a process, under the reference scheduler;
-   under the fast one a callback recurrence on one reusable queue entry
-   per port (``frame_arrived`` → ``_RxStage`` → DMA join → completion),
-   with frames that land on a busy stage waiting in a plain deque;
+1. *rx* — a serial stage on one reusable queue entry per port
+   (``frame_arrived`` → ``_RxStage`` → DMA join → completion); frames
+   that land on a busy stage wait in a plain deque.  Per frame: NIC
+   processing (``rx_proc``), the optional ``collective_hook`` (a frame
+   it consumes never reaches the host), one receive descriptor (waiting
+   when the ring is empty, which models 802.3x pause back-pressure
+   rather than drops), DMA of the frame to host memory;
 2. *interrupt coalescing* — a pending-frame buffer raises the rx
    interrupt ``coalesce_delay`` us after the first undelivered frame or
    immediately once ``coalesce_frames`` are waiting (the "interrupt
@@ -44,6 +39,11 @@ Receive pipeline:
    fixed interrupt cost plus a per-frame cost, then hands each frame to
    the attached protocol driver **while still holding the CPU** (Linux
    runs netdev rx at interrupt/softirq level).
+
+The stages used to be processes: a fetch/wire pair joined by a
+``Store``, an rx process and a process per coalescing timer.  Those
+forms are kept verbatim in ``tests/test_nic_oracle.py``, and the
+callback forms are tested against them: same instants, same counters.
 
 Protocol drivers attach via :meth:`set_driver` with a generator
 function ``driver(frame)`` that may charge further CPU time (the CPU is
@@ -76,8 +76,8 @@ TX_FIFO_FRAMES = 4
 
 class _StageEntry(Event):
     """A queue entry one serial stage of a port owns and queues again
-    for each of its instants (fast scheduler); the stage is serial, so
-    at most one is ever outstanding."""
+    for each of its instants; the stage is serial, so at most one is
+    ever outstanding."""
 
     __slots__ = ("port",)
 
@@ -99,22 +99,27 @@ class _RxStage(_StageEntry):
 
 
 class _TxWire(_StageEntry):
-    """The wire stage's entry (plain link): queued for the instant the
-    stage takes up a frame handed to it while parked, for the end of a
-    committed train's residue and — ``sending`` — for the frame's
+    """The wire stage's entry: queued for the instant the stage takes
+    up a frame handed to it while parked, for the end of a committed
+    train's residue, for the port's own ``step`` on a port that does not
+    fold processing into serialization (the end of processing, of a
+    software checksum) and — ``sending`` — for the frame's
     serialization end."""
 
-    __slots__ = ("sending",)
+    __slots__ = ("sending", "step")
 
     def __init__(self, port: "GigEPort") -> None:
         super().__init__(port)
         self.sending = False
+        self.step = None
 
     def _process(self) -> None:
         if self.sending:
             self.port._tx_sent()
-        else:
+        elif self.step is None:
             self.port._tx_wire_start()
+        else:
+            self.step()
 
 
 class GigEPort:
@@ -132,20 +137,24 @@ class GigEPort:
         # Transmit path.
         self.tx_queue = Store(sim, capacity=params.tx_ring,
                               name=f"{name}:txq")
+        #: The on-board FIFO, used as deque and counters only: no put or
+        #: get event, waiters in ``_tx_blocked``.
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES,
                               name=f"{name}:txfifo")
-        #: The wire stage's entry; set (by ``attach_link``) on a port
-        #: whose transmit pipeline runs as callbacks, which then uses
-        #: the FIFO Store as deque and counters only: no put or get
-        #: event, waiters in ``_tx_blocked``.
+        #: The wire stage's entry (built by ``attach_link``).
         self._tx_wire: Optional[_TxWire] = None
-        #: Callback form: the frame in the fetch stage and when its DMA
-        #: began; the frame at the wire stage (None while it is parked)
-        #: and when its serialization began.
+        #: Whether processing and serialization are one wakeup: nothing
+        #: happens between them (checksum offload, plain link).
+        self._tx_folds = True
+        #: The frame in the fetch stage and when its DMA began; the
+        #: frame at the wire stage (None while it is parked) and when
+        #: its serialization began.
         self._tx_frame: Optional[Frame] = None
         self._tx_t0 = 0.0
         self._tx_wire_frame: Optional[Frame] = None
         self._tx_started = 0.0
+        #: The CPU, held for a software checksum.
+        self._tx_cpu = None
         #: Producers that found the FIFO full, oldest first: (frame,
         #: event to succeed on admission — None for the fetch stage).
         self._tx_blocked: list = []
@@ -155,15 +164,11 @@ class GigEPort:
         self.rx_credits = TokenPool(sim, params.rx_ring,
                                     level=params.rx_ring,
                                     name=f"{name}:rxcred")
-        #: Frames landed but not yet in the rx stage.  The reference
-        #: scheduler's rx process waits on a Store; the fast one runs
-        #: the stage as callbacks on one reusable entry, so nothing ever
-        #: waits and a deque will do (built with the entry, on the
-        #: port's first frame).
-        self._rx_arrivals = (None if sim._fast
-                             else Store(sim, name=f"{name}:rxarr"))
+        #: Frames landed but not yet in the rx stage: a deque, built
+        #: with the stage's entry on the port's first frame.
+        self._rx_arrivals = None
         self._rx_stage: Optional[_RxStage] = None
-        #: The frame in the rx stage (fast form), and when its DMA began.
+        #: The frame in the rx stage, and when its DMA began.
         self._rx_frame: Optional[Frame] = None
         self._rx_t0 = 0.0
         self._pending_frames: list = []
@@ -185,8 +190,6 @@ class GigEPort:
             "trains": 0, "train_frames": 0, "train_fallbacks": 0,
             "nic_rx": 0, "nic_tx": 0,
         }
-        if not sim._fast:
-            sim.spawn(self._rx_loop(), name=f"{self.name}:rx")
 
     # -- wiring ------------------------------------------------------------
     def attach_link(self, link: Link, side: int) -> None:
@@ -195,18 +198,11 @@ class GigEPort:
         link.attach(side, self)
         self.link = link
         self.side = side
-        sim = self.sim
-        if sim._fast and self.params.hw_checksum and not link.is_boundary:
-            # Nothing but this port's wire step ever asks for the line
-            # and no CPU work sits between FIFO and wire, so the wire
-            # step need not be a process: the callback form.
-            self._tx_wire = _TxWire(self)
-            # The fetch stage parks on the ring once the simulation
-            # runs, as a spawned process would.
-            Callback(sim, self._tx_fetch_next, priority=URGENT)
-        else:
-            sim.spawn(self._tx_fetch_loop(), name=f"{self.name}:txfetch")
-            sim.spawn(self._tx_wire_loop(), name=f"{self.name}:txwire")
+        self._tx_folds = self.params.hw_checksum and not link.is_boundary
+        self._tx_wire = _TxWire(self)
+        # The fetch stage parks on the ring once the simulation runs,
+        # as a spawned process would.
+        Callback(self.sim, self._tx_fetch_next, priority=URGENT)
 
     def set_driver(self, driver: Callable[[Frame], Generator]) -> None:
         """Install the protocol rx handler (a generator function)."""
@@ -285,95 +281,20 @@ class GigEPort:
                     >= fifo.capacity and virt.free_at):
                 yield sim.sleep_until(virt.free_at[0])
         self.stats["nic_tx"] += 1
-        if self._tx_wire is not None:
-            if not self._tx_fifo_put(frame):
-                admitted = Event(sim)
-                self._tx_blocked.append((frame, admitted))
-                yield admitted
-        elif not (sim._fast and fifo.try_put(frame)):
-            yield fifo.put(frame)
+        if not self._tx_fifo_put(frame):
+            admitted = Event(sim)
+            self._tx_blocked.append((frame, admitted))
+            yield admitted
 
-    # The pipeline as two processes: the reference scheduler's form, the
-    # oracle for the callback form below, and the fast scheduler's form
-    # for a port whose wire step has to be a process (shard boundary,
-    # software checksum).  Such a port never plans a train
-    # (``plan_train`` refuses both) and so never sees a train's residue.
-    def _tx_fetch_loop(self):
-        sim = self.sim
-        tx_queue = self.tx_queue
-        while True:
-            frame = tx_queue.try_get() if sim._fast else None
-            if frame is None:
-                frame = yield tx_queue.get()
-            if type(frame) is FrameTrain:
-                frames = self._open_train(frame)
-                # Unbundle at the instant the callback form would have
-                # judged quiescence (see _tx_plan).
-                spins = 0
-                while (sim._urgent or sim._normal) and spins < 8:
-                    spins += 1
-                    yield sim.timeout(0)
-                self.stats["train_fallbacks"] += 1
-                for item in frames:
-                    yield from self._fetch_one(item)
-                continue
-            yield from self._fetch_one(frame)
-
-    def _fetch_one(self, frame: Frame):
-        sim = self.sim
-        fifo = self._tx_fifo
-        wire = frame.padded_bytes + self.params.frame_overhead
-        t0 = sim._now
-        if sim._fast:
-            yield self.host.dma_event(wire, self.pci_index)
-        else:
-            yield from self.host.dma(wire, self.pci_index)
-        if sim.recorder is not None:
-            self._tx_fetched_span(frame, t0)
-        if frame.on_fetched is not None:
-            frame.on_fetched()
-        if not (sim._fast and fifo.try_put(frame)):
-            yield fifo.put(frame)
-
-    def _tx_fetched_span(self, frame: Frame, t0: float) -> None:
-        ctx = getattr(frame.payload, "trace", None)
-        if ctx is not None:
-            self.sim.recorder.span(ctx, _DMA, self.name,
-                                   f"n{self.host.node_id}", t0,
-                                   self.sim._now)
-
-    def _tx_wire_loop(self):
-        params = self.params
-        sim = self.sim
-        fifo = self._tx_fifo
-        while True:
-            frame = fifo.try_get() if sim._fast else None
-            if frame is None:
-                frame = yield fifo.get()
-            # Per-descriptor NIC processing is serial with the wire:
-            # this is the ~0.9us that caps a saturated link at ~110 MB/s
-            # of user payload (paper section 4.1).
-            yield self.sim.timeout(params.tx_proc)
-            if not params.hw_checksum:
-                yield from self.host.cpu_work(
-                    params.sw_checksum_per_byte
-                    * (frame.payload_bytes + frame.header_bytes),
-                    PRIO_IRQ,
-                )
-            self.stats["tx_frames"] += 1
-            self.stats["tx_bytes"] += frame.payload_bytes
-            yield from self.link.transmit(self.side, frame)
-
-    # The same pipeline as a callback recurrence (fast scheduler, plain
-    # link).  Each step runs where the process form would have been
-    # resumed and queues what it would have queued, in the same order,
-    # with one exception: the FIFO slot a serialization end frees for a
-    # blocked producer.  The process form queues the producer's put in
-    # the urgent lane — empty, or the serialization end (a NORMAL entry
-    # of the same instant) would not be running — so it is the very next
-    # entry processed; the wire step admits the frame and, when it is
-    # the fetch stage that waited, calls it on the spot instead.  An
-    # entry goes, no other changes place.
+    # Each step below runs where the process form resumed and queues
+    # what it queued, in the same order, with one exception: the FIFO
+    # slot a serialization end frees for a blocked producer.  The process
+    # form queues the producer's put in the urgent lane — empty, or the
+    # serialization end (a NORMAL entry of the same instant) would not
+    # be running — so it is the very next entry processed; the wire step
+    # admits the frame and, when it is the fetch stage that waited,
+    # calls it on the spot instead.  An entry goes, no other changes
+    # place.
     def _tx_fetch_next(self, _event: Optional[Event] = None) -> None:
         """The fetch stage is free: the next frame of an unbundled
         train, else the ring's next item, else park on the ring."""
@@ -443,6 +364,13 @@ class GigEPort:
                 return
         self._tx_put(frame, self._virt)
 
+    def _tx_fetched_span(self, frame: Frame, t0: float) -> None:
+        ctx = getattr(frame.payload, "trace", None)
+        if ctx is not None:
+            self.sim.recorder.span(ctx, _DMA, self.name,
+                                   f"n{self.host.node_id}", t0,
+                                   self.sim._now)
+
     def _tx_put(self, frame: Frame, virt) -> None:
         """The fetch stage's FIFO put."""
         sim = self.sim
@@ -489,21 +417,61 @@ class GigEPort:
                 sim.schedule_at(wire, virt.wire_ready)
                 return
             self._virt = None
+        if not self._tx_folds:
+            wire.step = self._tx_processed
+            sim.schedule(wire, self.params.tx_proc)
+            return
         # Per-descriptor processing and serialization are two
-        # back-to-back waits with nothing observable between them (the
-        # line has no other requester), so they are one absolute
-        # wakeup.  The additions mirror the two timeout schedules of
-        # the process form exactly.
+        # back-to-back waits with nothing observable between them, so
+        # they are one absolute wakeup.  The additions mirror the two
+        # timeout schedules of the process form exactly.
         self._tx_started = start = sim._now + self.params.tx_proc
         wire.sending = True
         sim.schedule_at(
             wire, start + self.link.serialization_time(self._tx_wire_frame))
 
+    def _tx_processed(self) -> None:
+        """Per-descriptor processing is over (a port that does not fold
+        it into serialization): the software checksum, else the line."""
+        params = self.params
+        if params.hw_checksum:
+            self._tx_serialize()
+            return
+        frame = self._tx_wire_frame
+        host = self.host
+        duration = params.sw_checksum_per_byte * (
+            frame.payload_bytes + frame.header_bytes)
+        host.stats["cpu_us"] += duration
+        self._tx_cpu = request = host.cpu.request(PRIO_IRQ)
+        request.callbacks.append(partial(self._tx_checksum, duration))
+
+    def _tx_checksum(self, duration: float, _granted: Event) -> None:
+        self._tx_wire.step = self._tx_checksummed
+        self.sim.schedule(self._tx_wire, duration)
+
+    def _tx_checksummed(self) -> None:
+        cpu, self._tx_cpu = self._tx_cpu, None
+        self.host.cpu.release(cpu)
+        self._tx_serialize()
+
+    def _tx_serialize(self) -> None:
+        """Serialization starts now, an instant the stage has an entry
+        for: the link may act on it (a boundary link commits egress)."""
+        sim = self.sim
+        link = self.link
+        frame = self._tx_wire_frame
+        self._tx_started = start = sim._now
+        link.begin_tx(self.side, frame)
+        wire = self._tx_wire
+        wire.step = None
+        wire.sending = True
+        sim.schedule_at(wire, start + link.serialization_time(frame))
+
     def _tx_sent(self) -> None:
         frame = self._tx_wire_frame
         self.stats["tx_frames"] += 1
         self.stats["tx_bytes"] += frame.payload_bytes
-        self.link.complete_tx(self.side, frame, started=self._tx_started)
+        self.link.complete_tx(self.side, frame, self._tx_started)
         self._tx_wire.sending = False
         fifo = self._tx_fifo
         self._tx_wire_frame = fifo.try_get()
@@ -524,9 +492,7 @@ class GigEPort:
     # -- receive ---------------------------------------------------------
     def frame_arrived(self, frame: Frame) -> None:
         """Called by the link when a frame lands on this port."""
-        if not self.sim._fast:
-            self._rx_arrivals.try_put(frame)
-        elif self._rx_frame is None:
+        if self._rx_frame is None:
             self._rx_begin(frame)
         else:
             self._rx_arrivals.append(frame)
@@ -538,34 +504,9 @@ class GigEPort:
             raise ConfigurationError(f"{self.name}: rx ring over-posted")
         credits.add(count)
 
-    def _rx_loop(self):
-        """The rx stage as a process: the reference scheduler's form,
-        and the oracle for the callback form below."""
-        params = self.params
-        sim = self.sim
-        arrivals = self._rx_arrivals
-        credits = self.rx_credits
-        while True:
-            frame = yield arrivals.get()
-            yield sim.timeout(params.rx_proc)
-            hook = self.collective_hook
-            if hook is not None and hook(frame):
-                # Collective frame handled by the NIC engine: it never
-                # touches the host (no descriptor, DMA or interrupt).
-                self.stats["nic_rx"] += 1
-                continue
-            if credits.level == 0:
-                self.stats["rx_stalls"] += 1
-            yield credits.get()
-            t0 = sim._now
-            yield from self.host.dma(
-                frame.padded_bytes + params.frame_overhead, self.pci_index)
-            self._rx_delivered(frame, t0)
-
-    # The same stage under the fast scheduler: a callback recurrence on
-    # one reusable queue entry.  Each step runs where the process form
-    # would have been resumed, so every entry keeps its sequence
-    # position relative to the rest of the simulation.
+    # Each step runs where the process form resumed, so every entry
+    # keeps its sequence position relative to the rest of the
+    # simulation.
     def _rx_begin(self, frame: Frame) -> None:
         stage = self._rx_stage
         if stage is None:
@@ -577,6 +518,8 @@ class GigEPort:
     def _rx_processed(self) -> None:
         hook = self.collective_hook
         if hook is not None and hook(self._rx_frame):
+            # Collective frame handled by the NIC engine: it never
+            # touches the host (no descriptor, DMA or interrupt).
             self.stats["nic_rx"] += 1
             self._rx_next()
             return
@@ -607,7 +550,7 @@ class GigEPort:
 
     def _rx_delivered(self, frame: Frame, t0: float) -> None:
         """A frame's DMA to host memory has completed: count it and
-        run interrupt coalescing.  Shared by both rx-stage forms."""
+        run interrupt coalescing."""
         params = self.params
         sim = self.sim
         rec = sim.recorder
@@ -626,26 +569,17 @@ class GigEPort:
         elif self._irq_timer_deadline is None:
             deadline = sim._now + params.coalesce_delay
             self._irq_timer_deadline = deadline
-            if sim._fast:
-                # Same fire instant as the spawned timer: the delay
-                # expression matches _irq_timer's timeout op-for-op
-                # (the spawn's init event runs at this same instant).
-                self._irq_timer_cb = TrainCallback(
-                    sim, partial(self._irq_timer_fired, deadline),
-                    delay=max(0.0, deadline - sim._now))
-            else:
-                sim.spawn(self._irq_timer(deadline),
-                          name=f"{self.name}:irqtimer")
+            # The delay expression is the process form's timeout,
+            # op for op: the same fire instant.
+            self._irq_timer_cb = TrainCallback(
+                sim, partial(self._irq_timer_fired, deadline),
+                delay=max(0.0, deadline - sim._now))
 
     def _irq_timer_fired(self, deadline: float) -> None:
         if self._irq_timer_deadline == deadline:
             self._irq_timer_cb = None
             if self._pending_frames:
                 self._fire_irq()
-
-    def _irq_timer(self, deadline: float):
-        yield self.sim.timeout(max(0.0, deadline - self.sim._now))
-        self._irq_timer_fired(deadline)
 
     def _fire_irq(self) -> None:
         if self._irq_timer_cb is not None:

@@ -244,8 +244,14 @@ class Host:
         return nbytes / self.params.copy_rate
 
     # -- DMA ------------------------------------------------------------
-    def _dma_enter(self, nbytes: float, pci_index: int) -> None:
-        """Argument check and accounting shared by both DMA shapes."""
+    def dma_event(self, nbytes: float, pci_index: int = 0):
+        """A device DMA of ``nbytes`` to/from host memory; returns the
+        completion event (one fused bus flow).
+
+        Contends on the fluid memory bus, individually capped at the
+        PCI-X segment rate; never touches the CPU.  Needs
+        ``nbytes > 0``, as ``membus.transfer_event`` does.
+        """
         if not 0 <= pci_index < len(self.pci_bytes):
             raise ConfigurationError(
                 f"pci index {pci_index} out of range "
@@ -258,25 +264,6 @@ class Host:
         if rec is not None:
             rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
                                 self.sim._now, float(nbytes))
-
-    def dma(self, nbytes: float, pci_index: int = 0):
-        """Process: a device DMA of ``nbytes`` to/from host memory.
-
-        Contends on the fluid memory bus, individually capped at the
-        PCI-X segment rate; never touches the CPU.
-        """
-        if self.sim._fast and nbytes > 0 and self.membus.setup:
-            yield self.dma_event(nbytes, pci_index)
-        else:
-            self._dma_enter(nbytes, pci_index)
-            yield from self.membus.transfer(nbytes, rate_cap=PCIX_RATE)
-        return nbytes
-
-    def dma_event(self, nbytes: float, pci_index: int = 0):
-        """Fast-path DMA: the completion event itself, for callers that
-        are not processes (or would only ``yield from`` :meth:`dma`).
-        Needs ``nbytes > 0``, as ``membus.transfer_event`` does."""
-        self._dma_enter(nbytes, pci_index)
         return self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
 
     def interrupt_entry_cost(self) -> float:

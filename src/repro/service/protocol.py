@@ -31,11 +31,14 @@ Responses are one of three shapes, all carrying the request ``id``:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
-from repro.canonical import Canonical, content_hash
+from repro.canonical import Canonical, canonical_json
 from repro.errors import ReproError
 
 #: Workload families the service executes (see :mod:`repro.service.jobs`).
@@ -146,19 +149,34 @@ class JobSpec(Canonical):
         run with (defaults; workload args carry any overrides such as
         loss rate), the seed, and the code version — a new release
         never serves a stale cached result.
-        """
-        from repro.hw.params import default_gige, default_host, default_via
 
-        return content_hash({
-            "job": self,
-            "gige": default_gige(),
-            "host": default_host(),
-            "via": default_via(),
-            "code_version": __version__,
-        })
+        The key is ``content_hash`` of ``{"job", "gige", "host", "via",
+        "code_version"}``, byte for byte; only the three parameter sets'
+        canonical text is computed once per process, not per request
+        (:func:`_default_params_json`).
+        """
+        gige, host, via = _default_params_json()
+        text = (f'{{"code_version":{json.dumps(__version__)},'
+                f'"gige":{gige},"host":{host},'
+                f'"job":{canonical_json(self)},"via":{via}}}')
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def label(self) -> str:
         return f"{self.kind}:{self.name}" if self.name else self.kind
+
+
+@lru_cache(maxsize=1)
+def _default_params_json() -> Tuple[str, str, str]:
+    """Canonical text of the default GigE, host and VIA parameters.
+
+    They are frozen dataclasses, and nothing ambient is in them (their
+    ``faults`` field is None: ambient faults are read where a link is
+    built), so the text cannot change within a process.
+    """
+    from repro.hw.params import default_gige, default_host, default_via
+
+    return (canonical_json(default_gige()), canonical_json(default_host()),
+            canonical_json(default_via()))
 
 
 # -- response builders --------------------------------------------------------

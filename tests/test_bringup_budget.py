@@ -64,24 +64,25 @@ def test_bringup_cost_is_per_channel_not_per_ring_slot():
     assert built[0]["RecvDescriptor"] == start[0]["RecvDescriptor"]
     assert not any(type(o) is RecvDescriptor for o in gc.get_objects())
 
-    # Per port (build_mesh): measured 28 objects (44 under the reference
-    # scheduler, whose ports are three processes each) and no deque at
-    # all — a Store's queues are empty tuples until something is put or
-    # blocks.  A 2048-entry credit deque alone is 16 KB, a slot object
-    # each 2048; an empty deque per Store (two a port) was 1.6 KB.
-    fast = fastpath.enabled()
+    # Per port (build_mesh): measured 25 objects under either scheduler
+    # (28 while a link held a line Resource per direction, 44 under the
+    # reference scheduler while its ports were three processes each) and
+    # no deque at all — a Store's queues are empty tuples until
+    # something is put or blocks.  A 2048-entry credit deque alone is
+    # 16 KB, a slot object each 2048; an empty deque per Store (two a
+    # port) was 1.6 KB.
     objects, deque_bytes = _grown(start, meshed)
-    assert objects / PORTS < (36 if fast else 52), objects / PORTS
+    assert objects / PORTS < 36, objects / PORTS
     assert deque_bytes / PORTS < 760, deque_bytes / PORTS
 
-    # Per channel end (build_world): measured 43 objects and 5.5 KB of
-    # deques (47 and 8.5 KB under the reference scheduler; 10.3 KB while
-    # every Store and MatchQueue was born with one); one object per
-    # pre-posted buffer would add 96.
+    # Per channel end (build_world): measured 43 objects and 5.6 KB of
+    # deques under either scheduler (47 and 8.5 KB under the reference
+    # scheduler while its ports ran processes; 10.3 KB while every Store
+    # and MatchQueue was born with one); one object per pre-posted
+    # buffer would add 96.
     objects, deque_bytes = _grown(meshed, built)
     assert objects / PORTS < 56, objects / PORTS
-    assert deque_bytes / PORTS < (8192 if fast else 10240), (
-        deque_bytes / PORTS)
+    assert deque_bytes / PORTS < 8192, deque_bytes / PORTS
 
 
 def test_simulated_handshake_is_pinned():
@@ -108,5 +109,20 @@ def test_simulated_handshake_is_pinned():
     # what it did: the ring's StoreGet, the DMA join, the hop that
     # starts the parked wire stage (a StoreGet then, the port's _TxWire
     # now) and the serialization end (an Event then, _TxWire again).
+    # Then the reference scheduler ran the callback stages too.  Per
+    # frame (324) and per port (162):
+    #   reference 9459 - 324 FIFO puts, 324 FIFO gets, 324 line grants
+    #                  - 324 per-descriptor processing timeouts, folded
+    #                    into the serialization end
+    #                  - 324 start-ups of the delivery process
+    #                  - 324 rx arrival gets and 324 rx credit gets
+    #                  - 324 start-ups of a coalescing-timer process
+    #                  - 486 start-ups of the rx / txfetch / txwire
+    #                    processes
+    #                  + 162 entries that park the fetch stage on its
+    #                    ring
+    #                  + 324 hops that start a parked wire stage = 6867
+    # (Every handshake frame finds its ring empty, so the fetch stage
+    # parks for each, as the process did: no ring get goes.)
     assert cluster.sim.events_processed == (
-        5279 if fastpath.enabled() else 9459)
+        5279 if fastpath.enabled() else 6867)

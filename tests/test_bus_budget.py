@@ -131,5 +131,27 @@ def test_exchange_schedules_what_it_always_did(fast):
 #: producer ever blocked; the 486 hops that start a parked wire stage
 #: and the 810 serialization ends are still entries (the port's one
 #: _TxWire, 1296 times), as are the planner's 1296 quiescence spins.
+#: Then the reference scheduler ran those callback stages too (the
+#: process forms live on in tests/test_nic_oracle.py).  Per frame (810)
+#: and per port (162):
+#:   reference 29143 - 810 FIFO puts (a StorePut each)
+#:                   - 810 FIFO gets that woke the wire process
+#:                   - 810 line grants (a Request each)
+#:                   - 810 per-descriptor processing timeouts, folded
+#:                     into the serialization end
+#:                   - 324 ring gets that found the frame already
+#:                     queued (the fetch stage takes it with try_get;
+#:                     486 times it parks, as the process did)
+#:                   - 810 start-ups of the delivery process (its
+#:                     timeout is the delivery Callback now)
+#:                   - 810 rx arrival gets and 810 rx credit gets
+#:                   - 810 start-ups of a coalescing-timer process (its
+#:                     timeout is the TrainCallback now)
+#:                   - 486 start-ups of the rx / txfetch / txwire
+#:                     processes
+#:                   + 162 entries that park the fetch stage on its ring
+#:                   + 486 hops that start a parked wire stage = 22501
+#: A DMA is still two entries (the fused flow, joined then completed,
+#: where the bus's transfer() queued a setup timeout and the flow).
 PINNED = {True: (196.00163040935692, 15162, 15162),
-          False: (196.00163040935692, 29143, 29143)}
+          False: (196.00163040935692, 22501, 22501)}

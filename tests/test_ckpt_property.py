@@ -174,11 +174,16 @@ class TestRestoreGuards:
         scheduler ran go-back-N bookkeeping ahead of the interrupt
         dispatcher's per-frame cost where 1.0.5 runs it at the
         reference instants: a cached result under loss or node faults
-        can differ."""
+        can differ.  1.0.5 ran a shard-boundary port's transmit stages
+        as processes (every port's, and its receive stage, under the
+        reference scheduler): ``Process`` start-ups, ``StoreGet`` hops,
+        a ``Timeout`` per frame's processing and serialization, where
+        1.0.6 queues the port's one ``_TxWire`` or ``_RxStage``."""
         from repro import __version__
-        assert __version__ == "1.0.5"
+        assert __version__ == "1.0.6"
         store = CheckpointStore(tmp_path)
-        for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4"):
+        for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
+                      "1.0.5"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -2,13 +2,16 @@
 
 Five places schedule less than they used to, and none of them may move
 a simulated instant or a counter: the NIC receive stage (one reusable
-entry per port under the fast scheduler, no Store hop), the NIC
-transmit pipeline on a plain link (callbacks on the DMA flow and one
-reusable wire entry per port, no entry for a FIFO slot handed to a
-blocked producer), the memory bus (no wake when a queued join settles
-first — see ``test_hw_pci_property.py``), process termination (nothing
-queued when nobody waits) and the interrupt dispatcher (one process per
-node).
+entry per port, no Store hop), the NIC transmit pipeline (callbacks on
+the DMA flow and one reusable wire entry per port, no entry for a FIFO
+slot handed to a blocked producer), the memory bus (no wake when a
+queued join settles first — see ``test_hw_pci_property.py``), process
+termination (nothing queued when nobody waits) and the interrupt
+dispatcher (one process per node).
+
+The NIC stages are held to the process forms they replaced, frozen in
+``test_nic_oracle.py``: the callback forms under each scheduler against
+the frozen forms under each scheduler.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from repro.sim.process import Process
 from repro.sim.store import StoreGet
 from tests.test_entry_cost import constructed
 from tests.test_hw_nic import _pair
+from tests.test_nic_oracle import (
+    FrozenBoundaryLink, FrozenHost, FrozenPort, frozen_clusters,
+    frozen_pair,
+)
 
 BOTH = pytest.mark.parametrize("fast", [True, False],
                                ids=["fast", "reference"])
@@ -135,13 +142,18 @@ def _nic_tier_run():
 
 @pytest.mark.parametrize("run", [_credit_stall_run, _nic_tier_run])
 def test_callback_rx_stage_matches_the_process_form(run):
-    """``_rx_loop`` (reference scheduler) is the oracle for the callback
-    recurrence: same port/host/irq counters, same final clock."""
-    with fastpath.force(True):
-        fast = run()
-    with fastpath.force(False):
-        reference = run()
-    assert fast == reference
+    """The frozen ``_rx_loop`` (and transmit pair) is the oracle for
+    the callback recurrences: same port/host/irq counters, same final
+    clock, under each scheduler."""
+    outcomes = {}
+    for fast in (True, False):
+        with fastpath.force(fast):
+            outcomes["callback", fast] = run()
+            with frozen_clusters():
+                outcomes["frozen", fast] = run()
+    oracle = outcomes["frozen", False]
+    for form, outcome in outcomes.items():
+        assert outcome == oracle, form
 
 
 def _hop_stream(comm):
@@ -154,9 +166,8 @@ def _hop_stream(comm):
 
 @BOTH
 def test_rx_arrival_counters_do_not_lie(fast):
-    """Reference form: the arrivals Store counts what was put into it
-    (it used to read puts 0 / max_level 0 against gets N); the transmit
-    ring's non-blocking post is counted like any other put."""
+    """The transmit ring's non-blocking post is counted like any other
+    put, and nothing waits in the arrivals deque once a run is over."""
     with fastpath.force(fast):
         cluster = build_mesh((3,), wrap=False)
         run_mpi(cluster, _hop_stream)
@@ -164,11 +175,7 @@ def test_rx_arrival_counters_do_not_lie(fast):
         ring = port.tx_queue.stats
         assert ring["puts"] == ring["gets"] == port.stats["tx_frames"]
         assert ring["max_level"] >= 1 or not ring["puts"]
-        if not fast:
-            arrivals = port._rx_arrivals.stats
-            assert arrivals["puts"] == arrivals["gets"] == (
-                port.stats["rx_frames"])
-            assert arrivals["max_level"] >= 1 or not arrivals["puts"]
+        assert not port._rx_arrivals and port._rx_frame is None
     # The middle node forwarded through try_enqueue_tx.
     assert cluster.nodes[1].via.agent.stats["forwarded"] > 0
 
@@ -178,18 +185,43 @@ def test_rx_arrival_counters_do_not_lie(fast):
 FRAME = 1458        # payload bytes: DMA ~1.4 us, serialization ~12 us
 
 
-def _tx_run(fast, scenario, gige=None, until=2000.0):
-    """Drive ``scenario(sim, p0, log, frame)`` on a two-port line and
-    return everything observable: the instant log (enqueue returns,
-    ``on_fetched`` hooks, arrivals at the peer's driver) and the
-    counters of port, FIFO, ring and host."""
+def _boundary_port(sim, gige, frozen, log):
+    """A port on a shard-boundary link, its peer in another shard: the
+    outbox logs each commit's instant as it takes the record."""
+    class Outbox(list):
+        def append(self, record):
+            log.append(("commit", sim.now.hex(), record[-1].payload))
+            super().append(record)
+
+    outbox = Outbox()
+    link = (FrozenBoundaryLink if frozen else BoundaryLink)(
+        sim, gige.wire_rate, gige.frame_overhead, gige.propagation,
+        name="cut", outbox=outbox, remote_rank=1, remote_port=3)
+    port = (FrozenPort if frozen else GigEPort)(
+        sim, (FrozenHost if frozen else Host)(sim, 0), gige, name="p0")
+    port.attach_link(link, 0)
+    return port, outbox
+
+
+def _tx_run(fast, scenario, gige=None, until=2000.0, frozen=False,
+            boundary=False):
+    """Drive ``scenario(sim, p0, log, frame)`` on a two-port line (or,
+    ``boundary``, one port on a cut link) and return everything
+    observable: the instant log (enqueue returns, ``on_fetched`` hooks,
+    arrivals at the peer's driver or commits to the outbox) and the
+    counters of port, FIFO, ring, host and CPU, then the peer's (or the
+    outbox records).  ``frozen`` builds the ports with the process
+    forms of ``test_nic_oracle.py``."""
     with fastpath.force(fast):
         sim = Simulator()
-        p0, p1 = _pair(sim, gige)
-        # The form follows scheduler, link and params — nothing else.
-        assert (p0._tx_wire is not None) == (
-            fast and p0.params.hw_checksum)
+        gige = gige or GigEParams()
         log = []
+        if boundary:
+            p0, outbox = _boundary_port(sim, gige, frozen, log)
+        else:
+            p0, p1 = (frozen_pair if frozen else _pair)(sim, gige)
+        # The form follows the port's class — nothing else.
+        assert (p0._tx_wire is None) == frozen
 
         def frame(label, nbytes=FRAME):
             return Frame(nbytes, 42, payload=label, on_fetched=(
@@ -204,26 +236,39 @@ def _tx_run(fast, scenario, gige=None, until=2000.0):
             return handle
 
         p0.set_driver(driver(p0, False))
-        p1.set_driver(driver(p1, True))
+        if not boundary:
+            p1.set_driver(driver(p1, True))
         scenario(sim, p0, log, frame)
         sim.run(until=until)
         assert p0._tx_wire_frame is None and not p0._tx_blocked
+    far = ([(arrival.hex(), *record, sent.payload)
+            for arrival, *record, sent in outbox] if boundary
+           else dict(p1.stats))
     return (log,
             {key: count for key, count in p0.stats.items()
              if not key.startswith("train")},
             dict(p0._tx_fifo.stats), dict(p0.tx_queue.stats),
-            dict(p0.host.stats), dict(p1.stats))
+            dict(p0.host.stats), dict(p0.host.cpu.stats), far)
 
 
 def _both(scenario, trains=False, **kwargs):
-    fast = _tx_run(True, scenario, **kwargs)
-    reference = _tx_run(False, scenario, **kwargs)
+    """The callback forms under each scheduler against the frozen
+    process forms under each scheduler; returns the fast callback run."""
+    runs = {(form, fast): _tx_run(fast, scenario,
+                                  frozen=form == "frozen", **kwargs)
+            for form in ("callback", "frozen") for fast in (True, False)}
     if trains:
         # A train is one ring item (fast scheduler only), so the ring's
-        # high-water mark is the one counter the two do not share.
-        assert fast[3].pop("max_level") < reference[3].pop("max_level")
-    assert fast == reference
-    return fast
+        # high-water mark is the one counter the schedulers do not
+        # share.
+        levels = {key: run[3].pop("max_level") for key, run in runs.items()}
+        assert max(level for (_form, fast), level in levels.items()
+                   if fast) < min(level for (_form, fast), level
+                                  in levels.items() if not fast)
+    oracle = runs["frozen", False]
+    for key, run in runs.items():
+        assert run == oracle, key
+    return runs["callback", True]
 
 
 def _labels(log, kind):
@@ -238,7 +283,7 @@ def test_a_burst_backs_up_behind_the_four_deep_fifo():
                 log.append(("queued", sim.now.hex(), index))
         sim.spawn(send())
 
-    log, port, fifo, ring, _host, peer = _both(burst)
+    log, port, fifo, ring, _host, _cpu, peer = _both(burst)
     assert _labels(log, "rx") == _labels(log, "fetched") == list(range(12))
     assert port["tx_frames"] == peer["rx_frames"] == 12
     assert fifo == {"puts": 12, "gets": 12, "max_level": TX_FIFO_FRAMES}
@@ -268,7 +313,7 @@ def test_injected_frames_queue_for_the_fifo_in_turn_with_the_host():
         sim.spawn(host())
         sim.spawn(firmware())
 
-    log, port, fifo, _ring, host, _peer = _both(mixed)
+    log, port, fifo, _ring, host, _cpu, _peer = _both(mixed)
     arrived = _labels(log, "rx")
     assert [n for who, n in arrived if who == "host"] == list(range(10))
     assert [n for who, n in arrived if who == "nic"] == [0, 1, 2]
@@ -302,8 +347,8 @@ def test_frames_behind_a_committed_train_wait_out_its_residue():
         sim.run(until=5.0)
         assert p0.stats["trains"] == 1 and p0.stats["train_frames"] == 6
         assert p0._virt is not None and p0._virt.free_at
-    log, port, fifo, ring, _host, peer = _both(train_then_frames,
-                                               trains=True)
+    log, port, fifo, ring, _host, _cpu, peer = _both(train_then_frames,
+                                                     trains=True)
     assert _labels(log, "rx") == _labels(log, "fetched") == (
         [("train", index) for index in range(6)]
         + [("single", index) for index in range(4)])
@@ -320,7 +365,7 @@ def test_a_full_ring_blocks_enqueue_tx_until_the_fetch_stage_drains_it():
                 log.append(("queued", sim.now.hex(), index))
         sim.spawn(send())
 
-    log, _port, _fifo, ring, _host, peer = _both(
+    log, _port, _fifo, ring, _host, _cpu, peer = _both(
         crowd, gige=GigEParams(tx_ring=2))
     queued = [float.fromhex(when) for what, when, _ in log
               if what == "queued"]
@@ -356,7 +401,7 @@ def test_a_raising_on_fetched_hook_crashes_the_run(fast):
         assert p0.stats["tx_frames"] == 0 == p1.stats["rx_frames"]
 
 
-def _processes_built(monkeypatch, build):
+def _processes_built(monkeypatch, build, fast):
     built = []
     process_init = Process.__init__
 
@@ -364,7 +409,7 @@ def _processes_built(monkeypatch, build):
         built.append(name)
         process_init(self, sim, generator, name=name)
 
-    with fastpath.force(True):
+    with fastpath.force(fast):
         monkeypatch.setattr(Process, "__init__", counting_init)
         outcome = build()
         monkeypatch.undo()
@@ -372,68 +417,118 @@ def _processes_built(monkeypatch, build):
 
 
 def test_a_plain_port_builds_no_transmit_process(monkeypatch):
-    def build():
-        sim = Simulator()
-        return _pair(sim)
-
-    built, (p0, p1) = _processes_built(monkeypatch, build)
-    assert built == []
-    assert p0._tx_wire is not None and p1._tx_wire is not None
-
-
-def test_software_checksum_keeps_the_process_pair(monkeypatch):
-    """CPU work sits between FIFO and wire: the wire step has to be a
-    process, under the fast scheduler too."""
-    def build():
-        sim = Simulator()
-        ends = _pair(sim, GigEParams(hw_checksum=False))
-        return sim, ends
-
-    built, (sim, (p0, p1)) = _processes_built(monkeypatch, build)
-    assert built == ["p0:txfetch", "p0:txwire", "p1:txfetch", "p1:txwire"]
-    assert p0._tx_wire is None and p1._tx_wire is None
-
-    def checksummed(sim, port, log, frame):
-        def send():
-            for index in range(6):
-                yield from port.enqueue_tx(frame(index))
-        sim.spawn(send())
-
-    log, port, _fifo, _ring, host, _peer = _both(
-        checksummed, gige=GigEParams(hw_checksum=False))
-    assert _labels(log, "rx") == list(range(6))
-    assert port["tx_frames"] == 6 and host["cpu_us"] > 0
+    for fast in (True, False):
+        built, (p0, p1) = _processes_built(
+            monkeypatch, lambda: _pair(Simulator()), fast)
+        assert built == []
+        assert p0._tx_wire is not None and p1._tx_wire is not None
+        assert p0._tx_folds and p1._tx_folds
 
 
-def test_a_boundary_port_keeps_the_process_pair(monkeypatch):
-    """A shard-boundary link commits egress at serialization *start*,
-    inside ``BoundaryLink.transmit``: the wire step stays a process."""
-    outbox = []
+def test_a_software_checksum_port_builds_no_transmit_process(monkeypatch):
+    """CPU work sits between FIFO and wire: the wire stage's entry
+    takes the CPU for it, under either scheduler."""
+    for fast in (True, False):
+        built, (p0, p1) = _processes_built(
+            monkeypatch,
+            lambda: _pair(Simulator(), GigEParams(hw_checksum=False)), fast)
+        assert built == []
+        assert p0._tx_wire is not None and not p0._tx_folds
 
-    def build():
-        sim = Simulator()
-        gige = GigEParams()
-        link = BoundaryLink(sim, gige.wire_rate, gige.frame_overhead,
-                            gige.propagation, name="cut", outbox=outbox,
-                            remote_rank=1, remote_port=0)
-        port = GigEPort(sim, Host(sim, 0), gige, name="edge")
-        port.attach_link(link, 0)
-        return sim, port
 
-    built, (sim, port) = _processes_built(monkeypatch, build)
-    assert built == ["edge:txfetch", "edge:txwire"]
-    assert port._tx_wire is None
+def _checksum_under_interrupts(sim, port, log, frame):
+    """Checksum steps and an interrupt handler's CPU holds interleave:
+    a handler every 5 us, holding the CPU 3 us past its entry costs."""
+    host = port.host
+
+    def handler(item):
+        log.append(("irq", sim.now.hex(), item))
+        yield sim.timeout(3.0)
+
+    def device():
+        for index in range(12):
+            host.irq.raise_irq([(handler, index)], source="dev")
+            yield sim.timeout(5.0)
 
     def send():
-        yield from port.send_frames([Frame(FRAME, 42, payload=index)
-                                     for index in range(5)])
-    with fastpath.force(True):
+        for index in range(8):
+            yield from port.enqueue_tx(frame(index))
+    sim.spawn(device())
+    sim.spawn(send())
+
+
+def test_a_checksum_step_waits_out_an_interrupt_handler_in_turn(
+        monkeypatch):
+    """The CPU step of a software checksum queues behind an interrupt
+    handler at the same priority exactly as the process form's
+    ``cpu_work`` did."""
+    held = []
+    processed = GigEPort._tx_processed
+
+    def spy(self):
+        held.append(self.host.cpu.count)
+        processed(self)
+
+    monkeypatch.setattr(GigEPort, "_tx_processed", spy)
+    gige = GigEParams(hw_checksum=False)
+    log, port, _fifo, _ring, host, cpu, _peer = _both(
+        _checksum_under_interrupts, gige=gige)
+    monkeypatch.undo()
+    assert _labels(log, "rx") == list(range(8))
+    assert _labels(log, "irq") == list(range(12))
+    assert port["tx_frames"] == 8 and cpu["waits"] > 0
+    assert host["cpu_us"] == sum(
+        gige.sw_checksum_per_byte * (FRAME + 42) for _ in range(8))
+    # Some checksum steps found a handler on the CPU, some did not.
+    assert 0 < sum(held) < len(held)
+
+
+def test_a_boundary_port_builds_no_transmit_process(monkeypatch):
+    """A shard-boundary link commits egress at serialization *start*:
+    the wire stage's entry is queued for that instant, under either
+    scheduler."""
+    for fast in (True, False):
+        built, (port, _outbox) = _processes_built(
+            monkeypatch,
+            lambda: _boundary_port(Simulator(), GigEParams(), False, []),
+            fast)
+        assert built == []
+        assert port._tx_wire is not None and not port._tx_folds
+
+
+def test_a_boundary_port_commits_where_the_process_form_did():
+    def burst_then_singles(sim, port, log, frame):
+        def send():
+            yield from port.send_frames([frame(("train", index))
+                                         for index in range(5)])
+            for index in range(3):
+                yield from port.enqueue_tx(frame(("single", index)))
         sim.spawn(send())
-        sim.run(until=200.0)
-    assert [record[-1].payload for record in outbox] == list(range(5))
-    # A train was queued (fast scheduler) and unbundled, never planned.
-    assert port.stats["train_fallbacks"] == 1 and port.stats["trains"] == 0
-    assert port.stats["tx_frames"] == 5
+
+    log, port, _fifo, _ring, _host, _cpu, outbox = _both(
+        burst_then_singles, trains=True, boundary=True)
+    sent = ([("train", index) for index in range(5)]
+            + [("single", index) for index in range(3)])
+    assert _labels(log, "commit") == _labels(log, "fetched") == sent
+    assert [record[-1] for record in outbox] == sent
+    assert [record[1:5] for record in outbox] == [
+        ("cut", seq, 1, 3) for seq in range(1, 9)]
+    assert port["tx_frames"] == 8
+    # Committed at serialization start: a lookahead or more before the
+    # frame lands.
+    commits = [float.fromhex(when) for what, when, _ in log
+               if what == "commit"]
+    lookahead = GigEParams().min_wire_latency()
+    assert all(float.fromhex(record[0]) - commit >= lookahead
+               for record, commit in zip(outbox, commits))
+    # Under the fast scheduler the burst was one ring item, unbundled
+    # because the planner refuses a boundary link.
+    with fastpath.force(True):
+        sim = Simulator()
+        edge, _ = _boundary_port(sim, GigEParams(), False, [])
+        burst_then_singles(sim, edge, [], lambda label: Frame(FRAME, 42))
+        sim.run(until=500.0)
+    assert edge.stats["train_fallbacks"] == 1 and edge.stats["trains"] == 0
 
 
 # -- (c) a process that ends unawaited ---------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hw.node import (
     Host,
+    PCIX_RATE,
     PRIO_COMPUTE,
     PRIO_IRQ,
     PRIO_USER,
@@ -85,7 +86,7 @@ def test_dma_does_not_touch_cpu(sim):
     log = []
 
     def dma():
-        yield from host.dma(10000, 0)
+        yield host.dma_event(10000, 0)
         log.append(("dma", sim.now))
 
     def cpu_user():
@@ -101,21 +102,21 @@ def test_dma_does_not_touch_cpu(sim):
 
 def test_dma_pci_index_validated(sim):
     host = Host(sim, 0, num_pci_buses=2)
-
-    def bad():
-        yield from host.dma(100, 5)
-
-    with pytest.raises(ConfigurationError):
-        run(sim, bad())
+    with pytest.raises(ConfigurationError, match="pci index 5"):
+        host.dma_event(100, 5)
+    assert host.stats["dmas"] == 0 and sim.queue_length == 0
 
 
 def test_dma_accounting(sim):
     host = Host(sim, 0, num_pci_buses=3)
 
     def proc():
-        yield from host.dma(1000, 2)
+        yield host.dma_event(1000, 2)
+        return sim.now
 
-    run(sim, proc())
+    # Setup window, then 1000 bytes at the PCI-X cap.
+    assert run(sim, proc()) == pytest.approx(
+        host.membus.setup + 1000 / PCIX_RATE)
     assert host.stats["dmas"] == 1
     assert host.stats["dma_bytes"] == 1000
     assert host.pci_bytes == [0.0, 0.0, 1000.0]

@@ -35,6 +35,37 @@ def test_cache_key_covers_seed_and_args():
         "point", "via_latency", nbytes=64).cache_key()
 
 
+#: Keys computed under code version 1.0.5, when ``cache_key`` still
+#: canonicalised the default parameter sets on every call.
+PINNED_KEYS = [
+    (JobSpec.make("point", "via_latency", nbytes=1024, repeats=5, seed=3),
+     "d78c964e573b82698ab04a0e6c4e85d3ea160c0b80214d1112c062a3a76d2b15"),
+    (JobSpec.make("figure", "fig2", quick=True),
+     "8529b989d74ed7eba730f0e639b4de7959874c3a7460cfd071dbd3d824fdf70d"),
+    (JobSpec.make("pdes", "aggregate", dims="4x4x4", nshards=2,
+                  ckpt_every=16),
+     "0ee4fbc3ec85be2b02be4f8ea883bbad91473e4327949603a7c630e95902ff23"),
+]
+
+
+@pytest.mark.parametrize("spec, key", PINNED_KEYS,
+                         ids=[spec.kind for spec, _key in PINNED_KEYS])
+def test_cache_keys_are_byte_identical_to_the_full_hash(spec, key,
+                                                        monkeypatch):
+    from repro.canonical import content_hash
+    from repro.hw.params import default_gige, default_host, default_via
+    from repro.service import protocol
+
+    monkeypatch.setattr(protocol, "__version__", "1.0.5")
+    assert spec.cache_key() == key
+    monkeypatch.undo()
+    # Under any version: the hash of the whole identity, computed cold.
+    assert spec.cache_key() == content_hash({
+        "job": spec, "gige": default_gige(), "host": default_host(),
+        "via": default_via(), "code_version": protocol.__version__})
+    assert JobSpec.from_wire(spec.to_wire()).cache_key() == spec.cache_key()
+
+
 def test_request_deadline_is_not_part_of_the_job_identity():
     # deadline_s is a *request* field; JobSpec has no slot for it, so
     # two clients asking for the same job with different patience
