@@ -197,8 +197,6 @@ def napi(quick: bool = False) -> ExperimentResult:
 def cluster_b(quick: bool = False) -> ExperimentResult:
     """Collectives on the second production machine (6x8x8, 384
     nodes) vs the first (4x8x8): section 3's cluster B."""
-    import numpy as np
-
     from repro.cluster.process_api import build_world
 
     configs = [(2, 4, 4), (3, 4, 4)] if quick else [(4, 8, 8), (6, 8, 8)]
@@ -217,7 +215,7 @@ def cluster_b(quick: bool = False) -> ExperimentResult:
             times["b1"] = max(times.get("b1", 0.0), sim.now)
             yield from comm.barrier()
             start = sim.now
-            yield from comm.allreduce(nbytes=8, data=np.float64(1.0))
+            yield from comm.allreduce(nbytes=8, data=1.0)
             times.setdefault("s0", start)
             times["s1"] = max(times.get("s1", 0.0), sim.now)
             return None
@@ -244,8 +242,6 @@ def cluster_b(quick: bool = False) -> ExperimentResult:
 
 def kernel_collectives(quick: bool = False) -> ExperimentResult:
     """Interrupt-level global reduction (paper section 7 future work)."""
-    import numpy as np
-
     from repro.cluster.process_api import build_world
     from repro.mpi.op import SUM
 
@@ -260,17 +256,16 @@ def kernel_collectives(quick: bool = False) -> ExperimentResult:
         sim = comm.engine.sim
         yield from comm.barrier()
         start = sim.now
-        user = yield from comm.allreduce(nbytes=8, data=np.float64(1.0))
+        user = yield from comm.allreduce(nbytes=8, data=1.0)
         times.setdefault("u0", start)
         times["u1"] = max(times.get("u1", 0.0), sim.now)
         yield from comm.barrier()
         start = sim.now
         kernel = yield from comm.engine.device.kernel_collective.global_sum(
-            np.float64(1.0), SUM, nbytes=8
-        )
+            1.0, SUM, nbytes=8)
         times.setdefault("k0", start)
         times["k1"] = max(times.get("k1", 0.0), sim.now)
-        assert float(user) == float(kernel) == cluster.size
+        assert user == kernel == cluster.size
         return None
 
     run_mpi(cluster, program, comms=comms)

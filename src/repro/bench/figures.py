@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from repro.bench import microbench as mb
 from repro.bench.harness import ExperimentResult
 from repro.cluster.builder import build_mesh
@@ -133,8 +131,7 @@ def fig5(quick: bool = False) -> ExperimentResult:
             times["bcast_end"] = max(times.get("bcast_end", 0.0), sim.now)
             yield from comm.barrier()
             start = sim.now
-            yield from comm.allreduce(nbytes=max(nbytes, 8),
-                                      data=np.float64(1.0))
+            yield from comm.allreduce(nbytes=max(nbytes, 8), data=1.0)
             times.setdefault("sum_start", start)
             times["sum_end"] = max(times.get("sum_end", 0.0), sim.now)
 

@@ -57,7 +57,7 @@ class MyriComm:
             yield from self.world.fabric.send(
                 self.rank, dest, nbytes, payload=(tag, nbytes, data)
             )
-            request.succeed(request)
+            request.succeed()
 
         self.sim.spawn(run(), name=f"myri-send[{self.rank}->{dest}]")
         return request
@@ -88,7 +88,7 @@ class MyriComm:
         request.received_data = data
         request.received_src = src
         request.received_tag = tag
-        request.succeed(request)
+        request.succeed()
 
     def _deliver(self, src: int, payload, nbytes) -> None:
         tag, msg_bytes, data = payload

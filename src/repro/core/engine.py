@@ -346,7 +346,7 @@ class MessagingEngine:
         # (Guarded: a death notice may have failed the request while
         # this process was blocked on tokens or the host bus.)
         if not request.triggered:
-            request.succeed(request)
+            request.succeed()
 
     def _send_rendezvous(self, channel: Channel, request: SendRequest):
         self.stats["rma_sent"] += 1
@@ -426,7 +426,7 @@ class MessagingEngine:
                 # buffer has been DMA'd out.
                 self.device.memory.deregister(region)
                 if not request.triggered:
-                    request.succeed(request)
+                    request.succeed()
 
             descriptor = RmaWriteDescriptor(
                 region, 0, request.nbytes,
@@ -544,7 +544,7 @@ class MessagingEngine:
             self.device.memory.deregister(region)
             request.rma_region = None
         if not request.triggered:
-            request.succeed(request)
+            request.succeed()
 
     # ------------------------------------------------------------------
     # Progress: drain VIA receive completions.

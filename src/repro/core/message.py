@@ -109,7 +109,8 @@ class Request(Event):
         self.kind = kind
 
     def wait(self):
-        """Process: block until this request completes.
+        """Process: block until this request completes; returns the
+        request.
 
         A failed request raises its exception — including when the
         failure already landed before ``wait`` was called (the yield
@@ -119,7 +120,7 @@ class Request(Event):
             yield self
         if self._ok is False:
             raise self.value
-        return self.value
+        return self
 
     @property
     def complete(self) -> bool:
@@ -149,7 +150,9 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """Handle for a receive in progress.
 
-    Completion value is the request itself; inspect ``received_*``.
+    Completes with ``None`` (a request valued by itself would be a
+    reference cycle); :meth:`wait` returns the request, so inspect its
+    ``received_*``.
     """
 
     def __init__(self, sim, src: int, tag: int, context: int,

@@ -26,7 +26,7 @@ Receive pipeline:
 
 1. *rx* — a serial stage on one reusable queue entry per port
    (``frame_arrived`` → ``_RxStage`` → DMA join → completion); frames
-   that land on a busy stage wait in a plain deque.  Per frame: NIC
+   that land on a busy stage wait in a plain list.  Per frame: NIC
    processing (``rx_proc``), the optional ``collective_hook`` (a frame
    it consumes never reaches the host), one receive descriptor (waiting
    when the ring is empty, which models 802.3x pause back-pressure
@@ -53,7 +53,6 @@ already held) and must re-post receive descriptors via
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from typing import Callable, Generator, Optional
 
@@ -137,7 +136,7 @@ class GigEPort:
         # Transmit path.
         self.tx_queue = Store(sim, capacity=params.tx_ring,
                               name=f"{name}:txq")
-        #: The on-board FIFO, used as deque and counters only: no put or
+        #: The on-board FIFO, used as a queue and counters only: no put or
         #: get event, waiters in ``_tx_blocked``.
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES,
                               name=f"{name}:txfifo")
@@ -164,7 +163,7 @@ class GigEPort:
         self.rx_credits = TokenPool(sim, params.rx_ring,
                                     level=params.rx_ring,
                                     name=f"{name}:rxcred")
-        #: Frames landed but not yet in the rx stage: a deque, built
+        #: Frames landed but not yet in the rx stage: a list, built
         #: with the stage's entry on the port's first frame.
         self._rx_arrivals = None
         self._rx_stage: Optional[_RxStage] = None
@@ -511,7 +510,7 @@ class GigEPort:
         stage = self._rx_stage
         if stage is None:
             stage = self._rx_stage = _RxStage(self)
-            self._rx_arrivals = deque()
+            self._rx_arrivals = []
         self._rx_frame = frame
         self.sim.schedule(stage, self.params.rx_proc)
 
@@ -544,7 +543,7 @@ class GigEPort:
 
     def _rx_next(self) -> None:
         if self._rx_arrivals:
-            self._rx_begin(self._rx_arrivals.popleft())
+            self._rx_begin(self._rx_arrivals.pop(0))
         else:
             self._rx_frame = None
 

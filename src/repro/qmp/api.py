@@ -124,12 +124,10 @@ class QMPMachine:
     # -- collectives -------------------------------------------------------
     def sum_double(self, value: float):
         """Process: QMP_sum_double."""
-        import numpy as np
-
         result = yield from self.comm.allreduce(
-            nbytes=8, op=SUM, data=np.float64(value)
+            nbytes=8, op=SUM, data=float(value)
         )
-        return float(result)
+        return result
 
     def sum_double_array(self, values: "np.ndarray"):
         """Process: QMP_sum_double_array."""
@@ -143,21 +141,17 @@ class QMPMachine:
 
     def max_double(self, value: float):
         """Process: QMP_max_double."""
-        import numpy as np
-
         result = yield from self.comm.allreduce(
-            nbytes=8, op=MAX, data=np.float64(value)
+            nbytes=8, op=MAX, data=float(value)
         )
-        return float(result)
+        return result
 
     def min_double(self, value: float):
         """Process: QMP_min_double."""
-        import numpy as np
-
         result = yield from self.comm.allreduce(
-            nbytes=8, op=MIN, data=np.float64(value)
+            nbytes=8, op=MIN, data=float(value)
         )
-        return float(result)
+        return result
 
     def broadcast(self, nbytes: int, data: Any = None, root: int = 0):
         """Process: QMP_broadcast."""

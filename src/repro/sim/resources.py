@@ -22,7 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """Grant event returned by :meth:`Resource.request`.
 
-    Usable as a context token: pass it back to ``release``.
+    Usable as a context token: pass it back to ``release``.  It fires
+    with ``None``: a request valued by itself would be a reference
+    cycle, and every CPU hold would wait for the cyclic collector.
     """
 
     __slots__ = ("resource",)
@@ -98,13 +100,13 @@ class Resource:
         self._holders.add(req)
         self.stats["grants"] += 1
         req._ok = True
-        req._value = req
+        req._value = None
         return req
 
     def _grant(self, req: Request) -> None:
         self._holders.add(req)
         self.stats["grants"] += 1
-        req.succeed(req, URGENT)
+        req.succeed(None, URGENT)
 
     def _dispatch(self) -> None:
         while self._waiters and len(self._holders) < self.capacity:
@@ -179,7 +181,7 @@ class PriorityResource(Resource):
         self._holders.add(req)
         self.stats["grants"] += 1
         req._ok = True
-        req._value = req
+        req._value = None
         return req
 
     def _dispatch(self) -> None:

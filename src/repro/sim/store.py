@@ -7,7 +7,6 @@ blocks when it is empty.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -46,8 +45,11 @@ class StoreGet(Event):
 
 #: ``items`` of a store nothing has been put into yet and its
 #: ``_putters``/``_getters`` while nobody has blocked on it: most stores
-#: stay empty and never see a waiter, and an empty deque costs 760
-#: bytes.  Length, truth and iteration read like an empty deque's.
+#: stay empty and never see a waiter.  Length, truth and iteration read
+#: like an empty list's.  The first put or waiter makes it a list, not a
+#: deque: the waiters are a blocked process or two and a descriptor
+#: ring holds a few hundred frames at most, where an empty deque costs
+#: 760 bytes and an empty list 56.
 _EMPTY = ()
 
 
@@ -79,7 +81,7 @@ class Store:
         """Insert ``item``; the event fires once there is room."""
         put_event = StorePut(self, item)
         if self._putters is _EMPTY:
-            self._putters = deque()
+            self._putters = []
         self._putters.append(put_event)
         self._dispatch()
         return put_event
@@ -88,7 +90,7 @@ class Store:
         """Remove the oldest item; the event fires with the item."""
         get_event = StoreGet(self)
         if self._getters is _EMPTY:
-            self._getters = deque()
+            self._getters = []
         self._getters.append(get_event)
         self._dispatch()
         return get_event
@@ -99,7 +101,7 @@ class Store:
         completion the device hands up, a frame the kernel backlogs);
         a waiting getter is served at once."""
         if self.items is _EMPTY:
-            self.items = deque()
+            self.items = []
         self.items.append(item)
         self._dispatch()
 
@@ -113,7 +115,7 @@ class Store:
             raise SimulationError(f"try_get on {self.name!r} with waiters")
         if not self.items:
             return None
-        item = self.items.popleft()
+        item = self.items.pop(0)
         self.stats["gets"] += 1
         self._dispatch()
         return item
@@ -137,7 +139,7 @@ class Store:
         """A counted put, room already checked."""
         items = self.items
         if items is _EMPTY:
-            items = self.items = deque()
+            items = self.items = []
         items.append(item)
         stats = self.stats
         stats["puts"] += 1
@@ -154,7 +156,7 @@ class Store:
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:
             self.stats["gets"] += 1
-            event.succeed(self.items.popleft(), URGENT)
+            event.succeed(self.items.pop(0), URGENT)
             return True
         return False
 
@@ -166,13 +168,13 @@ class Store:
             progress = False
             while self._putters:
                 if self._do_put(self._putters[0]):
-                    self._putters.popleft()
+                    del self._putters[0]
                     progress = True
                 else:
                     break
             while self._getters:
                 if self._do_get(self._getters[0]):
-                    self._getters.popleft()
+                    del self._getters[0]
                     progress = True
                 else:
                     break
@@ -182,7 +184,7 @@ class TokenPool(Store):
     """A bounded :class:`Store` of indistinguishable tokens, as a count.
 
     A descriptor ring's free slots carry nothing but their number, so
-    ``level`` stands where a ``Store`` keeps a deque of that many ones:
+    ``level`` stands where a ``Store`` keeps a list of that many ones:
     same events in the same order, same values (a ``get`` yields 1),
     same ``stats``.  ``level`` is a plain attribute, so the per-frame
     "ring empty?" test is one slot read.
@@ -195,7 +197,7 @@ class TokenPool(Store):
         super().__init__(sim, capacity, name)
         if not 0 <= level <= capacity:
             raise SimulationError(f"{level} tokens in a pool of {capacity}")
-        self.items = None  # the count stands in for the deque
+        self.items = None  # the count stands in for the list
         self.level = level
 
     def __len__(self) -> int:

@@ -15,7 +15,7 @@ import enum
 import itertools
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 _msg_ids = itertools.count()
@@ -147,9 +147,17 @@ class ViaPacket:
 
         The kernel switch consumes ``route`` hop by hop on the wire
         copy, so the reliable sender keeps a pristine template and
-        transmits a clone per attempt.
+        transmits a clone per attempt.  One positional constructor call
+        in field order: ``dataclasses.replace`` walks the fields and
+        builds keywords for every reliable send.
         """
-        return replace(self)
+        return ViaPacket(
+            self.kind, self.src_node, self.dst_node, self.dst_vi,
+            self.src_vi, self.msg_id, self.frag_index, self.num_frags,
+            self.payload_bytes, self.msg_offset, self.msg_bytes,
+            self.remote_addr, self.notify, self.immediate, self.route,
+            self.seq, self.ack, self.payload, self.checksum, self.trace,
+        )
 
     def seal(self) -> "ViaPacket":
         """Stamp the checksum (sender side)."""

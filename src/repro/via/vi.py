@@ -20,7 +20,6 @@ Cost model (user-level library, runs at ``PRIO_USER``):
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import (
@@ -73,10 +72,12 @@ class RecvQueue:
     __slots__ = ("_entries", "_unbuilt", "append")
 
     def __init__(self) -> None:
-        self._entries: deque = deque()
+        #: A list, not a deque: it holds a run or two (760 bytes a deque,
+        #: 56 a list), and a VI exists per channel end.
+        self._entries: list = []
         #: Buffers still inside runs, beyond each run's one entry.
         self._unbuilt = 0
-        #: Post one descriptor (the deque's own C method).
+        #: Post one descriptor (the list's own C method).
         self.append = self._entries.append
 
     def __len__(self) -> int:
@@ -92,10 +93,10 @@ class RecvQueue:
         entries = self._entries
         run = entries[0]
         if run.__class__ is not list:
-            return entries.popleft()
+            return entries.pop(0)
         region, offset, stride, nbytes, count = run
         if count == 1:
-            entries.popleft()
+            del entries[0]
         else:
             run[1] = offset + stride
             run[4] = count - 1

@@ -1,13 +1,15 @@
 """The import closure of each entry point is a checked contract.
 
 A fleet worker, a PDES shard and a ledger run load what they execute:
-no numpy until a reduction combines two real operands, none of the
-asyncio front-end until somebody asks ``repro.service`` for it.  Every
-closure case runs in a fresh interpreter — ``sys.modules`` of the
-pytest process has long since loaded everything.
+no numpy until a reduction combines two operands that are not both
+Python floats, none of the asyncio front-end until somebody asks
+``repro.service`` for it.  Every closure case runs in a fresh
+interpreter — ``sys.modules`` of the pytest process has long since
+loaded everything.
 """
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,46 @@ def test_numpy_loads_on_the_first_data_carrying_reduction():
         "print('numpy' in sys.modules)\n"
     )
     assert out.splitlines() == ["False", "{'int64'} [6, 6, 6, 6]", "True"]
+
+
+def test_float_reductions_never_load_numpy_and_array_ones_still_do():
+    out = _fresh(
+        "import sys\n"
+        "from repro.cluster import build_mesh, run_mpi\n"
+        "from repro.mpi.op import MAX\n"
+        "def floats(comm):\n"
+        "    total = yield from comm.allreduce(nbytes=8,\n"
+        "                                      data=comm.rank + 0.5)\n"
+        "    top = yield from comm.allreduce(nbytes=8, op=MAX,\n"
+        "                                    data=float(comm.rank))\n"
+        "    return total, top\n"
+        "print(run_mpi(build_mesh((2, 2), wrap=True), floats))\n"
+        "print('numpy' in sys.modules)\n"
+        "import numpy as np\n"
+        "def arrays(comm):\n"
+        "    total = yield from comm.allreduce(\n"
+        "        nbytes=16, data=np.array([comm.rank, 1.0]))\n"
+        "    return total\n"
+        "totals = run_mpi(build_mesh((2, 2), wrap=True), arrays)\n"
+        "print({type(t).__name__ for t in totals}, totals[0].tolist())\n"
+    )
+    assert out.splitlines() == [
+        "[(8.0, 3.0), (8.0, 3.0), (8.0, 3.0), (8.0, 3.0)]", "False",
+        "{'ndarray'} [6.0, 4.0]"]
+
+
+def test_a_pdes_collective_job_loads_no_numpy():
+    """What a service worker runs for the fig. 5 global combine."""
+    out = _fresh(
+        "import sys\n"
+        "from repro.service.jobs import execute\n"
+        "from repro.service.protocol import JobSpec\n"
+        "spec = JobSpec.make('pdes', 'collective', dims='2x2x2',\n"
+        "                    nshards=2, ckpt_every=0)\n"
+        "print(execute(spec)['table']['sums'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out.splitlines() == [str([108.0] * 8), "False"]
 
 
 def test_hardware_models_import_nothing_of_the_protocol_above_them():
@@ -132,6 +174,9 @@ UFUNCS = {
     mpi_op.BAND: np.bitwise_and, mpi_op.BOR: np.bitwise_or,
 }
 
+#: The ops that reduce two Python floats without numpy.
+FLOAT_OPS = (mpi_op.SUM, mpi_op.PROD, mpi_op.MAX, mpi_op.MIN)
+
 _floats = st.floats(min_value=-1e6, max_value=1e6)
 operands = st.one_of(
     st.none(),
@@ -165,8 +210,66 @@ def test_every_op_in_the_module_is_covered():
 def test_op_equals_the_eager_ufunc(op, a, b):
     if a is None or b is None:
         assert op(a, b) is (b if a is None else a)
+    elif op in FLOAT_OPS and type(a) is float and type(b) is float:
+        # The ufunc's double, as a Python float (bits: the test below).
+        assert _outcome(op, a, b) == (float, repr(float(UFUNCS[op](a, b))))
     else:
         assert _outcome(op, a, b) == _outcome(UFUNCS[op], a, b)
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+#: Every double: NaNs with any payload, quiet or signalling, either
+#: sign; subnormals; and the values a reduction meets on purpose.
+doubles = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_double),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), 5e-324,
+                     -5e-324, 2.2250738585072014e-308,
+                     _double(0x7ff0000000000001), _double(0xfff8000000000123),
+                     float("nan")]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(FLOAT_OPS), doubles, doubles)
+def test_float_path_is_the_ufunc_bit_for_bit(op, a, b):
+    with np.errstate(all="ignore"):
+        want = UFUNCS[op](a, b)
+    got = op(a, b)
+    assert type(got) is float
+    assert _bits(got) == _bits(want), (a, b, got, want)
+
+
+def test_first_float_combines_are_the_ufunc_bit_for_bit():
+    """CPython runs an operator generically until its call site
+    specialises, and the two forms return opposite NaNs of a pair; by
+    now this process has specialised, a fresh one's first calls have
+    not."""
+    out = _fresh(
+        "import struct, sys\n"
+        "from repro.mpi.op import SUM, PROD, MAX, MIN\n"
+        "def d(bits):\n"
+        "    return struct.unpack('<d', bits.to_bytes(8, 'little'))[0]\n"
+        "pairs = [(d(0x7ff8000000000001), d(0xfff8000000000123)),\n"
+        "         (d(0x7ff0000000000005), d(0x7ff8000000000001)),\n"
+        "         (d(0xfff8000000000123), 1.0)]\n"
+        "got = [op(a, b) for op in (SUM, PROD, MAX, MIN) for a, b in pairs]\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy as np\n"
+        "with np.errstate(all='ignore'):\n"
+        "    want = [f(a, b) for f in (np.add, np.multiply, np.maximum,\n"
+        "                              np.minimum) for a, b in pairs]\n"
+        "print([type(g) is float and struct.pack('<d', g) ==\n"
+        "       struct.pack('<d', w) for g, w in zip(got, want)])\n"
+    )
+    assert out == str([True] * 12)
 
 
 @given(operands, operands)

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+from hypothesis import given, strategies as st
+
 from repro.via.packet import PacketKind, ViaPacket
 
 
@@ -80,3 +82,35 @@ def test_verify_recomputes_rather_than_trusting_the_seal():
         tampered = packet.clone()
         setattr(tampered, name, value)
         assert not tampered.verify(), name
+
+
+_ints = st.integers(-1, 2**31)
+packets = st.builds(
+    ViaPacket,
+    kind=st.sampled_from(PacketKind), src_node=_ints, dst_node=_ints,
+    dst_vi=_ints, src_vi=_ints, msg_id=_ints, frag_index=_ints,
+    num_frags=_ints, payload_bytes=_ints, msg_offset=_ints,
+    msg_bytes=_ints, remote_addr=_ints, notify=st.booleans(),
+    immediate=st.none() | _ints, route=st.none() | st.tuples(_ints, _ints),
+    seq=_ints, ack=_ints, payload=st.none() | st.builds(object),
+    checksum=st.none() | st.integers(0, 2**32 - 1),
+    trace=st.none() | st.builds(object),
+)
+
+
+def _fields(packet):
+    # Read one by one: ``==`` skips ``trace`` (compare=False) and
+    # ``astuple`` deep-copies the payload.
+    return [getattr(packet, f.name) for f in dataclasses.fields(ViaPacket)]
+
+
+@given(packets)
+def test_clone_is_replace_field_for_field(packet):
+    clone, want = packet.clone(), dataclasses.replace(packet)
+    assert type(clone) is ViaPacket
+    assert all(c is w for c, w in zip(_fields(clone), _fields(want)))
+    # A fresh object: what the switch and the sealer write to it (the
+    # route it consumes hop by hop, the checksum) stays on the copy.
+    before = _fields(packet)
+    clone.route, clone.checksum, clone.seq, clone.trace = (9,), -7, -2, 1
+    assert all(p is b for p, b in zip(_fields(packet), before))
