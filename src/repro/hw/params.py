@@ -160,7 +160,9 @@ class ViaParams(Canonical):
     #: Go-back-N send window per VI, in frames.
     rel_window: int = 64
     #: Initial retransmission timeout (us).  Must comfortably exceed
-    #: RTT + the receiver's delayed-ACK window.
+    #: RTT + the receiver's delayed-ACK window + the time an explicit
+    #: ACK waits for the reverse transmit ring to drain ahead of it
+    #: (ACKs are read at fetch, but queue behind whatever is posted).
     rel_rto: float = 300.0
     #: Exponential backoff multiplier and RTO ceiling (us).
     rel_rto_backoff: float = 2.0

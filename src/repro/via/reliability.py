@@ -17,7 +17,11 @@ over their unreliable mesh links:
   reassembly machinery sees exactly the lossless frame stream;
 * ACKs are cumulative, delayed (every ``rel_ack_every`` frames or
   ``rel_ack_delay`` us), and piggybacked on reverse-direction data
-  (:attr:`~repro.via.packet.ViaPacket.ack`).
+  (:attr:`~repro.via.packet.ViaPacket.ack`);
+* every ACK field is read when the NIC fetches its frame (the frame's
+  ``on_fetched`` hook), so a frame that waited in the transmit ring
+  behind a long burst still leaves with the current cumulative ACK,
+  and the delayed-ACK timer stands down only when it has left.
 
 Channels live in the node's :class:`~repro.via.kernel_agent.KernelAgent`
 (one per local VI) and hold both the transmit state for the VI's
@@ -139,16 +143,12 @@ class ReliableChannel:
         device = self.agent.device
         packet = entry.packet.clone()
         packet.route = route[1:] if route else None
-        packet.ack = self.rx_expected - 1
-        packet.seal()
-        # Piggybacked ACK information: anything delivered so far is
-        # now acknowledged, so the delayed-ACK timer can stand down.
-        self._note_ack_carried()
         frame = Frame(
             payload_bytes=packet.payload_bytes,
             header_bytes=device.params.header_bytes,
             payload=packet,
             kind=packet.kind.frame_label,
+            on_fetched=lambda: self._stamp(packet),
         )
         if route:
             port = device.ports.get(route[0])
@@ -325,8 +325,20 @@ class ReliableChannel:
         if self._pending_ack > 0:
             self._send_ack_now()
 
+    def _stamp(self, packet: ViaPacket) -> None:
+        """``on_fetched`` hook of every frame this channel sends.
+
+        The cumulative ACK is read when the NIC fetches the frame, not
+        when it enqueues: a frame can wait in the transmit ring behind
+        a long reverse burst, and an ACK stamped at enqueue would leave
+        stale.  The ACK is a checksummed header field, so re-seal.
+        """
+        packet.ack = self.rx_expected - 1
+        packet.seal()
+        self._note_ack_carried()
+
     def _note_ack_carried(self) -> None:
-        """A piggybacked ACK went out; cancel the delayed-ACK timer."""
+        """An ACK-carrying frame left; cancel the delayed-ACK timer."""
         if self._pending_ack or self._ack_armed:
             self._pending_ack = 0
             self._ack_gen += 1
@@ -358,10 +370,10 @@ class ReliableChannel:
             src_vi=vi.vi_id,
             msg_id=device.next_msg_id(),
             payload_bytes=0,
-            ack=self.rx_expected - 1,
-        ).seal()
+        )
         frame = Frame(0, device.params.header_bytes, payload=packet,
-                      kind=packet.kind.frame_label)
+                      kind=packet.kind.frame_label,
+                      on_fetched=lambda: self._stamp(packet))
         try:
             port = device.egress_port(peer_node, packet=packet)
         except ViaError:

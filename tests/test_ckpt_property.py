@@ -178,12 +178,15 @@ class TestRestoreGuards:
         as processes (every port's, and its receive stage, under the
         reference scheduler): ``Process`` start-ups, ``StoreGet`` hops,
         a ``Timeout`` per frame's processing and serialization, where
-        1.0.6 queues the port's one ``_TxWire`` or ``_RxStage``."""
+        1.0.6 queues the port's one ``_TxWire`` or ``_RxStage``.  1.0.6
+        stamped a reliable frame's cumulative ACK when it entered the
+        transmit ring where 1.0.7 stamps it when the NIC fetches it: a
+        cached result under loss or node faults can differ."""
         from repro import __version__
-        assert __version__ == "1.0.6"
+        assert __version__ == "1.0.7"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
-                      "1.0.5"):
+                      "1.0.5", "1.0.6"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

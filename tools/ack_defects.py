@@ -1,0 +1,106 @@
+"""What reliable delivery costs on a clean wire and resends under loss,
+counted.
+
+    PYTHONPATH=src python3 tools/ack_defects.py
+
+Run from the root of a checkout (~20 s).  Prints, for the clean-wire
+shapes of ``tests/test_reliability_clean_wire.py`` plus a 2x2x4 torus
+at 16 KB, the exchange's simulated time with ``ViaParams(reliable=
+True)`` and without, and the retransmits and RTO expiries of the
+reliable run; then, for the ledger's ``lossy_mesh`` program at 1 %
+frame loss, the frames put on the wire, retransmits, duplicate
+frames, explicit ACKs, and how many RTO expiries found their head
+fragment already delivered (the receiving channel's ``rx_expected``
+past it: the expiry resends a window that arrived).  It prints instead
+of asserting, so the same file reads the state of any commit: to
+measure a parent, export it (``git archive REV | tar -x -C DIR``),
+copy this file and that test file over it and run it there.
+EXPERIMENTS.md, "ACKs read at fetch", holds the numbers.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+
+sys.path.insert(0, ".")
+
+from ledger.workloads import simulator_workloads  # noqa: E402
+from repro.via import reliability  # noqa: E402
+from tests.test_reliability_clean_wire import SHAPES, _run  # noqa: E402
+
+LOSSY_SEEDS = (7, 11, 20050404)
+
+
+class _Expiries(dict):
+    """A channel's ``stats`` that, as each RTO expiry is counted,
+    asks the peer's channel whether the head fragment has arrived."""
+
+    agents: dict = {}
+    counts = {"expiries": 0, "head_delivered": 0}
+
+    def __init__(self, channel, stats) -> None:
+        super().__init__(stats)
+        self.channel = channel
+
+    def __setitem__(self, key, value) -> None:
+        channel = self.channel
+        if key == "timeouts" and channel.unacked:
+            self.counts["expiries"] += 1
+            peer_node, peer_vi = channel.vi.peer
+            peer = self.agents[peer_node]._channels.get(peer_vi)
+            if (peer is not None
+                    and peer.rx_expected > channel.unacked[0].seq):
+                self.counts["head_delivered"] += 1
+        super().__setitem__(key, value)
+
+
+def _watch_expiries() -> None:
+    init = reliability.ReliableChannel.__init__
+
+    def watched(channel, agent, vi) -> None:
+        init(channel, agent, vi)
+        _Expiries.agents[agent.device.rank] = agent
+        channel.stats = _Expiries(channel, channel.stats)
+
+    reliability.ReliableChannel.__init__ = watched
+
+
+def clean_wire() -> None:
+    print("clean wire: reliable vs unreliable exchange (us from the "
+          "opening barrier)")
+    for dims, phases in (*SHAPES, ((2, 2, 4), ((16384, 1),))):
+        bare = _run(dims, phases, reliable=False)[0]
+        elapsed, stats, _tx_frames = _run(dims, phases, reliable=True)
+        shape = "x".join(map(str, dims))
+        sizes = ", ".join(f"{n // 1024} KB x{r}" for n, r in phases)
+        print(f"  {shape} [{sizes}]: {elapsed:.1f} vs {bare:.1f} "
+              f"({100 * (elapsed / bare - 1):+.1f} %), "
+              f"{stats['retransmits']} retransmits, "
+              f"{stats['timeouts']} timeouts")
+
+
+def lossy_mesh() -> None:
+    print("lossy_mesh program, 1 % loss")
+    workload = simulator_workloads()["lossy_mesh"]
+    for seed in LOSSY_SEEDS:
+        _Expiries.agents.clear()
+        _Expiries.counts.update(expiries=0, head_delivered=0)
+        ctx = workload.setup(workload.inputs(seed, False),
+                             lambda _name: contextlib.nullcontext())
+        outcome = workload.verify(ctx, workload.run(ctx))
+        counts = outcome.counts
+        print(f"  seed {seed}: {outcome.sim_time_us:.1f} us, "
+              f"{counts['hw.tx_frames']:.0f} tx frames, "
+              f"{counts['via.retransmits']:.0f} retransmits, "
+              f"{counts['via.dup_frames']:.0f} duplicates, "
+              f"{counts['via.acks_sent']:.0f} explicit ACKs, "
+              f"{_Expiries.counts['expiries']} RTO expiries "
+              f"({_Expiries.counts['head_delivered']} with the head "
+              f"delivered), {outcome.failed} failed")
+
+
+if __name__ == "__main__":
+    _watch_expiries()
+    clean_wire()
+    lossy_mesh()
