@@ -16,8 +16,9 @@ Covered surfaces, one per stack layer:
 * ``hw/`` — per-link frame/byte/drop counters, boundary-link egress
   sequence numbers, the exact :func:`random.Random.getstate` of every
   fault-injector stream, NIC port counters;
-* ``via/`` — kernel-agent counters and go-back-N reliability state
-  (next tx seq, expected rx seq, unacked window depth, rto, retries);
+* ``via/`` — kernel-agent counters and selective-repeat reliability
+  state (next tx seq, expected rx seq, held seqs, unacked window depth,
+  rto, retries);
 * ``mpi/`` — per-rank communicator recovery epoch;
 * ``obs/`` — flight-recorder span-set content hash.
 
@@ -103,6 +104,7 @@ def cluster_signature(cluster) -> dict:
                     str(vi_id): {
                         "next_seq": ch.next_seq,
                         "rx_expected": ch.rx_expected,
+                        "held": sorted(ch.held),
                         "unacked": len(ch.unacked),
                         "rto": _hexf(ch.rto),
                         "retries": ch.retries,

@@ -151,13 +151,15 @@ class ViaParams(Canonical):
     #: Maximum outstanding descriptors per VI send queue.
     send_queue_depth: int = 256
     recv_queue_depth: int = 256
-    #: Reliable-delivery protocol (go-back-N sequence/ACK recovery in
-    #: the kernel agent).  None = auto: engage exactly when some link
-    #: of the node can *lose* frames (loss/flap/death/corrupt-rate
-    #: knobs in :class:`~repro.hw.faults.FaultParams`); legacy
-    #: ``corrupt_every`` keeps its detect-and-drop-only semantics.
+    #: Reliable-delivery protocol (selective-repeat sequence/ACK
+    #: recovery in the kernel agent).  None = auto: engage exactly
+    #: when some link of the node can *lose* frames (loss/flap/death/
+    #: corrupt-rate knobs in :class:`~repro.hw.faults.FaultParams`);
+    #: legacy ``corrupt_every`` keeps its detect-and-drop-only
+    #: semantics.
     reliable: Optional[bool] = None
-    #: Go-back-N send window per VI, in frames.
+    #: Per-VI window, in frames: bounds both the sender's
+    #: unacknowledged fragments and the receiver's held map.
     rel_window: int = 64
     #: Initial retransmission timeout (us).  Must comfortably exceed
     #: RTT + the receiver's delayed-ACK window + the time an explicit

@@ -122,7 +122,8 @@ RELIABILITY_COUNTERS = (
     "retransmits",
     "timeouts",
     "dup_frames",
-    "ooo_dropped",
+    "held",
+    "nacks_sent",
     "rel_failures",
     "connect_retries",
     "dup_connects",

@@ -67,7 +67,7 @@ class KernelAgent:
             # Reliable-delivery counters (see via.reliability).
             "dropped_bad_checksum": 0, "acks_sent": 0,
             "acks_received": 0, "retransmits": 0, "timeouts": 0,
-            "dup_frames": 0, "ooo_dropped": 0, "rel_failures": 0,
+            "dup_frames": 0, "held": 0, "nacks_sent": 0, "rel_failures": 0,
             "connect_retries": 0, "dup_accepts": 0, "dup_connects": 0,
             # Failure-detector counters (node faults only; all zero on
             # a fault-free run).
@@ -207,20 +207,20 @@ class KernelAgent:
                 packet, route, descriptor if index == last else None,
             )
 
-    def _apply_ack(self, packet: ViaPacket) -> None:
+    def _apply_ack(self, packet: ViaPacket, nack: int = -1) -> None:
         vi = self.device.vis.get(packet.dst_vi)
         if vi is not None:
-            self.channel_for(vi).process_ack(packet.ack)
+            self.channel_for(vi).process_ack(packet.ack, nack)
 
-    def _reliable_rx(self, packet: ViaPacket) -> bool:
-        """Sequence-gate an arriving sequenced fragment."""
+    def _rx_channel(self, packet: ViaPacket) -> ReliableChannel:
+        """The channel that sequence-gates an arriving fragment."""
         vi = self.device.vis.get(packet.dst_vi)
         if vi is None:
             raise ViaError(
                 f"node {self.device.rank}: sequenced frame for unknown "
                 f"VI {packet.dst_vi}"
             )
-        return self.channel_for(vi).rx_gate(packet)
+        return self.channel_for(vi)
 
     # ------------------------------------------------------------------
     # Receive dispatch — runs at interrupt level, CPU already held.
@@ -235,7 +235,7 @@ class KernelAgent:
         handling it touches no reliability state: a transit frame, or a
         payload fragment carrying neither a sequence number nor an ACK,
         on a fabric without node faults.  Every other frame pays here,
-        so go-back-N and teardown run from the reference instants.
+        so loss recovery and teardown run from the reference instants.
         """
         self.stats["frames"] += 1
         packet: ViaPacket = frame.payload
@@ -295,18 +295,23 @@ class KernelAgent:
                 yield from engine.handle_irq(packet)
                 return
             if kind is PacketKind.ACK:
-                # Explicit cumulative ACK: pure sender-side bookkeeping.
+                # Explicit cumulative ACK (a NACK when ``seq`` names a
+                # missing fragment): pure sender-side bookkeeping.
                 self.stats["acks_received"] += 1
-                self._apply_ack(packet)
+                self._apply_ack(packet, packet.seq)
                 return
             if packet.ack >= 0:
                 # Piggybacked cumulative ACK on reverse-direction data.
                 self._apply_ack(packet)
-            if packet.seq >= 0 and not self._reliable_rx(packet):
-                # Duplicate or out-of-order fragment: dropped (and
-                # re-ACKed) before any demux/copy cost is paid.
-                return
-            if is_payload:
+            if packet.seq >= 0:
+                # Only delivered fragments pay demux and copy: a gap's
+                # filler releases the held run behind it, one by one.
+                channel = self._rx_channel(packet)
+                if channel.rx_gate(packet):
+                    while packet is not None:
+                        yield from self._handle_payload(packet)
+                        packet = channel.release()
+            elif is_payload:
                 yield from self._handle_payload(packet, paid_until)
             elif kind is PacketKind.CONNECT:
                 yield from self._handle_connect(packet)

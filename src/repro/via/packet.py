@@ -104,6 +104,7 @@ class ViaPacket:
     route: Optional[tuple] = None
     #: Reliable-delivery sequence number of this frame on its VI
     #: channel (-1 = unsequenced, the unreliable/legacy wire format).
+    #: On an ACK packet it names a missing fragment: a NACK.
     seq: int = -1
     #: Piggybacked cumulative ACK: highest in-order sequence number the
     #: sender of *this* packet has received on the destination VI's

@@ -1,10 +1,11 @@
-"""Per-VI reliable-delivery channels: go-back-N over the lossy mesh.
+"""Per-VI reliable-delivery channels: selective repeat over the mesh.
 
 The modified M-VIA's checksums (section 4) only give *detection* — a
 damaged frame is dropped, and without recovery the message is gone.
-This module supplies the recovery half, in the style of the go-back-N
-retransmission the related PM/Ethernet and APENet clusters layered
-over their unreliable mesh links:
+This module supplies the recovery half.  The related PM/Ethernet and
+APENet clusters layered go-back-N over their unreliable mesh links;
+a VI's path is FIFO, so a sequence gap *is* a loss, and this channel
+repeats only what was lost:
 
 * every DATA/RMA fragment carries a per-VI sequence number
   (:attr:`~repro.via.packet.ViaPacket.seq`);
@@ -12,9 +13,13 @@ over their unreliable mesh links:
   a retransmission timer and exponential backoff; a bounded budget of
   consecutive timeouts without progress transitions the VI to ERROR
   and fails its pending sends (the VIA error surface);
-* the receiver delivers strictly in order: duplicates and
-  out-of-order fragments are dropped (and re-ACKed), so the existing
-  reassembly machinery sees exactly the lossless frame stream;
+* the receiver holds fragments past a gap (at most a window of them)
+  and sends **one** NACK per gap: an ACK packet whose ``seq`` names
+  the missing fragment; the sender resends just that fragment, and on
+  an RTO expiry just the head of its window;
+* the fragment that fills a gap releases the held run behind it, so
+  reassembly sees exactly the lossless frame stream; duplicates (held
+  ones included) are dropped and re-ACKed;
 * ACKs are cumulative, delayed (every ``rel_ack_every`` frames or
   ``rel_ack_delay`` us), and piggybacked on reverse-direction data
   (:attr:`~repro.via.packet.ViaPacket.ack`);
@@ -91,12 +96,16 @@ class ReliableChannel:
         # -- receive side --------------------------------------------------
         #: Next in-order sequence number expected from the peer.
         self.rx_expected = 0
+        #: seq -> fragment that arrived past the gap at ``rx_expected``.
+        #: The gap has been NACKed exactly when this is non-empty.
+        self.held: dict = {}
         self._pending_ack = 0
         self._ack_gen = 0
         self._ack_armed = False
         self.stats = {
-            "retransmits": 0, "timeouts": 0, "dup_frames": 0,
-            "ooo_dropped": 0, "acks_sent": 0, "max_retry_streak": 0,
+            "retransmits": 0, "nack_resends": 0, "timeouts": 0,
+            "dup_frames": 0, "held": 0, "acks_sent": 0, "nacks_sent": 0,
+            "max_retry_streak": 0,
         }
 
     # ------------------------------------------------------------------
@@ -205,24 +214,24 @@ class ReliableChannel:
             self.rto = min(self.rto * params.rel_rto_backoff,
                            params.rel_rto_max)
             self._deadline = self.sim.now + self.rto
-            # Go-back-N: resend the whole outstanding window.  Snapshot
-            # first — ACKs may arrive while the resends queue.
-            batch = list(self.unacked)
-            self.stats["retransmits"] += len(batch)
-            agent.stats["retransmits"] += len(batch)
-            if rec is not None:
-                for entry in batch:
-                    if entry.packet.trace is not None:
-                        rec.event(entry.packet.trace, _RETRANSMIT,
-                                  f"vi{self.vi.vi_id} seq{entry.seq}",
-                                  f"n{agent.device.rank}", self.sim.now)
-            dead_fabric = agent.device.fabric_degraded()
-            for entry in batch:
-                # Under a degraded fabric the original source route may
-                # cross a dead link; fall back to fault-aware routing.
-                route = None if dead_fabric else entry.route
-                yield from self._send_entry(entry, route)
+            # Resend only the head: the receiver holds what followed it.
+            yield from self._retransmit(self.unacked[0])
         self._timer_running = False
+
+    def _retransmit(self, entry: _SendEntry):
+        """Process: put one more wire copy of ``entry`` on the ring."""
+        agent = self.agent
+        self.stats["retransmits"] += 1
+        agent.stats["retransmits"] += 1
+        rec = self.sim.recorder
+        if rec is not None and entry.packet.trace is not None:
+            rec.event(entry.packet.trace, _RETRANSMIT,
+                      f"vi{self.vi.vi_id} seq{entry.seq}",
+                      f"n{agent.device.rank}", self.sim.now)
+        # Under a degraded fabric the original source route may cross
+        # a dead link; fall back to fault-aware routing.
+        yield from self._send_entry(
+            entry, None if agent.device.fabric_degraded() else entry.route)
 
     def _fail(self) -> None:
         """Retry budget exhausted: surface a VIA error on the VI."""
@@ -245,11 +254,14 @@ class ReliableChannel:
         Unacknowledged sends fail through the normal completion path
         (``DescriptorStatus.ERROR``) and window waiters wake into
         ``_check_error`` so blocked senders raise instead of hanging.
+        Held fragments are dropped: a dead peer's data is never
+        delivered later.
         """
         vi = self.vi
         if vi.state is not ViState.ERROR:
             vi.state = ViState.ERROR
             vi.error = error
+        self.held.clear()
         while self.unacked:
             entry = self.unacked.popleft()
             if entry.descriptor is not None:
@@ -262,8 +274,9 @@ class ReliableChannel:
             waiter.succeed()
 
     # -- ACK processing ------------------------------------------------------
-    def process_ack(self, ack: int) -> None:
-        """Cumulative ACK: retire entries, complete descriptors."""
+    def process_ack(self, ack: int, nack: int = -1) -> None:
+        """Cumulative ACK: retire entries, complete descriptors; then
+        resend the head alone if ``nack`` names it."""
         progressed = False
         vi = self.vi
         rec = self.sim.recorder
@@ -281,6 +294,12 @@ class ReliableChannel:
             self.rto = self.params.rel_rto
             self._deadline = self.sim.now + self.rto
             self._wake_window_waiters()
+        if nack >= 0 and self.unacked and self.unacked[0].seq == nack:
+            self.stats["nack_resends"] += 1
+            self.sim.spawn(
+                self._retransmit(self.unacked[0]),
+                name=f"rel-nack[{self.agent.device.rank}:{vi.vi_id}]",
+            )
 
     # ------------------------------------------------------------------
     # Receive side.
@@ -289,34 +308,57 @@ class ReliableChannel:
         """Sequence check for an arriving fragment.
 
         Returns True when the fragment is the next in order and should
-        be delivered; duplicates and out-of-order fragments are
-        dropped (go-back-N keeps no reorder buffer) and re-ACKed so
-        the sender resynchronizes.
+        be delivered, after which the caller drains :meth:`release`.
+        A fragment past the gap (within a window of it) is held, and
+        the first one held NACKs the gap.  A duplicate, held or
+        delivered, is dropped and re-ACKed at once.
         """
         agent = self.agent
-        if packet.seq == self.rx_expected:
-            self.rx_expected += 1
-            self._pending_ack += 1
-            if self._pending_ack >= self.params.rel_ack_every:
-                self._send_ack_now()
-            elif not self._ack_armed:
-                self._ack_armed = True
-                gen = self._ack_gen
-                Callback(self.sim,
-                         lambda: self._ack_timer_fired(gen),
-                         delay=self.params.rel_ack_delay)
+        seq = packet.seq
+        if seq == self.rx_expected:
+            self._deliver()
             return True
-        if packet.seq < self.rx_expected:
+        if seq < self.rx_expected or seq in self.held:
             self.stats["dup_frames"] += 1
             agent.stats["dup_frames"] += 1
-        else:
-            self.stats["ooo_dropped"] += 1
-            agent.stats["ooo_dropped"] += 1
-        # Re-ACK immediately: a gap or duplicate means the sender is
-        # (or soon will be) retransmitting; the cumulative ACK tells it
-        # exactly where to resume.
-        self._send_ack_now()
+            self._send_ack_now()
+        elif seq - self.rx_expected < self.params.rel_window:
+            if not self.held:
+                self._send_ack_now(nack=self.rx_expected)
+            self.held[seq] = packet
+            self.stats["held"] += 1
+            agent.stats["held"] += 1
         return False
+
+    def release(self) -> Optional[ViaPacket]:
+        """The held fragment next in order, now delivered, or None.
+
+        Called after each in-order delivery.  When the run behind a
+        filled gap ends at another gap, that gap is NACKed once here.
+        """
+        held = self.held
+        if not held:
+            return None
+        packet = held.pop(self.rx_expected, None)
+        if packet is None:
+            self._send_ack_now(nack=self.rx_expected)
+            return None
+        self._deliver()
+        return packet
+
+    def _deliver(self) -> None:
+        """Advance past one in-order fragment; ACK now or arm the
+        delayed-ACK timer."""
+        self.rx_expected += 1
+        self._pending_ack += 1
+        if self._pending_ack >= self.params.rel_ack_every:
+            self._send_ack_now()
+        elif not self._ack_armed:
+            self._ack_armed = True
+            gen = self._ack_gen
+            Callback(self.sim,
+                     lambda: self._ack_timer_fired(gen),
+                     delay=self.params.rel_ack_delay)
 
     def _ack_timer_fired(self, gen: int) -> None:
         if gen != self._ack_gen:
@@ -344,19 +386,22 @@ class ReliableChannel:
             self._ack_gen += 1
             self._ack_armed = False
 
-    def _send_ack_now(self) -> None:
+    def _send_ack_now(self, nack: int = -1) -> None:
         self._pending_ack = 0
         self._ack_gen += 1
         self._ack_armed = False
         self.stats["acks_sent"] += 1
         self.agent.stats["acks_sent"] += 1
+        if nack >= 0:
+            self.stats["nacks_sent"] += 1
+            self.agent.stats["nacks_sent"] += 1
         self.sim.spawn(
-            self._ack_process(),
+            self._ack_process(nack),
             name=f"rel-ack[{self.agent.device.rank}:{self.vi.vi_id}]",
         )
 
-    def _ack_process(self):
-        """Process: transmit one explicit cumulative-ACK packet."""
+    def _ack_process(self, nack: int):
+        """Process: transmit one explicit cumulative ACK (a NACK)."""
         device = self.agent.device
         vi = self.vi
         if vi.peer is None:  # pragma: no cover - defensive
@@ -370,6 +415,7 @@ class ReliableChannel:
             src_vi=vi.vi_id,
             msg_id=device.next_msg_id(),
             payload_bytes=0,
+            seq=nack,
         )
         frame = Frame(0, device.params.header_bytes, payload=packet,
                       kind=packet.kind.frame_label,

@@ -181,12 +181,14 @@ class TestRestoreGuards:
         1.0.6 queues the port's one ``_TxWire`` or ``_RxStage``.  1.0.6
         stamped a reliable frame's cumulative ACK when it entered the
         transmit ring where 1.0.7 stamps it when the NIC fetches it: a
-        cached result under loss or node faults can differ."""
+        cached result under loss or node faults can differ.  1.0.7
+        recovered a loss by go-back-N where 1.0.8 holds the fragments
+        past the gap and resends only the missing one: the same."""
         from repro import __version__
-        assert __version__ == "1.0.7"
+        assert __version__ == "1.0.8"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
-                      "1.0.5", "1.0.6"):
+                      "1.0.5", "1.0.6", "1.0.7"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -1,7 +1,7 @@
 """Collectives over the reliable VIA layer on a lossy 8-node torus.
 
 The MPI collectives run over the messaging core, which runs over VIA
-channels — so the go-back-N layer underneath must make every collective
+channels — so the reliable layer underneath must make every collective
 produce *bit-identical* results at 1% frame loss, merely slower.  Also
 pins the determinism guarantee: one fault seed, one event trace.
 """
@@ -194,7 +194,7 @@ def test_nic_arq_interops_with_kernel_gobackn():
         rank = comm.rank
         peer = rank ^ 1
         out = {}
-        # Kernel go-back-N traffic (point-to-point)...
+        # Per-VI reliable traffic (point-to-point)...
         for i in range(2):
             if rank % 2 == 0:
                 yield from comm.isend(peer, i, 2048).wait()

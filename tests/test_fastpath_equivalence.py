@@ -106,7 +106,7 @@ def test_trains_engage_on_healthy_links():
 
 
 # ---------------------------------------------------------------------------
-# Reliable delivery: go-back-N recovery and node-death teardown run from
+# Reliable delivery: loss recovery and node-death teardown run from
 # the same instants under both schedulers.  tools/fastpath_defects.py
 # prints what these assert.
 # ---------------------------------------------------------------------------

@@ -389,3 +389,86 @@ def test_fault_free_runs_unaffected():
     # Bit-identical timing across whole runs (per-rank times differ —
     # ranks finish the last combine at their own instants).
     assert finishes[0] == finishes[1]
+
+
+def _held_crash_run(fast, crash_at):
+    """Rank 0 sends 64 KB to rank 1 on a 2-node line under node faults;
+    the link loses the first copy of the fifth RMA fragment.  Returns
+    (per-rank outcomes, the instants the fragment was lost and its
+    resent copy was delivered (or None), fragments rank 1 held at
+    ``crash_at``, rank 1's channels)."""
+    from repro import fastpath
+    from repro.mpi.request import waitall
+    from repro.via.packet import PacketKind
+
+    with fastpath.force(fast):
+        cluster = build_mesh((2,), wrap=False, stack="via",
+                             node_faults=[NodeFaultSpec(
+                                 rank=0, crash_at=crash_at)])
+        comms = build_world(cluster)
+        link = cluster.links[0]
+        judge = link._judge
+        seen = {"resent_at": None, "dropped_at": None}
+
+        def judged(side, frame):
+            packet = frame.payload
+            if packet.kind is PacketKind.RMA_WRITE and packet.seq == 4:
+                if seen["dropped_at"] is None:
+                    seen["dropped_at"] = cluster.sim.now
+                    link.stats["dropped"][side] += 1
+                    return False
+                if judge(side, frame):
+                    seen["resent_at"] = cluster.sim.now
+                    return True
+                return False
+            return judge(side, frame)
+
+        link._judge = judged
+        agent = cluster.nodes[1].via.agent
+        held_at_crash = []
+
+        def watch():
+            yield cluster.sim.sleep_until(crash_at)
+            held_at_crash.append(sum(
+                len(ch.held) for ch in agent._channels.values()))
+
+        cluster.sim.spawn(watch())
+
+        def program(comm):
+            try:
+                if comm.rank == 0:
+                    yield from waitall([comm.isend(1, tag=7,
+                                                   nbytes=65536)])
+                else:
+                    yield from waitall([comm.irecv(0, tag=7,
+                                                   nbytes=65536)])
+                return "finished"
+            except FAILURES as exc:
+                return type(exc).__name__
+
+        results = run_mpi(cluster, program, comms=comms,
+                          limit=100_000.0)
+    return (results, (seen["dropped_at"], seen["resent_at"]),
+            sum(held_at_crash),
+            list(agent._channels.values()))
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+def test_peer_dies_while_fragments_are_held(fast):
+    """The sender crashes after the receiver has NACKed a gap and holds
+    the fragments behind it, just before the missing fragment is
+    resent.  The held fragments are dropped at teardown, never
+    delivered; the receive ends in ``MpiProcFailed``, the send in
+    completion or ``MpiProcFailed``."""
+    results, (dropped_at, resent_at), _held, _channels = \
+        _held_crash_run(fast, 1e9)
+    assert results == ["finished", "finished"]
+    # The resend queues behind the rest of the burst: crash between.
+    crash_at = (dropped_at + resent_at) / 2
+    results, (_dropped, resent_again), held, channels = \
+        _held_crash_run(fast, crash_at)
+    assert held > 0
+    assert resent_again is None
+    assert results[0] in ("finished", "MpiProcFailed")
+    assert results[1] == "MpiProcFailed"
+    assert all(not channel.held for channel in channels)

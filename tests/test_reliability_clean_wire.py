@@ -1,6 +1,6 @@
 """Reliable delivery on a lossless wire costs its ACKs and nothing more.
 
-With nothing lost, go-back-N should never resend: every fragment is
+With nothing lost, the reliable layer should never resend: every fragment is
 acknowledged inside one RTO.  That holds only if the cumulative ACK a
 frame carries is the one current when the frame *leaves*.  A data frame
 (or an explicit ACK) can wait in the NIC transmit ring behind a long

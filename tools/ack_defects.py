@@ -8,14 +8,17 @@ shapes of ``tests/test_reliability_clean_wire.py`` plus a 2x2x4 torus
 at 16 KB, the exchange's simulated time with ``ViaParams(reliable=
 True)`` and without, and the retransmits and RTO expiries of the
 reliable run; then, for the ledger's ``lossy_mesh`` program at 1 %
-frame loss, the frames put on the wire, retransmits, duplicate
-frames, explicit ACKs, and how many RTO expiries found their head
-fragment already delivered (the receiving channel's ``rx_expected``
-past it: the expiry resends a window that arrived).  It prints instead
-of asserting, so the same file reads the state of any commit: to
-measure a parent, export it (``git archive REV | tar -x -C DIR``),
-copy this file and that test file over it and run it there.
-EXPERIMENTS.md, "ACKs read at fetch", holds the numbers.
+frame loss, the frames put on the wire, retransmits (and how many of
+them an RTO expiry sent rather than a NACK), duplicate frames,
+explicit ACKs (and how many of them were NACKs), fragments held past
+a gap (in total, and the most one channel held at once), and how many
+RTO expiries found their head fragment already delivered (the
+receiving channel's ``rx_expected`` past it).  It prints instead of
+asserting, so the same file reads the state of any commit (a commit
+without NACKs or a held map reads zero for them): to measure a
+parent, export it (``git archive REV | tar -x -C DIR``), copy this
+file and that test file over it and run it there.  EXPERIMENTS.md,
+"ACKs read at fetch" and "Selective repeat", holds the numbers.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ LOSSY_SEEDS = (7, 11, 20050404)
 
 class _Expiries(dict):
     """A channel's ``stats`` that, as each RTO expiry is counted,
-    asks the peer's channel whether the head fragment has arrived."""
+    asks the peer's channel whether the head fragment has arrived, and
+    as each fragment is held, how many the channel holds."""
 
     agents: dict = {}
-    counts = {"expiries": 0, "head_delivered": 0}
+    counts = {"expiries": 0, "head_delivered": 0, "peak_held": 0}
 
     def __init__(self, channel, stats) -> None:
         super().__init__(stats)
@@ -52,6 +56,9 @@ class _Expiries(dict):
             if (peer is not None
                     and peer.rx_expected > channel.unacked[0].seq):
                 self.counts["head_delivered"] += 1
+        elif key == "held":
+            self.counts["peak_held"] = max(self.counts["peak_held"],
+                                           len(channel.held))
         super().__setitem__(key, value)
 
 
@@ -85,16 +92,27 @@ def lossy_mesh() -> None:
     workload = simulator_workloads()["lossy_mesh"]
     for seed in LOSSY_SEEDS:
         _Expiries.agents.clear()
-        _Expiries.counts.update(expiries=0, head_delivered=0)
+        _Expiries.counts.update(expiries=0, head_delivered=0,
+                                peak_held=0)
         ctx = workload.setup(workload.inputs(seed, False),
                              lambda _name: contextlib.nullcontext())
         outcome = workload.verify(ctx, workload.run(ctx))
         counts = outcome.counts
+        agents = _Expiries.agents.values()
+        nacks = sum(agent.stats.get("nacks_sent", 0) for agent in agents)
+        held = sum(agent.stats.get("held", 0) for agent in agents)
+        nack_resends = sum(channel.stats.get("nack_resends", 0)
+                           for agent in agents
+                           for channel in agent._channels.values())
+        retransmits = counts["via.retransmits"]
         print(f"  seed {seed}: {outcome.sim_time_us:.1f} us, "
               f"{counts['hw.tx_frames']:.0f} tx frames, "
-              f"{counts['via.retransmits']:.0f} retransmits, "
+              f"{retransmits:.0f} retransmits "
+              f"({retransmits - nack_resends:.0f} on an RTO), "
               f"{counts['via.dup_frames']:.0f} duplicates, "
-              f"{counts['via.acks_sent']:.0f} explicit ACKs, "
+              f"{counts['via.acks_sent']:.0f} explicit ACKs "
+              f"({nacks} NACKs), {held} held (peak "
+              f"{_Expiries.counts['peak_held']} on one channel), "
               f"{_Expiries.counts['expiries']} RTO expiries "
               f"({_Expiries.counts['head_delivered']} with the head "
               f"delivered), {outcome.failed} failed")
