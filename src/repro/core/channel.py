@@ -18,12 +18,12 @@ mechanism" (section 5.1).
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from repro.core.matching import MatchQueue
 from repro.core.message import CoreParams, Envelope
 from repro.errors import FlowControlError
-from repro.sim import Resource
+from repro.sim import Mutex
 from repro.via.vi import VI
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +36,12 @@ CTRL_RESERVE = 2
 
 class Channel:
     """Core state for one peer connection."""
+
+    __slots__ = ("engine", "peer_rank", "data_vi", "ctrl_vi", "eager_region",
+                 "ctrl_region", "bounce_region", "data_tokens", "ctrl_tokens",
+                 "owed_data", "owed_ctrl", "_data_waiters", "_ctrl_waiters",
+                 "pending_sends", "advert_queue", "outstanding_adverts",
+                 "send_lock", "stats", "token_msg_pending")
 
     def __init__(self, engine: "MessagingEngine", peer_rank: int) -> None:
         self.engine = engine
@@ -60,8 +66,9 @@ class Channel:
         self.ctrl_tokens = params.ctrl_tokens
         self.owed_data = 0
         self.owed_ctrl = 0
-        self._data_waiters: List = []
-        self._ctrl_waiters: List = []
+        #: Processes blocked on a token: () until the first one.
+        self._data_waiters: Sequence = ()
+        self._ctrl_waiters: Sequence = ()
         # Rendezvous state.
         self.pending_sends = MatchQueue()   # large sends awaiting advert
         self.advert_queue = MatchQueue()    # adverts awaiting a send
@@ -75,9 +82,7 @@ class Channel:
         #: zero-copy send could overtake an earlier send still staging
         #: its bounce copy — breaking MPI's non-overtaking rule and
         #: interleaving fragments on the data VI.
-        self.send_lock = Resource(engine.sim, 1,
-                                  name=f"sendlock[{engine.rank}->"
-                                       f"{peer_rank}]")
+        self.send_lock = Mutex(engine.sim, name="sendlock", owner=self)
         self.stats = {"eager": 0, "rma": 0, "ctrl": 0,
                       "token_msgs": 0, "token_stalls": 0}
         #: True while an explicit TOKENS return is in flight.
@@ -92,6 +97,10 @@ class Channel:
         slot = Envelope.HEADER_BYTES * 4
         self.ctrl_vi.post_recv_slots(self.ctrl_region, slot, slot,
                                      params.ctrl_tokens)
+
+    @property
+    def name(self) -> str:
+        return f"chan[{self.engine.rank}->{self.peer_rank}]"
 
     # -- connection -------------------------------------------------------
     def connect(self, active: bool):
@@ -111,7 +120,7 @@ class Channel:
         while self.data_tokens <= 0:
             self.stats["token_stalls"] += 1
             wake = self.engine.sim.event(name="data-token")
-            self._data_waiters.append(wake)
+            self._data_waiters = [*self._data_waiters, wake]
             yield wake
         self.data_tokens -= 1
 
@@ -121,7 +130,7 @@ class Channel:
         while self.ctrl_tokens <= floor:
             self.stats["token_stalls"] += 1
             wake = self.engine.sim.event(name="ctrl-token")
-            self._ctrl_waiters.append(wake)
+            self._ctrl_waiters = [*self._ctrl_waiters, wake]
             yield wake
         self.ctrl_tokens -= 1
 
@@ -136,7 +145,7 @@ class Channel:
                     f"channel {self.engine.rank}->{self.peer_rank}: "
                     f"data tokens over capacity"
                 )
-            waiters, self._data_waiters = self._data_waiters, []
+            waiters, self._data_waiters = self._data_waiters, ()
             for wake in waiters:
                 wake.succeed()
         if ctrl:
@@ -146,7 +155,7 @@ class Channel:
                     f"channel {self.engine.rank}->{self.peer_rank}: "
                     f"ctrl tokens over capacity"
                 )
-            waiters, self._ctrl_waiters = self._ctrl_waiters, []
+            waiters, self._ctrl_waiters = self._ctrl_waiters, ()
             for wake in waiters:
                 wake.succeed()
 

@@ -287,11 +287,11 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
     link.stats["bytes"][side] += plan.payload_bytes
 
     fifo = port._tx_fifo
-    fifo.stats["puts"] += n
-    fifo.stats["gets"] += n
+    fifo.puts += n
+    fifo.gets += n
     level = n if n < fifo.capacity else int(fifo.capacity)
-    if fifo.stats["max_level"] < level:
-        fifo.stats["max_level"] = level
+    if fifo.max_level < level:
+        fifo.max_level = level
 
     # Only the observable instants are scheduled.  Mid-message arrivals
     # that terminate at the peer are scoped to the peer's host for the

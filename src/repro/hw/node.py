@@ -131,6 +131,9 @@ class IrqController:
             finally:
                 self._running = False
                 host.cpu.release(req)
+            # Parked, the dispatcher keeps no frame (nor its packet)
+            # alive.
+            handler = frame = None
             self._kick = kick = Event(sim)
             # Work raised while the CPU was being released takes the
             # kick at once — the entry a respawn's start-up used to be.

@@ -31,7 +31,7 @@ from repro.sim.events import (
     NORMAL,
 )
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource
+from repro.sim.resources import Mutex, PriorityResource, Resource
 from repro.sim.store import Store, TokenPool
 from repro.sim.monitor import Trace, TraceRecord
 
@@ -43,6 +43,7 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Resource",
+    "Mutex",
     "PriorityResource",
     "Store",
     "TokenPool",

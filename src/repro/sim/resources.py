@@ -127,6 +127,65 @@ class Resource:
             self.release(req)
 
 
+class Mutex:
+    """A :class:`Resource` of capacity one that keeps its holder in a
+    slot, not a set, and its waiters in a list made by the first one.
+
+    Same grants, in the same order, with the same events.  Like a
+    :class:`~repro.sim.store.Store`, it builds ``name`` from
+    ``owner.name`` only when something reads it.
+    """
+
+    __slots__ = ("sim", "_name", "_owner", "_holder", "_waiters", "grants",
+                 "waits")
+
+    def __init__(self, sim: "Simulator", name: str = "mutex",
+                 owner=None) -> None:
+        self.sim = sim
+        self._name = name
+        self._owner = owner
+        self._holder = None
+        self._waiters = ()
+        self.grants = self.waits = 0
+
+    @property
+    def name(self) -> str:
+        owner = self._owner
+        return self._name if owner is None else f"{owner.name}:{self._name}"
+
+    @property
+    def stats(self) -> dict:
+        """The counters as a new dict: ``grants``, ``waits``."""
+        return {"grants": self.grants, "waits": self.waits}
+
+    def request(self) -> Request:
+        """Ask for the mutex; the returned event fires when granted."""
+        req = Request(self)
+        if self._holder is None and not self._waiters:
+            self._grant(req)
+        else:
+            self.waits += 1
+            if not self._waiters:
+                self._waiters = []
+            self._waiters.append(req)
+        return req
+
+    def release(self, request: Request) -> None:
+        """Return the mutex; grants it to the oldest waiter if any."""
+        if request is not self._holder:
+            raise SimulationError(
+                f"release of {request!r} that does not hold {self.name!r}"
+            )
+        self._holder = None
+        if self._waiters:
+            self._grant(self._waiters.pop(0))
+
+    def _grant(self, req: Request) -> None:
+        self._holder = req
+        self.grants += 1
+        req.succeed(None, URGENT)
+
+
 class PriorityRequest(Request):
     """Request carrying a priority (lower value served first)."""
 

@@ -54,20 +54,39 @@ _EMPTY = ()
 
 
 class Store:
-    """FIFO store with finite or infinite capacity."""
+    """FIFO store with finite or infinite capacity.
 
-    __slots__ = ("sim", "capacity", "name", "items", "_putters", "_getters",
-                 "stats")
+    ``name`` is read only by traces and error messages, so a store an
+    ``owner`` names keeps the suffix and the owner and builds
+    ``"{owner.name}:{name}"`` when asked.  The counters are slots;
+    :attr:`stats` reads them as a dict.
+    """
+
+    __slots__ = ("sim", "capacity", "_name", "_owner", "items", "_putters",
+                 "_getters", "puts", "gets", "max_level")
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 name: str = "store") -> None:
+                 name: str = "store", owner: Any = None) -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.name = name
+        self._name = name
+        self._owner = owner
         self.items = self._putters = self._getters = _EMPTY
-        self.stats = {"puts": 0, "gets": 0, "max_level": 0}
+        self.puts = self.gets = self.max_level = 0
+
+    @property
+    def name(self) -> str:
+        owner = self._owner
+        return self._name if owner is None else f"{owner.name}:{self._name}"
+
+    @property
+    def stats(self) -> dict:
+        """The counters as a new dict: ``puts``, ``gets``,
+        ``max_level``, in that order."""
+        return {"puts": self.puts, "gets": self.gets,
+                "max_level": self.max_level}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -116,7 +135,7 @@ class Store:
         if not self.items:
             return None
         item = self.items.pop(0)
-        self.stats["gets"] += 1
+        self.gets += 1
         self._dispatch()
         return item
 
@@ -141,10 +160,9 @@ class Store:
         if items is _EMPTY:
             items = self.items = []
         items.append(item)
-        stats = self.stats
-        stats["puts"] += 1
-        if len(items) > stats["max_level"]:
-            stats["max_level"] = len(items)
+        self.puts += 1
+        if len(items) > self.max_level:
+            self.max_level = len(items)
 
     def _do_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
@@ -155,7 +173,7 @@ class Store:
 
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:
-            self.stats["gets"] += 1
+            self.gets += 1
             event.succeed(self.items.pop(0), URGENT)
             return True
         return False
@@ -186,15 +204,15 @@ class TokenPool(Store):
     A descriptor ring's free slots carry nothing but their number, so
     ``level`` stands where a ``Store`` keeps a list of that many ones:
     same events in the same order, same values (a ``get`` yields 1),
-    same ``stats``.  ``level`` is a plain attribute, so the per-frame
+    same counters.  ``level`` is a plain attribute, so the per-frame
     "ring empty?" test is one slot read.
     """
 
     __slots__ = ("level",)
 
     def __init__(self, sim: "Simulator", capacity: int, level: int = 0,
-                 name: str = "tokens") -> None:
-        super().__init__(sim, capacity, name)
+                 name: str = "tokens", owner: Any = None) -> None:
+        super().__init__(sim, capacity, name, owner)
         if not 0 <= level <= capacity:
             raise SimulationError(f"{level} tokens in a pool of {capacity}")
         self.items = None  # the count stands in for the list
@@ -205,7 +223,7 @@ class TokenPool(Store):
 
     def add(self, count: int = 1) -> None:
         """Refill ``count`` tokens at once, all or nothing: never
-        blocks, leaves ``stats`` alone (the ring owner re-posting, not
+        blocks, leaves the counters alone (the ring owner re-posting, not
         a producer), raises rather than exceed ``capacity``."""
         if count < 0 or self.level + count > self.capacity:
             raise SimulationError(
@@ -221,7 +239,7 @@ class TokenPool(Store):
         if not self.level:
             return None
         self.level -= 1
-        self.stats["gets"] += 1
+        self.gets += 1
         if self._putters:
             self._dispatch()
         return 1
@@ -237,9 +255,9 @@ class TokenPool(Store):
         if self.level >= self.capacity:
             return False
         self.level += 1
-        self.stats["puts"] += 1
-        if self.level > self.stats["max_level"]:
-            self.stats["max_level"] = self.level
+        self.puts += 1
+        if self.level > self.max_level:
+            self.max_level = self.level
         return True
 
     def _do_put(self, event: StorePut) -> bool:
@@ -251,7 +269,7 @@ class TokenPool(Store):
     def _do_get(self, event: StoreGet) -> bool:
         if self.level:
             self.level -= 1
-            self.stats["gets"] += 1
+            self.gets += 1
             event.succeed(1, URGENT)
             return True
         return False

@@ -45,6 +45,7 @@ class TcpSocket:
         self.available = 0
         self.consumed = 0
         self._payloads: deque = deque()
+        #: Blocked recvs: (bytes each waits for, its wake event).
         self._recv_waiters: List = []
         #: Delayed-ACK state.
         self.segments_since_ack = 0
@@ -105,7 +106,7 @@ class TcpSocket:
         stack, host = self.stack, self.stack.host
         while self.available < nbytes:
             wake = stack.sim.event(name=f"rcv:{self.conn_id}")
-            self._recv_waiters.append(wake)
+            self._recv_waiters.append((nbytes, wake))
             yield wake
         yield from host.cpu_work(
             host.params.syscall_cost + stack.params.recv_overhead,
@@ -140,7 +141,7 @@ class TcpSocket:
         """Stack-side: the remote end sent FIN."""
         self.state = SocketState.CLOSED
         waiters, self._recv_waiters = self._recv_waiters, []
-        for wake in waiters:
+        for _nbytes, wake in waiters:
             wake.fail(TcpError(
                 f"conn {self.conn_id}: peer closed the connection"
             ))
@@ -151,9 +152,14 @@ class TcpSocket:
         self.available += nbytes
         if psh:
             self._payloads.append((end_seq, payload))
+        # A blocked recv is woken once its byte count has arrived, not
+        # by every segment on the way.
         waiters, self._recv_waiters = self._recv_waiters, []
-        for wake in waiters:
-            wake.succeed()
+        for entry in waiters:
+            if entry[0] <= self.available:
+                entry[1].succeed()
+            else:
+                self._recv_waiters.append(entry)
 
     def ack_arrived(self, ack_bytes: int) -> None:
         if ack_bytes > self.in_flight:

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, TcpError
 from repro.hw.link import Frame
-from repro.hw.nic import GigEPort
+from repro.hw.nic import GigEPort, PortDriver
 from repro.hw.node import Host, PRIO_KERNEL
 from repro.hw.params import TcpParams
 from repro.sim import Simulator, Store
@@ -52,9 +52,7 @@ class TcpStack:
         self.stats = {"segments_in": 0, "segments_out": 0, "acks": 0,
                       "forwarded": 0}
         for port in self.ports.values():
-            port.set_driver(
-                lambda frame, _port=port: self._handle_frame(frame, _port)
-            )
+            port.set_driver(PortDriver(self._handle_frame, port))
         sim.spawn(self._forward_drain(), name=f"ipfwd-drain[{rank}]")
 
     # -- connection management ---------------------------------------------
@@ -138,24 +136,40 @@ class TcpStack:
         yield from self._egress(dst_node).enqueue_tx(frame)
 
     # -- receive (interrupt context) ---------------------------------------
-    def _handle_frame(self, frame: Frame, port: GigEPort):
+    def _handle_frame(self, frame: Frame, port: GigEPort,
+                      paid_until: Optional[float] = None):
+        """Generator: one received frame (the driver entry point).
+
+        ``paid_until`` (fast path only) is the instant up to which the
+        interrupt dispatcher's per-frame cost is owed but not yet slept;
+        every handler's first wait is a fixed kernel cost, and folds it.
+        """
         segment: TcpSegment = frame.payload
         try:
             if segment.dst_node != self.rank:
-                yield from self._forward(frame, segment)
+                yield from self._forward(frame, segment, paid_until)
                 return
-            if segment.kind is SegmentKind.DATA:
-                yield from self._handle_data(segment)
-            elif segment.kind is SegmentKind.ACK:
-                yield from self._handle_ack(segment)
-            elif segment.kind is SegmentKind.SYN:
-                yield from self._handle_syn(segment)
-            elif segment.kind is SegmentKind.SYN_ACK:
-                yield from self._handle_syn_ack(segment)
-            elif segment.kind is SegmentKind.FIN:
-                yield from self._handle_fin(segment)
+            kind = segment.kind
+            if kind is SegmentKind.DATA:
+                yield from self._handle_data(segment, paid_until)
+            elif kind is SegmentKind.ACK:
+                yield from self._handle_ack(segment, paid_until)
+            elif kind is SegmentKind.SYN:
+                yield from self._handle_syn(segment, paid_until)
+            elif kind is SegmentKind.SYN_ACK:
+                yield from self._handle_syn_ack(segment, paid_until)
+            else:
+                yield from self._handle_fin(segment, paid_until)
         finally:
             port.post_rx_descriptors(1)
+
+    def _cost(self, duration: float, paid_until: Optional[float]):
+        """The event a handler's first wait yields: ``duration`` from
+        now, or from ``paid_until`` when the dispatcher's per-frame cost
+        is folded in (the instant of sleeping to it, then waiting)."""
+        if paid_until is None:
+            return self.sim.timeout(duration)
+        return self.sim.sleep_until(paid_until + duration)
 
     def _socket_for(self, segment: TcpSegment) -> TcpSocket:
         sock = self.sockets.get(segment.conn_id)
@@ -166,10 +180,11 @@ class TcpStack:
             )
         return sock
 
-    def _handle_data(self, segment: TcpSegment):
+    def _handle_data(self, segment: TcpSegment,
+                     paid_until: Optional[float] = None):
         self.stats["segments_in"] += 1
         # Softirq protocol processing (IP input + TCP input).
-        yield self.sim.timeout(self.params.per_segment_rx)
+        yield self._cost(self.params.per_segment_rx, paid_until)
         sock = self._socket_for(segment)
         sock.data_arrived(segment.nbytes, segment.psh, segment.payload,
                           segment.seq + segment.nbytes)
@@ -185,13 +200,15 @@ class TcpStack:
                 name=f"ack[{self.rank}:{sock.conn_id}]",
             )
 
-    def _handle_ack(self, segment: TcpSegment):
+    def _handle_ack(self, segment: TcpSegment,
+                    paid_until: Optional[float] = None):
         self.stats["acks"] += 1
-        yield self.sim.timeout(self.params.ack_cost)
+        yield self._cost(self.params.ack_cost, paid_until)
         self._socket_for(segment).ack_arrived(segment.ack_bytes)
 
-    def _handle_syn(self, segment: TcpSegment):
-        yield self.sim.timeout(self.HANDSHAKE_COST)
+    def _handle_syn(self, segment: TcpSegment,
+                   paid_until: Optional[float] = None):
+        yield self._cost(self.HANDSHAKE_COST, paid_until)
         wake = self._listeners.pop(segment.conn_id, None)
         if wake is None:
             self._pending_syn[segment.conn_id] = segment
@@ -208,14 +225,16 @@ class TcpStack:
                       kind="tcp-fin")
         yield from self._egress(sock.peer_node).enqueue_tx(frame)
 
-    def _handle_fin(self, segment: TcpSegment):
-        yield self.sim.timeout(self.params.ack_cost)
+    def _handle_fin(self, segment: TcpSegment,
+                   paid_until: Optional[float] = None):
+        yield self._cost(self.params.ack_cost, paid_until)
         sock = self.sockets.get(segment.conn_id)
         if sock is not None:
             sock.peer_closed()
 
-    def _handle_syn_ack(self, segment: TcpSegment):
-        yield self.sim.timeout(self.HANDSHAKE_COST)
+    def _handle_syn_ack(self, segment: TcpSegment,
+                       paid_until: Optional[float] = None):
+        yield self._cost(self.HANDSHAKE_COST, paid_until)
         wake = self._connectors.pop(segment.conn_id, None)
         if wake is None:
             raise TcpError(
@@ -225,9 +244,10 @@ class TcpStack:
         wake.succeed(segment)
 
     # -- IP forwarding ------------------------------------------------------
-    def _forward(self, frame: Frame, segment: TcpSegment):
+    def _forward(self, frame: Frame, segment: TcpSegment,
+                 paid_until: Optional[float] = None):
         self.stats["forwarded"] += 1
-        yield self.sim.timeout(self.params.ip_forward_cost)
+        yield self._cost(self.params.ip_forward_cost, paid_until)
         out = Frame(frame.payload_bytes, frame.header_bytes,
                     payload=segment, kind=frame.kind)
         if len(self._forward_backlog) > 0:

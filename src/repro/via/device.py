@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, ViaError
 from repro.hw.link import Frame
-from repro.hw.nic import GigEPort
+from repro.hw.nic import GigEPort, PortDriver
 from repro.hw.node import Host
 from repro.hw.params import ViaParams
 from repro.sim import Simulator
@@ -97,14 +97,7 @@ class ViaDevice:
         #: fault model can kill links); None = fabric always healthy.
         self._fabric_health = None
         for port in self.ports.values():
-            driver = (
-                lambda frame, paid_until=None, _port=port:
-                self.agent.handle_frame(frame, _port, paid_until)
-            )
-            # Advertises the paid_until protocol to the interrupt
-            # dispatcher (fold of the per-frame cost, fast path only).
-            driver.folds_irq_cost = True
-            port.set_driver(driver)
+            port.set_driver(PortDriver(self.agent.handle_frame, port))
 
     def enable_kernel_collectives(self, root: int = 0):
         """Inject the reduction tree into the kernel (section 7).

@@ -32,7 +32,7 @@ class ProtectionTag:
         return cls(next(_tag_counter))
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRegion:
     """A registered (pinned) memory region.
 

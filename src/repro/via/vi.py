@@ -69,7 +69,7 @@ class RecvQueue:
     time as :meth:`popleft` reaches them.  ``len()`` counts buffers.
     """
 
-    __slots__ = ("_entries", "_unbuilt", "append")
+    __slots__ = ("_entries", "_unbuilt")
 
     def __init__(self) -> None:
         #: A list, not a deque: it holds a run or two (760 bytes a deque,
@@ -77,11 +77,13 @@ class RecvQueue:
         self._entries: list = []
         #: Buffers still inside runs, beyond each run's one entry.
         self._unbuilt = 0
-        #: Post one descriptor (the list's own C method).
-        self.append = self._entries.append
 
     def __len__(self) -> int:
         return len(self._entries) + self._unbuilt
+
+    def append(self, descriptor: RecvDescriptor) -> None:
+        """Post one descriptor."""
+        self._entries.append(descriptor)
 
     def append_run(self, region: MemoryRegion, stride: int, nbytes: int,
                    count: int) -> None:
@@ -107,6 +109,10 @@ class RecvQueue:
 class VI:
     """One communication endpoint.  Create via ``ViaDevice.create_vi``."""
 
+    __slots__ = ("device", "vi_id", "tag", "reliability", "state", "error",
+                 "peer", "send_cq", "recv_cq", "_send_done", "_recv_done",
+                 "recv_queue", "_reassembly", "stats")
+
     def __init__(self, device: "ViaDevice", vi_id: int, tag: ProtectionTag,
                  send_cq: Optional[CompletionQueue] = None,
                  recv_cq: Optional[CompletionQueue] = None,
@@ -124,9 +130,12 @@ class VI:
         self.peer: Optional[Tuple[int, int]] = None
         self.send_cq = send_cq
         self.recv_cq = recv_cq
-        sim = device.sim
-        self._send_done = Store(sim, name=f"vi{vi_id}:sdone")
-        self._recv_done = Store(sim, name=f"vi{vi_id}:rdone")
+        #: The VI's own completion stores, made by the first completion
+        #: or wait that needs one (see :meth:`_done`): a queue whose
+        #: completions all go to a CQ or an ``on_complete`` hook never
+        #: has one.
+        self._send_done: Optional[Store] = None
+        self._recv_done: Optional[Store] = None
         self.recv_queue = RecvQueue()
         #: In-flight reassembly: (msg_id, next_frag, descriptor).
         self._reassembly: Optional[list] = None
@@ -230,7 +239,7 @@ class VI:
             raise ViaDescriptorError(
                 f"VI {self.vi_id} send completions go to its CQ"
             )
-        descriptor = yield self._send_done.get()
+        descriptor = yield self._done(SEND_QUEUE).get()
         return descriptor
 
     def recv_wait(self):
@@ -239,7 +248,7 @@ class VI:
             raise ViaDescriptorError(
                 f"VI {self.vi_id} recv completions go to its CQ"
             )
-        descriptor = yield self._recv_done.get()
+        descriptor = yield self._done(RECV_QUEUE).get()
         rec = self.device.sim.recorder
         if rec is not None:
             t0 = self.device.sim.now
@@ -265,22 +274,35 @@ class VI:
             rec.event(descriptor.trace, _COMPLETION, name,
                       f"n{self.device.rank}", self.device.sim.now)
 
-    def _deliver(self, descriptor: Descriptor, cq, queue: str,
-                 done: Store) -> None:
+    def _done(self, queue: str) -> Store:
+        """The VI's own completion store for ``queue``, made on first
+        use."""
+        if queue is SEND_QUEUE:
+            done = self._send_done
+            if done is None:
+                done = self._send_done = Store(
+                    self.device.sim, name=f"vi{self.vi_id}:sdone")
+        else:
+            done = self._recv_done
+            if done is None:
+                done = self._recv_done = Store(
+                    self.device.sim, name=f"vi{self.vi_id}:rdone")
+        return done
+
+    def _deliver(self, descriptor: Descriptor, cq, queue: str) -> None:
         """Hand a finished descriptor to its hook, else CQ, else VI."""
         if descriptor.on_complete is not None:
             descriptor.on_complete(descriptor)
         elif cq is not None:
             cq.push(self, queue, descriptor)
         else:
-            done.push(descriptor)
+            self._done(queue).push(descriptor)
 
     def complete_send(self, descriptor: Descriptor) -> None:
         self.device.sim.progress += 1
         self._record_completion(descriptor, "send-complete")
         descriptor.mark_done(self.device.sim.now)
-        self._deliver(descriptor, self.send_cq, SEND_QUEUE,
-                      self._send_done)
+        self._deliver(descriptor, self.send_cq, SEND_QUEUE)
 
     def fail_send(self, descriptor: Descriptor) -> None:
         """Deliver a failed send completion (reliable-delivery retry
@@ -291,8 +313,7 @@ class VI:
         self._record_completion(descriptor, "send-error")
         descriptor.error = self.error
         descriptor.mark_error(self.device.sim.now)
-        self._deliver(descriptor, self.send_cq, SEND_QUEUE,
-                      self._send_done)
+        self._deliver(descriptor, self.send_cq, SEND_QUEUE)
 
     def fail_recv(self, descriptor: RecvDescriptor) -> None:
         """Deliver a failed receive completion (peer declared dead).
@@ -306,8 +327,7 @@ class VI:
         self._record_completion(descriptor, "recv-error")
         descriptor.error = self.error
         descriptor.mark_error(self.device.sim.now)
-        self._deliver(descriptor, self.recv_cq, RECV_QUEUE,
-                      self._recv_done)
+        self._deliver(descriptor, self.recv_cq, RECV_QUEUE)
 
     def complete_recv(self, descriptor: RecvDescriptor) -> None:
         self.device.sim.progress += 1
@@ -315,8 +335,7 @@ class VI:
         self.stats["recvs"] += 1
         self.stats["recv_bytes"] += descriptor.received_bytes
         descriptor.mark_done(self.device.sim.now)
-        self._deliver(descriptor, self.recv_cq, RECV_QUEUE,
-                      self._recv_done)
+        self._deliver(descriptor, self.recv_cq, RECV_QUEUE)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -183,12 +183,15 @@ class TestRestoreGuards:
         transmit ring where 1.0.7 stamps it when the NIC fetches it: a
         cached result under loss or node faults can differ.  1.0.7
         recovered a loss by go-back-N where 1.0.8 holds the fragments
-        past the gap and resends only the missing one: the same."""
+        past the gap and resends only the missing one: the same.  1.0.8
+        queued a ``StorePut`` for every frame posted to a transmit ring
+        with room, where 1.0.9's fast scheduler inserts it at once: the
+        sequence counter and event count of a digest fall."""
         from repro import __version__
-        assert __version__ == "1.0.8"
+        assert __version__ == "1.0.9"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
-                      "1.0.5", "1.0.6", "1.0.7"):
+                      "1.0.5", "1.0.6", "1.0.7", "1.0.8"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -4,10 +4,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.link import BoundaryLink, Frame, Link
+from repro.hw.nic import GigEPort
+from repro.hw.node import Host
 from repro.hw.params import GigEParams
 from repro.sim import Simulator
 from repro.units import ETHERNET_WIRE_OVERHEAD
-from tests.test_hw_nic import _pair
 
 
 class _StubPort:
@@ -110,9 +111,20 @@ def test_same_direction_serializes():
     after the NIC's per-descriptor processing."""
     gige = GigEParams()
     sim = Simulator()
-    p0, p1 = _pair(sim, gige)
+    link = _link(sim, wire_rate=gige.wire_rate,
+                 frame_overhead=gige.frame_overhead,
+                 propagation=gige.propagation)
+    p0 = GigEPort(sim, Host(sim, 0), gige, name="p0")
+    p0.attach_link(link, 0)
     arrivals = []
-    p1.frame_arrived = lambda frame: arrivals.append(sim.now)
+
+    class _Timed:
+        """Side 1: the instant each frame lands."""
+
+        def frame_arrived(self, frame):
+            arrivals.append(sim.now)
+
+    link.attach(1, _Timed())
 
     def send():
         yield from p0.enqueue_tx(Frame(1462, 0))

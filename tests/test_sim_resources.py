@@ -1,9 +1,11 @@
-"""Tests for Resource and PriorityResource."""
+"""Tests for Resource, PriorityResource and Mutex."""
+
+import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import PriorityResource, Resource
+from repro.sim import Mutex, PriorityResource, Resource, Simulator
 from tests.conftest import run
 
 
@@ -138,3 +140,50 @@ def test_use_releases_on_exception(sim):
         return "acquired"
 
     assert run(sim, watcher()) == "acquired"
+
+
+def _lock_trace(make, holds):
+    """Workers that take a capacity-one lock for ``holds`` us each, in
+    spawn order, with random arrival gaps: (worker, granted, released)
+    per hold, the lock's stats and the simulator's final sequence."""
+    sim = Simulator()
+    lock = make(sim)
+    log = []
+
+    def worker(index, gap, hold):
+        yield sim.timeout(gap)
+        request = lock.request()
+        yield request
+        granted = sim.now
+        yield sim.timeout(hold)
+        lock.release(request)
+        log.append((index, granted, sim.now))
+
+    for index, (gap, hold) in enumerate(holds):
+        sim.spawn(worker(index, gap, hold))
+    sim.run()
+    return log, lock.stats, sim._sequence
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mutex_grants_as_a_capacity_one_resource(seed):
+    """Same grants, instants, counters and queue entries as
+    ``Resource(sim, 1)``, with a holder slot instead of a set."""
+    rng = random.Random(seed)
+    holds = [(rng.choice((0.0, 1.0, 2.5)), rng.choice((0.0, 1.0, 3.0)))
+             for _ in range(12)]
+    assert (_lock_trace(Mutex, holds)
+            == _lock_trace(lambda sim: Resource(sim, 1), holds))
+
+
+def test_mutex_release_requires_holder_and_names_lazily(sim):
+    class Owner:
+        name = "chan[0->1]"
+
+    lock = Mutex(sim, name="sendlock", owner=Owner())
+    held = lock.request()
+    waiting = lock.request()
+    with pytest.raises(SimulationError, match="chan\\[0->1\\]:sendlock"):
+        lock.release(waiting)
+    lock.release(held)
+    assert lock.stats == {"grants": 2, "waits": 1}

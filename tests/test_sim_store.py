@@ -135,3 +135,24 @@ def test_level_and_stats(sim):
     assert store.stats["gets"] == 1
     assert store.stats["max_level"] == 2
 
+
+
+def test_counters_are_slots_and_an_owner_names_the_store(sim):
+    """``stats`` is a view over three slots, keys in the order they
+    always had; an ``owner``'s store builds its name when asked, so a
+    later rename of the owner shows."""
+
+    class Port:
+        name = "n0.p1"
+
+    port = Port()
+    store = Store(sim, capacity=2, name="txq", owner=port)
+    assert not hasattr(store, "__dict__")
+    assert store.try_put("a") and store.try_put("b")
+    store.try_get()
+    assert list(store.stats.items()) == [("puts", 2), ("gets", 1),
+                                         ("max_level", 2)]
+    assert (store.puts, store.gets, store.max_level) == (2, 1, 2)
+    assert store.name == "n0.p1:txq"
+    port.name = "n0.p2"
+    assert store.name == "n0.p2:txq" and Store(sim).name == "store"

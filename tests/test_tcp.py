@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import fastpath
 from repro.cluster.builder import build_mesh
 from repro.errors import TcpError
 from repro.hw.params import TcpParams
@@ -258,3 +259,69 @@ def test_send_after_close_rejected():
             yield from sock_a.send(10)
 
     sim.run_until_complete(sim.spawn(run()))
+
+
+def _exchange_log(fast):
+    """A forwarded 3-node exchange, both directions, closed at the end:
+    the instant every step finished, and the events processed."""
+    with fastpath.force(fast):
+        cluster, stacks = _pair(dims=(3,))
+        sock_a, sock_c = _connect(cluster, stacks, a=0, b=2)
+        sim = cluster.sim
+        log = []
+
+        def side(name, mine, sizes):
+            for nbytes in sizes:
+                yield from mine.send(nbytes, payload=(name, nbytes))
+                got = yield from mine.recv(nbytes)
+                log.append((name, nbytes, got, sim.now))
+
+        def closer():
+            yield from sock_a.close()
+            log.append(("closed", sim.now))
+
+        sizes = (1, 1460, 20_000, 70_000)
+        first = sim.spawn(side("a", sock_a, sizes))
+        second = sim.spawn(side("c", sock_c, sizes))
+        sim.run_until_complete(first)
+        sim.run_until_complete(second)
+        sim.run_until_complete(sim.spawn(closer()))
+        sim.run()
+    return log, sim.events_processed
+
+
+def test_folded_handlers_keep_the_reference_instants():
+    """Every TCP handler folds the interrupt dispatcher's per-frame cost
+    into its first wait (fast scheduler): data, ACK, forwarded, SYN,
+    SYN-ACK and FIN frames all finish at the reference instants."""
+    fast, fast_events = _exchange_log(True)
+    reference, reference_events = _exchange_log(False)
+    assert repr(fast) == repr(reference)
+    assert fast_events < reference_events
+
+
+def test_blocked_recv_wakes_once_its_bytes_arrive():
+    cluster, stacks = _pair()
+    sock_a, sock_b = _connect(cluster, stacks)
+    sim = cluster.sim
+    nbytes = 10 * stacks[0].mss
+    made = []
+    event = sim.event
+
+    def counting(name=""):
+        made.append(name)
+        return event(name)
+
+    sim.event = counting
+
+    def sender():
+        yield from sock_a.send(nbytes, payload="ten segments")
+
+    def receiver():
+        return (yield from sock_b.recv(nbytes))
+
+    sim.spawn(sender())
+    process = sim.spawn(receiver())
+    assert sim.run_until_complete(process) == ["ten segments"]
+    # One wait, woken by the tenth segment (every segment woke it once).
+    assert made.count(f"rcv:{sock_b.conn_id}") == 1
