@@ -66,12 +66,13 @@ HARMLESS = object()
 
 
 class FrameTrain:
-    """A burst of frames enqueued as one transmit-ring item."""
+    """A burst (:class:`~repro.hw.nic.Burst`) enqueued as one
+    transmit-ring item."""
 
-    __slots__ = ("frames",)
+    __slots__ = ("burst",)
 
-    def __init__(self, frames: list) -> None:
-        self.frames = frames
+    def __init__(self, burst) -> None:
+        self.burst = burst
 
 
 class TrainCallback(Callback):
@@ -148,8 +149,9 @@ def _bus_replay(join: float, nbytes: float, bus_rate: float,
             return now, reallocs
 
 
-def plan_train(port, frames) -> Optional[_Plan]:
-    """Try to plan ``frames`` as one analytic train on ``port``.
+def plan_train(port, burst) -> Optional[_Plan]:
+    """Try to plan ``burst`` as one analytic train on ``port``, from its
+    frames' sizes: no frame is built.
 
     Returns None when the engagement guard fails; the caller must then
     run the exact per-frame path.
@@ -180,12 +182,16 @@ def plan_train(port, frames) -> Optional[_Plan]:
     # FIFO and takes up whatever is put there next.
     if port._tx_wire_frame is not None:
         return None
+    # A producer waiting on the ring would be admitted frame by frame
+    # as the per-frame stage takes them, not at once at commit.
+    if port.tx_queue._putters:
+        return None
     # Send completion mid-train would wake the application while the
     # plan assumes exclusive host resources; only the final frame may
     # carry a completion hook (its effects start at the train's end).
-    for frame in frames[:-1]:
-        if frame.on_fetched is not None:
-            return None
+    sizes = burst.sizes()
+    if sizes is None:
+        return None
 
     now = sim._now
     virt = port._virt
@@ -215,11 +221,11 @@ def plan_train(port, frames) -> Optional[_Plan]:
     p_prev = now
     reallocs = 0
     dma_bytes = 0
-    payload_bytes = 0
-    for i, frame in enumerate(frames):
-        wire = frame.padded_bytes + dma_overhead
+    total_payload = 0
+    for i, (payload, padded) in enumerate(sizes):
+        wire = padded + dma_overhead
         dma_bytes += wire
-        payload_bytes += frame.payload_bytes
+        total_payload += payload
         join = p_prev + setup
         d_i, r = _bus_replay(join, wire, bus_rate, PCIX_RATE)
         reallocs += r
@@ -231,7 +237,7 @@ def plan_train(port, frames) -> Optional[_Plan]:
             p_i = d_i
         w_i = p_i if (s_prev is None or s_prev < p_i) else s_prev
         slot_release.append(w_i)
-        ser = (frame.padded_bytes + wire_overhead) / wire_rate
+        ser = (padded + wire_overhead) / wire_rate
         s_prev = (w_i + tx_proc) + ser
         arrivals.append(s_prev + propagation)
         p_prev = p_i
@@ -256,17 +262,19 @@ def plan_train(port, frames) -> Optional[_Plan]:
     plan.seed_count = seed_count
     plan.reallocs = reallocs
     plan.dma_bytes = dma_bytes
-    plan.payload_bytes = payload_bytes
+    plan.payload_bytes = total_payload
     return plan
 
 
-def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
-    """Apply ``plan``: bulk statistics plus the observable callbacks."""
+def commit_train(port, burst, plan: _Plan) -> VirtualResidue:
+    """Apply ``plan``: bulk statistics plus the observable callbacks.
+
+    The burst's frames are cut here: all of them are in flight."""
     sim = port.sim
     host = port.host
     link = port.link
     side = port.side
-    n = len(frames)
+    n = burst.count
 
     membus = host.membus
     membus.stats["transfers"] += n
@@ -286,6 +294,13 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
     link.stats["frames"][side] += n
     link.stats["bytes"][side] += plan.payload_bytes
 
+    # The ring's share.  The per-frame stage would take frame i at
+    # P_{i-1}, before d_last; nothing can put on this host's rings
+    # before then, and no put waits (the guard), so no put can tell.
+    ring = port.tx_queue
+    ring.hidden -= n - 1
+    ring.gets += n - 1
+
     fifo = port._tx_fifo
     fifo.puts += n
     fifo.gets += n
@@ -301,6 +316,7 @@ def commit_train(port, frames, plan: _Plan) -> VirtualResidue:
     peer_node = peer.host.node_id
     last = n - 1
     pending = []
+    frames = [burst.cut() for _ in range(n)]
     for i, frame in enumerate(frames):
         if frame.on_fetched is not None:
             pending.append((plan.dma_done[i], None, frame.on_fetched))

@@ -30,7 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover
 _frame_ids = itertools.count()
 
 
-@dataclass
+def padded_bytes(payload_bytes: int, header_bytes: int) -> int:
+    """A frame's body as serialized: Ethernet pads short frames to the
+    64-byte minimum (header 14 + body + FCS 4 >= 64)."""
+    return max(payload_bytes + header_bytes, 64 - 18)
+
+
+@dataclass(slots=True)
 class Frame:
     """One Ethernet frame's worth of protocol traffic.
 
@@ -61,20 +67,28 @@ class Frame:
     #: Set by fault injection: the frame was damaged on the wire.
     corrupted: bool = False
     frame_id: int = field(default_factory=_frame_ids.__next__)
-    #: The body as serialized: Ethernet pads short frames to the 64-byte
-    #: minimum (header 14 + body + FCS 4 >= 64).  The byte counts never
+    #: :func:`padded_bytes` of this frame.  The byte counts never
     #: change after construction, so every DMA and wire stage a frame
     #: crosses adds its own framing overhead to this one number.
     padded_bytes: int = field(init=False, repr=False, compare=False)
+    #: When the receiving port's DMA of the frame to host memory ended
+    #: (set with the flight recorder on, for the interrupt-wait span).
+    rx_ready: Optional[float] = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.padded_bytes = max(self.payload_bytes + self.header_bytes,
-                                64 - 18)
+        self.padded_bytes = padded_bytes(self.payload_bytes,
+                                         self.header_bytes)
 
-    def __setstate__(self, state: dict) -> None:
-        # Window logs checkpointed before ``padded_bytes`` existed hold
-        # frames without it, under this same code version.
-        self.__dict__.update(state)
+    def __setstate__(self, state) -> None:
+        # A pickled slotted frame's state is ``(None, slots)``; window
+        # logs checkpointed by earlier builds hold a plain attribute
+        # dict, some without ``padded_bytes``.
+        if isinstance(state, tuple):
+            state = state[1]
+        self.rx_ready = None
+        for name, value in state.items():
+            setattr(self, name, value)
         self.__post_init__()
 
     def wire_bytes(self, frame_overhead: int, min_frame: int = 64) -> int:

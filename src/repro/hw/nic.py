@@ -73,6 +73,115 @@ from repro.sim.events import Callback, Event, URGENT
 TX_FIFO_FRAMES = 4
 
 
+class Burst:
+    """Frames posted as one message, each built only when it is taken.
+
+    The port takes them in order: :meth:`cut` builds the next one just
+    before the fetch stage needs it (or a committed train schedules
+    it), so a message waiting in the transmit ring costs its burst, not
+    its frames.  :meth:`sizes` gives every frame's (payload bytes,
+    padded bytes) without building any, which is all a train plan
+    needs, or None when a frame before the last carries an
+    ``on_fetched`` hook: a plan needs the host to itself until its last
+    DMA.  ``count`` frames, ``taken`` of them cut so far; subclasses
+    build frame ``index`` in :meth:`frame`.
+    """
+
+    __slots__ = ("count", "taken")
+
+    def cut(self) -> Frame:
+        """The next frame, built now."""
+        index = self.taken
+        self.taken = index + 1
+        return self.frame(index)
+
+    def frame(self, index: int) -> Frame:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def sizes(self):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+class _Built(Burst):
+    """A burst of frames built in advance (a list handed to
+    :meth:`GigEPort.send_frames`)."""
+
+    __slots__ = ("frames",)
+
+    def __init__(self, frames: list) -> None:
+        self.frames = frames
+        self.count = len(frames)
+        self.taken = 0
+
+    def frame(self, index: int) -> Frame:
+        return self.frames[index]
+
+    def sizes(self):
+        frames = self.frames
+        if any(frame.on_fetched is not None for frame in frames[:-1]):
+            return None
+        return [(frame.payload_bytes, frame.padded_bytes)
+                for frame in frames]
+
+
+class _TxRing(Store):
+    """The transmit descriptor ring, counted in frames.
+
+    An item is a frame, a :class:`Burst` put once for each of its frames
+    (taking the item cuts the next one), or a :class:`FrameTrain`
+    standing for a whole burst.  Every frame holds its slot until the
+    fetch stage takes it, as the reference scheduler's per-frame puts
+    do: ``hidden`` counts the frames of a train beyond the one item
+    that stands for it, down as each is taken.  (A committed train's
+    frames leave at commit: its plan takes them all before its last
+    DMA, and nothing reaches the host's rings before that.)
+    """
+
+    __slots__ = ("hidden",)
+
+    def __init__(self, sim: Simulator, capacity: int, owner) -> None:
+        super().__init__(sim, capacity, name="txq", owner=owner)
+        self.hidden = 0
+
+    def frames(self) -> int:
+        """Frames in the ring: queued, or hidden in trains."""
+        return len(self.items) + self.hidden
+
+    def try_put(self, item) -> bool:
+        if self._putters or self.frames() >= self.capacity:
+            return False
+        self._insert(item)
+        self._dispatch()
+        return True
+
+    def try_get(self):
+        item = super().try_get()
+        return item.cut() if isinstance(item, Burst) else item
+
+    def _do_put(self, event) -> bool:
+        if self.frames() >= self.capacity:
+            return False
+        self._insert(event.item)
+        event.succeed(None, URGENT)
+        return True
+
+    def _do_get(self, event) -> bool:
+        items = self.items
+        if not items:
+            return False
+        self.gets += 1
+        item = items.pop(0)
+        event.succeed(item.cut() if isinstance(item, Burst) else item,
+                      URGENT)
+        return True
+
+    def take_hidden(self) -> None:
+        """A train's next frame leaves the ring."""
+        self.hidden -= 1
+        self.gets += 1
+        self._dispatch()
+
+
 class _StageEntry(Event):
     """A queue entry one serial stage of a port owns and queues again
     for each of its instants; the stage is serial, so at most one is
@@ -154,7 +263,7 @@ class GigEPort:
                  "_tx_blocked", "_tx_unbundled", "rx_credits", "_rx_arrivals",
                  "_rx_stage", "_rx_frame", "_rx_t0", "_pending_frames",
                  "_irq_timer_deadline", "_irq_timer_cb", "_driver",
-                 "collective_hook", "_tx_extra", "_virt", "stats")
+                 "collective_hook", "_virt", "stats")
 
     def __init__(self, sim: Simulator, host: Host, params: GigEParams,
                  pci_index: int = 0, name: str = "gige") -> None:
@@ -166,8 +275,7 @@ class GigEPort:
         self.link: Optional[Link] = None
         self.side: Optional[int] = None
         # Transmit path.
-        self.tx_queue = Store(sim, capacity=params.tx_ring, name="txq",
-                              owner=self)
+        self.tx_queue = _TxRing(sim, params.tx_ring, owner=self)
         #: The on-board FIFO, used as a queue and counters only: no put or
         #: get event, waiters in ``_tx_blocked``.
         self._tx_fifo = Store(sim, capacity=TX_FIFO_FRAMES, name="txfifo",
@@ -189,7 +297,8 @@ class GigEPort:
         #: Producers that found the FIFO full, oldest first: (frame,
         #: event to succeed on admission — None for the fetch stage).
         self._tx_blocked: list = []
-        #: Frames left of a train that was not planned, else None.
+        #: The frames left of a train that was not planned (an
+        #: iterator), else None.
         self._tx_unbundled = None
         # Receive path.
         self.rx_credits = TokenPool(sim, params.rx_ring,
@@ -211,8 +320,6 @@ class GigEPort:
         #: consumed.  A True return means the frame was consumed
         #: entirely inside the NIC: no credit, no DMA, no interrupt.
         self.collective_hook: Optional[Callable[[Frame], bool]] = None
-        #: Frames hidden inside queued FrameTrains (ring-level parity).
-        self._tx_extra = 0
         #: Residue of the last committed train (see hw.fastpath).
         self._virt = None
         self.stats = {
@@ -264,40 +371,42 @@ class GigEPort:
     def try_enqueue_tx(self, frame: Frame) -> bool:
         """Non-blocking ring post; False if the ring is full."""
         self._need_link()
-        if (len(self.tx_queue) + self._tx_extra
-                >= self.tx_queue.capacity):
-            return False
         return self.tx_queue.try_put(frame)
 
-    def send_frames(self, frames: list):
-        """Process: enqueue a frame burst; as one train when eligible.
+    def send_frames(self, frames):
+        """Process: enqueue a burst (a :class:`Burst` or a list of
+        frames); as one train when eligible.
 
-        Reference semantics are a per-frame ring put; the train is a
-        fast-path container the fetch stage either plans analytically
+        Reference semantics are a per-frame ring put: the burst goes in
+        once per frame, and each take cuts its next frame.  The train is
+        a fast-path container the fetch stage either plans analytically
         (see :mod:`repro.hw.fastpath`) or unbundles into the identical
         per-frame path.  The whole burst must fit the ring — a burst
         that would block mid-way keeps the per-frame puts.
         """
         self._need_link()
-        tx_queue = self.tx_queue
-        if (self.sim._fast and len(frames) >= TRAIN_MIN_FRAMES
-                and not tx_queue._putters
-                and len(tx_queue) + self._tx_extra + len(frames)
-                <= tx_queue.capacity):
-            self._tx_extra += len(frames) - 1
-            tx_queue.puts += len(frames) - 1
-            yield tx_queue.put(FrameTrain(frames))
+        burst = frames if isinstance(frames, Burst) else _Built(frames)
+        count = burst.count
+        ring = self.tx_queue
+        if (self.sim._fast and count >= TRAIN_MIN_FRAMES
+                and not ring._putters
+                and ring.frames() + count <= ring.capacity):
+            ring.hidden += count - 1
+            ring.puts += count - 1
+            yield ring.put(FrameTrain(burst))
             return
-        for frame in frames:
-            yield tx_queue.put(frame)
+        for _ in range(count):
+            yield ring.put(burst)
 
-    def _open_train(self, train: FrameTrain) -> list:
-        """A train leaves the ring: its frames, counted as the ring
-        would have counted them one by one."""
-        frames = train.frames
-        self._tx_extra -= len(frames) - 1
-        self.tx_queue.gets += len(frames) - 1
-        return frames
+    def _open_train(self, train: FrameTrain):
+        """A train leaves the ring: its frames, cut one at a time as
+        they are taken, each leaving the ring then."""
+        burst = train.burst
+        ring = self.tx_queue
+        yield burst.cut()
+        for _ in range(burst.count - 1):
+            ring.take_hidden()
+            yield burst.cut()
 
     def nic_inject_tx(self, frame: Frame):
         """Process: transmit a NIC-originated frame (no descriptor).
@@ -353,28 +462,28 @@ class GigEPort:
 
     def _tx_take(self, item) -> None:
         if type(item) is FrameTrain:
-            self._tx_plan(self._open_train(item), 0)
+            self._tx_plan(item, 0)
         else:
             self._tx_fetch(item)
 
-    def _tx_plan(self, frames: list, spins: int) -> None:
+    def _tx_plan(self, train: FrameTrain, spins: int) -> None:
         sim = self.sim
         # Let same-instant bookkeeping (the enqueueing process's
         # continuation, completion plumbing) drain before judging
         # quiescence.
         if (sim._urgent or sim._normal) and spins < 8:
             sim.timeout(0).callbacks.append(
-                lambda _spin: self._tx_plan(frames, spins + 1))
+                lambda _spin: self._tx_plan(train, spins + 1))
             return
-        plan = plan_train(self, frames)
+        plan = plan_train(self, train.burst)
         if plan is None:
             self.stats["train_fallbacks"] += 1
-            self._tx_unbundled = iter(frames)
+            self._tx_unbundled = self._open_train(train)
             self._tx_fetch_next()
             return
         self.stats["trains"] += 1
-        self.stats["train_frames"] += len(frames)
-        commit_train(self, frames, plan)
+        self.stats["train_frames"] += train.burst.count
+        commit_train(self, train.burst, plan)
         # Park until the per-frame fetch stage would return to the ring
         # (its last FIFO put).
         sim.sleep_until(plan.fetch_free).callbacks.append(

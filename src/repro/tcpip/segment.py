@@ -15,7 +15,7 @@ class SegmentKind(enum.Enum):
     FIN = "fin"
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpSegment:
     """One TCP segment on the wire.
 

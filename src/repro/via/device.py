@@ -14,8 +14,8 @@ import itertools
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, ViaError
-from repro.hw.link import Frame
-from repro.hw.nic import GigEPort, PortDriver
+from repro.hw.link import Frame, padded_bytes
+from repro.hw.nic import Burst, GigEPort, PortDriver
 from repro.hw.node import Host
 from repro.hw.params import ViaParams
 from repro.sim import Simulator
@@ -28,6 +28,86 @@ from repro.via.memory import MemoryRegion, ProtectionTag, RegisteredSpace
 from repro.via.packet import PacketKind, ViaPacket
 from repro.obs.recorder import DESC_QUEUED as _DESC_QUEUED
 from repro.via.vi import VI, Reliability
+
+
+class Fragments(Burst):
+    """One message as wire fragments, each cut when it is taken.
+
+    Built when the message is posted, from what its fragments need of
+    the descriptor then — the descriptor may change afterwards — and
+    nothing else: fragment ``index`` is cut by :meth:`packet` (the
+    reliable channel's template, as its window admits it) or
+    :meth:`frame` (the sealed frame, as the NIC takes it).  Every
+    fragment carries ``size`` payload bytes but the last, which carries
+    the rest, and the completion fields: ``notify``, ``immediate``,
+    ``payload`` and, for the NIC, the send-completion hook.
+    """
+
+    __slots__ = ("kind", "src_node", "dst_node", "dst_vi", "src_vi",
+                 "msg_id", "nbytes", "size", "header", "remote_addr",
+                 "route", "notify", "immediate", "payload", "trace",
+                 "vi", "descriptor")
+
+    def __init__(self, device: "ViaDevice", vi: VI,
+                 descriptor: Descriptor, msg_id: int,
+                 route: Optional[tuple]) -> None:
+        nbytes = descriptor.nbytes
+        size = device.frame_payload
+        self.count = -(-nbytes // size) or 1
+        self.taken = 0
+        self.kind = descriptor.packet_kind
+        self.src_node = device.rank
+        self.dst_node, self.dst_vi = vi.peer
+        self.src_vi = vi.vi_id
+        self.msg_id = msg_id
+        self.nbytes = nbytes
+        self.size = size
+        self.header = device.params.header_bytes
+        self.remote_addr = descriptor.remote_addr
+        self.route = route[1:] if route else None
+        self.notify = descriptor.notify
+        self.immediate = descriptor.immediate
+        self.payload = descriptor.payload
+        self.trace = descriptor.trace
+        self.vi = vi
+        self.descriptor = descriptor
+
+    def packet(self, index: int) -> ViaPacket:
+        """Fragment ``index``'s packet, unsealed."""
+        offset = index * self.size
+        last = index == self.count - 1
+        remote_addr = self.remote_addr
+        packet = ViaPacket(
+            self.kind, self.src_node, self.dst_node, self.dst_vi,
+            self.src_vi, self.msg_id, index, self.count,
+            min(self.size, self.nbytes - offset), offset, self.nbytes,
+            0 if remote_addr is None else remote_addr + offset,
+            self.notify and last, self.immediate if last else None,
+            self.route, -1, -1, self.payload if last else None,
+        )
+        # Not a twentieth argument: see ``ViaPacket.clone``.
+        packet.trace = self.trace
+        return packet
+
+    def frame(self, index: int) -> Frame:
+        """Fragment ``index`` as the NIC sends it: sealed, and the last
+        one completes the send once fetched (the buffer is reusable
+        once its last byte has been DMA'd out of host memory)."""
+        packet = self.packet(index).seal()
+        return Frame(packet.payload_bytes, self.header, packet,
+                     self.kind.frame_label,
+                     self.fetched if index == self.count - 1 else None)
+
+    def fetched(self) -> None:
+        self.vi.complete_send(self.descriptor)
+
+    def sizes(self):
+        size, header = self.size, self.header
+        rest = self.nbytes - size * (self.count - 1)
+        return itertools.chain(
+            itertools.repeat((size, padded_bytes(size, header)),
+                             self.count - 1),
+            ((rest, padded_bytes(rest, header)),))
 
 
 class ViaDevice:
@@ -245,16 +325,6 @@ class ViaDevice:
         return port
 
     # -- transmit paths ------------------------------------------------------
-    def _fragments(self, nbytes: int):
-        """Yield (offset, frag_bytes) pairs covering ``nbytes``."""
-        if nbytes == 0:
-            yield (0, 0)
-            return
-        offset = 0
-        while offset < nbytes:
-            yield (offset, min(self.frame_payload, nbytes - offset))
-            offset += self.frame_payload
-
     def _route_egress(self, dst_node: int, route) -> "GigEPort":
         """Egress port: first hop of an explicit route, else SDF."""
         if route:
@@ -271,65 +341,31 @@ class ViaDevice:
         return self.reliable and vi.reliability is not Reliability.UNRELIABLE
 
     def transmit(self, vi: VI, descriptor: Descriptor):
-        """Process: fragment and enqueue one message.
+        """Process: post one message's fragments.
 
         A two-sided send and a remote-DMA write take this one path; the
         descriptor's class supplies the wire kind and the RMA-only
         header fields (see
-        :class:`~repro.via.descriptors.SendDescriptor`).
+        :class:`~repro.via.descriptors.SendDescriptor`).  No fragment
+        exists yet: the reliable channel cuts each as its window admits
+        it, the NIC as it takes it (:class:`Fragments`).
         """
-        peer_node, peer_vi = vi.peer
         route = tuple(descriptor.route) if descriptor.route else None
-        msg_id = self.next_msg_id()
-        kind = descriptor.packet_kind
-        remote_addr = descriptor.remote_addr
-        frags = list(self._fragments(descriptor.nbytes))
-        packets = []
-        for index, (offset, frag_bytes) in enumerate(frags):
-            last = index == len(frags) - 1
-            packets.append(ViaPacket(
-                kind=kind,
-                src_node=self.rank,
-                dst_node=peer_node,
-                dst_vi=peer_vi,
-                src_vi=vi.vi_id,
-                msg_id=msg_id,
-                frag_index=index,
-                num_frags=len(frags),
-                payload_bytes=frag_bytes,
-                msg_offset=offset,
-                msg_bytes=descriptor.nbytes,
-                remote_addr=0 if remote_addr is None
-                else remote_addr + offset,
-                notify=descriptor.notify and last,
-                immediate=descriptor.immediate if last else None,
-                route=route[1:] if route else None,
-                payload=descriptor.payload if last else None,
-                trace=descriptor.trace,
-            ))
+        fragments = Fragments(self, vi, descriptor, self.next_msg_id(),
+                              route)
         if self._use_reliable(vi):
             yield from self.agent.reliable_transmit(
-                vi, packets, route, descriptor,
+                vi, fragments, route, descriptor,
             )
             return
-        port = self._route_egress(peer_node, route)
-        frames = [
-            Frame(packet.payload_bytes, self.params.header_bytes,
-                  payload=packet.seal(), kind=kind.frame_label)
-            for packet in packets
-        ]
-        # VIA send completion: the buffer is reusable once the last
-        # fragment has been DMA'd out of host memory.
-        frames[-1].on_fetched = lambda: vi.complete_send(descriptor)
+        port = self._route_egress(fragments.dst_node, route)
         rec = self.sim.recorder
         if rec is not None and descriptor.trace is not None:
             rec.event(descriptor.trace, _DESC_QUEUED, port.name,
                       f"n{self.rank}", self.sim.now)
-            rec.metrics.observe(
-                "ring:" + port.name, self.sim.now,
-                float(len(port.tx_queue) + port._tx_extra),
-            )
-        yield from port.send_frames(frames)
+            rec.metrics.observe("ring:" + port.name, self.sim.now,
+                                float(port.tx_queue.frames()))
+        yield from port.send_frames(fragments)
 
     def transmit_control(self, dst_node: int, kind: PacketKind,
                          dst_vi: int, src_vi: int, payload=None):

@@ -189,22 +189,24 @@ class KernelAgent:
             self._channels[vi.vi_id] = channel
         return channel
 
-    def reliable_transmit(self, vi: VI, packets, route, descriptor):
-        """Process: send ``packets`` (one message's fragments) through
-        the VI's reliable channel.
+    def reliable_transmit(self, vi: VI, fragments, route, descriptor):
+        """Process: send one message's ``fragments`` (a
+        :class:`~repro.via.device.Fragments`) through the VI's reliable
+        channel.
 
-        Each fragment waits for send-window room, gets the next
-        sequence number, and is tracked for retransmission.  The
-        descriptor completes when the *last* fragment is cumulatively
-        ACKed (not at DMA fetch: under loss the buffer may be re-read
-        for retransmission until then).
+        Each fragment waits for send-window room, is cut, gets the next
+        sequence number, and is tracked for retransmission, so at most a
+        window of them exists.  The descriptor completes when the *last*
+        fragment is cumulatively ACKed (not at DMA fetch: under loss the
+        buffer may be re-read for retransmission until then).
         """
         channel = self.channel_for(vi)
-        last = len(packets) - 1
-        for index, packet in enumerate(packets):
+        last = fragments.count - 1
+        for index in range(fragments.count):
             yield from channel.admit()
             yield from channel.transmit(
-                packet, route, descriptor if index == last else None,
+                fragments.packet(index), route,
+                descriptor if index == last else None,
             )
 
     def _apply_ack(self, packet: ViaPacket, nack: int = -1) -> None:
@@ -242,7 +244,7 @@ class KernelAgent:
         rec = self.sim.recorder
         if rec is not None:
             ctx = packet.trace
-            ready = getattr(frame, "rx_ready", None)
+            ready = frame.rx_ready
             if ctx is not None and ready is not None:
                 # Coalescing + dispatch delay: rx DMA done to the
                 # instant the handler's cost accrual starts (paid_until

@@ -6,16 +6,21 @@ from repro.cluster.builder import build_mesh
 from repro.errors import ConfigurationError, ViaError
 from repro.hw.params import ViaParams
 from repro.topology.torus import Torus
-from repro.via.device import ViaDevice
+from repro.via.descriptors import SendDescriptor
+from repro.via.device import Fragments, ViaDevice
 from repro.via.vi import Reliability
+from tests.conftest import make_via_pair
 
 
 def test_fragment_plan_covers_message():
-    cluster = build_mesh((2,), wrap=False, stack="via")
-    device = cluster.nodes[0].via
+    _cluster, (vi, region), _peer = make_via_pair()
+    device = vi.device
     payload = device.frame_payload
     for nbytes in (0, 1, payload, payload + 1, 5 * payload + 17):
-        frags = list(device._fragments(nbytes))
+        fragments = Fragments(device, vi, SendDescriptor(region, 0, nbytes),
+                              0, None)
+        frags = [(packet.msg_offset, packet.payload_bytes)
+                 for packet in map(fragments.packet, range(fragments.count))]
         assert sum(size for _off, size in frags) == max(nbytes, 0)
         if nbytes == 0:
             assert frags == [(0, 0)]
@@ -23,6 +28,10 @@ def test_fragment_plan_covers_message():
             offsets = [off for off, _size in frags]
             assert offsets == sorted(offsets)
             assert all(size <= payload for _off, size in frags)
+        # A plan sizes the frames the NIC will cut.
+        assert list(fragments.sizes()) == [
+            (frame.payload_bytes, frame.padded_bytes)
+            for frame in map(fragments.frame, range(fragments.count))]
 
 
 def test_frame_payload_accounts_header():

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 tools/footprint.py
 
-Run from the root of a checkout (~20 s).  Prints three things:
+Run from the root of a checkout (~60 s).  Prints four things:
 
 * the traced KB per node after a 3x3x3 bring-up, split into the mesh
   part (``build_mesh``: ports, links, kernel agents) and the world
@@ -12,7 +12,15 @@ Run from the root of a checkout (~20 s).  Prints three things:
 * the all-pairs open on 4x4x4: after the neighbour bring-up, every
   rank opens a channel to every other, and the bytes per new channel
   end, the host seconds and the simulated events of that open (the
-  seconds and events are read from an untraced second run).
+  seconds and events are read from an untraced second run);
+* what messages hold: one ``mesh_aggregate``-shaped iteration on 3x3x3
+  (every rank isend/irecvs to all six neighbours, 4 KB twice, then
+  64 KB), stepped event by event under ``tracemalloc``: the traced MB
+  the run adds at its peak, and the VIA fragments (``ViaPacket``s)
+  alive after the event that left the most memory traced (found by a
+  first pass, counted by ``gc`` in an identical second one); then the
+  peak RSS of a process that computes only the fig4 quick 3-D 1 MB
+  point, and that point's value.
 
 It prints instead of asserting, so the same file reads the state of
 any commit: to measure a parent, export it (``git archive REV | tar
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import platform
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -32,6 +41,7 @@ sys.path.insert(0, "src")
 
 from repro.cluster.builder import build_mesh  # noqa: E402
 from repro.cluster.process_api import build_engines, build_world  # noqa: E402
+from repro.mpi.request import waitall  # noqa: E402
 
 
 def _census() -> tuple:
@@ -100,10 +110,95 @@ def all_pairs() -> None:
           f"{seconds:.2f} s host, {events} events")
 
 
+def _exchange(comm, torus):
+    peers = [rank for _direction, rank in torus.neighbors(comm.rank)]
+    yield from comm.barrier()
+    for nbytes, rounds in ((4096, 2), (65536, 1)):
+        recvs = []
+        for _ in range(rounds):
+            recvs += [comm.irecv(peer, tag=3, nbytes=nbytes)
+                      for peer in peers]
+            yield from waitall([comm.isend(peer, tag=3, nbytes=nbytes)
+                                for peer in peers])
+        yield from waitall(recvs)
+        yield from comm.barrier()
+
+
+def _stepped_exchange(stop_at=None) -> tuple:
+    """Step the exchange to its end, or through ``stop_at`` events:
+    (events, the event after which the most was traced, the traced
+    bytes the run added at its peak, the fragments alive then)."""
+    cluster = build_mesh((3, 3, 3))
+    comms = build_world(cluster)
+    sim = cluster.sim
+    for comm in comms:
+        sim.spawn(_exchange(comm, cluster.torus))
+    gc.collect()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    most, most_at, events = start, 0, 0
+    while sim.queue_length and events != stop_at:
+        sim.step()
+        events += 1
+        traced = tracemalloc.get_traced_memory()[0]
+        if traced > most:
+            most, most_at = traced, events
+    gc.collect()
+    alive = sum(1 for obj in gc.get_objects()
+                if type(obj).__name__ == "ViaPacket")
+    return (events, most_at, tracemalloc.get_traced_memory()[1] - start,
+            alive)
+
+
+#: A process's own peak RSS.  ``ru_maxrss`` will not do: a child
+#: started from a large parent reports the parent's size, taken over
+#: at ``exec``.
+_PEAK_RSS = """
+def peak_rss_mb():
+    try:
+        with open('/proc/self/status') as status:
+            for line in status:
+                if line.startswith('VmHWM:'):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+
+def _fig4_point() -> str:
+    """Peak RSS of a process that computes the fig4 quick 3-D 1 MB
+    point, and the point."""
+    code = _PEAK_RSS + (
+        "import sys; sys.path.insert(0, 'src')\n"
+        "from repro.bench.microbench import mpi_aggregate_bandwidth\n"
+        "value = mpi_aggregate_bandwidth((3, 3, 3), 1 << 20,"
+        " total_bytes=2 << 20)\n"
+        "print(f'{peak_rss_mb():.1f} MB peak RSS, {value:.2f} MB/s')\n")
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def messages() -> None:
+    _stepped_exchange()                      # warm imports and caches
+    tracemalloc.start()
+    try:
+        events, most_at, peak, _ = _stepped_exchange()
+        alive = _stepped_exchange(stop_at=most_at)[3]
+    finally:
+        tracemalloc.stop()
+    print(f"3x3x3 all-neighbour 4 KB x2 + 64 KB: {alive} fragments alive "
+          f"after event {most_at} of {events}, run peak "
+          f"+{peak / 2**20:.2f} MB traced")
+    print(f"fig4 quick 3-D 1 MB point: {_fig4_point()}")
+
+
 def main() -> None:
     print(f"python {platform.python_version()}, {platform.machine()}")
     bringup()
     all_pairs()
+    messages()
 
 
 if __name__ == "__main__":
