@@ -13,7 +13,9 @@ Experiment ids (see DESIGN.md's per-experiment index):
 ========  ==========================================================
 
 Run ``python -m repro.bench <id> [--quick]`` or use
-:func:`repro.bench.harness.run_experiment`.
+:func:`repro.bench.harness.run_experiment`; the studies outside the
+paper's set (``conformance``, ``nic-collectives``, ``explain``,
+``pdes``, ``chaos``) are names in the same registry.
 """
 
 from repro.bench.harness import (
@@ -23,33 +25,10 @@ from repro.bench.harness import (
 )
 from repro.bench.report import render_table, to_csv
 
-#: Pure programmatic entry points (no stdout/file coupling) resolved
-#: lazily so importing :mod:`repro.bench` stays light.  Service workers
-#: and the CLI share exactly these code paths.
-_LAZY = {
-    "run_chaos": ("repro.bench.chaos", "run_chaos"),
-    "trace_stats": ("repro.bench.observability", "trace_stats"),
-    "breakdown_report": ("repro.bench.observability", "breakdown_report"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(name) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
-    "breakdown_report",
     "render_table",
-    "run_chaos",
     "run_experiment",
     "to_csv",
-    "trace_stats",
 ]

@@ -1,11 +1,13 @@
 """Seeded chaos campaigns: node crashes under live MPI traffic.
 
-``python -m repro.bench --chaos N --fault-seed S`` runs ``N``
-campaigns.  Each campaign derives a per-campaign seed from ``S`` (CRC32
-mixing, so campaign ``i`` of seed ``S`` is reproducible in isolation),
-picks a victim rank and a crash instant, and runs a resilient SPMD
-program — the canonical ULFM recovery pattern — over one of the
-traffic scenarios below while the victim fail-stops mid-flight:
+``python -m repro.bench chaos --fault-seed S`` runs two campaigns per
+scenario (one with ``--quick``), campaign ``i`` on scenario ``i`` of
+the sorted rotation.  Each campaign derives a per-campaign seed from
+``S`` (CRC32 mixing, so campaign ``i`` of seed ``S`` is reproducible in
+isolation), picks a victim rank and a crash instant, and runs a
+resilient SPMD program — the canonical ULFM recovery pattern — over
+one of the traffic scenarios below while the victim fail-stops
+mid-flight:
 
 ========== ===========================================================
 scenario   traffic while the crash lands
@@ -442,15 +444,10 @@ def chaos_summary(rows: List[List[Any]],
     )
 
 
-def run_chaos(campaigns: int, fault_seed: int = 0,
-              scenario: Optional[str] = None) -> ExperimentResult:
-    """The ``--chaos N`` entry point: N campaigns, one summary table.
-
-    ``scenario`` pins every campaign to one scenario (the CI resume
-    smoke runs ``--chaos-scenario checkpoint-resume``); the default
-    rotates through :data:`ALL_SCENARIOS`.
-    """
-    rows = [campaign_row(run_campaign(index, fault_seed,
-                                      scenario=scenario))
+def run_chaos(quick: bool = False, fault_seed: int = 0) -> ExperimentResult:
+    """The ``chaos`` study: every scenario of :data:`ALL_SCENARIOS`,
+    once with ``quick`` and twice without, in one summary table."""
+    campaigns = (1 if quick else 2) * len(ALL_SCENARIOS)
+    rows = [campaign_row(run_campaign(index, fault_seed))
             for index in range(campaigns)]
     return chaos_summary(rows, fault_seed)

@@ -1,25 +1,39 @@
-"""Observability workloads behind ``python -m repro.bench``.
+"""The ``explain`` study: where the time went, in both clock domains.
 
-``--trace OUT.json`` runs an 8-node fig5-style collective (broadcast +
-global sum on a (2,2,2) wrap torus) with the flight recorder attached
-and writes a Chrome trace-event / Perfetto JSON file.
+``python -m repro.bench explain [--quick] [--out DIR]`` is one run with
+the flight recorder and the wall-clock telemetry plane on:
 
-``--breakdown`` runs the fig2 point workload (4-byte VIA ping-pong)
-and prints the per-span-kind latency table; its api-call component is
-the paper's ~6 us host overhead (send 2.68 + receive 3.68).
+1. the fig2 point workload (4-byte VIA ping-pong) and its per-span-kind
+   latency table, whose api-call component is the paper's ~6 us host
+   overhead (send 2.68 + receive 3.68), then the per-collective-tier
+   host-overhead rows;
+2. an 8-node fig5-style collective (barrier + broadcast + global sum
+   on a (2,2,2) wrap torus) with the recorder attached;
+3. a small concurrent-client load test (router + worker fleet; the
+   workers ship their registry snapshots back over the duplex pipes)
+   and a 2-shard PDES run with window checkpoints into a throwaway
+   store, observed, and the merged registry: top counters, histogram
+   percentiles and the event-log tail.
+
+With ``--out DIR`` it writes one file, ``DIR/explain-trace.json``: the
+unified Chrome/Perfetto trace of the telemetry plane's wall spans next
+to the collective's and the PDES run's sim-time tracks, validated
+before the study returns.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import asyncio
+import os
+import shutil
+import tempfile
+from typing import List, Optional, Tuple
 
 from repro.obs import FlightRecorder
-from repro.obs.export import (
-    api_overhead_per_message,
-    breakdown_table,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.export import breakdown_table
+
+#: The one file ``explain --out DIR`` writes into ``DIR``.
+TRACE_FILE = "explain-trace.json"
 
 
 def traced_collective(dims: Tuple[int, ...] = (2, 2, 2),
@@ -45,9 +59,8 @@ def traced_collective(dims: Tuple[int, ...] = (2, 2, 2),
 
 
 def trace_stats(quick: bool = False) -> dict:
-    """Pure form of the ``--trace`` workload: run the traced collective
-    and return its summary as a plain result object (no file, no
-    stdout) — the code path service workers share with the CLI.
+    """The traced collective's summary as a plain result object (no
+    file, no stdout): what a service ``trace`` job returns.
 
     ``span_key_hash`` is the content hash of the recorder's sorted
     span identities, so two runs of the same configuration can be
@@ -67,34 +80,13 @@ def trace_stats(quick: bool = False) -> dict:
     }
 
 
-def export_trace(path: str, quick: bool = False) -> str:
-    """Run the traced collective and write ``path``; returns a one-line
-    summary (raises ``RuntimeError`` if the JSON fails validation)."""
-    recorder = traced_collective(nbytes=1024 if quick else 4096)
-    trace = write_chrome_trace(recorder, path)
-    problems = validate_chrome_trace(trace)
-    if problems:
-        raise RuntimeError(
-            "trace failed schema validation: " + "; ".join(problems[:5])
-        )
-    kinds = sorted(recorder.kinds())
-    return (
-        f"[trace: {path} — {len(recorder.traces)} messages, "
-        f"{len(recorder.spans)} spans, {len(recorder.events)} events, "
-        f"{len(kinds)} kinds ({', '.join(kinds)}); "
-        f"open at https://ui.perfetto.dev]\n"
-    )
-
-
 def tier_breakdown(quick: bool = False) -> str:
     """Host-CPU overhead per collective, tier by tier.
 
     Runs the collective suite (barrier + bcast + combine) on the
     paper's 2x2x2 mesh once per tier with the recorder on, and totals
     the ``api-call`` / ``irq-wait`` spans — the host-side cost the
-    NIC-resident tier exists to remove.  Rendered next to the fig2
-    breakdown so the ~6 us host-API-overhead table and the PR 8
-    crossover claim read from one output.
+    NIC-resident tier exists to remove.
     """
     from repro.bench.nic_collectives import (
         COLLECTIVES,
@@ -129,14 +121,15 @@ def tier_breakdown(quick: bool = False) -> str:
         reduction = (1.0 - per_tier["nic"] / per_tier["host"]) * 100.0
         lines.append(
             f"nic tier cuts host time per op by {reduction:.1f}% vs "
-            f"the host tier (PR 8 crossover claim: >90%)"
+            f"the host tier (NIC-tier crossover claim: >90%)"
         )
     return "\n".join(lines) + "\n"
 
 
 def breakdown_report(quick: bool = False) -> str:
-    """Run the fig2 point workload and render the breakdown table,
-    then the per-collective-tier host-overhead rows."""
+    """The fig2 point workload's breakdown table, then the
+    per-collective-tier host-overhead rows (a service ``breakdown``
+    job's report)."""
     from repro.bench.microbench import via_latency
     from repro.sim import Simulator
 
@@ -152,10 +145,119 @@ def breakdown_report(quick: bool = False) -> str:
     )
 
 
+def _wall_report(tel, quick: bool, lines: List[str]):
+    """Drive the load test and the checkpointed PDES run; append the
+    merged registry to ``lines`` and return the PDES run's recorder."""
+    from repro.ckpt import CheckpointStore
+    from repro.pdes import CheckpointPolicy, run_sharded
+    from repro.service import loadtest
+    from repro.telemetry.registry import histogram_percentile, top_counters
+
+    clients = 80 if quick else 240
+    report = asyncio.run(loadtest.run_load_test(
+        clients=clients, workers=1 if quick else 2,
+        distinct=8 if quick else 24, max_pending=8))
+    loadtest.check_report(report)
+    lines.append(
+        f"  load test: {clients} clients -> "
+        f"{report['engine_dispatches']} engine runs, "
+        f"{report['router']['cache_hits']} cache hits, "
+        f"{report['router']['shed']} shed")
+
+    # Shard 1 is killed at window 100 and recovered by replay, so the
+    # run also shows what a recovery costs (and logs one event).
+    ckpt_root = tempfile.mkdtemp(prefix="repro-bench-explain-")
+    try:
+        result = run_sharded(
+            (2, 2, 2) if quick else (2, 4, 4), workload="aggregate",
+            nshards=2, observe=True,
+            checkpoint=CheckpointPolicy(every=8,
+                                        store=CheckpointStore(ckpt_root),
+                                        chaos_kill=(1, 100)))
+    finally:
+        shutil.rmtree(ckpt_root, ignore_errors=True)
+    lines.append(
+        f"  pdes: {result.windows} windows, "
+        f"{result.events_processed} events, "
+        f"{result.checkpoints} checkpoints captured, "
+        f"{result.recoveries} shard recovered by replay")
+
+    snapshot = tel.merged_snapshot()
+    lines.append("  top counters:")
+    for name, value in top_counters(snapshot, limit=15):
+        lines.append(f"    {name:<44} {value}")
+    lines.append("  histograms (count / mean / p50 / p99, seconds "
+                 "unless the name says otherwise):")
+    for name in sorted(snapshot.get("histograms", {})):
+        for key, state in sorted(snapshot["histograms"][name].items()):
+            label = f"{name}{{{key}}}" if key else name
+            lines.append(
+                f"    {label:<44} {state['count']:>6} "
+                f"{state['mean']:.6f} "
+                f"{histogram_percentile(state, 50.0):.6f} "
+                f"{histogram_percentile(state, 99.0):.6f}")
+    records = tel.events.tail(5)
+    lines.append(f"  last {len(records)} of {len(tel.events)} events:")
+    for record in records:
+        lines.append(
+            f"    [{record['level']}] {record['schema']} "
+            f"t={record['t']} {record['msg']}")
+    return result.recorder
+
+
+def explain(quick: bool = False, out: Optional[str] = None):
+    """The ``explain`` study (see the module docstring); writes
+    ``out/explain-trace.json`` when ``out`` is given.  The telemetry
+    plane is left on or off, as it was found."""
+    from repro import telemetry
+    from repro.bench.harness import ExperimentResult
+    from repro.telemetry.export import (
+        validate_unified_trace,
+        write_unified_trace,
+    )
+
+    was_on = telemetry.enabled()
+    tel = telemetry.enable("bench-explain")
+    try:
+        sections = [breakdown_report(quick=quick)]
+        nbytes = 1024 if quick else 4096
+        collective = traced_collective(nbytes=nbytes)
+        kinds = sorted(collective.kinds())
+        sections.append(
+            f"traced collective (2x2x2 wrap torus, barrier + bcast + "
+            f"allreduce of {nbytes} B): {len(collective.traces)} "
+            f"messages, {len(collective.spans)} spans, "
+            f"{len(collective.events)} events, {len(kinds)} kinds "
+            f"({', '.join(kinds)})\n")
+        lines = ["wall-clock telemetry"]
+        pdes = _wall_report(tel, quick, lines)
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+            path = os.path.join(out, TRACE_FILE)
+            trace = write_unified_trace(
+                tel, path, [("collective", collective), ("pdes", pdes)])
+            problems = validate_unified_trace(trace)
+            if problems:
+                raise RuntimeError(
+                    "unified trace failed validation: "
+                    + "; ".join(problems[:5]))
+            lines.append(
+                f"  unified trace: {path} — "
+                f"{len(trace['traceEvents'])} events, clock domains "
+                f"wall+sim; open at https://ui.perfetto.dev")
+        sections.append("\n".join(lines) + "\n")
+    finally:
+        if not was_on:
+            telemetry.disable()
+    return ExperimentResult(
+        experiment="explain", title="explain", columns=[], rows=[],
+        text="\n".join(sections) + "\n")
+
+
 __all__ = [
-    "api_overhead_per_message",
+    "TRACE_FILE",
     "breakdown_report",
-    "export_trace",
+    "explain",
     "trace_stats",
     "traced_collective",
 ]

@@ -14,7 +14,7 @@ M-VIA), :meth:`MeshCluster.attach_tcp` installs the TCP baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -406,6 +406,12 @@ class MeshCluster:
         from repro.via.device import ViaDevice
 
         params = via_params or ViaParams()
+        if params.reliable is None:
+            # Delivery is end to end: a frame crosses other nodes'
+            # links, so one link that can lose frames (a crashed
+            # relay's included) engages reliability on every node.
+            params = replace(params, reliable=any(
+                link.lossy for link in self.links))
         for node in self.nodes:
             if node is None:
                 continue

@@ -152,9 +152,10 @@ class ViaParams(Canonical):
     send_queue_depth: int = 256
     recv_queue_depth: int = 256
     #: Reliable-delivery protocol (selective-repeat sequence/ACK
-    #: recovery in the kernel agent).  None = auto: engage exactly
-    #: when some link of the node can *lose* frames (loss/flap/death/
-    #: corrupt-rate knobs in :class:`~repro.hw.faults.FaultParams`);
+    #: recovery in the kernel agent).  None = auto: engage on every
+    #: node exactly when some link of the fabric can *lose* frames
+    #: (loss/flap/death/corrupt-rate knobs in
+    #: :class:`~repro.hw.faults.FaultParams`, node faults included);
     #: legacy ``corrupt_every`` keeps its detect-and-drop-only
     #: semantics.
     reliable: Optional[bool] = None

@@ -31,9 +31,7 @@ from repro.obs.export import (
     api_overhead_per_message,
     breakdown_probe,
     breakdown_table,
-    to_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 
 __all__ = [
@@ -57,7 +55,5 @@ __all__ = [
     "api_overhead_per_message",
     "breakdown_probe",
     "breakdown_table",
-    "to_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
 ]

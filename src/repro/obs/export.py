@@ -2,11 +2,13 @@
 
 Two output shapes:
 
-* :func:`to_chrome_trace` — the Chrome trace-event JSON format (the
-  ``{"traceEvents": [...]}`` wrapper with ``X``/``i``/``M`` phases),
-  which Perfetto's trace viewer loads directly.  One *process* per
-  track (node or link); within a track, slices are grouped into named
-  lanes (threads) so concurrent stages stack legibly.
+* :func:`render_trace_events` — the Chrome trace-event JSON format
+  (the ``{"traceEvents": [...]}`` wrapper with ``X``/``i``/``M``
+  phases), which Perfetto's trace viewer loads directly.  One *process*
+  per track (node or link); within a track, slices are grouped into
+  named lanes (threads) so concurrent stages stack legibly.  The one
+  file writer is :func:`repro.telemetry.export.write_unified_trace`,
+  which puts recorders' sim-time tracks next to wall-clock spans.
 * :func:`breakdown_table` — a per-span-kind latency table
   (count / mean / p50 / p99) plus the per-message host API overhead,
   the quantity the paper reports as ~6 us for Fig. 2.
@@ -14,7 +16,6 @@ Two output shapes:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List
 
 from repro.obs.recorder import API_CALL, MESSAGE, FlightRecorder
@@ -77,20 +78,6 @@ def render_trace_events(items, other=None) -> Dict[str, Any]:
     trace = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
     if other is not None:
         trace["otherData"] = other
-    return trace
-
-
-def to_chrome_trace(recorder: FlightRecorder) -> Dict[str, Any]:
-    """Render the recorder into a Chrome trace-event JSON object."""
-    return render_trace_events(recorder_items(recorder))
-
-
-def write_chrome_trace(recorder: FlightRecorder, path: str) -> Dict[str, Any]:
-    """Write the Chrome trace JSON to ``path``; returns the object."""
-    trace = to_chrome_trace(recorder)
-    with open(path, "w") as handle:
-        json.dump(trace, handle, indent=1)
-        handle.write("\n")
     return trace
 
 

@@ -12,8 +12,8 @@
   ends by listing every counter series the plane exports (the
   router's ``service_*_total`` and the fleet's ``fleet_*_total`` are
   its two counters dicts, so they read what the report reads).  The
-  unified wall+sim trace is ``python -m repro.bench --telemetry
-  --telemetry-trace PATH``.
+  unified wall+sim trace is ``python -m repro.bench explain --out
+  DIR``.
 """
 
 from __future__ import annotations

@@ -163,16 +163,9 @@ class ViaDevice:
         #: The same machine at its NIC-firmware site (Yu et al.
         #: offload); created by :meth:`enable_nic_collectives`.
         self.nic_collective = None
-        #: Reliable delivery: explicit knob, else automatic — engage
-        #: exactly when some attached link can *lose* frames (the
-        #: legacy ``corrupt_every`` detect-and-drop knob deliberately
-        #: does not trigger it, preserving its original semantics).
-        self.reliable = (
-            self.params.reliable
-            if self.params.reliable is not None
-            else any(port.link is not None and port.link.lossy
-                     for port in self.ports.values())
-        )
+        #: Reliable delivery (the cluster builder resolves the
+        #: automatic setting fabric-wide before the device exists).
+        self.reliable = bool(self.params.reliable)
         #: Cluster-wide link-health view (set by the builder when the
         #: fault model can kill links); None = fabric always healthy.
         self._fabric_health = None

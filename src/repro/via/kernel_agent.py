@@ -141,10 +141,16 @@ class KernelAgent:
                 return
             self.stats["connect_retries"] += 1
             rto = min(rto * params.rel_rto_backoff, params.rel_rto_max)
-            yield from self.device.transmit_control(
-                dst_node, PacketKind.CONNECT, dst_vi=0, src_vi=vi.vi_id,
-                payload=discriminator,
-            )
+            try:
+                yield from self.device.transmit_control(
+                    dst_node, PacketKind.CONNECT, dst_vi=0,
+                    src_vi=vi.vi_id, payload=discriminator,
+                )
+            except ViaError:
+                # No live route (a node fault cut every path): drop
+                # this attempt.  A later retry finds a route, or the
+                # budget runs out and the peer is suspected.
+                pass
 
     def connect_wait(self, vi: VI, discriminator):
         """Process: passive side (VipConnectWait + VipConnectAccept)."""
@@ -240,6 +246,8 @@ class KernelAgent:
         so loss recovery and teardown run from the reference instants.
         """
         self.stats["frames"] += 1
+        if self._fd is not None:
+            self._fd.heard_on(port)
         packet: ViaPacket = frame.payload
         rec = self.sim.recorder
         if rec is not None:
@@ -746,16 +754,27 @@ class _FailureDetector:
         self.interval = self.device.params.fd_interval
         self.timeout = self.device.params.fd_timeout
         rank = self.device.rank
-        self.neighbor_ranks = sorted({
-            neighbor for _d, neighbor in cluster.torus.neighbors(rank)
+        #: The neighbor at the far end of each port: any frame that
+        #: arrives on a port is heard from it, so a keepalive queued
+        #: behind a burst on the same link is not needed as proof.
+        self.peer_on_port = {
+            self.device.ports[direction.port]: neighbor
+            for direction, neighbor in cluster.torus.neighbors(rank)
             if neighbor != rank
-        })
+        }
+        self.neighbor_ranks = sorted(set(self.peer_on_port.values()))
         self.last_heard = {n: 0.0 for n in self.neighbor_ranks}
         self.sim.spawn(self._loop(), name=f"fd[{rank}]")
 
     def heard(self, rank: int) -> None:
         if rank in self.last_heard:
             self.last_heard[rank] = self.sim.now
+
+    def heard_on(self, port) -> None:
+        """A frame arrived on ``port``: its far end is alive."""
+        peer = self.peer_on_port.get(port)
+        if peer is not None:
+            self.last_heard[peer] = self.sim.now
 
     def suspect(self, rank: int, reason: str) -> None:
         """Out-of-band evidence (retry exhaustion) of a dead peer."""

@@ -186,12 +186,17 @@ class TestRestoreGuards:
         past the gap and resends only the missing one: the same.  1.0.8
         queued a ``StorePut`` for every frame posted to a transmit ring
         with room, where 1.0.9's fast scheduler inserts it at once: the
-        sequence counter and event count of a digest fall."""
+        sequence counter and event count of a digest fall.  1.0.9 ran a
+        node-fault cluster's unsequenced frames through relays whose
+        links were not the sender's own, and took only keepalives as
+        proof of a live neighbor, where 1.0.10 engages reliability on
+        every node and counts every arriving frame: a cached chaos
+        payload or a node-fault digest differs."""
         from repro import __version__
-        assert __version__ == "1.0.9"
+        assert __version__ == "1.0.10"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
-                      "1.0.5", "1.0.6", "1.0.7", "1.0.8"):
+                      "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

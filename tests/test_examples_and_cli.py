@@ -104,7 +104,7 @@ def test_lqcd_fault_tolerance_example():
 def test_cli_chaos_flag(capsys):
     from repro.bench.__main__ import main
 
-    assert main(["--chaos", "2", "--fault-seed", "5"]) == 0
+    assert main(["chaos", "--quick", "--fault-seed", "5"]) == 0
     captured = capsys.readouterr()
     assert "Chaos campaigns (seed 5)" in captured.out
     assert "deterministic" in captured.out
@@ -140,7 +140,7 @@ def test_cli_chaos_clears_the_fault_registry_when_a_campaign_raises(
 
     monkeypatch.setattr(chaos, "run_chaos", crashing_campaign)
     with pytest.raises(RuntimeError, match="campaign died"):
-        main(["--chaos", "1"])
+        main(["chaos", "--quick"])
     assert faults.REGISTRY == []
 
 
@@ -148,9 +148,10 @@ CLI_WRITES = [
     ("repro.bench", ["routing", "--quick"], []),
     ("repro.bench", ["routing", "--quick", "--csv"], []),
     ("repro.bench", ["nic-collectives", "--quick"], []),
-    ("repro.bench", ["--breakdown", "--quick"], []),
-    ("repro.bench", ["--chaos", "1", "--fault-seed", "1"], []),
-    ("repro.bench", ["--trace", "out.json", "--quick"], ["out.json"]),
+    ("repro.bench", ["explain", "--quick"], []),
+    ("repro.bench", ["chaos", "--fault-seed", "1", "--quick"], []),
+    ("repro.bench", ["explain", "--out", ".", "--quick"],
+     ["explain-trace.json"]),
     ("repro.service", ["--load-test", "8", "--workers", "1"], []),
     ("repro.service", ["--load-test", "8", "--workers", "1",
                        "--bench-out", "r.json"], ["r.json"]),
@@ -208,8 +209,9 @@ _COMMAND = re.compile(r"python3? -m (repro\.(?:bench|service))(?![\w.])"
 
 
 def _documented_commands():
-    """``(where, package, options)`` for every documented command line
-    (backslash continuations joined)."""
+    """``(where, package, names, options)`` for every documented
+    command line (backslash continuations joined); ``names`` are the
+    bare words before the first option."""
     root = EXAMPLES.parent
     for pattern in COMMAND_DOCS:
         for path in sorted(root.glob(pattern)):
@@ -220,11 +222,15 @@ def _documented_commands():
                 for package, rest in _COMMAND.findall(
                         line.replace("\\\n", " ")):
                     options = re.findall(r"(?<!\S)(--[a-z][a-z0-9-]*)", rest)
-                    yield where, package, options
+                    names = re.match(r"(?:\s*[a-z][a-z0-9-]*(?!\S))*",
+                                     rest).group().split()
+                    yield where, package, names, options
 
 
 def test_documented_command_lines_use_only_real_options():
     import importlib
+
+    from repro.bench.harness import _registry
 
     helps = {}
     for package in ("repro.bench", "repro.service"):
@@ -236,6 +242,42 @@ def test_documented_command_lines_use_only_real_options():
     commands = list(_documented_commands())
     assert len(commands) > 10
     unknown = [f"{where}: {package} {option}"
-               for where, package, options in commands
+               for where, package, _names, options in commands
                for option in options if option not in helps[package]]
     assert not unknown, unknown
+    studies = set(_registry()) | {"all"}
+    named = [(where, package, name) for where, package, names, _options
+             in commands for name in names]
+    assert any(package == "repro.bench" for _where, package, _name in named)
+    unnamed = [f"{where}: {package} {name}"
+               for where, package, name in named
+               if package != "repro.bench" or name not in studies]
+    assert not unnamed, unnamed
+
+
+def test_bench_cli_has_five_options_and_runs_every_name_by_registry():
+    """A study is a registry name, not a flag: the CLI's only options
+    shape how names run, and every study sits outside the paper's
+    set."""
+    from repro.bench.__main__ import main
+    from repro.bench.harness import EXPERIMENTS, _registry
+
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        main(["--help"])
+    options = set(re.findall(r"--[a-z][a-z0-9-]*", out.getvalue()))
+    assert options == {"--help", "--quick", "--csv", "--loss",
+                       "--fault-seed", "--out"}
+    studies = set(_registry()) - set(EXPERIMENTS)
+    assert studies == {"conformance", "nic-collectives", "explain", "pdes",
+                       "chaos"}
+
+
+def test_pdes_study_returns_the_one_shard_table_at_every_shard_count():
+    from repro.bench import run_experiment
+
+    result = run_experiment("pdes", quick=True)
+    assert result.column("nshards") == [1, 2, 4]
+    assert result.column("vs_1_shard")[0] == 1.0
+    assert all(windows > 1 for windows in result.column("windows")[1:])
+    assert "cores" in result.notes[0]

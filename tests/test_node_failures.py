@@ -472,3 +472,87 @@ def test_peer_dies_while_fragments_are_held(fast):
     assert results[0] in ("finished", "MpiProcFailed")
     assert results[1] == "MpiProcFailed"
     assert all(not channel.held for channel in channels)
+
+
+def _relay_fault_run(fast, fault, nbytes):
+    """MPI send 0 -> 10 on a 4x4x1 torus, whose SDF path is
+    0 -> 4 -> 8 -> 9 -> 10, while relay rank 8 suffers ``fault``.
+    Returns the two ranks' finish times and the retransmit count."""
+    from repro import fastpath
+
+    with fastpath.force(fast):
+        cluster = build_mesh((4, 4, 1), stack="via", node_faults=[fault])
+        comms = build_world(cluster)
+
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.isend(10, 1, nbytes).wait()
+            elif comm.rank == 10:
+                yield from comm.irecv(0, 1, nbytes).wait()
+            return comm.engine.sim.now
+
+        results = run_mpi(cluster, program, comms=comms, limit=100_000.0)
+    return results[0], results[10], \
+        cluster.reliability_stats()["retransmits"]
+
+
+RELAY_FAULTS = {
+    "crash-8k": (NodeFaultSpec(rank=8, crash_at=300.0), 8192),
+    "crash-2k": (NodeFaultSpec(rank=8, crash_at=300.0), 2048),
+    "nic-down-8k": (NodeFaultSpec(rank=8, nic_down=((250.0, 400.0),)),
+                    8192),
+}
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("case", sorted(RELAY_FAULTS))
+def test_a_relay_fault_does_not_break_a_message_between_live_ranks(
+        case, fast):
+    """Reliability is end to end: a fault on a relay, not on either
+    endpoint's own links, still engages the per-VI windows on every
+    node, and they resend what the relay took over a detour.  Without
+    that, 4-12 KB raised "fragment for wrong message", 2 KB hung, and
+    a relay whose NIC went down for 150 us hung at 8 KB."""
+    fault, nbytes = RELAY_FAULTS[case]
+    sent, received, retransmits = _relay_fault_run(fast, fault, nbytes)
+    assert retransmits >= 1
+    assert sent < received < 5_000.0
+    if case == "crash-8k":
+        # The same instant as with ViaParams(reliable=True) pinned.
+        assert received == pytest.approx(563.7116992481194)
+        assert retransmits == 1
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+def test_a_busy_live_neighbour_is_not_declared_dead(fast):
+    """A 1 MB burst 0 -> 7 on 2x2x2 queues rank 0's keepalives behind
+    it for longer than ``fd_timeout``; the burst's own frames prove
+    rank 0 alive, so nobody declares it dead and the receive
+    completes (it used to end in MpiProcFailed at ~1.46 ms)."""
+    from repro import fastpath
+
+    with fastpath.force(fast):
+        cluster = _faulty_mesh(victim=5, crash_at=10e6)
+        comms = build_world(cluster)
+
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.isend(7, 1, 1 << 20).wait()
+            elif comm.rank == 7:
+                yield from comm.irecv(0, 1, 1 << 20).wait()
+            return "finished"
+
+        results = run_mpi(cluster, program, comms=comms, limit=100_000.0)
+    assert results == ["finished"] * 8
+    assert cluster.death_log == []
+
+
+def test_connect_retry_without_a_live_route_drops_the_attempt():
+    """Chaos seed 1's scatter campaign: rank 3 crashes while rank 0 is
+    still connecting to it, and a CONNECT retry finds no live route.
+    The retry drops that attempt (as a data resend does) instead of
+    raising out of its timer process and killing the run."""
+    outcome = chaos.run_campaign(7, fault_seed=1)
+    assert (outcome.scenario, outcome.victim) == ("scatter", 3)
+    assert outcome.crash_landed and outcome.survivors == 7
+    assert outcome.deterministic

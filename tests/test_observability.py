@@ -25,9 +25,9 @@ from repro.obs import (
 from repro.obs.export import (
     api_overhead_per_message,
     breakdown_table,
-    to_chrome_trace,
+    recorder_items,
+    render_trace_events,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.sim import Simulator
 from repro.sim.monitor import Probe, SampleStats, Trace
@@ -290,12 +290,11 @@ def test_metrics_series_populated():
 # Exporters.
 # ---------------------------------------------------------------------------
 
-def test_chrome_trace_schema_and_roundtrip(tmp_path):
+def test_chrome_trace_schema_and_roundtrip():
     _, recorder = _recorded_latency(hops=2)
-    path = tmp_path / "out.json"
-    trace = write_chrome_trace(recorder, str(path))
+    trace = render_trace_events(recorder_items(recorder))
     assert validate_chrome_trace(trace) == []
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(trace))
     assert validate_chrome_trace(loaded) == []
     events = loaded["traceEvents"]
     phases = {e["ph"] for e in events}
@@ -333,7 +332,7 @@ def test_breakdown_matches_paper_host_overhead():
 
 def test_export_handles_empty_recorder():
     recorder = FlightRecorder()
-    trace = to_chrome_trace(recorder)
+    trace = render_trace_events(recorder_items(recorder))
     assert validate_chrome_trace(trace) == []
     assert trace["traceEvents"] == []
     assert api_overhead_per_message(recorder) == 0.0
@@ -385,14 +384,11 @@ def test_hang_report_includes_recent_spans():
 def test_cli_trace_and_breakdown(tmp_path, capsys):
     from repro.bench.__main__ import main
 
-    out = tmp_path / "trace.json"
-    assert main(["--trace", str(out), "--quick"]) == 0
+    assert main(["explain", "--out", str(tmp_path), "--quick"]) == 0
+    out = tmp_path / "explain-trace.json"
     assert validate_chrome_trace(json.loads(out.read_text())) == []
     captured = capsys.readouterr().out
     assert "kinds" in captured and "perfetto" in captured.lower()
-
-    assert main(["--breakdown", "--quick"]) == 0
-    captured = capsys.readouterr().out
     assert "api overhead per message" in captured
 
 

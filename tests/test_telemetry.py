@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 
@@ -543,3 +544,35 @@ def test_a_request_leaves_nothing_behind(monkeypatch):
     _stub_router_run(hits=120)
     assert len(tel.wall_spans) == 50
     assert {span.track for span in tel.wall_spans} == {"service"}
+
+
+def test_explain_writes_one_unified_trace_and_leaves_the_plane_off(
+        tmp_path):
+    """``explain`` is one run with the recorder and the plane on: every
+    number the old observation surfaces printed, one file with both
+    clock domains (the collective's and the PDES run's sim tracks next
+    to the wall spans), and the plane off again afterwards."""
+    from repro.bench.harness import EXPERIMENTS, run_experiment
+    from repro.telemetry.export import validate_unified_trace
+
+    assert "explain" not in EXPERIMENTS
+    text = run_experiment("explain", quick=True,
+                          out=str(tmp_path)).render()
+    assert os.listdir(tmp_path) == ["explain-trace.json"]
+    trace = json.loads((tmp_path / "explain-trace.json").read_text())
+    assert validate_unified_trace(trace) == []
+    tracks = {event["args"]["name"] for event in trace["traceEvents"]
+              if event.get("name") == "process_name"}
+    for prefix in ("wall:", "sim:collective/", "sim:pdes/"):
+        assert any(track.startswith(prefix) for track in tracks), prefix
+    for needle in ("span kind", "api overhead per message: 6.360 us",
+                   "host us/op", "nic tier cuts host time per op",
+                   "traced collective", "top counters:", "p50 / p99",
+                   "last 1 of 1 events:", "pdes.recovery",
+                   "unified trace:"):
+        assert needle in text, needle
+    assert not telemetry.enabled()
+
+    tel = telemetry.enable("already-on")
+    run_experiment("explain", quick=True)
+    assert telemetry.ACTIVE is tel
