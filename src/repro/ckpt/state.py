@@ -106,8 +106,8 @@ def cluster_signature(cluster) -> dict:
                         "rx_expected": ch.rx_expected,
                         "held": sorted(ch.held),
                         "unacked": len(ch.unacked),
-                        "rto": _hexf(ch.rto),
-                        "retries": ch.retries,
+                        "rto": _hexf(ch.timer.rto),
+                        "retries": ch.timer.retries,
                         "stats": dict(ch.stats),
                     }
                     for vi_id, ch in sorted(agent._channels.items())

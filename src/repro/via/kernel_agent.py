@@ -28,7 +28,7 @@ from repro.via.packet import (
     PacketKind,
     ViaPacket,
 )
-from repro.via.reliability import ReliableChannel
+from repro.via.reliability import ReliableChannel, RtoTimer
 from repro.via.vi import VI, ViState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,8 +48,8 @@ class KernelAgent:
         self._listeners: Dict[object, Tuple[VI, object]] = {}
         #: discriminator -> queued CONNECT packets that arrived early.
         self._early_connects: Dict[object, List[ViaPacket]] = {}
-        #: vi_id -> wake event for pending connect_request.
-        self._connectors: Dict[int, object] = {}
+        #: vi_id -> (wake event, CONNECT timer) of a connect_request.
+        self._connectors: Dict[int, Tuple[object, RtoTimer]] = {}
         #: Frames awaiting an egress ring slot (switch backlog).
         self._switch_backlog = Store(device.sim,
                                      name=f"switchbl[{device.rank}]")
@@ -98,19 +98,20 @@ class KernelAgent:
             raise ViaError(f"{vi!r} cannot connect from {vi.state.value}")
         vi.state = ViState.CONNECT_PENDING
         wake = self.sim.event(name=f"connect:{vi.vi_id}")
-        self._connectors[vi.vi_id] = wake
+        # No connection yet, so no per-VI window: the active side
+        # re-sends CONNECT on a timer of its own until ACCEPT lands.
+        timer = RtoTimer(
+            self.sim, self.device.params,
+            lambda: self._resend_connect(vi, dst_node, discriminator),
+            lambda: self._connect_exhausted(vi, dst_node),
+            f"connect-rto[{self.device.rank}:{vi.vi_id}]")
+        self._connectors[vi.vi_id] = (wake, timer)
         yield from self.device.transmit_control(
             dst_node, PacketKind.CONNECT, dst_vi=0, src_vi=vi.vi_id,
             payload=discriminator,
         )
-        if self.device.reliable:
-            # Handshake frames are not covered by the per-VI windows
-            # (no connection yet), so the active side re-sends CONNECT
-            # on its own timer until the ACCEPT lands.
-            self.sim.spawn(
-                self._connect_retry(vi, dst_node, discriminator),
-                name=f"connect-rto[{self.device.rank}:{vi.vi_id}]",
-            )
+        if self.device.reliable and vi.vi_id in self._connectors:
+            timer.start()
         peer = yield wake
         if peer is None:
             vi.state = ViState.ERROR
@@ -119,38 +120,29 @@ class KernelAgent:
         vi.state = ViState.CONNECTED
         return vi
 
-    def _connect_retry(self, vi: VI, dst_node: int, discriminator):
-        """Process: retransmission timer for an in-flight CONNECT."""
-        params = self.device.params
-        rto = params.rel_rto
-        retries = 0
-        while vi.vi_id in self._connectors:
-            yield self.sim.timeout(rto)
-            if vi.vi_id not in self._connectors:
-                return
-            retries += 1
-            if retries > params.rel_max_retries:
-                wake = self._connectors.pop(vi.vi_id)
-                vi.error = ViaError(
-                    f"{vi!r}: connect to node {dst_node} failed after "
-                    f"{params.rel_max_retries} retries"
-                )
-                self.stats["rel_failures"] += 1
-                wake.succeed(None)
-                self.suspect(dst_node, "connect retries exhausted")
-                return
-            self.stats["connect_retries"] += 1
-            rto = min(rto * params.rel_rto_backoff, params.rel_rto_max)
-            try:
-                yield from self.device.transmit_control(
-                    dst_node, PacketKind.CONNECT, dst_vi=0,
-                    src_vi=vi.vi_id, payload=discriminator,
-                )
-            except ViaError:
-                # No live route (a node fault cut every path): drop
-                # this attempt.  A later retry finds a route, or the
-                # budget runs out and the peer is suspected.
-                pass
+    def _pop_connector(self, vi_id: int):
+        """The pending connect's wake event, its timer stopped."""
+        wake, timer = self._connectors.pop(vi_id)
+        timer.stop()
+        return wake
+
+    def _resend_connect(self, vi: VI, dst_node: int, discriminator):
+        """Process: one CONNECT retransmission.  With no live route it
+        is dropped: a later one finds a route, or the budget runs out
+        and the peer is suspected."""
+        self.stats["connect_retries"] += 1
+        return self._send_control_safe(dst_node, PacketKind.CONNECT,
+                                       discriminator, vi.vi_id)
+
+    def _connect_exhausted(self, vi: VI, dst_node: int) -> None:
+        wake = self._pop_connector(vi.vi_id)
+        vi.error = ViaError(
+            f"{vi!r}: connect to node {dst_node} failed after "
+            f"{self.device.params.rel_max_retries} retries"
+        )
+        self.stats["rel_failures"] += 1
+        wake.succeed(None)
+        self.suspect(dst_node, "connect retries exhausted")
 
     def connect_wait(self, vi: VI, discriminator):
         """Process: passive side (VipConnectWait + VipConnectAccept)."""
@@ -532,8 +524,7 @@ class KernelAgent:
 
     def _handle_accept(self, packet: ViaPacket):
         yield self.sim.timeout(self.CONNECT_HANDLING_COST)
-        wake = self._connectors.pop(packet.dst_vi, None)
-        if wake is None:
+        if packet.dst_vi not in self._connectors:
             vi = self.device.vis.get(packet.dst_vi)
             if (vi is not None and vi.state is ViState.CONNECTED
                     and vi.peer == (packet.src_node, packet.src_vi)):
@@ -545,7 +536,8 @@ class KernelAgent:
                 f"node {self.device.rank}: ACCEPT for VI {packet.dst_vi} "
                 "with no pending connect"
             )
-        wake.succeed((packet.src_node, packet.src_vi))
+        self._pop_connector(packet.dst_vi).succeed(
+            (packet.src_node, packet.src_vi))
 
     def _handle_disconnect(self, packet: ViaPacket):
         yield self.sim.timeout(self.CONNECT_HANDLING_COST)
@@ -651,11 +643,6 @@ class KernelAgent:
         self._fd.suspect(rank, reason)
         return True
 
-    def report_retry_exhausted(self, vi: VI) -> None:
-        """Reliable-channel evidence against ``vi``'s peer node."""
-        if vi.peer is not None:
-            self.suspect(vi.peer[0], "retry budget exhausted")
-
     def on_peer_dead(self, dead_rank: int, reason: str = "declared dead"
                      ) -> None:
         """Local teardown for a remote node's death (idempotent).
@@ -693,7 +680,7 @@ class KernelAgent:
         for vi in list(device.vis.values()):
             self._fail_vi(vi, ViaError(f"{vi!r}: local {reason}"))
         for vi_id in list(self._connectors):
-            wake = self._connectors.pop(vi_id)
+            wake = self._pop_connector(vi_id)
             vi = device.vis.get(vi_id)
             if vi is not None and vi.error is None:
                 vi.error = ViaError(f"{vi!r}: local {reason}")
@@ -723,12 +710,12 @@ class KernelAgent:
             vi.fail_recv(descriptor)
 
     def _send_control_safe(self, dst_node: int, kind: PacketKind,
-                           payload=None):
+                           payload=None, src_vi: int = -1):
         """Process: best-effort control frame; unreachable peers are
         dropped silently (keepalives and death gossip are datagrams)."""
         try:
             yield from self.device.transmit_control(
-                dst_node, kind, dst_vi=0, src_vi=-1, payload=payload,
+                dst_node, kind, dst_vi=0, src_vi=src_vi, payload=payload,
             )
         except ViaError:
             pass

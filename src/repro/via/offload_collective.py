@@ -30,10 +30,10 @@ The machine, per node, over the dimension-order tree of the torus:
   :class:`~repro.errors.ViaError`, which the communicator turns into
   ``MpiProcFailed``;
 * **reliability** — iff ``device.reliable`` (some link can lose frames)
-  every frame carries a per-peer sequence number, receivers return
-  cumulative ACKs and an RTO timer goes back N on the VI layer's
-  ``rel_rto`` / backoff / budget knobs.  On a lossless fabric frames
-  stay unsequenced and no ACK exists.
+  every frame carries a per-peer sequence number and receivers return
+  cumulative ACKs; one :class:`~repro.via.reliability.RtoTimer` per
+  peer resends every unACKed frame to it.  On a lossless fabric frames
+  stay unsequenced and no ACK or timer exists.
 
 A site says only what differs: wire kinds and span names, what the
 deposit and each arriving kind cost, where arrival runs (inside the
@@ -65,6 +65,7 @@ from repro.via.packet import (
     PacketKind,
     ViaPacket,
 )
+from repro.via.reliability import RtoTimer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.via.device import ViaDevice
@@ -140,8 +141,7 @@ class TreeCollective:
         self._tx_next: Dict[int, int] = {}
         self._unacked: Dict[int, Dict[int, ViaPacket]] = {}
         self._rx_next: Dict[int, int] = {}
-        self._retries: Dict[int, int] = {}
-        self._rto_armed: set = set()
+        self._timers: Dict[int, RtoTimer] = {}
         self.stats = {
             "collectives": 0, "frames": 0, "combines": 0,
             "forwards": 0, "completions": 0, "aborted": 0,
@@ -172,16 +172,22 @@ class TreeCollective:
                 waiter.fail(error)
         self._ops.clear()
 
+    def _forget(self, peer: int) -> None:
+        """Drop what is outstanding to ``peer`` and stop its timer."""
+        if self._unacked.pop(peer, None) is not None:
+            self._timers[peer].stop()
+
     def on_peer_dead(self, dead_rank: int, reason: str = "") -> None:
         """Abort in-flight collectives: a participant died mid-wave."""
-        self._unacked.pop(dead_rank, None)
+        self._forget(dead_rank)
         self._fail_pending(ViaError(
             f"node {self.rank}: {self.label} collective aborted, node "
             f"{dead_rank} {reason or 'declared dead'}"
         ))
 
     def on_local_crash(self, reason: str = "node crashed") -> None:
-        self._unacked.clear()
+        for peer in list(self._unacked):
+            self._forget(peer)
         self._fail_pending(ViaError(
             f"node {self.rank}: {self.label} collective aborted, "
             f"local {reason}"
@@ -331,7 +337,7 @@ class TreeCollective:
                 for seq in acked:
                     del unacked[seq]
                 if acked:
-                    self._retries[peer] = 0
+                    self._timers[peer].progress(not unacked)
             return False
         if packet.seq < 0:
             return True
@@ -387,11 +393,14 @@ class TreeCollective:
             self._tx_next[dst] = seq + 1
             packet.seq = seq
             self._unacked.setdefault(dst, {})[seq] = packet
-            if dst not in self._rto_armed:
-                self._rto_armed.add(dst)
-                self.sim.spawn(
-                    self._rto_loop(dst),
-                    name=f"{self.prefix}-rto[{self.rank}->{dst}]")
+            timer = self._timers.get(dst)
+            if timer is None:
+                timer = self._timers[dst] = RtoTimer(
+                    self.sim, self.device.params,
+                    lambda: self._resend(dst),
+                    lambda: self._peer_unresponsive(dst),
+                    f"{self.prefix}-rto[{self.rank}->{dst}]")
+            timer.start()
         packet.seal()
         if self.sim.recorder is not None:
             packet.trace = state.trace
@@ -428,46 +437,22 @@ class TreeCollective:
         self.sim.spawn(self._transmit(dst, packet, None),
                        name=f"{self.prefix}-ack[{self.rank}]")
 
-    def _rto_loop(self, dst: int):
-        """Process: per-peer retransmission timer (go-back-N)."""
-        params = self.device.params
-        sim = self.sim
-        try:
-            while True:
-                unacked = self._unacked.get(dst)
-                if not unacked:
-                    return
-                before = min(unacked)
-                yield sim.timeout(min(
-                    params.rel_rto * (params.rel_rto_backoff
-                                      ** self._retries.get(dst, 0)),
-                    params.rel_rto_max,
-                ))
-                unacked = self._unacked.get(dst)
-                if not unacked:
-                    return
-                if min(unacked) > before:
-                    continue  # progress while we slept; fresh timer
-                retries = self._retries[dst] = (
-                    self._retries.get(dst, 0) + 1)
-                if retries > params.rel_max_retries:
-                    self._peer_unresponsive(dst)
-                    return
-                for seq in sorted(unacked):
-                    self.stats["retransmits"] += 1
-                    sim.spawn(
-                        self._transmit(dst, unacked[seq].clone(),
-                                       unacked[seq].trace),
-                        name=f"{self.prefix}-rtx[{self.rank}->{dst}]",
-                    )
-        finally:
-            self._rto_armed.discard(dst)
+    def _resend(self, dst: int) -> None:
+        """The timer's resend: every unacknowledged frame to ``dst``."""
+        unacked = self._unacked[dst]
+        for seq in sorted(unacked):
+            self.stats["retransmits"] += 1
+            self.sim.spawn(
+                self._transmit(dst, unacked[seq].clone(),
+                               unacked[seq].trace),
+                name=f"{self.prefix}-rtx[{self.rank}->{dst}]",
+            )
 
     def _peer_unresponsive(self, dst: int) -> None:
         """Retry budget exhausted: out-of-band death evidence.  With a
         failure detector armed its verdict comes back through
         ``on_peer_dead`` and aborts every waiter."""
-        self._unacked.pop(dst, None)
+        self._forget(dst)
         if not self.device.agent.suspect(
                 dst, f"{self.label} collective retry budget exhausted"):
             self._fail_pending(ViaError(

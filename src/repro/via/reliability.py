@@ -1,39 +1,32 @@
-"""Per-VI reliable-delivery channels: selective repeat over the mesh.
+"""Per-VI reliable-delivery channels: selective repeat over the mesh,
+and the one retransmission timer every recovery path runs.
 
 The modified M-VIA's checksums (section 4) only give *detection* — a
-damaged frame is dropped, and without recovery the message is gone.
-This module supplies the recovery half.  The related PM/Ethernet and
-APENet clusters layered go-back-N over their unreliable mesh links;
-a VI's path is FIFO, so a sequence gap *is* a loss, and this channel
+damaged frame is dropped.  This module supplies the recovery half.  A
+VI's path is FIFO, so a sequence gap *is* a loss, and a channel
 repeats only what was lost:
 
 * every DATA/RMA fragment carries a per-VI sequence number
-  (:attr:`~repro.via.packet.ViaPacket.seq`);
-* the sender keeps a bounded window of unacknowledged fragments, with
-  a retransmission timer and exponential backoff; a bounded budget of
-  consecutive timeouts without progress transitions the VI to ERROR
-  and fails its pending sends (the VIA error surface);
+  (:attr:`~repro.via.packet.ViaPacket.seq`); the sender keeps a
+  bounded window of the unacknowledged ones;
 * the receiver holds fragments past a gap (at most a window of them)
-  and sends **one** NACK per gap: an ACK packet whose ``seq`` names
-  the missing fragment; the sender resends just that fragment, and on
-  an RTO expiry just the head of its window;
+  and sends **one** NACK per gap (an ACK whose ``seq`` names the
+  missing fragment); the sender resends just that fragment;
 * the fragment that fills a gap releases the held run behind it, so
-  reassembly sees exactly the lossless frame stream; duplicates (held
-  ones included) are dropped and re-ACKed;
+  reassembly sees the lossless frame stream; duplicates (held ones
+  included) are dropped and re-ACKed;
 * ACKs are cumulative, delayed (every ``rel_ack_every`` frames or
-  ``rel_ack_delay`` us), and piggybacked on reverse-direction data
-  (:attr:`~repro.via.packet.ViaPacket.ack`);
-* every ACK field is read when the NIC fetches its frame (the frame's
-  ``on_fetched`` hook), so a frame that waited in the transmit ring
-  behind a long burst still leaves with the current cumulative ACK,
-  and the delayed-ACK timer stands down only when it has left.
+  ``rel_ack_delay`` us), piggybacked on reverse data, and read when
+  the NIC fetches their frame (its ``on_fetched`` hook);
+* an :class:`RtoTimer` expiry resends the window's head; a spent
+  budget moves the VI to ERROR, fails its pending sends and hands the
+  peer to ``KernelAgent.suspect``.  The CONNECT handshake and the
+  offload collectives run the same timer: only what an expiry resends
+  and what a spent budget fails differ.
 
 Channels live in the node's :class:`~repro.via.kernel_agent.KernelAgent`
-(one per local VI) and hold both the transmit state for the VI's
-outgoing sequence space and the receive state for frames addressed to
-it.  All timer and ACK scheduling uses the deterministic simulation
-clock, so a given fault seed reproduces the identical recovery
-schedule on every run.
+(one per local VI, both directions).  Every timer runs on the
+simulation clock, so a fault seed reproduces its recovery schedule.
 """
 
 from __future__ import annotations
@@ -76,6 +69,64 @@ class _SendEntry:
         self.descriptor = descriptor
 
 
+class RtoTimer:
+    """The one retransmission timer, of a VI, a CONNECT or an offload
+    peer.  :meth:`start` arms a full ``rel_rto``; ACK :meth:`progress`
+    resets backoff and budget and restarts a full RTO, or disarms when
+    nothing is left; :meth:`stop` disarms.  Each expiry backs off by
+    ``rel_rto_backoff`` (capped at ``rel_rto_max``) and runs
+    ``on_expire`` and the generator it returns, if any; the one after
+    ``rel_max_retries`` runs ``on_exhausted`` instead.  One process,
+    spawned on demand, sleeps toward the deadline."""
+
+    __slots__ = ("sim", "params", "on_expire", "on_exhausted", "name",
+                 "rto", "retries", "deadline", "armed", "_running")
+
+    def __init__(self, sim, params, on_expire, on_exhausted, name):
+        self.sim, self.params, self.name = sim, params, name
+        self.on_expire, self.on_exhausted = on_expire, on_exhausted
+        self.rto = params.rel_rto
+        #: Consecutive expiries without progress.
+        self.retries = 0
+        self.deadline = 0.0
+        self.armed = self._running = False
+
+    def start(self) -> None:
+        self.armed = True
+        if not self._running:
+            self._running = True
+            self.deadline = self.sim.now + self.rto
+            self.sim.spawn(self._run(), name=self.name)
+
+    def progress(self, idle: bool) -> None:
+        self.retries = 0
+        self.rto = self.params.rel_rto
+        self.deadline = self.sim.now + self.rto
+        self.armed = self.armed and not idle
+
+    def stop(self) -> None:
+        self.armed = False
+
+    def _run(self):
+        sim, params = self.sim, self.params
+        while self.armed:
+            if sim.now < self.deadline:
+                yield sim.sleep_until(self.deadline)
+                continue
+            self.retries += 1
+            if self.retries > params.rel_max_retries:
+                self.armed = False
+                self.on_exhausted()
+                break
+            self.rto = min(self.rto * params.rel_rto_backoff,
+                           params.rel_rto_max)
+            self.deadline = sim.now + self.rto
+            resend = self.on_expire()
+            if resend is not None:
+                yield from resend
+        self._running = False
+
+
 class ReliableChannel:
     """Reliable-delivery state of one VI (both directions)."""
 
@@ -87,11 +138,9 @@ class ReliableChannel:
         # -- transmit side -------------------------------------------------
         self.next_seq = 0
         self.unacked: deque = deque()
-        self.rto = self.params.rel_rto
-        #: Consecutive timeouts without cumulative-ACK progress.
-        self.retries = 0
-        self._deadline = 0.0
-        self._timer_running = False
+        self.timer = RtoTimer(
+            self.sim, self.params, self._expire, self._fail,
+            f"rel-rto[{agent.device.rank}:{vi.vi_id}]")
         self._window_waiters: list = []
         # -- receive side --------------------------------------------------
         #: Next in-order sequence number expected from the peer.
@@ -145,7 +194,7 @@ class ReliableChannel:
                 float(len(self.unacked)),
             )
         yield from self._send_entry(entry, route)
-        self._ensure_timer()
+        self.timer.start()
 
     def _send_entry(self, entry: _SendEntry, route: Optional[tuple]):
         """Process: put one wire copy of ``entry`` on the egress ring."""
@@ -179,44 +228,23 @@ class ReliableChannel:
         yield from port.enqueue_tx(frame)
 
     # -- retransmission timer ----------------------------------------------
-    def _ensure_timer(self) -> None:
-        if not self._timer_running and self.unacked:
-            self._timer_running = True
-            self._deadline = self.sim.now + self.rto
-            self.sim.spawn(
-                self._timer_loop(),
-                name=f"rel-rto[{self.agent.device.rank}:{self.vi.vi_id}]",
-            )
+    def _timeout(self) -> None:
+        """Count one RTO expiry (the budget's last one included)."""
+        retries = self.timer.retries
+        stats = self.stats
+        stats["max_retry_streak"] = max(stats["max_retry_streak"], retries)
+        stats["timeouts"] += 1
+        self.agent.stats["timeouts"] += 1
+        head = self.unacked[0].packet
+        if self.sim.recorder is not None and head.trace is not None:
+            self.sim.recorder.event(
+                head.trace, _TIMEOUT, f"vi{self.vi.vi_id} rto{retries}",
+                f"n{self.agent.device.rank}", self.sim.now)
 
-    def _timer_loop(self):
-        params = self.params
-        agent = self.agent
-        while self.unacked:
-            if self.sim.now < self._deadline:
-                yield self.sim.sleep_until(self._deadline)
-                continue
-            # The timer expired with fragments still unacknowledged.
-            self.retries += 1
-            if self.retries > self.stats["max_retry_streak"]:
-                self.stats["max_retry_streak"] = self.retries
-            self.stats["timeouts"] += 1
-            agent.stats["timeouts"] += 1
-            rec = self.sim.recorder
-            if rec is not None and self.unacked:
-                head = self.unacked[0].packet
-                if head.trace is not None:
-                    rec.event(head.trace, _TIMEOUT,
-                              f"vi{self.vi.vi_id} rto{self.retries}",
-                              f"n{agent.device.rank}", self.sim.now)
-            if self.retries > params.rel_max_retries:
-                self._fail()
-                break
-            self.rto = min(self.rto * params.rel_rto_backoff,
-                           params.rel_rto_max)
-            self._deadline = self.sim.now + self.rto
-            # Resend only the head: the receiver holds what followed it.
-            yield from self._retransmit(self.unacked[0])
-        self._timer_running = False
+    def _expire(self):
+        """Resend only the head: the receiver holds what followed it."""
+        self._timeout()
+        return self._retransmit(self.unacked[0])
 
     def _retransmit(self, entry: _SendEntry):
         """Process: put one more wire copy of ``entry`` on the ring."""
@@ -235,18 +263,18 @@ class ReliableChannel:
 
     def _fail(self) -> None:
         """Retry budget exhausted: surface a VIA error on the VI."""
+        self._timeout()
         vi = self.vi
         self.agent.stats["rel_failures"] += 1
         self.fail_peer_dead(ViaError(
             f"{vi!r}: reliable delivery failed after "
             f"{self.params.rel_max_retries} retransmission timeouts "
-            f"(seq {self.unacked[0].seq if self.unacked else '?'} "
-            f"unacknowledged)"
+            f"(seq {self.unacked[0].seq} unacknowledged)"
         ))
         # A whole retry budget burned without one ACK is strong
         # evidence the peer is gone — hand it to the failure detector
         # (a no-op unless the cluster carries node faults).
-        self.agent.report_retry_exhausted(vi)
+        self.agent.suspect(vi.peer[0], "retry budget exhausted")
 
     def fail_peer_dead(self, error: ViaError) -> None:
         """Tear down the transmit side: the peer is (as good as) dead.
@@ -262,6 +290,7 @@ class ReliableChannel:
             vi.state = ViState.ERROR
             vi.error = error
         self.held.clear()
+        self.timer.stop()
         while self.unacked:
             entry = self.unacked.popleft()
             if entry.descriptor is not None:
@@ -290,9 +319,7 @@ class ReliableChannel:
             if entry.descriptor is not None:
                 vi.complete_send(entry.descriptor)
         if progressed:
-            self.retries = 0
-            self.rto = self.params.rel_rto
-            self._deadline = self.sim.now + self.rto
+            self.timer.progress(not self.unacked)
             self._wake_window_waiters()
         if nack >= 0 and self.unacked and self.unacked[0].seq == nack:
             self.stats["nack_resends"] += 1
@@ -377,10 +404,7 @@ class ReliableChannel:
         """
         packet.ack = self.rx_expected - 1
         packet.seal()
-        self._note_ack_carried()
-
-    def _note_ack_carried(self) -> None:
-        """An ACK-carrying frame left; cancel the delayed-ACK timer."""
+        # An ACK-carrying frame left; cancel the delayed-ACK timer.
         if self._pending_ack or self._ack_armed:
             self._pending_ack = 0
             self._ack_gen += 1

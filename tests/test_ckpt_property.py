@@ -191,12 +191,18 @@ class TestRestoreGuards:
         links were not the sender's own, and took only keepalives as
         proof of a live neighbor, where 1.0.10 engages reliability on
         every node and counts every arriving frame: a cached chaos
-        payload or a node-fault digest differs."""
+        payload or a node-fault digest differs.  1.0.10 restarted the
+        offload collectives' retransmission timer from its own wake and
+        slept a CONNECT's timer on a ``Timeout``, where 1.0.11 restarts
+        every retransmission timer from the ACK and sleeps it toward an
+        absolute deadline: an offload result under loss or a reliable
+        run's digest differs."""
         from repro import __version__
-        assert __version__ == "1.0.10"
+        assert __version__ == "1.0.11"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
-                      "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9"):
+                      "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9",
+                      "1.0.10"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

@@ -237,7 +237,7 @@ def test_nic_arq_stays_cold_without_loss():
             assert not any(engine.stats[key] for key in ARQ_COUNTERS)
             # No frame was ever given a sequence number, none tracked.
             assert not engine._tx_next and not engine._rx_next
-            assert not engine._unacked and not engine._rto_armed
+            assert not engine._unacked and not engine._timers
         assert results[0]["sum0"] == np.float64(36.0)
 
 

@@ -13,12 +13,17 @@ them an RTO expiry sent rather than a NACK), duplicate frames,
 explicit ACKs (and how many of them were NACKs), fragments held past
 a gap (in total, and the most one channel held at once), and how many
 RTO expiries found their head fragment already delivered (the
-receiving channel's ``rx_expected`` past it).  It prints instead of
+receiving channel's ``rx_expected`` past it); and, on a reliable
+2-node pair, when message B is resent.  B is posted 50, 200 and 280
+us after message A was ACKed, and its one wire copy is lost.  A send
+into an idle window is owed a full RTO, so the resend should leave
+``rel_rto`` after the lost copy.  It prints instead of
 asserting, so the same file reads the state of any commit (a commit
 without NACKs or a held map reads zero for them): to measure a
 parent, export it (``git archive REV | tar -x -C DIR``), copy this
 file and that test file over it and run it there.  EXPERIMENTS.md,
-"ACKs read at fetch" and "Selective repeat", holds the numbers.
+"ACKs read at fetch", "Selective repeat" and "One retransmission
+timer", holds the numbers.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ import sys
 sys.path.insert(0, ".")
 
 from ledger.workloads import simulator_workloads  # noqa: E402
+from repro.hw.params import ViaParams  # noqa: E402
 from repro.via import reliability  # noqa: E402
+from repro.via.descriptors import (  # noqa: E402
+    RecvDescriptor, SendDescriptor,
+)
+from repro.via.packet import PacketKind  # noqa: E402
+from tests.conftest import make_via_pair  # noqa: E402
 from tests.test_reliability_clean_wire import SHAPES, _run  # noqa: E402
 
 LOSSY_SEEDS = (7, 11, 20050404)
@@ -118,7 +129,51 @@ def lossy_mesh() -> None:
               f"delivered), {outcome.failed} failed")
 
 
+def _idle_window_resend(gap: float):
+    """(post, lost copy, resend) instants of message B, posted ``gap``
+    us after message A (same VI, 0 -> 1) was ACKed."""
+    cluster, (vi0, r0), (vi1, r1) = make_via_pair(
+        via_params=ViaParams(reliable=True))
+    sim = cluster.sim
+    link = cluster.links[0]
+    judge = link._judge
+    copies, posts = [], []
+
+    def judged(side, frame):
+        if frame.payload.kind is PacketKind.DATA \
+                and frame.payload.src_node == 0:
+            copies.append(sim.now)
+            if len(copies) == 2:
+                link.stats["dropped"][side] += 1
+                return False
+        return judge(side, frame)
+
+    link._judge = judged
+    for _ in range(2):
+        vi1.post_recv(RecvDescriptor(r1, 0, 64))
+
+    def sender():
+        for wait in (0.0, gap):
+            yield sim.timeout(wait)
+            posts.append(sim.now)
+            yield from vi0.post_send(SendDescriptor(r0, 0, 8))
+            yield from vi0.send_wait()
+
+    sim.run_until_complete(sim.spawn(sender()))
+    return posts[1], copies[1], copies[2]
+
+
+def idle_window() -> None:
+    print("send into an idle window: message B's one copy lost")
+    for gap in (50.0, 200.0, 280.0):
+        post, lost, resend = _idle_window_resend(gap)
+        print(f"  B posted {gap:.0f} us after A completed: resend leaves "
+              f"{resend - post:.1f} us after the post, "
+              f"{resend - lost:.1f} us after the lost copy")
+
+
 if __name__ == "__main__":
     _watch_expiries()
     clean_wire()
     lossy_mesh()
+    idle_window()
