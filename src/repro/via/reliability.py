@@ -71,16 +71,17 @@ class _SendEntry:
 
 class RtoTimer:
     """The one retransmission timer, of a VI, a CONNECT or an offload
-    peer.  :meth:`start` arms a full ``rel_rto``; ACK :meth:`progress`
-    resets backoff and budget and restarts a full RTO, or disarms when
-    nothing is left; :meth:`stop` disarms.  Each expiry backs off by
-    ``rel_rto_backoff`` (capped at ``rel_rto_max``) and runs
-    ``on_expire`` and the generator it returns, if any; the one after
-    ``rel_max_retries`` runs ``on_exhausted`` instead.  One process,
-    spawned on demand, sleeps toward the deadline."""
+    peer.  :meth:`start` arms a full ``rel_rto`` unless armed already
+    (RFC 6298, 5.1); ACK :meth:`progress` resets backoff and budget and
+    restarts a full RTO, or disarms when nothing is left; :meth:`stop`
+    disarms.  Each expiry backs off by ``rel_rto_backoff`` (capped at
+    ``rel_rto_max``) and runs ``on_expire`` and the generator it
+    returns, if any; the one after ``rel_max_retries`` runs
+    ``on_exhausted`` instead.  Each arming spawns one process that
+    sleeps toward the deadline; a disarmed one exits when it wakes."""
 
     __slots__ = ("sim", "params", "on_expire", "on_exhausted", "name",
-                 "rto", "retries", "deadline", "armed", "_running")
+                 "rto", "retries", "deadline", "armed", "_epoch")
 
     def __init__(self, sim, params, on_expire, on_exhausted, name):
         self.sim, self.params, self.name = sim, params, name
@@ -89,14 +90,15 @@ class RtoTimer:
         #: Consecutive expiries without progress.
         self.retries = 0
         self.deadline = 0.0
-        self.armed = self._running = False
+        self.armed = False
+        self._epoch = 0
 
     def start(self) -> None:
-        self.armed = True
-        if not self._running:
-            self._running = True
+        if not self.armed:
+            self.armed = True
             self.deadline = self.sim.now + self.rto
-            self.sim.spawn(self._run(), name=self.name)
+            self._epoch += 1
+            self.sim.spawn(self._run(self._epoch), name=self.name)
 
     def progress(self, idle: bool) -> None:
         self.retries = 0
@@ -107,9 +109,9 @@ class RtoTimer:
     def stop(self) -> None:
         self.armed = False
 
-    def _run(self):
+    def _run(self, epoch: int):
         sim, params = self.sim, self.params
-        while self.armed:
+        while self.armed and epoch == self._epoch:
             if sim.now < self.deadline:
                 yield sim.sleep_until(self.deadline)
                 continue
@@ -124,7 +126,6 @@ class RtoTimer:
             resend = self.on_expire()
             if resend is not None:
                 yield from resend
-        self._running = False
 
 
 class ReliableChannel:

@@ -194,9 +194,9 @@ class TestRestoreGuards:
         payload or a node-fault digest differs.  1.0.10 restarted the
         offload collectives' retransmission timer from its own wake and
         slept a CONNECT's timer on a ``Timeout``, where 1.0.11 restarts
-        every retransmission timer from the ACK and sleeps it toward an
-        absolute deadline: an offload result under loss or a reliable
-        run's digest differs."""
+        every retransmission timer from the ACK, sleeps it toward an
+        absolute deadline and gives a send into an idle window a full
+        RTO: a result under loss or a reliable run's digest differs."""
         from repro import __version__
         assert __version__ == "1.0.11"
         store = CheckpointStore(tmp_path)

@@ -10,6 +10,9 @@ spends the budget.  With node faults armed that reaches
 ``KernelAgent.suspect`` exactly once; without them it ends in the
 site's own error.
 
+A send into an idle window gets a full RTO (RFC 6298, 5.1), however
+recently the last ACK emptied the window.
+
 Every case runs under both schedulers.
 """
 
@@ -22,7 +25,9 @@ from repro.cluster.builder import build_mesh
 from repro.errors import ViaError
 from repro.hw.faults import NodeFaultSpec
 from repro.hw.params import ViaParams
-from repro.via.descriptors import DescriptorStatus, SendDescriptor
+from repro.via.descriptors import (
+    DescriptorStatus, RecvDescriptor, SendDescriptor,
+)
 from repro.via.packet import (
     KERNEL_COLLECTIVE_KINDS, NIC_COLLECTIVE_KINDS, PacketKind,
 )
@@ -150,3 +155,35 @@ def test_every_site_backs_off_on_one_schedule(site, faults, fast):
     assert suspected == [peer]
     assert agent._known_dead == ({peer} if faults else set())
 
+
+def _idle_window_resend(gap, fast):
+    """Message A goes 0 -> 1 and is ACKed; ``gap`` us later message B
+    is posted and its first wire copy lost.  Returns when B's copies
+    left."""
+    with fastpath.force(fast):
+        cluster, (vi0, r0), (vi1, r1) = make_via_pair(
+            via_params=ViaParams(reliable=True))
+        sim = cluster.sim
+        # Copy 0 is A's; copy 1, B's first, is lost.
+        copies = _wire_log(cluster, PacketKind.DATA, 0, lose=1)
+        for _ in range(2):
+            vi1.post_recv(RecvDescriptor(r1, 0, 64))
+
+        def sender():
+            for wait in (0.0, gap):
+                yield sim.timeout(wait)
+                yield from vi0.post_send(SendDescriptor(r0, 0, 8))
+                yield from vi0.send_wait()
+
+        sim.run_until_complete(sim.spawn(sender()))
+    return copies[1:]
+
+
+@both
+@pytest.mark.parametrize("gap", [50.0, 200.0, 280.0])
+def test_a_send_into_an_idle_window_gets_a_full_rto(gap, fast):
+    """B's resend leaves one full ``rel_rto`` after its first copy,
+    whether or not the timer that served A still sleeps toward A's
+    last deadline (it does at gaps of 50 and 200 us)."""
+    first, resend = _idle_window_resend(gap, fast)
+    assert resend - first == pytest.approx(ViaParams().rel_rto, abs=1e-9)
