@@ -48,8 +48,9 @@ class KernelAgent:
         self._listeners: Dict[object, Tuple[VI, object]] = {}
         #: discriminator -> queued CONNECT packets that arrived early.
         self._early_connects: Dict[object, List[ViaPacket]] = {}
-        #: vi_id -> (wake event, CONNECT timer) of a connect_request.
-        self._connectors: Dict[int, Tuple[object, RtoTimer]] = {}
+        #: vi_id -> (wake event, CONNECT timer if reliable) of a
+        #: connect_request.
+        self._connectors: Dict[int, Tuple[object, Optional[RtoTimer]]] = {}
         #: Frames awaiting an egress ring slot (switch backlog).
         self._switch_backlog = Store(device.sim,
                                      name=f"switchbl[{device.rank}]")
@@ -98,19 +99,22 @@ class KernelAgent:
             raise ViaError(f"{vi!r} cannot connect from {vi.state.value}")
         vi.state = ViState.CONNECT_PENDING
         wake = self.sim.event(name=f"connect:{vi.vi_id}")
-        # No connection yet, so no per-VI window: the active side
-        # re-sends CONNECT on a timer of its own until ACCEPT lands.
-        timer = RtoTimer(
-            self.sim, self.device.params,
-            lambda: self._resend_connect(vi, dst_node, discriminator),
-            lambda: self._connect_exhausted(vi, dst_node),
-            f"connect-rto[{self.device.rank}:{vi.vi_id}]")
+        timer = None
+        if self.device.reliable:
+            # No connection yet, so no per-VI window: the active side
+            # re-sends CONNECT on a timer of its own until ACCEPT lands.
+            timer = RtoTimer(
+                self.sim, self.device.params,
+                lambda: self._resend_connect(vi, dst_node, discriminator),
+                lambda: self._connect_exhausted(vi, dst_node),
+                f"connect-rto[{self.device.rank}:{vi.vi_id}]")
         self._connectors[vi.vi_id] = (wake, timer)
         yield from self.device.transmit_control(
             dst_node, PacketKind.CONNECT, dst_vi=0, src_vi=vi.vi_id,
             payload=discriminator,
         )
-        if self.device.reliable and vi.vi_id in self._connectors:
+        # Not if a local crash ended the connect during that send.
+        if timer is not None and vi.vi_id in self._connectors:
             timer.start()
         peer = yield wake
         if peer is None:
@@ -120,28 +124,27 @@ class KernelAgent:
         vi.state = ViState.CONNECTED
         return vi
 
-    def _pop_connector(self, vi_id: int):
-        """The pending connect's wake event, its timer stopped."""
+    def _end_connect(self, vi_id: int, peer) -> None:
+        """Stop a pending connect's timer and wake it with ``peer``."""
         wake, timer = self._connectors.pop(vi_id)
-        timer.stop()
-        return wake
+        if timer is not None:
+            timer.stop()
+        wake.succeed(peer)
 
     def _resend_connect(self, vi: VI, dst_node: int, discriminator):
-        """Process: one CONNECT retransmission.  With no live route it
-        is dropped: a later one finds a route, or the budget runs out
-        and the peer is suspected."""
+        """Process: one CONNECT resend, dropped if no route is live (a
+        later one finds a route, or the budget runs out)."""
         self.stats["connect_retries"] += 1
         return self._send_control_safe(dst_node, PacketKind.CONNECT,
                                        discriminator, vi.vi_id)
 
     def _connect_exhausted(self, vi: VI, dst_node: int) -> None:
-        wake = self._pop_connector(vi.vi_id)
         vi.error = ViaError(
             f"{vi!r}: connect to node {dst_node} failed after "
             f"{self.device.params.rel_max_retries} retries"
         )
         self.stats["rel_failures"] += 1
-        wake.succeed(None)
+        self._end_connect(vi.vi_id, None)
         self.suspect(dst_node, "connect retries exhausted")
 
     def connect_wait(self, vi: VI, discriminator):
@@ -536,8 +539,7 @@ class KernelAgent:
                 f"node {self.device.rank}: ACCEPT for VI {packet.dst_vi} "
                 "with no pending connect"
             )
-        self._pop_connector(packet.dst_vi).succeed(
-            (packet.src_node, packet.src_vi))
+        self._end_connect(packet.dst_vi, (packet.src_node, packet.src_vi))
 
     def _handle_disconnect(self, packet: ViaPacket):
         yield self.sim.timeout(self.CONNECT_HANDLING_COST)
@@ -640,7 +642,7 @@ class KernelAgent:
         """
         if self._fd is None:
             return False
-        self._fd.suspect(rank, reason)
+        self._fd.declare(rank, reason)
         return True
 
     def on_peer_dead(self, dead_rank: int, reason: str = "declared dead"
@@ -680,11 +682,10 @@ class KernelAgent:
         for vi in list(device.vis.values()):
             self._fail_vi(vi, ViaError(f"{vi!r}: local {reason}"))
         for vi_id in list(self._connectors):
-            wake = self._pop_connector(vi_id)
             vi = device.vis.get(vi_id)
             if vi is not None and vi.error is None:
                 vi.error = ViaError(f"{vi!r}: local {reason}")
-            wake.succeed(None)
+            self._end_connect(vi_id, None)
         engine = device.collective
         if engine is not None:
             engine.on_local_crash(reason)
@@ -763,11 +764,9 @@ class _FailureDetector:
         if peer is not None:
             self.last_heard[peer] = self.sim.now
 
-    def suspect(self, rank: int, reason: str) -> None:
-        """Out-of-band evidence (retry exhaustion) of a dead peer."""
-        self._declare(rank, reason)
-
-    def _declare(self, rank: int, reason: str) -> None:
+    def declare(self, rank: int, reason: str) -> None:
+        """Death verdict on ``rank``: from silence, or from a spent
+        retry budget (``KernelAgent.suspect``)."""
         agent = self.agent
         if rank == self.device.rank or rank in agent._known_dead:
             return
@@ -820,6 +819,6 @@ class _FailureDetector:
                 silence = now - self.last_heard[neighbor]
                 if (neighbor not in agent._known_dead
                         and silence > self.timeout):
-                    self._declare(
+                    self.declare(
                         neighbor, f"no keepalive for {silence:.0f}us",
                     )

@@ -439,12 +439,10 @@ class TreeCollective:
 
     def _resend(self, dst: int) -> None:
         """The timer's resend: every unacknowledged frame to ``dst``."""
-        unacked = self._unacked[dst]
-        for seq in sorted(unacked):
+        for packet in self._unacked[dst].values():  # in seq order
             self.stats["retransmits"] += 1
             self.sim.spawn(
-                self._transmit(dst, unacked[seq].clone(),
-                               unacked[seq].trace),
+                self._transmit(dst, packet.clone(), packet.trace),
                 name=f"{self.prefix}-rtx[{self.rank}->{dst}]",
             )
 

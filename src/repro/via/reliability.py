@@ -70,26 +70,27 @@ class _SendEntry:
 
 
 class RtoTimer:
-    """The one retransmission timer, of a VI, a CONNECT or an offload
-    peer.  :meth:`start` arms a full ``rel_rto`` unless armed already
-    (RFC 6298, 5.1); ACK :meth:`progress` resets backoff and budget and
-    restarts a full RTO, or disarms when nothing is left; :meth:`stop`
-    disarms.  Each expiry backs off by ``rel_rto_backoff`` (capped at
-    ``rel_rto_max``) and runs ``on_expire`` and the generator it
-    returns, if any; the one after ``rel_max_retries`` runs
-    ``on_exhausted`` instead.  Each arming spawns one process that
-    sleeps toward the deadline; a disarmed one exits when it wakes."""
+    """The one retransmission timer (of a VI, a CONNECT or an offload
+    peer).  :meth:`start` arms a full ``rel_rto`` unless armed (RFC 6298
+    5.1); ACK :meth:`progress` resets backoff and budget and restarts a
+    full RTO, or disarms if nothing is left; :meth:`stop` disarms.  An
+    expiry backs off (``rel_rto_backoff``, capped at ``rel_rto_max``)
+    and runs ``on_expire`` and any generator it returns; expiry
+    ``rel_max_retries + 1`` runs ``on_exhausted`` instead.  Each arming
+    spawns a process; a disarmed one exits when it wakes."""
 
     __slots__ = ("sim", "params", "on_expire", "on_exhausted", "name",
                  "rto", "retries", "deadline", "armed", "_epoch")
 
     def __init__(self, sim, params, on_expire, on_exhausted, name):
-        self.sim, self.params, self.name = sim, params, name
-        self.on_expire, self.on_exhausted = on_expire, on_exhausted
+        self.sim = sim
+        self.params = params
+        self.on_expire = on_expire
+        self.on_exhausted = on_exhausted
+        self.name = name
         self.rto = params.rel_rto
         #: Consecutive expiries without progress.
         self.retries = 0
-        self.deadline = 0.0
         self.armed = False
         self._epoch = 0
 
@@ -405,7 +406,10 @@ class ReliableChannel:
         """
         packet.ack = self.rx_expected - 1
         packet.seal()
-        # An ACK-carrying frame left; cancel the delayed-ACK timer.
+        self._note_ack_carried()
+
+    def _note_ack_carried(self) -> None:
+        """An ACK-carrying frame left; cancel the delayed-ACK timer."""
         if self._pending_ack or self._ack_armed:
             self._pending_ack = 0
             self._ack_gen += 1
