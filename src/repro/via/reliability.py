@@ -196,7 +196,8 @@ class ReliableChannel:
                 float(len(self.unacked)),
             )
         yield from self._send_entry(entry, route)
-        self.timer.start()
+        if self.unacked:  # not if a teardown emptied it meanwhile
+            self.timer.start()
 
     def _send_entry(self, entry: _SendEntry, route: Optional[tuple]):
         """Process: put one wire copy of ``entry`` on the egress ring."""

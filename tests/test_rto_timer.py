@@ -187,3 +187,34 @@ def test_a_send_into_an_idle_window_gets_a_full_rto(gap, fast):
     last deadline (it does at gaps of 50 and 200 us)."""
     first, resend = _idle_window_resend(gap, fast)
     assert resend - first == pytest.approx(ViaParams().rel_rto, abs=1e-9)
+
+
+@both
+def test_a_teardown_during_the_first_send_arms_no_timer(fast):
+    """The VI is torn down (its peer declared dead) while a fragment's
+    first copy is being queued: nothing is outstanding afterwards, so
+    no timer may expire on the empty window."""
+    with fastpath.force(fast):
+        cluster, (vi0, r0), (vi1, r1) = make_via_pair(
+            via_params=ViaParams(reliable=True))
+        sim = cluster.sim
+        vi1.post_recv(RecvDescriptor(r1, 0, 64))
+        agent = cluster.nodes[0].via.agent
+        channel = agent.channel_for(vi0)
+        send_entry = channel._send_entry
+
+        def torn_down_meanwhile(entry, route):
+            yield from send_entry(entry, route)
+            agent._fail_vi(vi0, ViaError("peer declared dead"))
+
+        channel._send_entry = torn_down_meanwhile
+
+        def send():
+            yield from vi0.post_send(SendDescriptor(r0, 0, 8))
+            return (yield from vi0.send_wait())
+
+        done = sim.run_until_complete(sim.spawn(send()))
+        sim.run()
+    assert done.status is DescriptorStatus.ERROR
+    assert not channel.unacked
+    assert channel.stats["timeouts"] == channel.stats["retransmits"] == 0
