@@ -25,6 +25,7 @@ from repro.errors import (
     MpiError,
     MpiProcFailed,
     MpiRevoked,
+    TopologyError,
     ViaError,
 )
 from repro.mpi.datatypes import BYTE, Datatype
@@ -349,6 +350,8 @@ class Communicator:
         waiter resumes, so the engine's dead set is already updated).
         """
         self._check_ft_collective()
+        if not 0 <= root < self.size:  # the kernel site never reads it
+            raise TopologyError(f"rank {root} out of range [0, {self.size})")
         device = self.engine.device
         tier = self._coll_tier
         try:

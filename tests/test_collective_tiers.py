@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_mesh, build_world, run_mpi
-from repro.errors import MpiError
+from repro.errors import MpiError, TopologyError
 from repro.mpi.op import MAX, MIN, PROD, SUM
 from repro.obs.recorder import (
     API_CALL,
@@ -220,3 +220,23 @@ def test_offload_tier_needs_whole_torus():
         sub.set_collective_tier("nic")
     # The whole-torus communicator itself accepts it.
     assert comms[0].set_collective_tier("nic") == "nic"
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_out_of_range_root_rejected_on_every_tier(tier):
+    """A root outside the communicator is the same error on every tier
+    and every rank — also at the kernel site, which runs bcast and
+    reduce as a combine over its own tree and never reads the root."""
+    cluster, comms = _build((2, 2), tier)
+
+    def program(comm):
+        errors = []
+        for call in (comm.bcast, comm.reduce):
+            try:
+                yield from call(root=9, nbytes=8, data=1.0)
+            except TopologyError as error:
+                errors.append(str(error))
+        return errors
+
+    assert run_mpi(cluster, program, comms=comms) == [
+        ["rank 9 out of range [0, 4)"] * 2] * 4
