@@ -295,8 +295,7 @@ class KernelAgent:
                 return
             engine = device.kernel_collective
             if engine is not None and kind in engine.kinds:
-                # Interrupt-level collective site: its own per-peer ARQ
-                # gates these frames, not a VI channel's.
+                # Interrupt-level collective site, outside any VI channel.
                 yield from engine.handle_irq(packet)
                 return
             if kind is PacketKind.ACK:
@@ -667,7 +666,7 @@ class KernelAgent:
                 ))
         engine = device.collective
         if engine is not None:
-            engine.on_peer_dead(dead_rank, reason)
+            engine.abort(f"node {dead_rank} {reason}")
         for callback in list(self.death_callbacks):
             callback(dead_rank)
 
@@ -688,7 +687,7 @@ class KernelAgent:
             self._end_connect(vi_id, None)
         engine = device.collective
         if engine is not None:
-            engine.on_local_crash(reason)
+            engine.abort(f"local {reason}")
         for callback in list(self.death_callbacks):
             callback(device.rank)
 

@@ -29,11 +29,12 @@ The machine, per node, over the dimension-order tree of the torus:
   notice or local crash fails every waiter with
   :class:`~repro.errors.ViaError`, which the communicator turns into
   ``MpiProcFailed``;
-* **reliability** — iff ``device.reliable`` (some link can lose frames)
-  every frame carries a per-peer sequence number and receivers return
-  cumulative ACKs; one :class:`~repro.via.reliability.RtoTimer` per
-  peer resends every unACKed frame to it.  On a lossless fabric frames
-  stay unsequenced and no ACK or timer exists.
+* **reliability** — iff ``device.reliable`` the waiting side recovers
+  each op: one :class:`~repro.via.reliability.RtoTimer` per asked peer
+  resends a combine child's reduce frame, or requests the wave
+  (``bcast``) or a missing child's value (``reduce`` root; a relay
+  lacking it asks its own children).  The asked side answers from kept
+  op state or says it is *held*, which restarts the asker's timer.
 
 A site says only what differs: wire kinds and span names, what the
 deposit and each arriving kind cost, where arrival runs (inside the
@@ -86,14 +87,16 @@ DOORBELL_COST = 0.3
 #: Host IRQ-handler cost of delivering the final result (paid once per
 #: collective, not per hop).
 NIC_COMPLETE_COST = 0.4
+#: A request-kind frame asks, or answers that the value is not in yet.
+ASK, HELD = "ask", "held"
 
 
 class _OpState:
-    """Per-collective in-flight state on one node."""
+    """Per-collective state on one node."""
 
     __slots__ = ("sequence", "mode", "root", "parent", "children",
                  "child_values", "value_local", "have_local", "op",
-                 "nbytes", "waiter", "trace", "result", "done")
+                 "nbytes", "waiter", "trace", "result", "done", "up")
 
     def __init__(self, sequence: int, mode: str, root: int,
                  parent: Optional[int], children: Tuple[int, ...]) -> None:
@@ -114,13 +117,15 @@ class _OpState:
         self.trace = None
         self.result: Any = None
         self.done = False
+        #: The reduce frame sent to the parent, once sent.
+        self.up: Optional[ViaPacket] = None
 
 
 class TreeCollective:
     """The tree-collective state machine bound to one node's device.
 
-    A site subclass sets ``kinds`` (reduce-up, wave-down, cumulative
-    ACK), ``label`` / ``prefix`` (error messages / process names),
+    A site subclass sets ``kinds`` (reduce-up, wave-down, request),
+    ``label`` / ``prefix`` (error messages / process names),
     ``trace_name``, ``deposit_span``, ``completion_name`` (flight
     recorder), ``deposit_cost``, ``rx_cost`` (per arriving kind), and
     implements ``_transmit`` and ``_complete``.
@@ -137,21 +142,20 @@ class TreeCollective:
         self.rank = device.rank
         self._sequence = 0
         self._ops: Dict[int, _OpState] = {}
-        # Per-peer go-back-N state (engaged iff device.reliable).
-        self._tx_next: Dict[int, int] = {}
-        self._unacked: Dict[int, Dict[int, ViaPacket]] = {}
-        self._rx_next: Dict[int, int] = {}
+        # Recovery: done ops kept for asks (from the last combine on),
+        # and per asked peer the op asked about.
+        self._done: Dict[int, _OpState] = {}
+        self._asked: Dict[int, _OpState] = {}
         self._timers: Dict[int, RtoTimer] = {}
         self.stats = {
             "collectives": 0, "frames": 0, "combines": 0,
             "forwards": 0, "completions": 0, "aborted": 0,
-            "acks_sent": 0, "acks_received": 0, "retransmits": 0,
-            "dup_frames": 0, "ooo_dropped": 0,
+            "requests": 0, "held_answers": 0, "retransmits": 0,
             "dropped_bad_checksum": 0, "dropped_dead": 0,
         }
 
     def _state(self, sequence: int, mode: str, root: int) -> _OpState:
-        state = self._ops.get(sequence)
+        state = self._ops.get(sequence) or self._done.get(sequence)
         if state is None:
             parents, children = dimension_order_tree(self.device.torus,
                                                      root)
@@ -160,38 +164,31 @@ class TreeCollective:
                 children[self.rank])
         return state
 
+    def _retire(self, state: _OpState) -> None:
+        self._ops.pop(state.sequence, None)
+        if self.device.reliable:
+            if state.mode == "combine":
+                # Every rank deposited into it: none asks about an older
+                # op again, and this rank has called no later one.
+                self._done = {}
+            self._done[state.sequence] = state
+
     # -- fault interop -------------------------------------------------
 
-    def _fail_pending(self, error: ViaError) -> None:
-        """Abort every in-flight collective; relay-only state (nobody
-        to wake) is just dropped."""
+    def abort(self, why: str) -> None:
+        """Fail every waiter (a death, a crash, a spent retry budget);
+        relay-only state is just dropped."""
+        error = ViaError(f"node {self.rank}: {self.label} collective "
+                         f"aborted, {why}")
+        for peer in self._asked:
+            self._timers[peer].progress(True)
+        self._asked.clear()
         for state in self._ops.values():
             waiter = state.waiter
             if waiter is not None and not waiter.triggered:
                 self.stats["aborted"] += 1
                 waiter.fail(error)
         self._ops.clear()
-
-    def _forget(self, peer: int) -> None:
-        """Drop what is outstanding to ``peer`` and stop its timer."""
-        if self._unacked.pop(peer, None) is not None:
-            self._timers[peer].stop()
-
-    def on_peer_dead(self, dead_rank: int, reason: str = "") -> None:
-        """Abort in-flight collectives: a participant died mid-wave."""
-        self._forget(dead_rank)
-        self._fail_pending(ViaError(
-            f"node {self.rank}: {self.label} collective aborted, node "
-            f"{dead_rank} {reason or 'declared dead'}"
-        ))
-
-    def on_local_crash(self, reason: str = "node crashed") -> None:
-        for peer in list(self._unacked):
-            self._forget(peer)
-        self._fail_pending(ViaError(
-            f"node {self.rank}: {self.label} collective aborted, "
-            f"local {reason}"
-        ))
 
     # -- user API ------------------------------------------------------
 
@@ -246,15 +243,21 @@ class TreeCollective:
             if state.done:
                 # Root, or the wave beat our deposit: the result is
                 # already in hand, no interrupt needed.
-                self._ops.pop(state.sequence, None)
+                self._retire(state)
                 return state.result
+            if self.device.reliable:
+                self._ask(state.parent, state)
         else:
             state.value_local = value
             self._advance(state)
             if state.waiter is None:
                 return None
+            if mode == "reduce" and self.device.reliable:
+                for child in state.children:
+                    if child not in state.child_values:
+                        self._ask(child, state)
         result = yield state.waiter
-        self._ops.pop(state.sequence, None)
+        self._retire(state)
         return result
 
     # -- state machine -------------------------------------------------
@@ -270,11 +273,13 @@ class TreeCollective:
         for child in state.children:
             value = state.op(value, state.child_values[child])
         if state.parent is not None:
-            self._send(self.kinds[0], state.parent, state, value,
-                       state.nbytes)
+            state.up = self._send(self.kinds[0], state.parent, state,
+                                  value, state.nbytes)
             if state.mode == "reduce":
-                # Relay done; nothing further reaches this node.
-                self._ops.pop(state.sequence, None)
+                # Relay done; kept only to answer requests.
+                self._retire(state)
+            elif self.device.reliable:
+                self._ask(state.parent, state)
         elif state.mode == "reduce":
             self._complete_local(state, value)
         else:
@@ -311,9 +316,8 @@ class TreeCollective:
     # -- rx path -------------------------------------------------------
 
     def _accept(self, packet: ViaPacket, damaged: bool) -> bool:
-        """Admission of one arriving frame of this site's kinds: drops,
-        ACK bookkeeping and the sequence gate.  True = hand it to
-        :meth:`_process`."""
+        """Admission of one arriving frame of this site's kinds: the
+        drops.  True = hand it to :meth:`_process`."""
         self.stats["frames"] += 1
         health = self.device._fabric_health
         faults = health is not None and health.has_node_faults
@@ -324,32 +328,11 @@ class TreeCollective:
         if damaged:
             self.stats["dropped_bad_checksum"] += 1
             return False
-        peer = packet.src_node
-        if faults and not health.node_alive(peer):
+        if faults and not health.node_alive(packet.src_node):
             # Late frame from a declared-dead peer: ghost traffic.
             self.stats["dropped_dead"] += 1
             return False
-        if packet.kind is self.kinds[2]:
-            self.stats["acks_received"] += 1
-            unacked = self._unacked.get(peer)
-            if unacked:
-                acked = [seq for seq in unacked if seq <= packet.ack]
-                for seq in acked:
-                    del unacked[seq]
-                if acked:
-                    self._timers[peer].progress(not unacked)
-            return False
-        if packet.seq < 0:
-            return True
-        expected = self._rx_next.get(peer, 0)
-        if packet.seq == expected:
-            self._rx_next[peer] = expected + 1
-        elif packet.seq < expected:
-            self.stats["dup_frames"] += 1
-        else:
-            self.stats["ooo_dropped"] += 1
-        self._send_ack(peer)
-        return packet.seq == expected
+        return True
 
     def _process(self, packet: ViaPacket):
         """Generator: the site's handling of one accepted frame."""
@@ -357,6 +340,24 @@ class TreeCollective:
         sequence, mode, root, value = packet.payload
         t0 = sim.now
         yield sim.timeout(self.rx_cost[packet.kind])
+        peer, request = packet.src_node, packet.kind is self.kinds[2]
+        if (sequence < min(self._done, default=0)
+                or self.device.agent._known_dead):
+            return  # over everywhere, or ended by a known death
+        if request and value == ASK:
+            self._reply(peer, packet)
+            return
+        asked = self._asked.get(peer)
+        if asked is not None and asked.sequence == sequence:
+            # Answered.  A held answer (alive, waits too) re-arms: a
+            # full RTO from now, not a backed-off deadline slept toward.
+            self._timers[peer].progress(True)
+            if request:
+                self._timers[peer].start()
+            else:
+                del self._asked[peer]
+        if request:
+            return
         state = self._state(sequence, mode, root)
         state.nbytes = max(state.nbytes, packet.payload_bytes)
         if packet.kind is self.kinds[0]:
@@ -365,98 +366,93 @@ class TreeCollective:
                     and packet.trace is not None):
                 rec.span(packet.trace, self.combine_span,
                          f"n{self.rank}", f"n{self.rank}", t0, sim.now)
+            if peer in state.child_values:
+                # Sent again: a waiting combine child asks for the wave.
+                if mode == "combine":
+                    self._reply(peer, packet)
+                return
             self.stats["combines"] += 1
-            state.child_values[packet.src_node] = value
+            state.child_values[peer] = value
             self._advance(state)
-        else:
+        elif not state.done:  # else the wave again, after an ask
             if state.trace is None:
                 # Pure wave relay (bcast before the local call): carry
                 # the incoming trace so forward spans stay attributed.
                 state.trace = packet.trace
             self._wave_down(state, value)
 
+    # -- recovery per operation ----------------------------------------
+
+    def _ask(self, peer: int, state: _OpState) -> None:
+        """The local waiter needs ``peer``'s answer for ``state``'s op."""
+        self._asked[peer] = state
+        if peer not in self._timers:
+            self._timers[peer] = RtoTimer(
+                self.sim, self.device.params, lambda: self._expire(peer),
+                lambda: self._peer_unresponsive(peer),
+                f"{self.prefix}-rto[{self.rank}->{peer}]")
+        self._timers[peer].start()
+
+    def _expire(self, peer: int) -> None:
+        """Ask again: a combine child resends its reduce frame."""
+        state = self._asked[peer]
+        if state.mode == "combine":
+            self._put(state.up, "retransmits")
+        else:
+            self._send(self.kinds[2], peer, state, ASK, 0, "requests")
+
+    def _reply(self, peer: int, packet: ViaPacket) -> None:
+        """Answer from op state: the reduce frame or the wave again, else
+        a held answer (and a reduce relay asks its missing children)."""
+        state = self._state(*packet.payload[:3])
+        if state.mode == "reduce" and state.up is not None:
+            self._put(state.up, "retransmits")
+        elif state.mode != "reduce" and state.done:
+            self._send(self.kinds[1], peer, state, state.result,
+                       state.nbytes or self.empty_wave_bytes, "retransmits")
+        else:
+            self._send(self.kinds[2], peer, state, HELD, 0, "held_answers")
+            for child in state.children if state.mode == "reduce" else ():
+                if child not in state.child_values:
+                    self._send(self.kinds[2], child, state, ASK, 0, "requests")
+
+    def _peer_unresponsive(self, dst: int) -> None:
+        """Retry budget exhausted: out-of-band death evidence.  With a
+        failure detector armed its verdict comes back as a death notice
+        and aborts every waiter."""
+        if not self.device.agent.suspect(
+                dst, f"{self.label} collective retry budget exhausted"):
+            self.abort(f"peer {dst} unresponsive (retry budget exhausted)")
+
     # -- tx path -------------------------------------------------------
 
-    def _send(self, kind: PacketKind, dst: int, state: _OpState,
-              value: Any, nbytes: int) -> None:
+    def _send(self, kind: PacketKind, dst: int, state: _OpState, value: Any,
+              nbytes: int, counter: str = "forwards") -> ViaPacket:
         packet = ViaPacket(
-            kind=kind,
-            src_node=self.rank,
-            dst_node=dst,
-            dst_vi=0,
-            msg_id=self.device.next_msg_id(),
+            kind, self.rank, dst, 0, msg_id=self.device.next_msg_id(),
             payload_bytes=nbytes,
             payload=(state.sequence, state.mode, state.root, value),
-        )
-        if self.device.reliable:
-            seq = self._tx_next.get(dst, 0)
-            self._tx_next[dst] = seq + 1
-            packet.seq = seq
-            self._unacked.setdefault(dst, {})[seq] = packet
-            timer = self._timers.get(dst)
-            if timer is None:
-                timer = self._timers[dst] = RtoTimer(
-                    self.sim, self.device.params,
-                    lambda: self._resend(dst),
-                    lambda: self._peer_unresponsive(dst),
-                    f"{self.prefix}-rto[{self.rank}->{dst}]")
-            timer.start()
-        packet.seal()
-        if self.sim.recorder is not None:
-            packet.trace = state.trace
-        self.stats["forwards"] += 1
-        self.sim.spawn(self._transmit(dst, packet.clone(), state.trace),
+            trace=state.trace).seal()
+        self._put(packet, counter)
+        return packet
+
+    def _put(self, packet: ViaPacket, counter: str) -> None:
+        self.stats[counter] += 1
+        self.sim.spawn(self._transmit(packet.clone()),
                        name=f"{self.prefix}-tx[{self.rank}]")
 
-    def _egress(self, dst: int, packet: ViaPacket):
+    def _egress(self, packet: ViaPacket):
         """``(port, frame)`` for one outgoing packet, or None when a
-        death partitioned ``dst`` off: the frame is dropped and the
-        failure notice aborts the op at every waiter."""
+        death partitioned its destination off: the frame is dropped and
+        the failure notice aborts the op at every waiter."""
         try:
-            port = self.device.egress_port(dst, packet=packet)
+            port = self.device.egress_port(packet.dst_node, packet=packet)
         except ViaError:
             return None
         return port, Frame(packet.payload_bytes,
                            self.device.params.header_bytes,
                            payload=packet,
                            kind=packet.kind.frame_label)
-
-    # -- per-peer go-back-N --------------------------------------------
-
-    def _send_ack(self, dst: int) -> None:
-        packet = ViaPacket(
-            kind=self.kinds[2],
-            src_node=self.rank,
-            dst_node=dst,
-            dst_vi=0,
-            msg_id=self.device.next_msg_id(),
-            payload_bytes=0,
-            ack=self._rx_next.get(dst, 0) - 1,
-        ).seal()
-        self.stats["acks_sent"] += 1
-        self.sim.spawn(self._transmit(dst, packet, None),
-                       name=f"{self.prefix}-ack[{self.rank}]")
-
-    def _resend(self, dst: int) -> None:
-        """The timer's resend: every unacknowledged frame to ``dst``."""
-        for packet in self._unacked[dst].values():  # in seq order
-            self.stats["retransmits"] += 1
-            self.sim.spawn(
-                self._transmit(dst, packet.clone(), packet.trace),
-                name=f"{self.prefix}-rtx[{self.rank}->{dst}]",
-            )
-
-    def _peer_unresponsive(self, dst: int) -> None:
-        """Retry budget exhausted: out-of-band death evidence.  With a
-        failure detector armed its verdict comes back through
-        ``on_peer_dead`` and aborts every waiter."""
-        self._forget(dst)
-        if not self.device.agent.suspect(
-                dst, f"{self.label} collective retry budget exhausted"):
-            self._fail_pending(ViaError(
-                f"node {self.rank}: {self.label} collective peer {dst} "
-                f"unresponsive (retry budget exhausted)"
-            ))
 
 
 class KernelCollective(TreeCollective):
@@ -473,7 +469,7 @@ class KernelCollective(TreeCollective):
     trace_name = "kcoll-{sequence}"
     deposit_span = "kcoll-deposit"
     completion_name = "kcoll"
-    rx_cost = {kinds[0]: COMBINE_COST, kinds[1]: COMPLETE_COST}
+    rx_cost = {kinds[0]: COMBINE_COST, kinds[1]: COMPLETE_COST, kinds[2]: 0}
     empty_wave_bytes = 8
 
     def __init__(self, device: "ViaDevice", root: int = 0) -> None:
@@ -499,9 +495,9 @@ class KernelCollective(TreeCollective):
         if self._accept(packet, False):
             yield from self._process(packet)
 
-    def _transmit(self, dst: int, packet: ViaPacket, trace):
+    def _transmit(self, packet: ViaPacket):
         """Process: post one frame on the host transmit ring."""
-        out = self._egress(dst, packet)
+        out = self._egress(packet)
         if out is not None:
             yield from out[0].enqueue_tx(out[1])
 
@@ -527,7 +523,7 @@ class NicCollective(TreeCollective):
     combine_span = _NIC_COMBINE
     deposit_cost = DOORBELL_COST
     rx_cost = {kinds[0]: NIC_RX_COST + NIC_COMBINE_COST,
-               kinds[1]: NIC_RX_COST}
+               kinds[1]: NIC_RX_COST, kinds[2]: NIC_RX_COST}
 
     def handle_rx(self, frame: Frame) -> bool:
         """Synchronous port hook; True = frame consumed by the NIC."""
@@ -543,18 +539,19 @@ class NicCollective(TreeCollective):
                            name=f"nicoll-rx[{self.rank}]")
         return True
 
-    def _transmit(self, dst: int, packet: ViaPacket, trace):
+    def _transmit(self, packet: ViaPacket):
         """Process: firmware tx step + FIFO injection of one frame."""
         sim = self.sim
         t0 = sim.now
         yield sim.timeout(NIC_TX_COST)
-        out = self._egress(dst, packet)
+        out = self._egress(packet)
         if out is None:
             return
         rec = sim.recorder
-        if rec is not None and trace is not None:
-            rec.span(trace, _NIC_FORWARD, f"n{self.rank}->n{dst}",
-                     f"n{self.rank}", t0, sim.now)
+        if rec is not None and packet.trace is not None:
+            rec.span(packet.trace, _NIC_FORWARD,
+                     f"n{self.rank}->n{packet.dst_node}", f"n{self.rank}",
+                     t0, sim.now)
         yield from out[0].nic_inject_tx(out[1])
 
     def _complete(self, state: _OpState, value: Any) -> None:

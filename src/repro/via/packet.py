@@ -36,21 +36,21 @@ class PacketKind(enum.Enum):
     DEADNOTICE = "deadnotice"  # failure-detector death gossip
     NIC_REDUCE = "nic_reduce"  # NIC-resident partial reduction
     NIC_CBCAST = "nic_cbcast"  # NIC-resident result/broadcast wave
-    NIC_ACK = "nic_ack"        # NIC-resident go-back-N cumulative ACK
-    CACK = "cack"              # interrupt-level go-back-N cumulative ACK
+    NIC_REQUEST = "nic_request"  # NIC-resident request / held answer
+    CREQUEST = "crequest"      # interrupt-level request / held answer
 
 
 #: Wire kinds of the offload-collective state machine
 #: (:mod:`repro.via.offload_collective`), one triple per execution site:
-#: (reduce-up, wave-down, cumulative ACK).  The kernel site takes its
-#: frames in the receive interrupt; the NIC site's port-level hook
-#: consumes them before the host rx path.  A node without the matching
-#: site rejects them.
+#: (reduce-up, wave-down, request: an ask, or a *held* answer).  The
+#: kernel site takes its frames in the receive interrupt; the NIC
+#: site's port-level hook consumes them before the host rx path.  A
+#: node without the matching site rejects them.
 KERNEL_COLLECTIVE_KINDS = (
-    PacketKind.REDUCE, PacketKind.CBCAST, PacketKind.CACK,
+    PacketKind.REDUCE, PacketKind.CBCAST, PacketKind.CREQUEST,
 )
 NIC_COLLECTIVE_KINDS = (
-    PacketKind.NIC_REDUCE, PacketKind.NIC_CBCAST, PacketKind.NIC_ACK,
+    PacketKind.NIC_REDUCE, PacketKind.NIC_CBCAST, PacketKind.NIC_REQUEST,
 )
 
 

@@ -21,8 +21,8 @@ repeats only what was lost:
 * an :class:`RtoTimer` expiry resends the window's head; a spent
   budget moves the VI to ERROR, fails its pending sends and hands the
   peer to ``KernelAgent.suspect``.  The CONNECT handshake and the
-  offload collectives run the same timer: only what an expiry resends
-  and what a spent budget fails differ.
+  offload collectives' waiting ranks run the same timer: only what an
+  expiry resends (or asks) and what a spent budget fails differ.
 
 Channels live in the node's :class:`~repro.via.kernel_agent.KernelAgent`
 (one per local VI, both directions).  Every timer runs on the
@@ -70,7 +70,7 @@ class _SendEntry:
 
 
 class RtoTimer:
-    """The one retransmission timer (of a VI, a CONNECT or an offload
+    """The one retransmission timer (of a VI, a CONNECT or an asked offload
     peer).  :meth:`start` arms a full ``rel_rto`` unless armed (RFC 6298
     5.1); ACK :meth:`progress` resets backoff and budget and restarts a
     full RTO, or disarms if nothing is left; :meth:`stop` disarms.  An

@@ -196,13 +196,17 @@ class TestRestoreGuards:
         slept a CONNECT's timer on a ``Timeout``, where 1.0.11 restarts
         every retransmission timer from the ACK, sleeps it toward an
         absolute deadline and gives a send into an idle window a full
-        RTO: a result under loss or a reliable run's digest differs."""
+        RTO: a result under loss or a reliable run's digest differs.
+        1.0.11 sequenced and ACKed every offload-collective frame on a
+        reliable fabric, where 1.0.12 recovers per operation with no
+        ACK frame: an offload result under loss or node faults (a chaos
+        payload) differs."""
         from repro import __version__
-        assert __version__ == "1.0.11"
+        assert __version__ == "1.0.12"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
                       "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9",
-                      "1.0.10"):
+                      "1.0.10", "1.0.11"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

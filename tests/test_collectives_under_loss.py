@@ -6,27 +6,29 @@ produce *bit-identical* results at 1% frame loss, merely slower.  Also
 pins the determinism guarantee: one fault seed, one event trace.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.cluster.builder import build_mesh
 from repro.cluster.process_api import build_world, run_mpi
-from repro.hw.faults import FaultParams
-from repro.hw.params import GigEParams
+from repro.hw.faults import FaultParams, NodeFaultSpec
+from repro.hw.params import GigEParams, ViaParams
 from repro.sim import Simulator, Trace
 
 DIMS = (2, 2, 2)  # the 8-node torus of the paper's small testbed
 LOSS = 0.01
 
 
-def _lossy_params(seed):
-    return GigEParams(faults=FaultParams(seed=seed, loss_rate=LOSS))
+def _lossy_params(seed, loss=LOSS):
+    return GigEParams(faults=FaultParams(seed=seed, loss_rate=loss))
 
 
-def _build(seed=None, trace=None):
+def _build(seed=None, trace=None, loss=LOSS, **mesh):
     sim = Simulator(trace=trace) if trace is not None else None
-    gige = _lossy_params(seed) if seed is not None else None
-    return build_mesh(DIMS, gige_params=gige, sim=sim)
+    gige = _lossy_params(seed, loss) if seed is not None else None
+    return build_mesh(DIMS, gige_params=gige, sim=sim, **mesh)
 
 
 def _collective_program(comm, results):
@@ -126,6 +128,12 @@ def test_same_seed_identical_event_trace():
 
 # -- the offload tiers under loss --------------------------------------------
 
+#: Frame-loss rates of the offload grids.
+LOSS_GRID = (0.001, 0.01, 0.05)
+SEEDS = (101, 202, 303)
+OFFLOAD_TIERS = ("nic", "kernel")
+
+
 def _offload_program(comm, results, tier):
     """Offload-tier allreduce/bcast/barrier rounds (exact float64)."""
     comm.set_collective_tier(tier)
@@ -141,41 +149,110 @@ def _offload_program(comm, results, tier):
     results[rank] = out
 
 
-def _run_offload(tier, seed=None):
-    cluster = _build(seed=seed)
+#: Roots of the direct rounds: neither is the tree root 0, and the
+#: reduce root has relays below it.
+BCAST_ROOT, REDUCE_ROOT = 3, 5
+
+
+def _direct_program(comm, results, tier):
+    """20 rounds of the engine's own ``bcast`` and ``reduce`` modes.
+    The communicator maps kernel-tier bcast/reduce onto the engine's
+    combine, so only a direct call reaches these modes at the kernel
+    site."""
+    engine = getattr(comm.engine.device, f"{tier}_collective")
+    rank = comm.rank
+    out = []
+    for i in range(20):
+        out.append((yield from engine.collective(
+            "bcast", BCAST_ROOT, ("b", i) if rank == BCAST_ROOT else None,
+            None, 256)))
+        out.append((yield from engine.collective(
+            "reduce", REDUCE_ROOT, np.float64(rank + i + 0.1),
+            operator.add, 64)))
+    results[rank] = out
+
+
+def _run_offload(tier, seed=None, loss=LOSS, program=_offload_program,
+                 **mesh):
+    cluster = _build(seed=seed, loss=loss, **mesh)
     comms = build_world(cluster)
     engines = [getattr(node.via, f"enable_{tier}_collectives")()
                for node in cluster.nodes]
     results = [None] * cluster.size
-    run_mpi(cluster, _offload_program, args=(results, tier), comms=comms)
+    run_mpi(cluster, program, args=(results, tier), comms=comms)
     return cluster, results, engines
 
 
 @pytest.fixture(scope="module")
 def offload_lossless_results():
-    return {tier: _run_offload(tier)[1] for tier in ("nic", "kernel")}
+    return {(tier, program): _run_offload(tier, program=program)[1]
+            for tier in OFFLOAD_TIERS
+            for program in (_offload_program, _direct_program)}
 
 
-# The NIC rows keep the ids they had before the tier was a parameter.
-@pytest.mark.parametrize("tier,seed", [
-    pytest.param(tier, seed,
-                 id=str(seed) if tier == "nic" else f"{tier}-{seed}")
-    for tier in ("nic", "kernel") for seed in (101, 202, 303)
-])
-def test_nic_collectives_bit_identical_under_loss(tier, seed,
+def _lost_and_asked(engines):
+    """Collective frames lost on the wire (sent less arrived: every
+    tree edge of a 2x2x2 torus is one hop), and how often a waiter
+    asked again (a resent reduce frame or a request)."""
+    stats = [engine.stats for engine in engines]
+    sent = sum(s["forwards"] + s["retransmits"] + s["requests"]
+               + s["held_answers"] for s in stats)
+    lost = sent - sum(s["frames"] for s in stats)
+    asked = sum(s["retransmits"] + s["requests"] for s in stats)
+    return lost, asked
+
+
+def _grid(old_ids=False):
+    """(tier, loss, seed) rows.  With ``old_ids`` the 1 % rows keep the
+    ids they had before the loss rate was a parameter (the NIC ones
+    also from before the tier was)."""
+    def row_id(tier, loss, seed):
+        parts = ([] if tier == "nic" else [tier]) + (
+            [] if loss == LOSS and old_ids else [str(loss)])
+        return "-".join(parts + [str(seed)])
+    return pytest.mark.parametrize("tier,loss,seed", [
+        pytest.param(tier, loss, seed, id=row_id(tier, loss, seed))
+        for tier in OFFLOAD_TIERS for loss in LOSS_GRID for seed in SEEDS
+    ])
+
+
+@_grid(old_ids=True)
+def test_nic_collectives_bit_identical_under_loss(tier, loss, seed,
                                                   offload_lossless_results):
-    """The state machine's own go-back-N makes 1% loss invisible at
-    either site: every rank's results are bit-identical to the
-    lossless run."""
-    cluster, results, engines = _run_offload(tier, seed=seed)
-    dropped = sum(sum(link.stats["dropped"]) for link in cluster.links)
-    assert dropped > 0, "1% loss injected nothing; test is vacuous"
-    # ...with the site's own ARQ engaged: frames sequenced and ACKed.
-    assert sum(engine.stats["acks_received"] for engine in engines) > 0
-    lossless = offload_lossless_results[tier]
+    """The state machine's recovery per operation makes 0.1 %, 1 % and
+    5 % loss invisible at either site: every rank's results are
+    bit-identical to the lossless run."""
+    cluster, results, engines = _run_offload(tier, seed=seed, loss=loss)
+    if loss >= LOSS:
+        dropped = sum(sum(link.stats["dropped"]) for link in cluster.links)
+        assert dropped > 0, "loss injected nothing; test is vacuous"
+    lost, asked = _lost_and_asked(engines)
+    # A loss is only ever made good by a waiter asking again.
+    assert asked or not lost
+    lossless = offload_lossless_results[tier, _offload_program]
     for rank in range(cluster.size):
         assert repr(results[rank]) == repr(lossless[rank])
         assert results[rank]["sum0"] == np.float64(36.0)
+
+
+@_grid()
+def test_direct_bcast_reduce_bit_identical_under_loss(
+        tier, loss, seed, offload_lossless_results):
+    """The engine's native ``bcast`` (a waiter requests the wave from
+    its parent) and ``reduce`` (the root requests its missing children,
+    relays pass the request on) recover at both sites."""
+    cluster, results, engines = _run_offload(
+        tier, seed=seed, loss=loss, program=_direct_program)
+    lost, asked = _lost_and_asked(engines)
+    assert asked or not lost
+    if loss == max(LOSS_GRID):
+        assert lost > 0, "no collective frame lost; test is vacuous"
+    assert repr(results) == repr(
+        offload_lossless_results[tier, _direct_program])
+    assert results[BCAST_ROOT][0] == ("b", 0)
+    for rank in range(cluster.size):
+        if rank != REDUCE_ROOT:
+            assert results[rank][1] is None
 
 
 def test_nic_arq_interops_with_kernel_gobackn():
@@ -213,32 +290,92 @@ def test_nic_arq_interops_with_kernel_gobackn():
 
     run_mpi(cluster, program, args=(results,), comms=comms)
     assert all(r["sum"] == np.float64(36.0) for r in results)
-    # Both reliability planes did real recovery work or at least saw
-    # real losses on the shared fabric.
+    # Both reliability planes did real recovery work on the shared
+    # fabric.
     dropped = sum(sum(link.stats["dropped"]) for link in cluster.links)
     assert dropped > 0
+    assert cluster.reliability_stats()["retransmits"] > 0
     nic_totals = {}
     for node in cluster.nodes:
         for key, value in node.via.nic_collective.stats.items():
             nic_totals[key] = nic_totals.get(key, 0) + value
-    assert nic_totals["acks_sent"] > 0  # the NIC ARQ engaged
+    assert nic_totals["retransmits"] + nic_totals["requests"] > 0
 
 
-ARQ_COUNTERS = ("acks_sent", "acks_received", "retransmits",
-                "dup_frames", "ooo_dropped", "dropped_bad_checksum")
+#: The rank that enters late, and by how much: past the retry budget
+#: (about 39.3 ms with the default ``ViaParams``).
+LATE, LATENESS = 5, 50_000.0
+
+
+@pytest.mark.parametrize("detector", [False, True],
+                         ids=["no-detector", "detector"])
+@pytest.mark.parametrize("tier", OFFLOAD_TIERS)
+def test_a_late_live_rank_is_not_suspected(tier, detector):
+    """One rank enters an allreduce, and then a bcast it roots, 50 ms
+    late.  The ranks that wait on it ask on; each ask reaches a live
+    peer, whose held answer restarts the asker's timer with a fresh
+    budget.  So nobody spends the budget: the right values, and with
+    or without an armed failure detector, no death."""
+    cluster = build_mesh(
+        DIMS, via_params=ViaParams(reliable=True),
+        node_faults=([NodeFaultSpec(rank=0, crash_at=1e9)]
+                     if detector else None))
+    comms = build_world(cluster)
+    for node in cluster.nodes:
+        getattr(node.via, f"enable_{tier}_collectives")()
+
+    def program(comm):
+        comm.set_collective_tier(tier)
+        sim = comm.engine.sim
+        if comm.rank == LATE:
+            yield sim.timeout(LATENESS)
+        total = yield from comm.allreduce(nbytes=8, data=float(comm.rank))
+        if comm.rank == LATE:
+            yield sim.timeout(LATENESS)
+        word = yield from comm.bcast(
+            root=LATE, nbytes=8, data="x" if comm.rank == LATE else None)
+        return total, word
+
+    assert run_mpi(cluster, program, comms=comms) == [(28.0, "x")] * 8
+    assert cluster.death_log == []
+
+
+RECOVERY_COUNTERS = ("requests", "held_answers", "retransmits",
+                     "dropped_bad_checksum")
 
 
 def test_nic_arq_stays_cold_without_loss():
-    """On a lossless fabric neither site ever sequences a frame or
-    sends an ACK — default runs are identical to pre-ARQ behavior."""
-    for tier in ("nic", "kernel"):
+    """On a lossless fabric neither site arms a timer, keeps a
+    completed op or sends a request — default runs are identical to
+    the machine without recovery."""
+    for tier in OFFLOAD_TIERS:
         cluster, results, engines = _run_offload(tier)
         for engine in engines:
-            assert not any(engine.stats[key] for key in ARQ_COUNTERS)
-            # No frame was ever given a sequence number, none tracked.
-            assert not engine._tx_next and not engine._rx_next
-            assert not engine._unacked and not engine._timers
+            assert not any(engine.stats[key] for key in RECOVERY_COUNTERS)
+            assert not engine._timers and not engine._asked
+            assert not engine._done and not engine._ops
         assert results[0]["sum0"] == np.float64(36.0)
+
+
+@pytest.mark.parametrize("program", [_offload_program, _direct_program],
+                         ids=["communicator", "direct"])
+@pytest.mark.parametrize("tier", OFFLOAD_TIERS)
+def test_reliable_lossless_sends_only_data_frames(tier, program,
+                                                  offload_lossless_results):
+    """Node faults armed (so the fabric is reliable) but nothing lost:
+    the machine sends exactly the lossless run's frames — no ACK, no
+    request, no resend — and returns the same results."""
+    lossless_frames = sum(engine.stats["forwards"] for engine in
+                          _run_offload(tier, program=program)[2])
+    cluster, results, engines = _run_offload(
+        tier, program=program,
+        node_faults=[NodeFaultSpec(rank=7, crash_at=1e9)])
+    assert cluster.nodes[0].via.reliable
+    assert repr(results) == repr(offload_lossless_results[tier, program])
+    for engine in engines:
+        assert not any(engine.stats[key] for key in RECOVERY_COUNTERS)
+    assert sum(engine.stats["forwards"]
+               for engine in engines) == lossless_frames
 
 
 def test_lossless_torus_stays_cold():
