@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.analysis.timeline import utilization_report
 from repro.cluster import build_mesh, build_world, run_mpi
-from repro.mpi.op import SUM
 
 DIMS = (4, 4, 4)
 
@@ -34,9 +33,10 @@ def program(comm, times):
     # 2. Kernel-space combining: intermediate hops never leave
     #    interrupt context.
     yield from comm.barrier()
+    comm.set_collective_tier("kernel")
     start = sim.now
-    kernel_value = yield from comm.engine.device.kernel_collective.global_sum(
-        np.float64(comm.rank), SUM
+    kernel_value = yield from comm.allreduce(
+        nbytes=8, data=np.float64(comm.rank)
     )
     times.setdefault("kernel_start", start)
     times["kernel_end"] = max(times.get("kernel_end", 0.0), sim.now)
@@ -49,7 +49,7 @@ def main():
     cluster = build_mesh(DIMS, wrap=True)
     comms = build_world(cluster)
     for node in cluster.nodes:
-        node.via.enable_kernel_collectives(root=0)
+        node.via.enable_kernel_collectives()
     times = {}
     values = run_mpi(cluster, program, args=(times,), comms=comms)
     expected = sum(range(cluster.size))

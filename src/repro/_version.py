@@ -1,3 +1,3 @@
 """Package version (single source of truth)."""
 
-__version__ = "1.0.12"
+__version__ = "1.0.13"

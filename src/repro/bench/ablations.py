@@ -243,13 +243,12 @@ def cluster_b(quick: bool = False) -> ExperimentResult:
 def kernel_collectives(quick: bool = False) -> ExperimentResult:
     """Interrupt-level global reduction (paper section 7 future work)."""
     from repro.cluster.process_api import build_world
-    from repro.mpi.op import SUM
 
     dims = (2, 4, 4) if quick else (4, 8, 8)
     cluster = build_mesh(dims, wrap=True)
     comms = build_world(cluster)
     for node in cluster.nodes:
-        node.via.enable_kernel_collectives(root=0)
+        node.via.enable_kernel_collectives()
     times: Dict[str, float] = {}
 
     def program(comm):
@@ -260,9 +259,9 @@ def kernel_collectives(quick: bool = False) -> ExperimentResult:
         times.setdefault("u0", start)
         times["u1"] = max(times.get("u1", 0.0), sim.now)
         yield from comm.barrier()
+        comm.set_collective_tier("kernel")
         start = sim.now
-        kernel = yield from comm.engine.device.kernel_collective.global_sum(
-            1.0, SUM, nbytes=8)
+        kernel = yield from comm.allreduce(nbytes=8, data=1.0)
         times.setdefault("k0", start)
         times["k1"] = max(times.get("k1", 0.0), sim.now)
         assert user == kernel == cluster.size

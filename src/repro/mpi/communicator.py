@@ -73,10 +73,10 @@ class Communicator:
         #: the same order — the usual MPI collective-call discipline —
         #: so counters stay synchronized without negotiation).
         self._agree_seq = 0
-        #: Collective execution tier: ``"host"`` (user-level trees),
-        #: ``"kernel"`` (interrupt-level engine) or ``"nic"``
-        #: (NIC-resident engine).  See :meth:`set_collective_tier`.
-        self._coll_tier = "host"
+        #: The offload engine barrier/bcast/reduce/allreduce run on
+        #: (the device's kernel or NIC site), None = the host tier.
+        #: See :meth:`set_collective_tier`.
+        self._offload = None
 
     # -- contexts ----------------------------------------------------------
     @property
@@ -301,7 +301,8 @@ class Communicator:
     @property
     def collective_tier(self) -> str:
         """Active collective execution tier (``host|kernel|nic``)."""
-        return self._coll_tier
+        engine = self._offload
+        return "host" if engine is None else engine.label.lower()
 
     def set_collective_tier(self, tier: str) -> str:
         """Route barrier/bcast/reduce/allreduce through ``tier``.
@@ -319,6 +320,7 @@ class Communicator:
                 f"unknown collective tier {tier!r} "
                 f"(have: {', '.join(self.COLLECTIVE_TIERS)})"
             )
+        engine = None
         if tier != "host":
             if not self.is_whole_torus:
                 raise MpiError(
@@ -327,16 +329,14 @@ class Communicator:
                     f"geometry)"
                 )
             device = getattr(self.engine, "device", None)
-            attr = ("kernel_collective" if tier == "kernel"
-                    else "nic_collective")
-            if device is None or getattr(device, attr, None) is None:
+            engine = getattr(device, "collective", None)
+            if engine is None or engine.label.lower() != tier:
                 raise MpiError(
                     f"rank {self.rank}: {tier} collectives not enabled "
-                    f"on this node's device (call enable_"
-                    f"{'kernel' if tier == 'kernel' else 'nic'}"
+                    f"on this node's device (call enable_{tier}"
                     f"_collectives first)"
                 )
-        self._coll_tier = tier
+        self._offload = engine
         return tier
 
     def _offload_collective(self, mode: str, root: int, nbytes: int,
@@ -350,28 +350,11 @@ class Communicator:
         waiter resumes, so the engine's dead set is already updated).
         """
         self._check_ft_collective()
-        if not 0 <= root < self.size:  # the kernel site never reads it
+        if not 0 <= root < self.size:
             raise TopologyError(f"rank {root} out of range [0, {self.size})")
-        device = self.engine.device
-        tier = self._coll_tier
         try:
-            if tier == "kernel":
-                engine = device.kernel_collective
-                if mode == "bcast":
-                    # NULL combine is None-transparent, so the root's
-                    # payload is the unique non-None subtree value.
-                    result = yield from engine.global_sum(
-                        data if self.rank == root else None, NULL,
-                        nbytes=nbytes)
-                else:
-                    result = yield from engine.global_sum(
-                        data, op, nbytes=nbytes)
-                    if mode == "reduce" and self.rank != root:
-                        result = None
-            else:
-                engine = device.nic_collective
-                result = yield from engine.collective(
-                    mode, root, data, op, nbytes)
+            result = yield from self._offload.collective(
+                mode, root, data, op, nbytes)
         except ViaError:
             self._check_ft_collective()
             raise
@@ -385,7 +368,7 @@ class Communicator:
         from repro.collectives import broadcast
 
         size = _resolve_bytes(nbytes, count, datatype)
-        if self._coll_tier != "host" and self.is_whole_torus:
+        if self._offload is not None:
             result = yield from self._offload_collective(
                 "bcast", root, size, None, data)
             return result
@@ -399,7 +382,7 @@ class Communicator:
         from repro.collectives import reduce as reduce_mod
 
         size = _resolve_bytes(nbytes, count, datatype)
-        if self._coll_tier != "host" and self.is_whole_torus:
+        if self._offload is not None:
             result = yield from self._offload_collective(
                 "reduce", root, size, op, data)
             return result
@@ -413,7 +396,7 @@ class Communicator:
         from repro.collectives import combine
 
         size = _resolve_bytes(nbytes, count, datatype)
-        if self._coll_tier != "host" and self.is_whole_torus:
+        if self._offload is not None:
             result = yield from self._offload_collective(
                 "combine", 0, size, op, data)
             return result
@@ -425,7 +408,7 @@ class Communicator:
         (paper section 5.2)."""
         from repro.collectives import combine
 
-        if self._coll_tier != "host" and self.is_whole_torus:
+        if self._offload is not None:
             yield from self._offload_collective("combine", 0, 0, NULL,
                                                 None)
             return

@@ -156,13 +156,11 @@ class ViaDevice:
         if self.frame_payload <= 0:
             raise ConfigurationError("VIA header larger than MTU")
         #: The offload-collective state machine
-        #: (:mod:`repro.via.offload_collective`) at its interrupt-level
-        #: site (paper section 7 future work); created by
-        #: :meth:`enable_kernel_collectives`.
-        self.kernel_collective = None
-        #: The same machine at its NIC-firmware site (Yu et al.
-        #: offload); created by :meth:`enable_nic_collectives`.
-        self.nic_collective = None
+        #: (:mod:`repro.via.offload_collective`) at whichever site was
+        #: enabled: interrupt level (paper section 7 future work,
+        #: :meth:`enable_kernel_collectives`) or NIC firmware (Yu et al.
+        #: offload, :meth:`enable_nic_collectives`); None = neither.
+        self.collective = None
         #: Reliable delivery (the cluster builder resolves the
         #: automatic setting fabric-wide before the device exists).
         self.reliable = bool(self.params.reliable)
@@ -172,33 +170,17 @@ class ViaDevice:
         for port in self.ports.values():
             port.set_driver(PortDriver(self.agent.handle_frame, port))
 
-    def enable_kernel_collectives(self, root: int = 0):
-        """Inject the reduction tree into the kernel (section 7).
+    def enable_kernel_collectives(self):
+        """Run offload collectives in the kernel (section 7).
 
-        Idempotent for the same ``root``.  Re-enabling with a different
-        root (which used to silently clobber the engine and orphan its
-        in-flight state) and mixing offload tiers on one device (both
-        engines would claim the same collective traffic) raise instead.
+        Idempotent; mutually exclusive with
+        :meth:`enable_nic_collectives` (both engines would claim the
+        same collective traffic).  Each collective names its own tree
+        root.
         """
         from repro.via.offload_collective import KernelCollective
 
-        if self.nic_collective is not None:
-            raise ViaError(
-                f"node {self.rank}: kernel collectives requested but "
-                f"NIC collectives are already enabled (offload tiers "
-                f"are mutually exclusive per device)"
-            )
-        existing = self.kernel_collective
-        if existing is not None:
-            if existing.root != root:
-                raise ViaError(
-                    f"node {self.rank}: kernel collectives already "
-                    f"enabled with root {existing.root}; refusing to "
-                    f"silently re-root to {root}"
-                )
-            return existing
-        self.kernel_collective = KernelCollective(self, root=root)
-        return self.kernel_collective
+        return self._enable_collective(KernelCollective)
 
     def enable_nic_collectives(self):
         """Load the NIC-resident collective engine onto every port.
@@ -211,24 +193,22 @@ class ViaDevice:
         """
         from repro.via.offload_collective import NicCollective
 
-        if self.kernel_collective is not None:
-            raise ViaError(
-                f"node {self.rank}: NIC collectives requested but "
-                f"kernel collectives are already enabled (offload "
-                f"tiers are mutually exclusive per device)"
-            )
-        if self.nic_collective is not None:
-            return self.nic_collective
-        engine = NicCollective(self)
-        self.nic_collective = engine
+        engine = self._enable_collective(NicCollective)
         for port in self.ports.values():
             port.collective_hook = engine.handle_rx
         return engine
 
-    @property
-    def collective(self):
-        """The enabled offload-collective engine (either site), if any."""
-        return self.kernel_collective or self.nic_collective
+    def _enable_collective(self, site):
+        engine = self.collective
+        if engine is None:
+            engine = self.collective = site(self)
+        elif type(engine) is not site:
+            raise ViaError(
+                f"node {self.rank}: {site.label} collectives requested "
+                f"but {engine.label} collectives are already enabled "
+                f"(offload tiers are mutually exclusive per device)"
+            )
+        return engine
 
     # -- user-facing object factory ---------------------------------------------
     def create_protection_tag(self) -> ProtectionTag:

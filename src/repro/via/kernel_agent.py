@@ -293,7 +293,7 @@ class KernelAgent:
                     # partitioned off: no live route, drop it.
                     self.stats["dropped_dead"] += 1
                 return
-            engine = device.kernel_collective
+            engine = device.collective
             if engine is not None and kind in engine.kinds:
                 # Interrupt-level collective site, outside any VI channel.
                 yield from engine.handle_irq(packet)

@@ -460,7 +460,6 @@ class KernelCollective(TreeCollective):
 
     Intermediate nodes never pay the user-space crossing (the ~6 us
     host overhead plus wakeups), only the interrupt-level per-hop path.
-    The tree's root is injected once, like the mesh geometry was.
     """
 
     kinds = KERNEL_COLLECTIVE_KINDS
@@ -472,22 +471,10 @@ class KernelCollective(TreeCollective):
     rx_cost = {kinds[0]: COMBINE_COST, kinds[1]: COMPLETE_COST, kinds[2]: 0}
     empty_wave_bytes = 8
 
-    def __init__(self, device: "ViaDevice", root: int = 0) -> None:
+    def __init__(self, device: "ViaDevice") -> None:
         super().__init__(device)
-        self.root = root
         # Depositing the contribution crosses into the kernel.
         self.deposit_cost = device.host.params.syscall_cost
-        self.stats["reductions"] = 0
-
-    def global_sum(self, value: Any, op: Callable[[Any, Any], Any],
-                   nbytes: int = 8):
-        """Process: contribute to the next reduction over the injected
-        tree; returns the globally combined value.  Every node must
-        call this the same number of times with the same operator."""
-        self.stats["reductions"] += 1
-        result = yield from self.collective("combine", self.root, value,
-                                            op, nbytes)
-        return result
 
     def handle_irq(self, packet: ViaPacket):
         """Generator (kernel agent, CPU held at IRQ priority): one

@@ -200,13 +200,16 @@ class TestRestoreGuards:
         1.0.11 sequenced and ACKed every offload-collective frame on a
         reliable fabric, where 1.0.12 recovers per operation with no
         ACK frame: an offload result under loss or node faults (a chaos
-        payload) differs."""
+        payload) differs.  1.0.12 ran a kernel-tier ``bcast`` or
+        ``reduce`` as a combine over root 0, where 1.0.13 runs it as
+        itself over its own root: a cached ``nic-collectives`` payload
+        differs in its kernel rows."""
         from repro import __version__
-        assert __version__ == "1.0.12"
+        assert __version__ == "1.0.13"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
                       "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9",
-                      "1.0.10", "1.0.11"):
+                      "1.0.10", "1.0.11", "1.0.12"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

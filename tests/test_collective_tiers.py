@@ -45,7 +45,7 @@ def _build(dims, tier, observe=False, trace=False):
     comms = build_world(cluster)
     if tier == "kernel":
         for node in cluster.nodes:
-            node.via.enable_kernel_collectives(root=0)
+            node.via.enable_kernel_collectives()
     elif tier == "nic":
         for node in cluster.nodes:
             node.via.enable_nic_collectives()

@@ -155,11 +155,8 @@ BCAST_ROOT, REDUCE_ROOT = 3, 5
 
 
 def _direct_program(comm, results, tier):
-    """20 rounds of the engine's own ``bcast`` and ``reduce`` modes.
-    The communicator maps kernel-tier bcast/reduce onto the engine's
-    combine, so only a direct call reaches these modes at the kernel
-    site."""
-    engine = getattr(comm.engine.device, f"{tier}_collective")
+    """20 rounds of the engine's own ``bcast`` and ``reduce`` modes."""
+    engine = comm.engine.device.collective
     rank = comm.rank
     out = []
     for i in range(20):
@@ -297,7 +294,7 @@ def test_nic_arq_interops_with_kernel_gobackn():
     assert cluster.reliability_stats()["retransmits"] > 0
     nic_totals = {}
     for node in cluster.nodes:
-        for key, value in node.via.nic_collective.stats.items():
+        for key, value in node.via.collective.stats.items():
             nic_totals[key] = nic_totals.get(key, 0) + value
     assert nic_totals["retransmits"] + nic_totals["requests"] > 0
 

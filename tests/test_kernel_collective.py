@@ -12,7 +12,7 @@ def _enabled_cluster(dims=(2, 2, 2)):
     cluster = build_mesh(dims, wrap=True)
     comms = build_world(cluster)
     for node in cluster.nodes:
-        node.via.enable_kernel_collectives(root=0)
+        node.via.enable_kernel_collectives()
     return cluster, comms
 
 
@@ -20,9 +20,9 @@ def test_kernel_global_sum_correct():
     cluster, comms = _enabled_cluster()
 
     def program(comm):
-        kc = comm.engine.device.kernel_collective
-        result = yield from kc.global_sum(
-            np.float64(comm.rank + 1), SUM
+        comm.set_collective_tier("kernel")
+        result = yield from comm.allreduce(
+            nbytes=8, data=np.float64(comm.rank + 1), op=SUM
         )
         return float(result)
 
@@ -33,22 +33,26 @@ def test_kernel_max():
     cluster, comms = _enabled_cluster()
 
     def program(comm):
-        kc = comm.engine.device.kernel_collective
-        result = yield from kc.global_sum(np.float64(comm.rank), MAX)
+        comm.set_collective_tier("kernel")
+        result = yield from comm.allreduce(
+            nbytes=8, data=np.float64(comm.rank), op=MAX
+        )
         return float(result)
 
     assert run_mpi(cluster, program, comms=comms) == [7.0] * 8
 
 
 def test_repeated_reductions_stay_consistent():
+    """Four combines back to back on the engine itself, rooted at 0."""
     cluster, comms = _enabled_cluster()
 
     def program(comm):
-        kc = comm.engine.device.kernel_collective
+        engine = comm.engine.device.collective
         results = []
         for iteration in range(4):
-            value = yield from kc.global_sum(
-                np.float64(comm.rank * (iteration + 1)), SUM
+            value = yield from engine.collective(
+                "combine", 0, np.float64(comm.rank * (iteration + 1)),
+                SUM, 8
             )
             results.append(float(value))
         return results
@@ -72,9 +76,9 @@ def test_kernel_faster_than_user_level():
         times.setdefault("u0", start)
         times["u1"] = max(times.get("u1", 0.0), sim.now)
         yield from comm.barrier()
+        comm.set_collective_tier("kernel")
         start = sim.now
-        kc = comm.engine.device.kernel_collective
-        yield from kc.global_sum(np.float64(1.0), SUM)
+        yield from comm.allreduce(nbytes=8, data=np.float64(1.0))
         times.setdefault("k0", start)
         times["k1"] = max(times.get("k1", 0.0), sim.now)
         return None
@@ -85,34 +89,26 @@ def test_kernel_faster_than_user_level():
     assert kernel < user
 
 
-def test_enable_idempotent_same_root():
-    """Re-enabling with the same root returns the existing engine —
-    no silent replacement of in-flight state."""
+def test_enable_idempotent():
+    """Re-enabling returns the existing engine — no silent replacement
+    of in-flight state."""
     cluster = build_mesh((2, 2))
-    first = cluster.nodes[0].via.enable_kernel_collectives(root=0)
-    again = cluster.nodes[0].via.enable_kernel_collectives(root=0)
+    first = cluster.nodes[0].via.enable_kernel_collectives()
+    again = cluster.nodes[0].via.enable_kernel_collectives()
     assert again is first
-
-
-def test_enable_different_root_rejected():
-    """Changing the root used to silently clobber the engine (and any
-    in-flight reduction state with it); now it is a hard error."""
-    cluster = build_mesh((2, 2))
-    cluster.nodes[0].via.enable_kernel_collectives(root=0)
-    with pytest.raises(ViaError, match="re-root"):
-        cluster.nodes[0].via.enable_kernel_collectives(root=1)
+    assert cluster.nodes[0].via.collective is first
 
 
 def test_offload_tiers_mutually_exclusive():
     """One device runs one offload engine: kernel and NIC collectives
     cannot coexist (both would claim the same wire traffic)."""
     cluster = build_mesh((2, 2))
-    cluster.nodes[0].via.enable_kernel_collectives(root=0)
+    cluster.nodes[0].via.enable_kernel_collectives()
     with pytest.raises(ViaError, match="mutually exclusive"):
         cluster.nodes[0].via.enable_nic_collectives()
     cluster.nodes[1].via.enable_nic_collectives()
     with pytest.raises(ViaError, match="mutually exclusive"):
-        cluster.nodes[1].via.enable_kernel_collectives(root=0)
+        cluster.nodes[1].via.enable_kernel_collectives()
 
 
 def test_nic_enable_idempotent():
@@ -126,12 +122,12 @@ def test_packet_without_enablement_rejected():
     comms = build_world(cluster)
     # Enable on one node only: its REDUCE packet hits a peer without
     # the kernel engine.
-    cluster.nodes[1].via.enable_kernel_collectives(root=0)
+    cluster.nodes[1].via.enable_kernel_collectives()
 
     def program(comm):
         if comm.rank == 1:
-            kc = comm.engine.device.kernel_collective
-            yield from kc.global_sum(np.float64(1.0), SUM)
+            comm.set_collective_tier("kernel")
+            yield from comm.allreduce(nbytes=8, data=np.float64(1.0))
         else:
             yield comm.engine.sim.timeout(1e6)
         return None
