@@ -18,17 +18,17 @@ paper's set (``conformance``, ``nic-collectives``, ``explain``,
 ``pdes``, ``chaos``) are names in the same registry.
 """
 
-from repro.bench.harness import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run_experiment,
-)
-from repro.bench.report import render_table, to_csv
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "render_table",
-    "run_experiment",
-    "to_csv",
-]
+#: Public name -> submodule, resolved on first access: a service job
+#: that runs one :mod:`~repro.bench.microbench` point loads neither.
+_EXPORTS = {
+    "EXPERIMENTS": "harness",
+    "ExperimentResult": "harness",
+    "run_experiment": "harness",
+    "render_table": "report",
+    "to_csv": "report",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

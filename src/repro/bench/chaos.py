@@ -64,7 +64,7 @@ from repro.errors import (
     ViaError,
 )
 from repro.hw.faults import NodeFaultSpec
-from repro.sim.monitor import Trace
+from repro.obs.monitor import Trace
 from repro.topology.torus import Direction
 
 #: Machine used by every campaign (the paper's 2x2x2 mesh).

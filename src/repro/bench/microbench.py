@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster.builder import build_mesh
-from repro.cluster.process_api import run_mpi
 from repro.via.descriptors import RecvDescriptor, SendDescriptor
 
 #: Cap on how many descriptors a raw-VIA benchmark pre-posts per VI.
@@ -303,10 +302,13 @@ def tcp_aggregate_bandwidth(dims: Tuple[int, ...], nbytes: int,
 
 
 # ---------------------------------------------------------------------------
-# MPI-level drivers (Figure 4).
+# MPI-level drivers (Figure 4).  They import the MPI layer when called,
+# so a raw VIA or TCP point never loads the messaging core.
 # ---------------------------------------------------------------------------
 
 def mpi_latency(nbytes: int = 4, repeats: int = 10) -> float:
+    from repro.cluster.process_api import run_mpi
+
     cluster = build_mesh((2,), wrap=False)
     result: Dict[str, float] = {}
 
@@ -336,6 +338,9 @@ def mpi_aggregate_bandwidth(dims: Tuple[int, ...], nbytes: int,
     Every node exchanges with all its neighbors simultaneously; the
     center node's summed send rate is reported.
     """
+    from repro.cluster.process_api import run_mpi
+    from repro.mpi.request import waitall
+
     iters = max(2, min(total_bytes // max(nbytes, 1), 96))
     cluster = build_mesh(dims, wrap=True)
     torus = cluster.torus
@@ -356,12 +361,10 @@ def mpi_aggregate_bandwidth(dims: Tuple[int, ...], nbytes: int,
                 for peer in neighbors
             ]
             sends.extend(send_batch)
-            from repro.mpi.request import waitall
             yield from waitall(send_batch)
         if comm.rank == 0:
             result["send_done"] = sim.now - start
-        from repro.mpi.request import waitall as _waitall
-        yield from _waitall(recvs)
+        yield from waitall(recvs)
 
     run_mpi(cluster, program)
     nlinks = len(cluster.torus.neighbors(0))

@@ -15,7 +15,7 @@ M-VIA), :meth:`MeshCluster.attach_tcp` installs the TCP baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hw import faults as fault_model
@@ -25,8 +25,10 @@ from repro.hw.nic import GigEPort
 from repro.hw.node import Host
 from repro.hw.params import GigEParams, HostParams, TcpParams, ViaParams
 from repro.sim import Simulator
-from repro.topology.partition import ShardPlan
 from repro.topology.torus import Direction, Torus
+
+if TYPE_CHECKING:
+    from repro.topology.partition import ShardPlan
 
 
 @dataclass
@@ -428,7 +430,7 @@ class MeshCluster:
             if self.node_faults:
                 node.via.agent.start_failure_detector(self)
         if self.node_faults and self.watchdog is None:
-            from repro.sim.monitor import Watchdog
+            from repro.obs.monitor import Watchdog
 
             self.watchdog = Watchdog(self)
             self.sim.hang_diagnostics = self.hang_report
@@ -439,7 +441,7 @@ class MeshCluster:
         Sums the kernel agents' protocol counters and the links'
         drop/corrupt counters; zero everywhere on a lossless run.
         """
-        from repro.sim.monitor import RELIABILITY_COUNTERS
+        from repro.obs.monitor import RELIABILITY_COUNTERS
 
         totals = {key: 0 for key in RELIABILITY_COUNTERS}
         for node in self.nodes:

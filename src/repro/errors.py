@@ -26,7 +26,7 @@ class DeadlockError(SimulationError):
 class HangError(SimulationError):
     """The watchdog saw no application progress for too long.
 
-    Raised by :class:`repro.sim.monitor.Watchdog` when the event queue
+    Raised by :class:`repro.obs.monitor.Watchdog` when the event queue
     is still busy (keepalive timers, retransmission timers) but no
     descriptor, request, or collective has completed within the hang
     window — the distributed-hang analogue of :class:`DeadlockError`,

@@ -21,6 +21,7 @@ paper's latency/bandwidth/aggregation curves emerge from first
 principles rather than being painted on.
 """
 
+from repro._lazy import lazy_exports
 from repro.hw.params import (
     GigEParams,
     HostParams,
@@ -43,7 +44,13 @@ from repro.hw.node import (
     PRIO_USER,
 )
 from repro.hw.nic import GigEPort
-from repro.hw.myrinet import MyrinetFabric, MyrinetTimeModel
+
+#: Resolved on first access: only the Myrinet comparator builds these.
+_EXPORTS = {
+    "MyrinetFabric": "myrinet",
+    "MyrinetTimeModel": "myrinet",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "GigEParams",

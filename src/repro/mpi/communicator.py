@@ -298,12 +298,6 @@ class Communicator:
     # -- collective tier selection ---------------------------------------------
     COLLECTIVE_TIERS = ("host", "kernel", "nic")
 
-    @property
-    def collective_tier(self) -> str:
-        """Active collective execution tier (``host|kernel|nic``)."""
-        engine = self._offload
-        return "host" if engine is None else engine.label.lower()
-
     def set_collective_tier(self, tier: str) -> str:
         """Route barrier/bcast/reduce/allreduce through ``tier``.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.obs.recorder import API_CALL, MESSAGE, FlightRecorder
-from repro.sim.monitor import Probe
+from repro.obs.monitor import Probe
 
 _PHASES = {"X", "i", "M"}
 

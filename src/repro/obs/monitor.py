@@ -1,9 +1,18 @@
-"""Tracing and measurement instrumentation for simulations.
+"""Instruments a caller attaches to a simulator run.
 
-A :class:`Trace` attached to a simulator records every processed event;
-:class:`Probe` accumulates named samples (latency observations,
-bandwidth points) with summary statistics.  Both are deliberately
-allocation-light so they can stay attached during benchmarks.
+A :class:`Trace` passed as ``Simulator(trace=...)`` records every
+processed event (and switches the run onto the reference scheduler,
+one event at a time).  :class:`SampleStats` is the one Welford
+accumulator; :class:`Probe` keeps named series of them (optionally
+with the raw samples, for percentiles) and :class:`MetricsTimeline`
+buckets them by simulated time for a
+:class:`~repro.obs.recorder.FlightRecorder`.  For a fault campaign,
+:data:`RELIABILITY_COUNTERS` names the kernel-agent counters that
+:meth:`~repro.cluster.builder.MeshCluster.reliability_stats` sums
+mesh-wide, :func:`reliability_summary` renders the nonzero ones, and a
+:class:`Watchdog` turns a distributed hang into a
+:class:`~repro.errors.HangError`.  All are allocation-light, so they
+can stay attached during benchmarks.
 """
 
 from __future__ import annotations
@@ -111,6 +120,114 @@ class SampleStats:
     @property
     def stdev(self) -> float:
         return math.sqrt(self.variance)
+
+
+class Probe:
+    """Named sample accumulator for simulation measurements."""
+
+    def __init__(self) -> None:
+        self._stats: Dict[str, SampleStats] = {}
+        self._samples: Dict[str, List[float]] = {}
+
+    def observe(self, name: str, value: float, keep: bool = False) -> None:
+        """Record one sample under ``name``.
+
+        ``keep=True`` retains the raw sample (for percentiles); summary
+        statistics are always maintained.
+        """
+        stats = self._stats.get(name)
+        if stats is None:
+            stats = self._stats[name] = SampleStats()
+        stats.add(value)
+        if keep:
+            self._samples.setdefault(name, []).append(value)
+
+    def stats(self, name: str) -> SampleStats:
+        return self._stats[name]
+
+    def samples(self, name: str) -> List[float]:
+        return self._samples.get(name, [])
+
+    def names(self) -> List[str]:
+        return sorted(self._stats)
+
+    def mean(self, name: str) -> float:
+        return self._stats[name].mean
+
+    def percentile(self, name: str, q: float) -> float:
+        """The ``q``-th percentile of the kept samples under ``name``
+        (linear interpolation between closest ranks).
+
+        Requires the samples to have been observed with ``keep=True``;
+        raises :class:`ValueError` otherwise or when ``q`` is outside
+        ``[0, 100]``.
+        """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        samples = self._samples.get(name)
+        if not samples:
+            raise ValueError(f"no kept samples under {name!r}")
+        ordered = sorted(samples)
+        position = (len(ordered) - 1) * (q / 100.0)
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        fraction = position - low
+        return ordered[low] + (ordered[high] - ordered[low]) * fraction
+
+    def merge(self, other: "Probe") -> "Probe":
+        """Fold another probe's series into this one (mesh-wide
+        aggregation of per-node probes); returns ``self``."""
+        for name, stats in other._stats.items():
+            mine = self._stats.get(name)
+            if mine is None:
+                mine = self._stats[name] = SampleStats()
+            mine.merge(stats)
+        for name, samples in other._samples.items():
+            self._samples.setdefault(name, []).extend(samples)
+        return self
+
+
+class MetricsTimeline:
+    """Fixed-interval time series built on the Welford accumulator.
+
+    ``observe(series, t, value)`` folds ``value`` into the
+    ``int(t // interval)`` bucket of ``series``; each bucket is a
+    :class:`SampleStats`, so a series exposes mean / min / max / count
+    per interval without storing raw samples.
+    Observation never yields and never perturbs simulation state.
+    """
+
+    def __init__(self, interval: float = 50.0):
+        if interval <= 0.0:
+            raise ValueError("metrics interval must be positive")
+        self.interval = interval
+        self.series: Dict[str, Dict[int, SampleStats]] = {}
+
+    def observe(self, series: str, t: float, value: float) -> None:
+        buckets = self.series.get(series)
+        if buckets is None:
+            buckets = self.series[series] = {}
+        bucket = int(t // self.interval)
+        stats = buckets.get(bucket)
+        if stats is None:
+            stats = buckets[bucket] = SampleStats()
+        stats.add(value)
+
+    def timeline(self, series: str) -> List[tuple]:
+        """``[(bucket_start_us, SampleStats), ...]`` in time order."""
+        buckets = self.series.get(series, {})
+        return [(bucket * self.interval, buckets[bucket])
+                for bucket in sorted(buckets)]
+
+    def totals(self, series: str) -> SampleStats:
+        """All buckets of ``series`` merged into one accumulator."""
+        merged = SampleStats()
+        for stats in self.series.get(series, {}).values():
+            merged.merge(stats)
+        return merged
+
+    def names(self) -> List[str]:
+        return sorted(self.series)
 
 
 #: Kernel-agent counters that describe reliable-delivery/fault-recovery
@@ -230,68 +347,3 @@ class Watchdog:
                     self.storm_retransmits:
                 self.counters["retry_storms"] += 1
             self._last_retransmits = retransmits
-
-
-class Probe:
-    """Named sample accumulator for simulation measurements."""
-
-    def __init__(self) -> None:
-        self._stats: Dict[str, SampleStats] = {}
-        self._samples: Dict[str, List[float]] = {}
-
-    def observe(self, name: str, value: float, keep: bool = False) -> None:
-        """Record one sample under ``name``.
-
-        ``keep=True`` retains the raw sample (for percentiles); summary
-        statistics are always maintained.
-        """
-        stats = self._stats.get(name)
-        if stats is None:
-            stats = self._stats[name] = SampleStats()
-        stats.add(value)
-        if keep:
-            self._samples.setdefault(name, []).append(value)
-
-    def stats(self, name: str) -> SampleStats:
-        return self._stats[name]
-
-    def samples(self, name: str) -> List[float]:
-        return self._samples.get(name, [])
-
-    def names(self) -> List[str]:
-        return sorted(self._stats)
-
-    def mean(self, name: str) -> float:
-        return self._stats[name].mean
-
-    def percentile(self, name: str, q: float) -> float:
-        """The ``q``-th percentile of the kept samples under ``name``
-        (linear interpolation between closest ranks).
-
-        Requires the samples to have been observed with ``keep=True``;
-        raises :class:`ValueError` otherwise or when ``q`` is outside
-        ``[0, 100]``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        samples = self._samples.get(name)
-        if not samples:
-            raise ValueError(f"no kept samples under {name!r}")
-        ordered = sorted(samples)
-        position = (len(ordered) - 1) * (q / 100.0)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-    def merge(self, other: "Probe") -> "Probe":
-        """Fold another probe's series into this one (mesh-wide
-        aggregation of per-node probes); returns ``self``."""
-        for name, stats in other._stats.items():
-            mine = self._stats.get(name)
-            if mine is None:
-                mine = self._stats[name] = SampleStats()
-            mine.merge(stats)
-        for name, samples in other._samples.items():
-            self._samples.setdefault(name, []).extend(samples)
-        return self

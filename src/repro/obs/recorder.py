@@ -25,8 +25,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.monitor import SampleStats
-
 #: Trace ids are namespaced per track: ``(base << TRACK_SHIFT) + seq``
 #: where ``base`` is the rank for per-node tracks ("n<rank>") and a
 #: CRC-derived constant above any plausible rank otherwise.  Allocation
@@ -113,53 +111,14 @@ class TraceInfo:
                 f"[{self.start:.3f}..{self.end:.3f}]us")
 
 
-class MetricsTimeline:
-    """Fixed-interval time series built on the Welford accumulator.
-
-    ``observe(series, t, value)`` folds ``value`` into the
-    ``int(t // interval)`` bucket of ``series``; each bucket is a
-    :class:`~repro.sim.monitor.SampleStats`, so a series exposes mean /
-    min / max / count per interval without storing raw samples.
-    Observation never yields and never perturbs simulation state.
-    """
-
-    def __init__(self, interval: float = 50.0):
-        if interval <= 0.0:
-            raise ValueError("metrics interval must be positive")
-        self.interval = interval
-        self.series: Dict[str, Dict[int, SampleStats]] = {}
-
-    def observe(self, series: str, t: float, value: float) -> None:
-        buckets = self.series.get(series)
-        if buckets is None:
-            buckets = self.series[series] = {}
-        bucket = int(t // self.interval)
-        stats = buckets.get(bucket)
-        if stats is None:
-            stats = buckets[bucket] = SampleStats()
-        stats.add(value)
-
-    def timeline(self, series: str) -> List[tuple]:
-        """``[(bucket_start_us, SampleStats), ...]`` in time order."""
-        buckets = self.series.get(series, {})
-        return [(bucket * self.interval, buckets[bucket])
-                for bucket in sorted(buckets)]
-
-    def totals(self, series: str) -> SampleStats:
-        """All buckets of ``series`` merged into one accumulator."""
-        merged = SampleStats()
-        for stats in self.series.get(series, {}).values():
-            merged.merge(stats)
-        return merged
-
-    def names(self) -> List[str]:
-        return sorted(self.series)
-
-
 class FlightRecorder:
     """Collects spans, instant events and metrics for one simulator."""
 
     def __init__(self, metrics_interval: float = 50.0):
+        # Here, not at the top: the hardware and VIA layers import this
+        # module for its span kinds, and an untraced run needs no stats.
+        from repro.obs.monitor import MetricsTimeline
+
         self.traces: Dict[int, TraceInfo] = {}
         self.spans: List[Span] = []
         self.events: List[Span] = []

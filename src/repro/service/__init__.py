@@ -25,7 +25,7 @@ service-level chaos harness; ``--load-test N`` runs the concurrent
 client load test and prints its report.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 #: Public name -> submodule that defines it.  Resolved on first access
 #: (PEP 562), so a fleet worker -- whose closure is ``worker`` +
@@ -41,13 +41,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-
-
-def __dir__():
-    return sorted([*globals(), *__all__])
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -20,10 +20,13 @@ the keepalive idiom of the simulated failure detector in
 Workers enter the dispatchable pool only after their ``ready``
 message, so boot time is never misread as a hang.  Boot is the
 interpreter, multiprocessing's spawn bootstrap and the ``worker`` +
-``protocol`` modules; the engine is imported by the first job, numpy
-by the first job that reduces real data, and the asyncio front-end
+``protocol`` modules.  The first job imports the layers it runs and no
+others: a raw VIA or TCP point loads the simulator, the hardware
+models and its stack, not the messaging core, MPI or the collectives
+(every package re-exports its siblings' names lazily).  numpy loads
+with the first job that reduces real data, and the asyncio front-end
 (this module, the router, the server) never (EXPERIMENTS.md, "Cold
-start").  ``counters`` is the fleet's one book (with the telemetry
+start" and "Cold start by layer").  ``counters`` is the fleet's one book (with the telemetry
 plane on it is exported live as ``fleet_<key>_total``);
 ``dispatches`` reads its count of real engine runs — the counter the
 cache tests assert against.

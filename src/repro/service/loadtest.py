@@ -32,7 +32,7 @@ from repro.service.cache import ResultCache
 from repro.service.fleet import Fleet
 from repro.service.protocol import JobSpec, ServiceError
 from repro.service.router import Router, RouterConfig
-from repro.sim.monitor import Probe
+from repro.obs.monitor import Probe
 
 
 class LoadTestFailed(ServiceError):

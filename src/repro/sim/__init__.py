@@ -18,7 +18,9 @@ Public surface::
     sim.spawn(producer(sim, store))
     sim.run()
 
-The clock unit is the microsecond (see :mod:`repro.units`).
+The clock unit is the microsecond (see :mod:`repro.units`).  What
+watches a run from outside — the per-event trace, sample statistics,
+the hang watchdog — lives in :mod:`repro.obs`.
 """
 
 from repro.sim.core import Simulator
@@ -33,7 +35,6 @@ from repro.sim.events import (
 from repro.sim.process import Process
 from repro.sim.resources import Mutex, PriorityResource, Resource
 from repro.sim.store import Store, TokenPool
-from repro.sim.monitor import Trace, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -47,8 +48,6 @@ __all__ = [
     "PriorityResource",
     "Store",
     "TokenPool",
-    "Trace",
-    "TraceRecord",
     "URGENT",
     "NORMAL",
 ]

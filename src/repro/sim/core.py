@@ -66,7 +66,7 @@ class Simulator:
     Parameters
     ----------
     trace:
-        Optional :class:`repro.sim.monitor.Trace` receiving a record per
+        Optional :class:`repro.obs.monitor.Trace` receiving a record per
         processed event (cheap to leave off; benchmarks run untraced).
     """
 

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The registry is the wall-clock sibling of the simulator's
-:class:`~repro.obs.recorder.MetricsTimeline`: where the timeline
+:class:`~repro.obs.monitor.MetricsTimeline`: where the timeline
 aggregates *simulated* quantities against simulated time, the registry
 aggregates *operational* quantities (requests routed, windows run,
 checkpoint bytes written) against wall time, across every process that
@@ -14,7 +14,7 @@ Design constraints, in order:
   supervisor merges them on read.  Every merge is associative and
   commutative — counters add, gauges take the max, histograms combine
   bucket counts plus Welford moments (Chan et al., computed by
-  :meth:`repro.sim.monitor.SampleStats.merge`) — so it does not matter
+  :meth:`repro.obs.monitor.SampleStats.merge`) — so it does not matter
   how many processes contributed or in what grouping the snapshots
   were folded.
 * **Cheap.**  Instruments are plain attribute bumps; a snapshot is a
@@ -38,7 +38,7 @@ import math
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.monitor import SampleStats
+from repro.obs.monitor import SampleStats
 
 #: Default histogram bucket upper bounds, in seconds: a latency ladder
 #: from 0.1 ms to 2 minutes (an implicit +Inf bucket catches the rest).

@@ -8,6 +8,7 @@ simulation dependencies — so the collective algorithms in
 :mod:`repro.collectives` can be analyzed without running the DES.
 """
 
+from repro._lazy import lazy_exports
 from repro.topology.torus import Direction, Torus
 from repro.topology.routing import (
     RouteStep,
@@ -16,8 +17,15 @@ from repro.topology.routing import (
     sdf_path,
     torus_distance,
 )
-from repro.topology.partition import OptPartition, partition_regions
-from repro.topology.switched import ClosFabric
+
+#: Resolved on first access: the OPT scatter's partitions and the
+#: Myrinet comparator's switched fabric are not on a mesh run's path.
+_EXPORTS = {
+    "OptPartition": "partition",
+    "partition_regions": "partition",
+    "ClosFabric": "switched",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "Torus",

@@ -22,7 +22,7 @@ from repro.obs.recorder import (
     NIC_COMBINE,
     NIC_FORWARD,
 )
-from repro.sim.monitor import Trace
+from repro.obs.monitor import Trace
 
 MESHES = ((2, 2), (2, 2, 2), (3, 3))
 TIERS = ("host", "kernel", "nic")

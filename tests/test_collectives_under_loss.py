@@ -15,7 +15,8 @@ from repro.cluster.builder import build_mesh
 from repro.cluster.process_api import build_world, run_mpi
 from repro.hw.faults import FaultParams, NodeFaultSpec
 from repro.hw.params import GigEParams, ViaParams
-from repro.sim import Simulator, Trace
+from repro.obs.monitor import Trace
+from repro.sim import Simulator
 
 DIMS = (2, 2, 2)  # the 8-node torus of the paper's small testbed
 LOSS = 0.01
@@ -100,7 +101,7 @@ def test_recovery_counters_visible():
     assert totals["timeouts"] > 0
     assert totals["acks_sent"] > 0
     assert totals["frames_dropped"] > 0
-    from repro.sim.monitor import reliability_summary
+    from repro.obs.monitor import reliability_summary
 
     summary = reliability_summary(totals)
     assert "retransmits=" in summary and "timeouts=" in summary

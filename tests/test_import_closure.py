@@ -3,11 +3,14 @@
 A fleet worker, a PDES shard and a ledger run load what they execute:
 no numpy until a reduction combines two operands that are not both
 Python floats, none of the asyncio front-end until somebody asks
-``repro.service`` for it.  Every closure case runs in a fresh
-interpreter — ``sys.modules`` of the pytest process has long since
-loaded everything.
+``repro.service`` for it, and no layer a job does not run — a package
+re-exports its siblings' names lazily.  Every closure case runs in a
+fresh interpreter — ``sys.modules`` of the pytest process has long
+since loaded everything.
 """
 
+import importlib
+import json
 import os
 import struct
 import subprocess
@@ -15,9 +18,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi import op as mpi_op
+from repro.service.jobs import POINT_OPS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -42,6 +47,64 @@ def test_worker_closure_loads_no_numpy_and_no_front_end():
         f"print([m for m in {FRONT_END!r} if m in sys.modules])"
     )
     assert loaded == "[]"
+
+
+#: What no point job loads: the collectives, and the siblings of the
+#: layers it runs (the OPT partitions, the Myrinet comparator, the
+#: trace exporters, the figure registry).
+NO_POINT_JOB = ("repro.collectives", "repro.topology.partition",
+                "repro.topology.switched", "repro.hw.myrinet",
+                "repro.obs.export", "repro.bench.harness")
+
+#: The layers above VIA, which only the MPI point job runs.
+ABOVE_VIA = ("repro.core", "repro.mpi")
+
+
+def _under(loaded, packages):
+    return [m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+@pytest.mark.parametrize("op", sorted(POINT_OPS))
+def test_a_point_job_loads_only_the_layers_it_runs(op):
+    loaded = json.loads(_fresh(
+        "import json, sys\n"
+        "from repro.service.jobs import execute\n"
+        "from repro.service.protocol import JobSpec\n"
+        f"execute(JobSpec.make('point', {op!r}, nbytes=1024))\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro'))))\n"
+    ))
+    assert _under(loaded, NO_POINT_JOB) == []
+    if op.startswith("mpi_"):
+        assert "repro.mpi.communicator" in loaded
+    else:
+        assert _under(loaded, ABOVE_VIA) == []
+
+
+def test_the_simulation_kernel_loads_only_itself():
+    loaded = _fresh(
+        "import sys, repro.sim\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro')))"
+    )
+    assert loaded == str([
+        "repro", "repro._version", "repro.errors", "repro.fastpath",
+        "repro.sim", "repro.sim.core", "repro.sim.events",
+        "repro.sim.process", "repro.sim.resources", "repro.sim.store"])
+
+
+@pytest.mark.parametrize("package", [
+    "repro.bench", "repro.cluster", "repro.hw", "repro.obs",
+    "repro.service", "repro.topology"])
+def test_every_lazy_export_resolves(package):
+    """A typo in an ``_EXPORTS`` table fails here, not in a user's
+    first ``from package import name``."""
+    module = importlib.import_module(package)
+    assert set(module._EXPORTS) <= set(module.__all__)
+    listed = dir(module)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
 
 
 def test_numpy_loads_on_the_first_data_carrying_reduction():

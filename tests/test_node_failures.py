@@ -14,7 +14,7 @@ from repro.errors import (
     ViaError,
 )
 from repro.hw.faults import NodeFaultSpec
-from repro.sim.monitor import reliability_summary
+from repro.obs.monitor import reliability_summary
 from repro.via.descriptors import DescriptorStatus
 from repro.via.vi import ViState
 

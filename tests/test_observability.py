@@ -29,8 +29,8 @@ from repro.obs.export import (
     render_trace_events,
     validate_chrome_trace,
 )
+from repro.obs.monitor import Probe, SampleStats, Trace
 from repro.sim import Simulator
-from repro.sim.monitor import Probe, SampleStats, Trace
 
 
 # ---------------------------------------------------------------------------

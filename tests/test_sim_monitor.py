@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.sim import Simulator, Trace
-from repro.sim.monitor import Probe, SampleStats
+from repro.obs.monitor import Probe, SampleStats, Trace
+from repro.sim import Simulator
 
 
 def test_trace_records_events():
