@@ -166,27 +166,28 @@ EXPECTED = {
     # Interrupt dispatch: one kick and one entry cost per interrupt.
     ("Event", "irq"): 1367,
     ("Timeout", "irq"): 1367,
-    ("PriorityRequest", "irq"): 647,
+    ("Request", "irq"): 647,
     # Messaging core and MPI layer above the NIC.
     ("Timeout", "engine"): 1446,
     ("StoreGet", "engine"): 966,
-    ("PriorityRequest", "engine"): 467,
+    ("Request", "engine"): 467,
     ("_Flow:join", _DONE + "engine"): 324,
     ("_Flow:join", _DONE + "send"): 324,
-    ("PriorityRequest", "send"): 861,
-    ("Request", "send"): 642,
+    # Lock grants (one ``Mutex`` class): 861 are the CPU's, 642 the
+    # channel send lock's.
+    ("Request", "send"): 1503,
     ("StorePut", "send"): 642,
     ("Timeout", "send"): 642,
     ("_Initialize", "send"): 642,
     ("Timeout", "recv"): 804,
-    ("PriorityRequest", "recv"): 650,
+    ("Request", "recv"): 650,
     ("_Initialize", "recv"): 642,
     ("StorePut", "recv"): 162,
-    ("Request", "rma"): 162,
+    # 162 are the send lock's, 144 the CPU's.
+    ("Request", "rma"): 306,
     ("StorePut", "rma"): 162,
     ("Timeout", "rma"): 162,
     ("_Initialize", "rma"): 162,
-    ("PriorityRequest", "rma"): 144,
     ("SendRequest", "AllOf._check"): 564,
     ("RecvRequest", "AllOf._check"): 486,
     ("AllOf", "rank"): 162,

@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 from repro.bench.harness import ExperimentResult
 from repro.cluster.builder import build_mesh
 from repro.cluster.process_api import build_world, run_mpi
-from repro.obs.recorder import API_CALL, IRQ_WAIT
+from repro.obs import API_CALL, IRQ_WAIT
 
 TIERS = ("host", "kernel", "nic")
 COLLECTIVES = ("barrier", "bcast", "combine")

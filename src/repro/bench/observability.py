@@ -94,7 +94,7 @@ def tier_breakdown(quick: bool = False) -> str:
         TIERS,
         _measure,
     )
-    from repro.obs.recorder import API_CALL, IRQ_WAIT
+    from repro.obs import API_CALL, IRQ_WAIT
 
     ops = REPEATS * len(COLLECTIVES)
     lines = [

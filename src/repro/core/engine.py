@@ -47,7 +47,7 @@ from repro.errors import (
     ViaError,
 )
 from repro.hw.node import PRIO_USER
-from repro.obs.recorder import API_CALL as _API_CALL
+from repro.obs import API_CALL as _API_CALL
 from repro.sim import Event
 from repro.via.descriptors import (
     RecvDescriptor,

@@ -55,7 +55,7 @@ from typing import List, Optional
 
 from repro.hw.node import PCIX_RATE
 from repro.hw.pci import _EPS, _MIN_HORIZON
-from repro.obs.recorder import DMA, WIRE_HOP
+from repro.obs import DMA, WIRE_HOP
 from repro.sim.events import Callback
 
 #: Minimum burst size worth planning; shorter bursts go per-frame.

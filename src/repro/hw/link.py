@@ -21,8 +21,7 @@ from repro.errors import ConfigurationError
 from repro.hw.faults import CORRUPT, DROP, FaultInjector
 from repro.sim import Simulator
 from repro.sim.events import Callback
-from repro.obs.recorder import DROP as _DROP, \
-    WIRE_HOP as _WIRE_HOP
+from repro.obs import DROP as _DROP, WIRE_HOP as _WIRE_HOP
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import GigEPort

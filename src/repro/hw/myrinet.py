@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.params import MyrinetParams
-from repro.sim import Resource, Simulator
+from repro.sim import Mutex, Simulator
 from repro.topology.switched import ClosFabric
 
 
@@ -63,10 +63,10 @@ class MyrinetFabric:
         self.params = params or MyrinetParams()
         self.topology = ClosFabric(num_hosts)
         self._inject = [
-            Resource(sim, 1, name=f"myri-in[{h}]") for h in range(num_hosts)
+            Mutex(sim, name=f"myri-in[{h}]") for h in range(num_hosts)
         ]
         self._eject = [
-            Resource(sim, 1, name=f"myri-out[{h}]") for h in range(num_hosts)
+            Mutex(sim, name=f"myri-out[{h}]") for h in range(num_hosts)
         ]
         self._receivers: Dict[int, Callable] = {}
         self.stats = {"messages": 0, "bytes": 0}

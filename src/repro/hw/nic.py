@@ -57,7 +57,7 @@ from functools import partial
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import DMA as _DMA
+from repro.obs import DMA as _DMA
 from repro.hw.fastpath import (
     HARMLESS, FrameTrain, TRAIN_MIN_FRAMES, TrainCallback, commit_train,
     plan_train,

@@ -4,7 +4,7 @@ The paper's nodes are single-processor Pentium 4 Xeons, so *all* host
 software — user processes, kernel paths, interrupt handlers — contends
 for one CPU.  That single fact drives most of the paper's curves (TCP's
 simultaneous-bandwidth collapse, the 3-D aggregated-bandwidth falloff),
-so the CPU here is a strict priority resource:
+so the CPU here is one lock granted in strict priority order:
 
 * ``PRIO_IRQ``     — hardware interrupt handlers (and the kernel packet
   switch, which runs at interrupt level);
@@ -31,7 +31,7 @@ from typing import List, Optional
 from repro.errors import ConfigurationError
 from repro.hw.params import HostParams
 from repro.hw.pci import BandwidthBus
-from repro.sim import PriorityResource, Simulator
+from repro.sim import Mutex, Simulator
 from repro.sim.events import Event, URGENT
 
 PRIO_IRQ = 0
@@ -162,7 +162,7 @@ class Host:
         self.sim = sim
         self.node_id = node_id
         self.params = params or HostParams()
-        self.cpu = PriorityResource(sim, 1, name=f"cpu[{node_id}]")
+        self.cpu = Mutex(sim, name=f"cpu[{node_id}]")
         self.irq = IrqController(self)
         self.membus = BandwidthBus(
             sim, self.params.membus_rate, setup=0.02,

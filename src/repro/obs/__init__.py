@@ -14,23 +14,36 @@ and the fault campaign's reliability counters and hang watchdog.
 
 from repro._lazy import lazy_exports
 
-#: Public name -> submodule, resolved on first access.  The hardware
-#: and VIA layers import :mod:`~repro.obs.recorder` for its span kinds;
-#: an untraced run loads nothing else of this package.
+# Span kinds (the lifecycle stages of a message).  The hardware, VIA
+# and messaging layers name them at every instrumentation site, so they
+# live here: an untraced run compiles nothing else of this package.
+MESSAGE = "message"              # root span: one per trace id
+API_CALL = "api-call"            # host CPU inside send/recv API calls
+DESC_QUEUED = "descriptor-queued"  # instant: descriptor handed to NIC
+DMA = "dma"                      # descriptor/payload fetch over PCI-X
+WIRE_HOP = "wire-hop"            # serialization + propagation on a link
+SWITCH_FORWARD = "switch-forward"  # store-and-forward relay at a hop
+IRQ_WAIT = "irq-wait"            # rx DMA done -> IRQ handler entry
+COMPLETION = "completion"        # instant: descriptor completed/failed
+# NIC-resident collective stages (the host-side terms they replace —
+# api-call syscalls, irq-wait per hop — simply do not occur).
+NIC_FORWARD = "nic-forward"      # NIC firmware tx of a collective frame
+NIC_COMBINE = "nic-combine"      # NIC firmware reduce/combine step
+
+# Reliability event kinds (instants).
+RETRANSMIT = "retransmit"
+ACK = "ack"
+TIMEOUT = "timeout"
+DROP = "drop"
+
+SPAN_KINDS = (
+    MESSAGE, API_CALL, DESC_QUEUED, DMA, WIRE_HOP, SWITCH_FORWARD,
+    IRQ_WAIT, COMPLETION, NIC_FORWARD, NIC_COMBINE, RETRANSMIT, ACK,
+    TIMEOUT, DROP,
+)
+
+#: Public name -> submodule, resolved on first access.
 _EXPORTS = {
-    "API_CALL": "recorder",
-    "ACK": "recorder",
-    "COMPLETION": "recorder",
-    "DESC_QUEUED": "recorder",
-    "DMA": "recorder",
-    "DROP": "recorder",
-    "IRQ_WAIT": "recorder",
-    "MESSAGE": "recorder",
-    "RETRANSMIT": "recorder",
-    "SPAN_KINDS": "recorder",
-    "SWITCH_FORWARD": "recorder",
-    "TIMEOUT": "recorder",
-    "WIRE_HOP": "recorder",
     "FlightRecorder": "recorder",
     "Span": "recorder",
     "TraceInfo": "recorder",
@@ -48,5 +61,9 @@ _EXPORTS = {
     "TraceRecord": "monitor",
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([
+    *_EXPORTS, "MESSAGE", "API_CALL", "DESC_QUEUED", "DMA", "WIRE_HOP",
+    "SWITCH_FORWARD", "IRQ_WAIT", "COMPLETION", "NIC_FORWARD",
+    "NIC_COMBINE", "RETRANSMIT", "ACK", "TIMEOUT", "DROP", "SPAN_KINDS",
+])
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

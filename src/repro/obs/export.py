@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.obs.recorder import API_CALL, MESSAGE, FlightRecorder
+from repro.obs import API_CALL, MESSAGE
+from repro.obs.recorder import FlightRecorder
 from repro.obs.monitor import Probe
 
 _PHASES = {"X", "i", "M"}

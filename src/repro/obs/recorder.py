@@ -25,6 +25,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.obs import ACK, DROP, MESSAGE, RETRANSMIT, TIMEOUT, WIRE_HOP
+
 #: Trace ids are namespaced per track: ``(base << TRACK_SHIFT) + seq``
 #: where ``base`` is the rank for per-node tracks ("n<rank>") and a
 #: CRC-derived constant above any plausible rank otherwise.  Allocation
@@ -42,31 +44,6 @@ def track_base(track: str) -> int:
         return int(track[1:])
     return _NON_RANK_BASE + zlib.crc32(track.encode("utf-8", "replace"))
 
-# Span kinds (the lifecycle stages of a message).
-MESSAGE = "message"              # root span: one per trace id
-API_CALL = "api-call"            # host CPU inside send/recv API calls
-DESC_QUEUED = "descriptor-queued"  # instant: descriptor handed to NIC
-DMA = "dma"                      # descriptor/payload fetch over PCI-X
-WIRE_HOP = "wire-hop"            # serialization + propagation on a link
-SWITCH_FORWARD = "switch-forward"  # store-and-forward relay at a hop
-IRQ_WAIT = "irq-wait"            # rx DMA done -> IRQ handler entry
-COMPLETION = "completion"        # instant: descriptor completed/failed
-# NIC-resident collective stages (the host-side terms they replace —
-# api-call syscalls, irq-wait per hop — simply do not occur).
-NIC_FORWARD = "nic-forward"      # NIC firmware tx of a collective frame
-NIC_COMBINE = "nic-combine"      # NIC firmware reduce/combine step
-
-# Reliability event kinds (instants).
-RETRANSMIT = "retransmit"
-ACK = "ack"
-TIMEOUT = "timeout"
-DROP = "drop"
-
-SPAN_KINDS = (
-    MESSAGE, API_CALL, DESC_QUEUED, DMA, WIRE_HOP, SWITCH_FORWARD,
-    IRQ_WAIT, COMPLETION, NIC_FORWARD, NIC_COMBINE, RETRANSMIT, ACK,
-    TIMEOUT, DROP,
-)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ exchange the ledger's ``pdes_shards`` workload runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.collectives.tree import dimension_order_tree
@@ -149,9 +150,10 @@ def _collective_program(comm, torus: Torus, nbytes: int = 256,
     return (round(total, 6), round(sim.now - start, 6))
 
 
-def _collective_reduce(torus: Torus, per_rank: Dict[int, object]) -> dict:
+def _collective_reduce(torus: Torus, per_rank: Dict[int, object],
+                       name: str = "collective") -> dict:
     return {
-        "workload": "collective",
+        "workload": name,
         "sums": [per_rank[rank][0] for rank in sorted(per_rank)],
         "elapsed_us": [per_rank[rank][1] for rank in sorted(per_rank)],
     }
@@ -165,27 +167,6 @@ def _nic_collective_setup(cluster, comms) -> None:
             node.via.enable_nic_collectives()
     for comm in comms.values():
         comm.set_collective_tier("nic")
-
-
-def _nic_collective_program(comm, torus: Torus, nbytes: int = 256,
-                            repeats: int = 3):
-    sim = comm.engine.sim
-    start = sim.now
-    total = 0.0
-    for _ in range(repeats):
-        value = yield from comm.allreduce(nbytes=nbytes,
-                                          data=float(comm.rank + 1))
-        total += value
-    return (round(total, 6), round(sim.now - start, 6))
-
-
-def _nic_collective_reduce(torus: Torus,
-                           per_rank: Dict[int, object]) -> dict:
-    return {
-        "workload": "nic-collective",
-        "sums": [per_rank[rank][0] for rank in sorted(per_rank)],
-        "elapsed_us": [per_rank[rank][1] for rank in sorted(per_rank)],
-    }
 
 
 # -- aggregate (fig. 4/5 style all-neighbor exchange) -------------------
@@ -226,9 +207,11 @@ WORKLOADS: Dict[str, Workload] = {
                            _collective_program, _collective_reduce),
     "aggregate": Workload("aggregate", neighbor_edges,
                           _aggregate_program, _aggregate_reduce),
+    # The collective program on the NIC tier: only the setup differs.
     "nic-collective": Workload("nic-collective", _collective_edges,
-                               _nic_collective_program,
-                               _nic_collective_reduce,
+                               _collective_program,
+                               partial(_collective_reduce,
+                                       name="nic-collective"),
                                setup=_nic_collective_setup),
 }
 

@@ -18,6 +18,10 @@ Public surface::
     sim.spawn(producer(sim, store))
     sim.run()
 
+Hardware one user holds at a time — a node's CPU, a Myrinet port, a
+channel's send lock — is one :class:`Mutex`, granted in
+``(priority, arrival)`` order.
+
 The clock unit is the microsecond (see :mod:`repro.units`).  What
 watches a run from outside — the per-event trace, sample statistics,
 the hang watchdog — lives in :mod:`repro.obs`.
@@ -33,7 +37,7 @@ from repro.sim.events import (
     NORMAL,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Mutex, PriorityResource, Resource
+from repro.sim.resources import Mutex
 from repro.sim.store import Store, TokenPool
 
 __all__ = [
@@ -43,9 +47,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Resource",
     "Mutex",
-    "PriorityResource",
     "Store",
     "TokenPool",
     "URGENT",

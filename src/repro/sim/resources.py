@@ -1,15 +1,17 @@
-"""Shared-resource primitives (mutexes, counted resources).
+"""The simulation lock.
 
-Used to model contended hardware: the PCI-X bus, a NIC's DMA engine, a
-CPU that can run one interrupt handler at a time.  Semantics follow the
-usual simulation-resource contract: ``request()`` returns an event that
-fires when the resource is granted; ``release()`` hands it to the next
-waiter in FIFO (or priority) order.
+Used to model hardware one user holds at a time: a node's CPU, which
+runs one handler at a time in priority order, a Myrinet port, a
+channel's send lock.  Semantics follow the usual simulation-resource
+contract: ``request()`` returns an event that fires when the lock is
+granted; ``release()`` hands it to the waiter first in
+``(priority, arrival)`` order, which is FIFO for callers that never
+pass a priority.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -20,16 +22,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Request(Event):
-    """Grant event returned by :meth:`Resource.request`.
+    """Grant event returned by :meth:`Mutex.request`.
 
     Usable as a context token: pass it back to ``release``.  It fires
     with ``None``: a request valued by itself would be a reference
     cycle, and every CPU hold would wait for the cyclic collector.
+    ``priority`` (lower is served first) and ``order`` (the lock's
+    count of waits when this one queued; 0 if it never waited) rank
+    it among the waiters.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "priority", "order")
 
-    def __init__(self, resource: "Resource") -> None:
+    def __init__(self, resource: "Mutex", priority: int = 0,
+                 order: int = 0) -> None:
         self.sim = sim = resource.sim
         self.name = (f"request:{resource.name}" if sim.trace is not None
                      else "")
@@ -37,101 +43,17 @@ class Request(Event):
         self._value = _PENDING
         self._ok = None
         self.resource = resource
+        self.priority = priority
+        self.order = order
 
-
-class Resource:
-    """A counted resource with FIFO waiters.
-
-    Parameters
-    ----------
-    sim: owning simulator.
-    capacity: number of concurrent holders (1 == mutex).
-    """
-
-    __slots__ = ("sim", "capacity", "name", "_holders", "_waiters", "stats")
-
-    def __init__(self, sim: "Simulator", capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._holders: set = set()
-        self._waiters: list = []
-        #: Cumulative statistics for utilization analysis.
-        self.stats = {"grants": 0, "waits": 0}
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self._holders)
-
-    def request(self) -> Request:
-        """Ask for the resource; the returned event fires when granted."""
-        req = Request(self)
-        if len(self._holders) < self.capacity and not self._waiters:
-            self._grant(req)
-        else:
-            self.stats["waits"] += 1
-            self._waiters.append(req)
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return the resource; wakes the next waiter if any."""
-        if request not in self._holders:
-            raise SimulationError(
-                f"release of {request!r} that does not hold {self.name!r}"
-            )
-        self._holders.discard(request)
-        self._dispatch()
-
-    def try_acquire(self) -> "Request | None":
-        """Synchronous grant when the resource is free, else None.
-
-        The seed path grants synchronously too (``request()`` adds the
-        holder immediately); its grant event exists only to wake the
-        requester at the same instant.  A caller that proceeds inline
-        instead observes and produces identical timestamps.
-        """
-        if self._waiters or len(self._holders) >= self.capacity:
-            return None
-        req = Request(self)
-        self._holders.add(req)
-        self.stats["grants"] += 1
-        req._ok = True
-        req._value = None
-        return req
-
-    def _grant(self, req: Request) -> None:
-        self._holders.add(req)
-        self.stats["grants"] += 1
-        req.succeed(None, URGENT)
-
-    def _dispatch(self) -> None:
-        while self._waiters and len(self._holders) < self.capacity:
-            self._grant(self._waiters.pop(0))
-
-    def use(self, duration: float):
-        """Process helper: hold the resource for ``duration`` us.
-
-        Usage: ``yield from bus.use(t)``.
-        """
-        req = self.try_acquire() if self.sim._fast else None
-        if req is None:
-            req = self.request()
-            yield req
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release(req)
+    def __lt__(self, other: "Request") -> bool:
+        return (self.priority, self.order) < (other.priority, other.order)
 
 
 class Mutex:
-    """A :class:`Resource` of capacity one that keeps its holder in a
-    slot, not a set, and its waiters in a list made by the first one.
+    """A lock with one holder slot and a heap of waiters.
 
-    Same grants, in the same order, with the same events.  Like a
+    The heap is made by the first waiter.  Like a
     :class:`~repro.sim.store.Store`, it builds ``name`` from
     ``owner.name`` only when something reads it.
     """
@@ -144,6 +66,8 @@ class Mutex:
         self.sim = sim
         self._name = name
         self._owner = owner
+        # Invariant: a waiter exists only while a holder does, so a free
+        # lock is one ``_holder is None`` test.
         self._holder = None
         self._waiters = ()
         self.grants = self.waits = 0
@@ -158,97 +82,62 @@ class Mutex:
         """The counters as a new dict: ``grants``, ``waits``."""
         return {"grants": self.grants, "waits": self.waits}
 
-    def request(self) -> Request:
-        """Ask for the mutex; the returned event fires when granted."""
-        req = Request(self)
-        if self._holder is None and not self._waiters:
+    @property
+    def count(self) -> int:
+        """Number of current holders (0 or 1)."""
+        return 0 if self._holder is None else 1
+
+    def request(self, priority: int = 0) -> Request:
+        """Ask for the lock; the returned event fires when granted."""
+        if self._holder is None:
+            req = Request(self, priority)
             self._grant(req)
+            return req
+        self.waits = order = self.waits + 1
+        req = Request(self, priority, order)
+        if self._waiters:
+            heappush(self._waiters, req)
         else:
-            self.waits += 1
-            if not self._waiters:
-                self._waiters = []
-            self._waiters.append(req)
+            self._waiters = [req]
         return req
 
     def release(self, request: Request) -> None:
-        """Return the mutex; grants it to the oldest waiter if any."""
+        """Return the lock; grants it to the first waiter if any."""
         if request is not self._holder:
             raise SimulationError(
                 f"release of {request!r} that does not hold {self.name!r}"
             )
         self._holder = None
         if self._waiters:
-            self._grant(self._waiters.pop(0))
+            self._grant(heappop(self._waiters))
+
+    def try_acquire(self, priority: int = 0) -> "Request | None":
+        """Synchronous grant when the lock is free, else None.
+
+        ``request()`` grants a free lock synchronously too; its grant
+        event exists only to wake the requester at the same instant.  A
+        caller that proceeds inline instead observes and produces
+        identical timestamps.
+        """
+        if self._holder is not None:
+            return None
+        self._holder = req = Request(self, priority)
+        self.grants += 1
+        req._ok = True
+        req._value = None
+        return req
 
     def _grant(self, req: Request) -> None:
         self._holder = req
         self.grants += 1
         req.succeed(None, URGENT)
 
-
-class PriorityRequest(Request):
-    """Request carrying a priority (lower value served first)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, resource: "PriorityResource", priority: int,
-                 order: int) -> None:
-        self.sim = sim = resource.sim
-        self.name = (f"request:{resource.name}" if sim.trace is not None
-                     else "")
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self.resource = resource
-        self.priority = priority
-        self._order = order
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served in (priority, FIFO) order.
-
-    Models e.g. a NIC transmit path where control packets (flow-control
-    token updates) preempt queued bulk data.
-    """
-
-    __slots__ = ("_order",)
-
-    def __init__(self, sim: "Simulator", capacity: int = 1,
-                 name: str = "priority-resource") -> None:
-        super().__init__(sim, capacity=capacity, name=name)
-        self._order = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        self._order += 1
-        req = PriorityRequest(self, priority, self._order)
-        if len(self._holders) < self.capacity and not self._waiters:
-            self._grant(req)
-        else:
-            self.stats["waits"] += 1
-            heapq.heappush(self._waiters, req)
-        return req
-
-    def try_acquire(self, priority: int = 0) -> "PriorityRequest | None":  # type: ignore[override]
-        """Synchronous grant when free, else None (see Resource)."""
-        if self._waiters or len(self._holders) >= self.capacity:
-            return None
-        self._order += 1
-        req = PriorityRequest(self, priority, self._order)
-        self._holders.add(req)
-        self.stats["grants"] += 1
-        req._ok = True
-        req._value = None
-        return req
-
-    def _dispatch(self) -> None:
-        while self._waiters and len(self._holders) < self.capacity:
-            self._grant(heapq.heappop(self._waiters))
-
     def use(self, duration: float, priority: int = 0):
-        """Hold the resource for ``duration`` at ``priority``."""
+        """Process helper: hold the lock for ``duration`` us at
+        ``priority``.
+
+        Usage: ``yield from port.use(t)``.
+        """
         req = self.try_acquire(priority) if self.sim._fast else None
         if req is None:
             req = self.request(priority)

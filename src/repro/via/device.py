@@ -26,7 +26,7 @@ from repro.via.descriptors import Descriptor
 from repro.via.kernel_agent import KernelAgent
 from repro.via.memory import MemoryRegion, ProtectionTag, RegisteredSpace
 from repro.via.packet import PacketKind, ViaPacket
-from repro.obs.recorder import DESC_QUEUED as _DESC_QUEUED
+from repro.obs import DESC_QUEUED as _DESC_QUEUED
 from repro.via.vi import VI, Reliability
 
 

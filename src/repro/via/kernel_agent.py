@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.errors import ViaDescriptorError, ViaError, TruncationError
 from repro.hw.link import Frame
 from repro.hw.nic import GigEPort
-from repro.obs.recorder import IRQ_WAIT as _IRQ_WAIT, \
-    SWITCH_FORWARD as _SWITCH_FORWARD
+from repro.obs import IRQ_WAIT as _IRQ_WAIT, SWITCH_FORWARD as _SWITCH_FORWARD
 from repro.sim import Store
 from repro.via.descriptors import RecvDescriptor
 from repro.via.packet import (

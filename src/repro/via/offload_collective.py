@@ -54,7 +54,7 @@ from repro.collectives.tree import dimension_order_tree
 from repro.errors import ViaError
 from repro.hw.link import Frame
 from repro.hw.node import PRIO_USER
-from repro.obs.recorder import (
+from repro.obs import (
     API_CALL as _API_CALL,
     COMPLETION as _COMPLETION,
     NIC_COMBINE as _NIC_COMBINE,

@@ -36,7 +36,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ViaError
 from repro.hw.link import Frame
-from repro.obs.recorder import ACK as _ACK, \
+from repro.obs import ACK as _ACK, \
     DESC_QUEUED as _DESC_QUEUED, RETRANSMIT as _RETRANSMIT, \
     TIMEOUT as _TIMEOUT
 from repro.sim.events import Callback

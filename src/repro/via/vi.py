@@ -27,8 +27,7 @@ from repro.errors import (
     ViaNotConnectedError,
 )
 from repro.hw.node import PRIO_USER
-from repro.obs.recorder import API_CALL as _API_CALL, \
-    COMPLETION as _COMPLETION
+from repro.obs import API_CALL as _API_CALL, COMPLETION as _COMPLETION
 from repro.sim import Store
 from repro.via.completion import CompletionQueue, RECV_QUEUE, SEND_QUEUE
 from repro.via.descriptors import (

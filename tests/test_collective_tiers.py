@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import build_mesh, build_world, run_mpi
 from repro.errors import MpiError, TopologyError
 from repro.mpi.op import MAX, MIN, PROD, SUM
-from repro.obs.recorder import (
+from repro.obs import (
     API_CALL,
     IRQ_WAIT,
     NIC_COMBINE,

@@ -51,10 +51,12 @@ def test_worker_closure_loads_no_numpy_and_no_front_end():
 
 #: What no point job loads: the collectives, and the siblings of the
 #: layers it runs (the OPT partitions, the Myrinet comparator, the
-#: trace exporters, the figure registry).
+#: flight recorder — its span kinds are ``repro.obs``'s own constants —
+#: and trace exporters, the figure registry).
 NO_POINT_JOB = ("repro.collectives", "repro.topology.partition",
                 "repro.topology.switched", "repro.hw.myrinet",
-                "repro.obs.export", "repro.bench.harness")
+                "repro.obs.recorder", "repro.obs.export",
+                "repro.bench.harness")
 
 #: The layers above VIA, which only the MPI point job runs.
 ABOVE_VIA = ("repro.core", "repro.mpi")

@@ -9,13 +9,15 @@ callback forms; these classes are the process forms kept verbatim:
 ``_tx_fetch_loop`` / ``_fetch_one`` / ``_tx_wire_loop`` joined by a
 ``Store``, ``_rx_loop`` fed by a ``Store`` of arrivals, a spawned
 ``_irq_timer`` per coalescing deadline, ``Link.transmit`` / ``_deliver``
-with a line ``Resource`` per direction, ``BoundaryLink.transmit`` and
-``Host.dma``.  Two edits: where the parent picked a stage's form by
+with a line lock per direction, ``BoundaryLink.transmit`` and
+``Host.dma``.  Three edits: where the parent picked a stage's form by
 scheduler (``GigEPort.__init__``, ``attach_link``, ``frame_arrived``,
 ``nic_inject_tx``, the coalescing timer), a frozen port always takes the
 process branch; and ``Host.dma`` reaches the bus through the live
 ``dma_event``, which is the parent's ``_dma_enter`` plus
-``transfer_event``.
+``transfer_event``; and the line lock is a ``Mutex``, the one lock
+class left, where it was a capacity-one ``Resource`` that granted the
+same way.
 
 ``tests/test_event_diet.py`` drives them (``_tx_run`` / ``_both``, the
 rx differential) and holds the callback forms, under each scheduler, to
@@ -42,9 +44,8 @@ from repro.hw.link import BoundaryLink, Frame, Link
 from repro.hw.nic import GigEPort
 from repro.hw.node import Host, PCIX_RATE, PRIO_IRQ
 from repro.hw.params import GigEParams
-from repro.obs.recorder import DMA as _DMA, DROP as _DROP, \
-    WIRE_HOP as _WIRE_HOP
-from repro.sim import Resource, Simulator, Store
+from repro.obs import DMA as _DMA, DROP as _DROP, WIRE_HOP as _WIRE_HOP
+from repro.sim import Mutex, Simulator, Store
 from repro.sim.events import Callback
 from repro.sim.process import Process
 
@@ -81,8 +82,8 @@ class FrozenHost(Host):
 
 def _lines(link):
     name = link.name
-    return (Resource(link.sim, 1, name=f"{name}:0->1"),
-            Resource(link.sim, 1, name=f"{name}:1->0"))
+    return (Mutex(link.sim, name=f"{name}:0->1"),
+            Mutex(link.sim, name=f"{name}:1->0"))
 
 
 class FrozenLink(Link):
