@@ -24,8 +24,10 @@ field, a changed default, a new float formatting) fails loudly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+from dataclasses import MISSING, FrozenInstanceError
 from typing import Any, Dict, List, Union
 
 from repro.errors import ConfigurationError
@@ -107,8 +109,67 @@ def stable_json(obj: Any) -> str:
                       separators=(",", ":"), allow_nan=True)
 
 
+@functools.cache
+def _fields(cls: type) -> tuple:
+    fields = dataclasses.fields(cls)
+    if not all(f.init and f.repr and f.compare and f.hash is None
+               and not f.kw_only for f in fields):
+        raise TypeError(f"{cls.__qualname__}: a Canonical field takes no "
+                        f"init/repr/compare/hash/kw_only option")
+    return fields
+
+
 class Canonical:
-    """Mixin giving a dataclass canonical-dict and content-hash views."""
+    """Base of the frozen config classes: canonical-dict and content-hash
+    views, and the methods ``@dataclass(frozen=True)`` would generate,
+    written once.  A subclass is declared ``@dataclass(init=False,
+    repr=False, eq=False)``, so importing it ``exec``s no code; its
+    fields are set in declaration order, so pickles are unchanged."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        name = f"{type(self).__qualname__}.__init__()"
+        fields = _fields(type(self))
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        for f, value in zip(fields, args):
+            if f.name in kwargs:
+                raise TypeError(f"{name} got multiple values for {f.name!r}")
+            kwargs[f.name] = value
+        for f in fields:
+            value = kwargs.pop(f.name, f.default)
+            if value is MISSING and f.default_factory is not MISSING:
+                value = f.default_factory()
+            elif value is MISSING:
+                raise TypeError(f"{name} missing argument {f.name!r}")
+            object.__setattr__(self, f.name, value)
+        if kwargs:
+            raise TypeError(f"{name} got an unexpected keyword argument "
+                            f"{next(iter(kwargs))!r}")
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f.name) for f in _fields(type(self))])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                          for f in _fields(type(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def to_canonical_dict(self) -> Jsonable:
         """This object as a canonical (sorted, tagged) plain structure."""

@@ -21,7 +21,6 @@ from repro.ckpt.store import (
     CheckpointStore,
     checkpoint_id,
     default_store,
-    set_default_root,
 )
 
 __all__ = [
@@ -33,6 +32,5 @@ __all__ = [
     "context",
     "default_store",
     "run_resumable",
-    "set_default_root",
     "shard_digest",
 ]

@@ -258,23 +258,11 @@ class CheckpointStore:
 
 # -- process-wide default store (set by service workers / CLIs) --------
 
-_DEFAULT_ROOT: Optional[str] = None
-
-
-def set_default_root(root: Optional[str]) -> None:
-    """Install (or clear, with None) the process-wide store root."""
-    global _DEFAULT_ROOT
-    _DEFAULT_ROOT = str(root) if root is not None else None
-
-
 def default_store() -> Optional[CheckpointStore]:
-    """The process default store, if a root was installed.
-
-    Resolution order: :func:`set_default_root`, then the
-    ``REPRO_CKPT_DIR`` environment variable, else ``None`` (callers
-    treat a missing store as checkpointing-off).
-    """
-    root = _DEFAULT_ROOT or os.environ.get("REPRO_CKPT_DIR")
+    """The store under ``REPRO_CKPT_DIR``, if set, else ``None``
+    (callers treat a missing store as checkpointing-off).  A fleet
+    worker sets it to its fleet's directory."""
+    root = os.environ.get("REPRO_CKPT_DIR")
     if not root:
         return None
     return CheckpointStore(root)

@@ -50,7 +50,7 @@ from repro.canonical import Canonical
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class FaultParams(Canonical):
     """Declarative fault schedule for one link (or, ambiently, all).
 
@@ -129,7 +129,7 @@ class FaultParams(Canonical):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class NodeFaultSpec(Canonical):
     """Seeded node-scoped fault schedule (crash, NIC stall/reboot).
 

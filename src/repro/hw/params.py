@@ -16,7 +16,9 @@ Intel Pro/1000MT on PCI-X, Myrinet LaNai9), or tuned so that the
 
 Parameters are frozen dataclasses so experiment configs can't mutate a
 shared default by accident; ablations build modified copies with
-``dataclasses.replace``.
+``dataclasses.replace``.  :class:`~repro.canonical.Canonical` supplies
+their frozen methods, so importing this module ``exec``s no generated
+code (``tests/test_canonical_classes.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.canonical import Canonical
 from repro.hw.faults import FaultParams
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class HostParams(Canonical):
     """Per-node host (CPU + memory system) parameters."""
 
@@ -61,7 +63,7 @@ class HostParams(Canonical):
     memory_mb: int = 256
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class GigEParams(Canonical):
     """Intel Pro/1000MT-class copper GigE port on PCI-X."""
 
@@ -122,7 +124,7 @@ class GigEParams(Canonical):
         return min_wire_bytes / self.wire_rate + self.propagation
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ViaParams(Canonical):
     """Modified M-VIA protocol costs (user-level library + kernel agent)."""
 
@@ -187,7 +189,7 @@ class ViaParams(Canonical):
     fd_timeout: float = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TcpParams(Canonical):
     """Linux 2.4-era kernel TCP/IP stack costs over the same GigE port."""
 
@@ -221,7 +223,7 @@ class TcpParams(Canonical):
     ip_forward_cost: float = 2.6
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class MyrinetParams(Canonical):
     """Myrinet LaNai9 + Myrinet 2000 switch comparator (section 3, 6).
 

@@ -81,7 +81,7 @@ class DeadlineExceeded(ServiceError):
     """One attempt ran past its wall-clock deadline and was killed."""
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class JobSpec(Canonical):
     """One experiment request, canonical and hashable by content.
 

@@ -37,18 +37,17 @@ def worker_main(conn: Any, heartbeat_interval: float = 0.1,
                 ckpt_dir: Any = None, telemetry_on: bool = False) -> None:
     """Run the worker loop over ``conn`` until ``stop`` or pipe EOF.
 
-    ``ckpt_dir`` (from the fleet) becomes this process's default
-    checkpoint store root, so every job that checkpoints writes where
-    a replacement worker will look after a crash.  When
+    ``ckpt_dir`` (from the fleet) becomes this process's
+    ``REPRO_CKPT_DIR``, the default checkpoint store root, so every job
+    that checkpoints writes where a replacement worker will look after
+    a crash; the store loads with the first such job.  When
     ``telemetry_on`` the worker enables its own telemetry plane and
     ships a *cumulative* registry snapshot with every result (in
     ``meta``, never the payload — cache bit-identity); the parent
     keeps the newest snapshot per worker and merges on read.
     """
     if ckpt_dir:
-        from repro.ckpt import set_default_root
-
-        set_default_root(ckpt_dir)
+        os.environ["REPRO_CKPT_DIR"] = str(ckpt_dir)
     worker_tel = None
     if telemetry_on:
         from repro import telemetry

@@ -27,11 +27,11 @@ from repro.via.packet import (
     PacketKind,
     ViaPacket,
 )
-from repro.via.reliability import ReliableChannel, RtoTimer
 from repro.via.vi import VI, ViState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.via.device import ViaDevice
+    from repro.via.reliability import ReliableChannel, RtoTimer
 
 
 class KernelAgent:
@@ -102,6 +102,9 @@ class KernelAgent:
         if self.device.reliable:
             # No connection yet, so no per-VI window: the active side
             # re-sends CONNECT on a timer of its own until ACCEPT lands.
+            # The reliability module loads with a reliable VI only.
+            from repro.via.reliability import RtoTimer
+
             timer = RtoTimer(
                 self.sim, self.device.params,
                 lambda: self._resend_connect(vi, dst_node, discriminator),
@@ -185,6 +188,8 @@ class KernelAgent:
         """The VI's reliable-delivery channel, created on first use."""
         channel = self._channels.get(vi.vi_id)
         if channel is None:
+            from repro.via.reliability import ReliableChannel
+
             channel = ReliableChannel(self, vi)
             self._channels[vi.vi_id] = channel
         return channel

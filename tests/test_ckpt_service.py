@@ -14,8 +14,7 @@ import signal
 
 import pytest
 
-from repro.ckpt import CheckpointStore, context as ckpt_context, \
-    set_default_root
+from repro.ckpt import CheckpointStore, context as ckpt_context
 from repro.service.jobs import LAST_RUN_META, execute
 from repro.service.protocol import JobSpec, ProtocolError
 
@@ -25,12 +24,9 @@ CHAOS = JobSpec.make("chaos", campaigns=2, seed=3)
 
 
 @pytest.fixture
-def default_root(tmp_path):
-    set_default_root(tmp_path)
-    try:
-        yield tmp_path
-    finally:
-        set_default_root(None)
+def default_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
+    return tmp_path
 
 
 # -- jobs layer: resume with bit-identical payloads ---------------------

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mpi import op as mpi_op
 from repro.service.jobs import POINT_OPS
+from repro.service.protocol import JobSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -31,11 +32,12 @@ FRONT_END = ("numpy", "asyncio", "ssl", "repro.service.router",
              "repro.service.server", "repro.service.fleet")
 
 
-def _fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter; its stdout, stripped."""
+def _fresh(code: str, *args: str) -> str:
+    """Run ``code`` with ``args`` in a new interpreter; its stdout,
+    stripped."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          timeout=120, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
@@ -67,21 +69,60 @@ def _under(loaded, packages):
             if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
+#: What a fleet worker neither boots with nor loads for a lossless
+#: point job: the checkpoint plane (the fleet's ``ckpt_dir`` is only
+#: recorded at boot), the telemetry plane and the observation surfaces
+#: it pulls in, and the reliable-delivery protocol.
+NOT_BOOTED = ("repro.ckpt", "repro.telemetry", "repro.obs.recorder",
+              "repro.obs.monitor", "repro.via.reliability")
+
+#: A fleet worker's life in a fresh interpreter: ``worker_main`` with
+#: the fleet's ``ckpt_dir`` hand-off (``argv[2]``), over a stand-in for
+#: the fleet's end of the pipe that sends the job ``argv[1]`` and then
+#: ``stop``.  Prints the reply's kind and the ``repro`` modules loaded.
+WORKER = """
+import json, sys
+from repro.service.worker import worker_main
+class Pipe:
+    inbox = [("stop",), ("job", 0, json.loads(sys.argv[1]))]
+    replies = []
+    def recv(self):
+        return self.inbox.pop()
+    def send(self, message):
+        if message[0] in ("result", "error"):
+            self.replies.append(message[0])
+    def close(self):
+        pass
+worker_main(Pipe(), ckpt_dir=sys.argv[2])
+print(json.dumps([Pipe.replies, sorted(m for m in sys.modules
+                                       if m.startswith("repro"))]))
+"""
+
+
+def _worker_job(spec, ckpt_dir):
+    """The modules a booted fleet worker holds after running ``spec``."""
+    replies, loaded = json.loads(_fresh(
+        WORKER, json.dumps(spec.to_wire()), str(ckpt_dir)))
+    assert replies == ["result"]
+    return loaded
+
+
 @pytest.mark.parametrize("op", sorted(POINT_OPS))
-def test_a_point_job_loads_only_the_layers_it_runs(op):
-    loaded = json.loads(_fresh(
-        "import json, sys\n"
-        "from repro.service.jobs import execute\n"
-        "from repro.service.protocol import JobSpec\n"
-        f"execute(JobSpec.make('point', {op!r}, nbytes=1024))\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.startswith('repro'))))\n"
-    ))
-    assert _under(loaded, NO_POINT_JOB) == []
+def test_a_point_job_loads_only_the_layers_it_runs(op, tmp_path):
+    loaded = _worker_job(JobSpec.make("point", op, nbytes=1024), tmp_path)
+    assert _under(loaded, NO_POINT_JOB + NOT_BOOTED) == []
     if op.startswith("mpi_"):
         assert "repro.mpi.communicator" in loaded
     else:
         assert _under(loaded, ABOVE_VIA) == []
+
+
+def test_a_lossy_point_job_loads_the_reliability_protocol(tmp_path):
+    loaded = _worker_job(
+        JobSpec.make("point", "via_latency", nbytes=1024, loss=0.01),
+        tmp_path)
+    assert "repro.via.reliability" in loaded
+    assert _under(loaded, ("repro.ckpt", "repro.telemetry")) == []
 
 
 def test_the_simulation_kernel_loads_only_itself():

@@ -244,3 +244,36 @@ def test_stopped_fleet_gives_structured_errors_not_hangs():
         assert response["retriable"] is True
 
     run(scenario())
+
+
+# -- checkpoints: the fleet's dir, across a replacement -----------------------
+def test_a_checkpointing_job_writes_under_the_fleets_dir(tmp_path):
+    """A worker records the fleet's ``ckpt_dir`` at boot without loading
+    the store; the job that checkpoints still writes there, and the
+    replacement of a killed worker resumes from it."""
+    from repro.ckpt import CheckpointStore
+
+    spec = JobSpec.make("chaos", campaigns=2, seed=3)
+
+    async def scenario():
+        fleet = Fleet(1, ckpt_dir=str(tmp_path))
+        await fleet.start()
+        try:
+            first = await fleet.run_job(spec, timeout=120.0)
+            assert fleet.counters["ckpt_computed"] == 2
+            store = CheckpointStore(str(tmp_path))
+            assert store.get_item(spec.cache_key(), 1) is not None
+            (worker,) = fleet.alive_workers()
+            fleet._signal(worker, signal.SIGKILL)
+            while fleet.counters["restarts"] < 1:
+                await asyncio.sleep(0.02)
+            second = await fleet.run_job(spec, timeout=120.0)
+            assert second == first
+            assert fleet.alive_workers()[0].pid != worker.pid
+            assert fleet.counters["ckpt_loaded"] == 2
+            assert fleet.counters["ckpt_computed"] == 2
+        finally:
+            await fleet.stop()
+
+    run(scenario())
+    assert any(tmp_path.iterdir()), "a fleet keeps a ckpt_dir it was given"
