@@ -22,18 +22,19 @@ message, so boot time is never misread as a hang.  Boot is the
 interpreter, multiprocessing's spawn bootstrap and five ``repro``
 modules: the package (with ``_version`` and ``_lazy``),
 ``repro.service`` and ``worker``, plus the telemetry plane when it is
-on.  The fleet's ``ckpt_dir`` is only recorded at boot; the checkpoint store loads with the first job that
-checkpoints.  The first job imports ``jobs``, ``protocol`` and the
-layers it runs, and no others: a raw VIA or TCP point loads the
-simulator, the hardware models and its stack, not the messaging core,
-MPI, the collectives or, on a lossless wire, the reliable-delivery
-protocol (every package re-exports its siblings' names lazily).  numpy
-loads with the first job that reduces real data, and the asyncio
-front-end (this module, the router, the server) never (EXPERIMENTS.md,
-"Cold start" and "Cold start by layer").  ``counters`` is the fleet's
-one book (with the telemetry plane on it is exported live as
-``fleet_<key>_total``); ``dispatches`` reads its count of real engine
-runs — the counter the cache tests assert against.
+on.  The fleet's ``ckpt_dir`` is only recorded at boot; the checkpoint
+store loads with the first job that checkpoints.  The first job
+imports ``jobs``, ``protocol`` and the layers it runs, and no others:
+a raw VIA or TCP point loads the simulator, the hardware models and
+its stack, not the messaging core, MPI, the collectives or, on a
+lossless wire, the reliable-delivery protocol (every package
+re-exports its siblings' names lazily).  numpy loads with the first
+job that reduces real data, and the asyncio front-end (this module,
+the router, the server) never (EXPERIMENTS.md, "Cold start" and "Cold
+start by layer").  ``counters`` is the fleet's one book (with the
+telemetry plane on it is exported live as ``fleet_<key>_total``);
+``dispatches`` reads its count of real engine runs — the counter the
+cache tests assert against.
 """
 
 from __future__ import annotations
