@@ -126,7 +126,7 @@ class MeshCluster:
     def _wire(self) -> None:
         g = self.gige_params
         fault_params = g.faults or fault_model.ambient()
-        if fault_params is not None and not fault_params.active():
+        if fault_params is not None and not fault_params.lossy():
             fault_params = None
         if self._local_ranks is not None and (
                 fault_params is not None or g.corrupt_every is not None):
@@ -186,7 +186,7 @@ class MeshCluster:
                 ))
                 injector = (
                     FaultInjector(link_params, name)
-                    if link_params is not None and link_params.active()
+                    if link_params is not None and link_params.lossy()
                     else None
                 )
                 link = Link(
@@ -250,10 +250,6 @@ class MeshCluster:
         return self.nodes[rank]
 
     # -- node health (the failure detector's published view) ----------------
-    @property
-    def has_node_faults(self) -> bool:
-        return bool(self.node_faults)
-
     def node_alive(self, rank: int) -> bool:
         """Mesh-wide alive-set entry for ``rank``."""
         return self._alive[rank]
@@ -288,7 +284,7 @@ class MeshCluster:
         self.declare_dead(rank, by=rank, reason="crashed")
         node = self.nodes[rank]
         if node.via is not None:
-            node.via.agent.on_local_crash()
+            node.via.liveness.on_local_crash()
 
     def observability(self, metrics_interval: float = 50.0):
         """Attach (idempotently) and return the flight recorder.
@@ -382,7 +378,7 @@ class MeshCluster:
                         for span in recorder.tail(
                                 track=f"n{node.rank}", limit=20):
                             lines.append("    " + span.describe())
-            engine = getattr(node.via, "engine", None)
+            engine = node.via.engine
             if engine is not None and engine.pending_requests():
                 pending = engine.pending_requests()
                 preview = ", ".join(repr(r) for r in pending[:4])
@@ -428,7 +424,9 @@ class MeshCluster:
             if self.fabric_can_degrade():
                 node.via.set_fabric_health(self)
             if self.node_faults:
-                node.via.agent.start_failure_detector(self)
+                from repro.via.liveness import Liveness
+
+                node.via.liveness = Liveness(node.via, self)
         if self.node_faults and self.watchdog is None:
             from repro.obs.monitor import Watchdog
 

@@ -144,22 +144,17 @@ class MessagingEngine:
         #: Diagnostics back-reference (hang reports walk
         #: device -> engine -> pending_requests()).
         device.engine = self
-        #: Fault-tolerance mode: on only when the cluster carries node
-        #: faults.  Off, the engine does zero extra work per request
-        #: and produces bit-identical event traces.
-        self._ft = bool(getattr(device._fabric_health, "has_node_faults",
-                                False))
-        #: World ranks known dead (mirrors the kernel agent's view; the
-        #: agent's death callback keeps it current).
-        self._dead_peers: set = set()
+        #: The node-fault owner (:class:`~repro.via.liveness.Liveness`):
+        #: fault-tolerance mode is on exactly when it exists.  Off, the
+        #: engine does zero extra work per request and produces
+        #: bit-identical event traces.
+        self.liveness = device.liveness
         #: In-flight requests, tracked only in FT mode so a death
         #: notice can fail exactly the doomed ones.
         self._pending: set = set()
         #: Communicator contexts revoked via the connection manager.
         self.revoked: set = set()
         manager.register(self)
-        if self._ft and getattr(device, "agent", None) is not None:
-            device.agent.death_callbacks.append(self._on_peer_dead)
         self.sim.spawn(self._progress(), name=f"engine[{self.rank}]")
 
     # ------------------------------------------------------------------
@@ -169,7 +164,8 @@ class MessagingEngine:
         """Process: the channel to ``peer``, creating it if needed."""
         if peer == self.rank:
             raise MessagingError(f"rank {self.rank}: self-channel")
-        if self._ft and peer in self._dead_peers:
+        live = self.liveness
+        if live is not None and peer in live.dead:
             raise MpiProcFailed(
                 f"rank {self.rank}: channel to failed rank {peer}",
                 dead_rank=peer,
@@ -217,7 +213,7 @@ class MessagingEngine:
         try:
             yield from self.ensure_channel(peer)
         except (ViaError, MessagingError, MpiError):
-            if not self._ft:
+            if self.liveness is None:
                 raise
 
     # ------------------------------------------------------------------
@@ -247,7 +243,7 @@ class MessagingEngine:
                 f"n{self.rank}", self.sim.now,
             )
         self.stats["sends"] += 1
-        if self._ft:
+        if self.liveness is not None:
             self._track(request)
         self.sim.spawn(self._send_process(request),
                        name=f"send[{self.rank}->{dst}]")
@@ -282,7 +278,7 @@ class MessagingEngine:
         request = RecvRequest(self.sim, src, tag, context, nbytes)
         request.unpack_bytes = unpack_bytes
         self.stats["recvs"] += 1
-        if self._ft:
+        if self.liveness is not None:
             self._track(request)
         self.sim.spawn(self._recv_process(request),
                        name=f"recv[{self.rank}<-{src}]")
@@ -580,7 +576,7 @@ class MessagingEngine:
             try:
                 yield from handler(channel, envelope, descriptor)
             except (ViaError, MessagingError) as exc:
-                if not self._ft:
+                if self.liveness is None:
                     raise
                 # Late traffic on a torn-down channel: frames that were
                 # in flight when the peer died complete here, but the
@@ -747,7 +743,7 @@ class MessagingEngine:
             )
         except (ViaError, MessagingError):
             # Credit return to a dead peer: nothing left to flow-control.
-            if not self._ft:
+            if self.liveness is None:
                 raise
         finally:
             channel.token_msg_pending = False
@@ -791,8 +787,9 @@ class MessagingEngine:
         self.sim.progress += 1
         request.fail(error)
 
-    def _on_peer_dead(self, dead_rank: int) -> None:
-        """Death-notice hook (registered with the kernel agent).
+    def fail_doomed(self, dead_rank: int) -> None:
+        """Death-notice hook (the node's liveness owner calls it once
+        per death).
 
         Fails every pending request the death dooms: sends to the dead
         rank; receives from it (and from ANY_SOURCE — ULFM fails
@@ -803,9 +800,6 @@ class MessagingEngine:
         new alive-set instead of waiting on a reshuffled tree); and,
         when the dead rank is this node, everything.
         """
-        if dead_rank in self._dead_peers:
-            return
-        self._dead_peers.add(dead_rank)
         own = dead_rank == self.rank
         error = MpiProcFailed(
             f"rank {self.rank}: "

@@ -102,19 +102,9 @@ class FaultParams(Canonical):
                     f"start <= end, got {window!r}"
                 )
 
-    def active(self) -> bool:
-        """Whether any fault knob is non-default."""
-        return bool(
-            self.loss_rate > 0.0
-            or self.corrupt_rate > 0.0
-            or self.drop_frames
-            or (self.flap_period is not None and self.flap_down > 0.0)
-            or self.down_at
-            or self.die_at is not None
-        )
-
     def lossy(self) -> bool:
-        """Whether frames can be *lost* (drives auto-reliability).
+        """Whether any fault knob is non-default, which is whether
+        frames can be *lost* (drives auto-reliability).
 
         Corruption counts: with checksum verification on, a damaged
         frame is dropped at the receiver, so it is a loss end-to-end.

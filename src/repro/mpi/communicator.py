@@ -97,22 +97,20 @@ class Communicator:
         """Raise instead of hanging when known failure state dooms the
         operation (no-op unless node faults are configured)."""
         engine = self.engine
-        if not engine._ft:
+        live = engine.liveness
+        if live is None:
             return
         if self.context in engine.revoked:
             raise MpiRevoked(
                 f"rank {self.rank}: communicator context {self.context} "
                 f"revoked"
             )
-        dead = engine._dead_peers
-        if not dead:
-            return
-        if engine.rank in dead:
+        if live.crashed:
             raise MpiProcFailed(
                 f"rank {self.rank}: this node has crashed",
                 dead_rank=engine.rank,
             )
-        if peer_world is not None and peer_world in dead:
+        if peer_world is not None and peer_world in live.dead:
             raise MpiProcFailed(
                 f"rank {self.rank}: operation names failed rank "
                 f"{self.group.local_rank(peer_world)} "
@@ -122,11 +120,11 @@ class Communicator:
 
     def _check_ft_collective(self) -> None:
         """Collective entry check: every group member must be alive."""
-        engine = self.engine
-        if not engine._ft:
+        live = self.engine.liveness
+        if live is None:
             return
         self._check_ft()
-        dead = [r for r in self.group.ranks() if r in engine._dead_peers]
+        dead = [r for r in self.group.ranks() if r in live.dead]
         if dead:
             raise MpiProcFailed(
                 f"rank {self.rank}: collective on communicator with "
@@ -288,7 +286,7 @@ class Communicator:
         the algorithm), even when this particular request's direct
         partner is alive.
         """
-        if self.engine._ft:
+        if self.engine.liveness is not None:
             members = self.__dict__.get("_ft_members")
             if members is None:
                 members = frozenset(self.group.ranks())
@@ -572,6 +570,8 @@ class Communicator:
         """
         engine = self.engine
         manager = engine.manager
+        live = engine.liveness
+        dead = () if live is None else live.dead
         self._agree_seq += 1
         seq = self._agree_seq
         key = (self.context, seq)
@@ -581,13 +581,12 @@ class Communicator:
             decided = manager.agreements.get(key)
             if decided is not None:
                 return decided
-            if engine.rank in engine._dead_peers:
+            if live is not None and live.crashed:
                 raise MpiProcFailed(
                     f"rank {self.rank}: this node has crashed",
                     dead_rank=engine.rank,
                 )
-            alive = tuple(r for r in self.group.ranks()
-                          if r not in engine._dead_peers)
+            alive = tuple(r for r in self.group.ranks() if r not in dead)
             index = alive.index(engine.rank)
             parent = alive[(index - 1) // 2] if index > 0 else None
             children = [alive[c] for c in (2 * index + 1, 2 * index + 2)

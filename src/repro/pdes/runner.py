@@ -216,10 +216,11 @@ class PipeShard:
     def _recv(self, expect: str) -> tuple:
         try:
             message = self.conn.recv()
-        except EOFError:
+        except (EOFError, OSError) as exc:
+            # EOF, or a reset when the worker died with a message unread.
             raise ShardCrashed(
                 f"PDES shard worker {self.process.name} died "
-                f"(pipe EOF)",
+                f"(pipe read failed: {type(exc).__name__})",
                 shard_id=self._shard_id,
             ) from None
         if message[0] == "error":

@@ -22,7 +22,7 @@ Any exception is reported as ``("error", type_name, traceback_text)``
 and the worker exits; the coordinator raises it as a
 :class:`~repro.errors.SimulationError`.  There is no heartbeat layer —
 shard workers are trusted local children of one run, and the
-coordinator's blocking ``recv`` surfaces a death as pipe EOF.
+coordinator's blocking ``recv`` surfaces a death as pipe EOF or reset.
 """
 
 from __future__ import annotations

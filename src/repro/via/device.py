@@ -164,9 +164,14 @@ class ViaDevice:
         #: Reliable delivery (the cluster builder resolves the
         #: automatic setting fabric-wide before the device exists).
         self.reliable = bool(self.params.reliable)
-        #: Cluster-wide link-health view (set by the builder when the
-        #: fault model can kill links); None = fabric always healthy.
+        #: Cluster-wide link-health view for dead-link rerouting (set
+        #: by the builder when links can die); None = always healthy.
         self._fabric_health = None
+        #: The node-fault owner (:class:`~repro.via.liveness.Liveness`),
+        #: set by the builder exactly when the cluster has node faults.
+        self.liveness = None
+        #: The messaging engine on this device, if any (it sets this).
+        self.engine = None
         for port in self.ports.values():
             port.set_driver(PortDriver(self.agent.handle_frame, port))
 

@@ -69,23 +69,13 @@ class KernelAgent:
             "acks_received": 0, "retransmits": 0, "timeouts": 0,
             "dup_frames": 0, "held": 0, "nacks_sent": 0, "rel_failures": 0,
             "connect_retries": 0, "dup_accepts": 0, "dup_connects": 0,
-            # Failure-detector counters (node faults only; all zero on
-            # a fault-free run).
+            # Liveness counters (via.liveness; all zero on a
+            # fault-free run).
             "keepalives_sent": 0, "keepalives_received": 0,
             "dead_notices_sent": 0, "dead_notices_received": 0,
             "peers_declared_dead": 0, "recv_drained": 0,
             "dropped_dead": 0,
         }
-        #: Keepalive-based failure detector; installed by the cluster
-        #: builder only when node faults are configured, so the
-        #: fault-free hot path pays one ``is None`` check at most.
-        self._fd: Optional["_FailureDetector"] = None
-        #: World ranks this node has already processed a death for
-        #: (keeps gossip and teardown idempotent).
-        self._known_dead: set = set()
-        #: fn(dead_rank) hooks run after VI teardown on a death notice;
-        #: the messaging engine registers here to fail pending requests.
-        self.death_callbacks: list = []
         device.sim.spawn(self._backlog_drain(),
                          name=f"switch-drain[{device.rank}]")
 
@@ -147,7 +137,9 @@ class KernelAgent:
         )
         self.stats["rel_failures"] += 1
         self._end_connect(vi.vi_id, None)
-        self.suspect(dst_node, "connect retries exhausted")
+        live = self.device.liveness
+        if live is not None:
+            live.suspect(dst_node, "connect retries exhausted")
 
     def connect_wait(self, vi: VI, discriminator):
         """Process: passive side (VipConnectWait + VipConnectAccept)."""
@@ -245,8 +237,10 @@ class KernelAgent:
         so loss recovery and teardown run from the reference instants.
         """
         self.stats["frames"] += 1
-        if self._fd is not None:
-            self._fd.heard_on(port)
+        device = self.device
+        live = device.liveness
+        if live is not None:
+            live.heard_on(port)
         packet: ViaPacket = frame.payload
         rec = self.sim.recorder
         if rec is not None:
@@ -259,18 +253,16 @@ class KernelAgent:
                 base = paid_until if paid_until is not None \
                     else self.sim._now
                 rec.span(ctx, _IRQ_WAIT, port.name,
-                         f"n{self.device.rank}", ready, base)
+                         f"n{device.rank}", ready, base)
         try:
-            device = self.device
             kind = packet.kind
             damaged = device.params.verify_checksums and (
                 frame.corrupted or not packet.verify())
             transit = packet.dst_node != device.rank
             is_payload = (kind is PacketKind.DATA
                           or kind is PacketKind.RMA_WRITE)
-            node_faults = self._node_faults_armed()
             if paid_until is not None and (
-                    damaged or node_faults or not (
+                    damaged or live is not None or not (
                         transit or (is_payload and packet.seq < 0
                                     and packet.ack < 0))):
                 yield self.sim.sleep_until(paid_until)
@@ -282,7 +274,7 @@ class KernelAgent:
                 self.stats["checksum_errors"] += 1
                 self.stats["dropped_bad_checksum"] += 1
                 return
-            if node_faults and not self._inbound_alive(packet):
+            if live is not None and not live.inbound_alive(packet):
                 # Node-fault teardown: a crashed node's NIC is silent
                 # (it neither forwards, ACKs, nor accepts), and
                 # survivors drop late traffic for VIs a death notice
@@ -327,14 +319,9 @@ class KernelAgent:
                 yield from self._handle_accept(packet)
             elif kind is PacketKind.DISCONNECT:
                 yield from self._handle_disconnect(packet)
-            elif kind is PacketKind.KEEPALIVE:
-                self.stats["keepalives_received"] += 1
-                if self._fd is not None:
-                    self._fd.heard(packet.src_node)
-            elif kind is PacketKind.DEADNOTICE:
-                self.stats["dead_notices_received"] += 1
-                dead_rank, reason = packet.payload
-                self.on_peer_dead(dead_rank, f"notice: {reason}")
+            elif (kind is PacketKind.KEEPALIVE
+                    or kind is PacketKind.DEADNOTICE):
+                live.receive(packet)
             elif (kind in KERNEL_COLLECTIVE_KINDS
                     or kind in NIC_COLLECTIVE_KINDS):
                 # An offload-collective frame reached the generic host
@@ -457,7 +444,7 @@ class KernelAgent:
                 for_rma_write=True,
             )
         except ViaError:
-            if not self._node_faults_armed():
+            if device.liveness is None:
                 raise
             self.stats["dropped_dead"] += 1
             return None
@@ -606,95 +593,8 @@ class KernelAgent:
             yield from egress.enqueue_tx(frame)
 
     # ------------------------------------------------------------------
-    # Node-failure handling (engaged only with node faults configured).
+    # Endpoint teardown (the node-fault owner, via.liveness, drives it).
     # ------------------------------------------------------------------
-    def start_failure_detector(self, cluster) -> None:
-        """Arm the keepalive failure detector (cluster builder hook)."""
-        if self._fd is None:
-            self._fd = _FailureDetector(self, cluster)
-
-    def _node_faults_armed(self) -> bool:
-        health = self.device._fabric_health
-        return health is not None and getattr(health, "has_node_faults",
-                                              False)
-
-    def _inbound_alive(self, packet: ViaPacket) -> bool:
-        """Under node faults: may this frame be processed, or is an
-        endpoint torn down?
-
-        False when this node has crashed (fail-stop: the NIC goes
-        silent with it) or when the frame targets a local VI already
-        moved to ERROR by a death notice.
-        """
-        if not self.device._fabric_health.node_alive(self.device.rank):
-            return False
-        if packet.dst_node == self.device.rank and packet.kind in (
-                PacketKind.DATA, PacketKind.RMA_WRITE):
-            vi = self.device.vis.get(packet.dst_vi)
-            if vi is not None and vi.state is ViState.ERROR:
-                return False
-        return True
-
-    def suspect(self, rank: int, reason: str) -> bool:
-        """A whole retry budget burned on ``rank``: tell the detector.
-
-        With the failure detector armed this is a death verdict for the
-        node (True: the notice tears everything down); without it
-        (plain link faults, PR 3 semantics) the caller keeps its own
-        per-VI / per-collective error.
-        """
-        if self._fd is None:
-            return False
-        self._fd.declare(rank, reason)
-        return True
-
-    def on_peer_dead(self, dead_rank: int, reason: str = "declared dead"
-                     ) -> None:
-        """Local teardown for a remote node's death (idempotent).
-
-        Every VI connected to the dead node moves to ERROR: unACKed
-        sends and pre-posted receive buffers drain through the normal
-        completion surfaces with ``DescriptorStatus.ERROR`` so blocked
-        waits return, then the kernel collective engine and the
-        registered death callbacks (messaging engine) get their turn.
-        """
-        if dead_rank in self._known_dead or dead_rank == self.device.rank:
-            return
-        self._known_dead.add(dead_rank)
-        self.stats["peers_declared_dead"] += 1
-        device = self.device
-        for vi in list(device.vis.values()):
-            if vi.peer is not None and vi.peer[0] == dead_rank:
-                self._fail_vi(vi, ViaError(
-                    f"{vi!r}: peer node {dead_rank} {reason}"
-                ))
-        engine = device.collective
-        if engine is not None:
-            engine.abort(f"node {dead_rank} {reason}")
-        for callback in list(self.death_callbacks):
-            callback(dead_rank)
-
-    def on_local_crash(self, reason: str = "node crashed") -> None:
-        """Fail-stop teardown of this node's own endpoints.
-
-        Run at the crash instant so the victim's pending operations
-        surface errors at the victim too ("raises at every affected
-        rank") instead of silently freezing.
-        """
-        device = self.device
-        for vi in list(device.vis.values()):
-            self._fail_vi(vi, ViaError(f"{vi!r}: local {reason}"))
-        for vi_id in list(self._connectors):
-            vi = device.vis.get(vi_id)
-            if vi is not None and vi.error is None:
-                vi.error = ViaError(f"{vi!r}: local {reason}")
-            self._end_connect(vi_id, None)
-        engine = device.collective
-        if engine is not None:
-            engine.abort(f"local {reason}")
-        for callback in list(self.death_callbacks):
-            callback(device.rank)
-
     def _fail_vi(self, vi: VI, error: ViaError) -> None:
         """Move one VI to ERROR and drain both completion directions."""
         if vi.state is not ViState.ERROR:
@@ -724,104 +624,3 @@ class KernelAgent:
         except ViaError:
             pass
 
-
-class _FailureDetector:
-    """Timeout-based failure detector over torus-neighbor keepalives.
-
-    Each node heartbeats its distinct torus neighbors every
-    ``fd_interval`` us; ``fd_timeout`` us of silence from a live
-    neighbor is a death verdict.  Verdicts (from silence or from
-    retry-budget exhaustion) update the mesh-wide alive-set on the
-    cluster, tear down local endpoints, and gossip ``DEADNOTICE``
-    frames along :func:`~repro.topology.routing.alive_path` routes so
-    non-neighbors learn of the death with realistic propagation delay.
-    """
-
-    def __init__(self, agent: KernelAgent, cluster) -> None:
-        self.agent = agent
-        self.cluster = cluster
-        self.device = agent.device
-        self.sim = agent.sim
-        self.interval = self.device.params.fd_interval
-        self.timeout = self.device.params.fd_timeout
-        rank = self.device.rank
-        #: The neighbor at the far end of each port: any frame that
-        #: arrives on a port is heard from it, so a keepalive queued
-        #: behind a burst on the same link is not needed as proof.
-        self.peer_on_port = {
-            self.device.ports[direction.port]: neighbor
-            for direction, neighbor in cluster.torus.neighbors(rank)
-            if neighbor != rank
-        }
-        self.neighbor_ranks = sorted(set(self.peer_on_port.values()))
-        self.last_heard = {n: 0.0 for n in self.neighbor_ranks}
-        self.sim.spawn(self._loop(), name=f"fd[{rank}]")
-
-    def heard(self, rank: int) -> None:
-        if rank in self.last_heard:
-            self.last_heard[rank] = self.sim.now
-
-    def heard_on(self, port) -> None:
-        """A frame arrived on ``port``: its far end is alive."""
-        peer = self.peer_on_port.get(port)
-        if peer is not None:
-            self.last_heard[peer] = self.sim.now
-
-    def declare(self, rank: int, reason: str) -> None:
-        """Death verdict on ``rank``: from silence, or from a spent
-        retry budget (``KernelAgent.suspect``)."""
-        agent = self.agent
-        if rank == self.device.rank or rank in agent._known_dead:
-            return
-        if not self.cluster.node_alive(self.device.rank):
-            return  # a crashed node renders no verdicts
-        self.cluster.declare_dead(rank, by=self.device.rank,
-                                  reason=reason)
-        agent.on_peer_dead(rank, f"declared dead ({reason})")
-        # Gossip to every other live rank along alive paths; peers cut
-        # off by the same failure are unreachable and dropped.
-        for peer in self.cluster.alive_ranks():
-            if peer == self.device.rank or peer == rank:
-                continue
-            agent.stats["dead_notices_sent"] += 1
-            self.sim.spawn(
-                agent._send_control_safe(
-                    peer, PacketKind.DEADNOTICE, payload=(rank, reason),
-                ),
-                name=f"gossip[{self.device.rank}->{peer}]",
-            )
-
-    def _loop(self):
-        sim = self.sim
-        cluster = self.cluster
-        agent = self.agent
-        rank = self.device.rank
-        now = sim.now
-        for neighbor in self.neighbor_ranks:
-            self.last_heard[neighbor] = now
-        while cluster.node_alive(rank):
-            # Deliberately consult only the agent's *local* death record
-            # (_known_dead), never the cluster's god view: a crash
-            # updates the global alive-set instantly, but survivors may
-            # only learn of it through missing keepalives or gossip.
-            for neighbor in self.neighbor_ranks:
-                if neighbor in agent._known_dead:
-                    continue
-                agent.stats["keepalives_sent"] += 1
-                sim.spawn(
-                    agent._send_control_safe(
-                        neighbor, PacketKind.KEEPALIVE,
-                    ),
-                    name=f"ka[{rank}->{neighbor}]",
-                )
-            yield sim.timeout(self.interval)
-            if not cluster.node_alive(rank):
-                return
-            now = sim.now
-            for neighbor in self.neighbor_ranks:
-                silence = now - self.last_heard[neighbor]
-                if (neighbor not in agent._known_dead
-                        and silence > self.timeout):
-                    self.declare(
-                        neighbor, f"no keepalive for {silence:.0f}us",
-                    )

@@ -207,11 +207,11 @@ class TreeCollective:
         # crash-to-detection window proceeds, stalls on the missing
         # contribution and is aborted by the death notice — the path
         # host-tier collectives ride.  Checked before any state exists.
-        dead = self.device.agent._known_dead
-        if dead:
+        live = self.device.liveness
+        if live is not None and live.dead:
             raise ViaError(
                 f"node {self.rank}: {self.label} collective with dead "
-                f"participant(s) {sorted(dead)}"
+                f"participant(s) {sorted(live.dead)}"
             )
         self._sequence += 1
         state = self._state(self._sequence, mode, root)
@@ -319,16 +319,15 @@ class TreeCollective:
         """Admission of one arriving frame of this site's kinds: the
         drops.  True = hand it to :meth:`_process`."""
         self.stats["frames"] += 1
-        health = self.device._fabric_health
-        faults = health is not None and health.has_node_faults
-        if faults and not health.node_alive(self.rank):
+        live = self.device.liveness
+        if live is not None and not live.node_alive(self.rank):
             # A crashed node is silent.
             self.stats["dropped_dead"] += 1
             return False
         if damaged:
             self.stats["dropped_bad_checksum"] += 1
             return False
-        if faults and not health.node_alive(packet.src_node):
+        if live is not None and not live.node_alive(packet.src_node):
             # Late frame from a declared-dead peer: ghost traffic.
             self.stats["dropped_dead"] += 1
             return False
@@ -341,8 +340,9 @@ class TreeCollective:
         t0 = sim.now
         yield sim.timeout(self.rx_cost[packet.kind])
         peer, request = packet.src_node, packet.kind is self.kinds[2]
+        live = self.device.liveness
         if (sequence < min(self._done, default=0)
-                or self.device.agent._known_dead):
+                or live is not None and live.dead):
             return  # over everywhere, or ended by a known death
         if request and value == ASK:
             self._reply(peer, packet)
@@ -417,12 +417,15 @@ class TreeCollective:
                     self._send(self.kinds[2], child, state, ASK, 0, "requests")
 
     def _peer_unresponsive(self, dst: int) -> None:
-        """Retry budget exhausted: out-of-band death evidence.  With a
-        failure detector armed its verdict comes back as a death notice
-        and aborts every waiter."""
-        if not self.device.agent.suspect(
-                dst, f"{self.label} collective retry budget exhausted"):
+        """Retry budget exhausted: out-of-band death evidence.  Under
+        node faults the verdict comes back as a death notice and aborts
+        every waiter."""
+        live = self.device.liveness
+        if live is None:
             self.abort(f"peer {dst} unresponsive (retry budget exhausted)")
+        else:
+            live.suspect(
+                dst, f"{self.label} collective retry budget exhausted")
 
     # -- tx path -------------------------------------------------------
 

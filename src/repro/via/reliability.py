@@ -19,8 +19,8 @@ repeats only what was lost:
   ``rel_ack_delay`` us), piggybacked on reverse data, and read when
   the NIC fetches their frame (its ``on_fetched`` hook);
 * an :class:`RtoTimer` expiry resends the window's head; a spent
-  budget moves the VI to ERROR, fails its pending sends and hands the
-  peer to ``KernelAgent.suspect``.  The CONNECT handshake and the
+  budget moves the VI to ERROR, fails its pending sends and, under
+  node faults, hands the peer to ``Liveness.suspect``.  The CONNECT handshake and the
   offload collectives' waiting ranks run the same timer: only what an
   expiry resends (or asks) and what a spent budget fails differ.
 
@@ -275,9 +275,10 @@ class ReliableChannel:
             f"(seq {self.unacked[0].seq} unacknowledged)"
         ))
         # A whole retry budget burned without one ACK is strong
-        # evidence the peer is gone — hand it to the failure detector
-        # (a no-op unless the cluster carries node faults).
-        self.agent.suspect(vi.peer[0], "retry budget exhausted")
+        # evidence the peer is gone: under node faults, a verdict.
+        live = self.agent.device.liveness
+        if live is not None:
+            live.suspect(vi.peer[0], "retry budget exhausted")
 
     def fail_peer_dead(self, error: ViaError) -> None:
         """Tear down the transmit side: the peer is (as good as) dead.

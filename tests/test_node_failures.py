@@ -72,9 +72,9 @@ def test_victim_sees_own_crash_and_survivors_detect():
     # Mesh-wide state: everyone but the victim knows the victim died.
     assert cluster.alive_ranks() == [0, 1, 2, 4, 5, 6, 7]
     assert cluster.death_log[0][:2] == (3, 300.0)
-    for comm in comms:
-        if comm.engine.rank != 3:
-            assert 3 in comm.engine._dead_peers
+    for node in cluster.nodes:
+        if node.rank != 3:
+            assert 3 in node.via.liveness.dead
 
 
 def test_collectives_raise_instead_of_hanging():
@@ -377,7 +377,7 @@ def test_fault_free_runs_unaffected():
         cluster = build_mesh((2, 2, 2), stack="via")
         comms = build_world(cluster)
         assert cluster.watchdog is None
-        assert all(not c.engine._ft for c in comms)
+        assert all(node.via.liveness is None for node in cluster.nodes)
 
         def program(comm):
             for _ in range(5):
@@ -556,3 +556,79 @@ def test_connect_retry_without_a_live_route_drops_the_attempt():
     assert (outcome.scenario, outcome.victim) == ("scatter", 3)
     assert outcome.crash_landed and outcome.survivors == 7
     assert outcome.deterministic
+
+
+def _stall_program(comm):
+    """Rank 0 sends 200 x 2 KB to rank 3, which posts no receive."""
+    from repro.mpi.request import waitall
+
+    if comm.rank == 0:
+        yield from waitall([comm.isend(3, 1, 2048) for _ in range(200)])
+
+
+def _relay_program(comm):
+    """8 KB from rank 0 to rank 10 (the relay case's program)."""
+    if comm.rank == 0:
+        yield from comm.isend(10, 1, 8192).wait()
+    elif comm.rank == 10:
+        yield from comm.irecv(0, 1, 8192).wait()
+
+
+#: name -> (torus dims, the node fault without a crash, program).
+FAR_FUTURE_SCENARIOS = {
+    # Rank 1 declares the stalled rank 3 dead at 1 400 us; the verdict
+    # must reach rank 0's MPI layer with or without a crash scheduled.
+    "nic-stall": ((2, 2, 2), NodeFaultSpec(
+        rank=3, nic_down=((300.0, 3000.0),)), _stall_program),
+    "relay-nic-down-8k": ((4, 4, 1), RELAY_FAULTS["nic-down-8k"][0],
+                          _relay_program),
+}
+
+
+def far_future_run(fast, case, crash_at=None):
+    """Run scenario ``case``, its node fault given ``crash_at``.
+    Returns per-rank (outcome, instant), or ("HangError", instant) for
+    the whole run, then the death log and the reliability counters."""
+    from repro import fastpath
+
+    dims, fault, program = FAR_FUTURE_SCENARIOS[case]
+    spec = NodeFaultSpec(rank=fault.rank, nic_down=fault.nic_down,
+                         crash_at=crash_at)
+    with fastpath.force(fast):
+        cluster = build_mesh(dims, stack="via", node_faults=[spec])
+        comms = build_world(cluster)
+
+        def outcome(comm):
+            try:
+                yield from program(comm)
+                what = "finished"
+            except FAILURES as exc:
+                what = type(exc).__name__
+            return what, comm.engine.sim.now
+
+        try:
+            results = run_mpi(cluster, outcome, comms=comms,
+                              limit=100_000.0)
+        except HangError:
+            results = ("HangError", cluster.sim.now)
+    return results, cluster.death_log, cluster.reliability_stats()
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("case", sorted(FAR_FUTURE_SCENARIOS))
+def test_a_far_future_crash_changes_nothing_before_it_fires(case, fast):
+    """Node-fault mode is the cluster's ``node_faults`` alone: adding a
+    crash that never fires moves no outcome, death or counter.  The
+    stall case used to hang (the VIA layer acted on rank 1's verdict,
+    MPI never heard of it) unless a crash was scheduled."""
+    plain = far_future_run(fast, case)
+    assert far_future_run(fast, case, crash_at=1e9) == plain
+    results, death_log, _totals = plain
+    if case == "nic-stall":
+        assert results[0] == ("MpiProcFailed",
+                              pytest.approx(1411.7412))
+        assert death_log[0][:3] == (3, 1400.0, 1)
+    else:
+        assert death_log == []
+        assert (results[0][1], results[10][1]) == pytest.approx(
+            (269.80, 3668.03), abs=0.01)

@@ -165,6 +165,24 @@ class TestAccounting:
         assert set(result.per_rank) == set(range(9))
 
 
+class TestShardDeath:
+    def test_a_worker_dead_before_reading_its_command_is_a_crash(self):
+        """A worker killed with ``build`` still unread in its pipe
+        resets the connection instead of closing it: the read must
+        still say :class:`ShardCrashed`, the error the supervisor
+        recovers by replay."""
+        from repro.errors import ShardCrashed
+        from repro.pdes.runner import PipeShard
+
+        shard = PipeShard({"shard_id": 0})
+        try:
+            shard.kill()
+            with pytest.raises(ShardCrashed):
+                shard.ready()
+        finally:
+            shard.close()
+
+
 class TestGuards:
     def test_too_many_shards_rejected(self):
         from repro.errors import TopologyError

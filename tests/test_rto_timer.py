@@ -6,9 +6,9 @@ and differ only in what an expiry resends and what a spent budget
 fails.  Against a peer whose link drops every frame, all four resend
 on one schedule: ``rel_rto`` backed off by ``rel_rto_backoff`` up to
 ``rel_rto_max``, and the expiry after ``rel_max_retries`` of them
-spends the budget.  With node faults armed that reaches
-``KernelAgent.suspect`` exactly once; without them it ends in the
-site's own error.
+spends the budget.  Under node faults that reaches
+``Liveness.suspect`` exactly once; without them it ends in the site's
+own error.
 
 A send into an idle window gets a full RTO (RFC 6298, 5.1), however
 recently the last ACK emptied the window.
@@ -129,15 +129,17 @@ def test_every_site_backs_off_on_one_schedule(site, faults, fast):
     with fastpath.force(fast):
         cluster, sender, peer, kind, gen = SITES[site](faults)
         sim = cluster.sim
-        agent = cluster.nodes[sender].via.agent
+        live = cluster.nodes[sender].via.liveness
+        assert (live is not None) is faults
         suspected = []
-        suspect = agent.suspect
+        if faults:
+            suspect = live.suspect
 
-        def counted(rank, reason):
-            suspected.append(rank)
-            return suspect(rank, reason)
+            def counted(rank, reason):
+                suspected.append(rank)
+                return suspect(rank, reason)
 
-        agent.suspect = counted
+            live.suspect = counted
         copies = _wire_log(cluster, kind, sender)
         out = {}
         sim.spawn(_catching(sim, gen, out))
@@ -150,10 +152,11 @@ def test_every_site_backs_off_on_one_schedule(site, faults, fast):
     assert out["at"] - first == pytest.approx(BUDGET_SPENT, abs=10.0)
     assert out["at"] - copies[-1] == pytest.approx(5000.0, abs=10.0)
     assert isinstance(out["result"], ViaError)
-    # Every site hands its spent budget to the detector, once; only an
-    # armed one turns it into a verdict.
-    assert suspected == [peer]
-    assert agent._known_dead == ({peer} if faults else set())
+    # Under node faults every site hands its spent budget to the
+    # liveness owner, once, and that is the verdict.
+    if faults:
+        assert suspected == [peer]
+        assert live.dead == {peer}
 
 
 def _idle_window_resend(gap, fast):
