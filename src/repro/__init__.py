@@ -16,7 +16,8 @@ The package builds, in pure Python, every system the paper describes:
   (:mod:`repro.mpi`, :mod:`repro.qmp`),
 * torus collective algorithms including the paper's optimal scatter
   (:mod:`repro.collectives`),
-* an LQCD application benchmark with real SU(3) numpy kernels
+* the LQCD application benchmark of Table 1: halo exchanges over the
+  simulated machine, a sustained kernel rate charged per site
   (:mod:`repro.lqcd`),
 * cluster builders and a parallel-program API (:mod:`repro.cluster`),
 * the benchmark harness regenerating every figure and table

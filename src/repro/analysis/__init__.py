@@ -1,23 +1,20 @@
-"""Analysis helpers: the cost model behind Table 1 and statistics."""
+"""Analysis helpers: LogGP characterization, statistics, utilization."""
 
-from repro.analysis.costmodel import ClusterCosts, dollars_per_mflops
-from repro.analysis.logp import LogGPParams, measure_via_loggp
-from repro.analysis.stats import geometric_mean, linear_fit, percentile
-from repro.analysis.timeline import (
-    link_utilization,
-    node_utilization,
-    utilization_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterCosts",
-    "dollars_per_mflops",
-    "LogGPParams",
-    "measure_via_loggp",
-    "geometric_mean",
-    "linear_fit",
-    "percentile",
-    "link_utilization",
-    "node_utilization",
-    "utilization_report",
-]
+#: Public name -> submodule, resolved on first access: the timeline
+#: report loads neither numpy (``stats``) nor the VIA micro-benchmarks
+#: (``logp``).
+_EXPORTS = {
+    "LogGPParams": "logp",
+    "measure_via_loggp": "logp",
+    "geometric_mean": "stats",
+    "linear_fit": "stats",
+    "percentile": "stats",
+    "link_utilization": "timeline",
+    "node_utilization": "timeline",
+    "utilization_report": "timeline",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

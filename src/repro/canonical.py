@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
-import json
 from dataclasses import MISSING, FrozenInstanceError
 from typing import Any, Dict, List, Union
 
@@ -92,12 +90,16 @@ def canonical_json(obj: Any) -> str:
     """The canonical JSON text of ``obj`` (sorted keys, no whitespace,
     floats in explicit hex form).  Equal objects always produce equal
     text; this is the hashing pre-image."""
+    import json
+
     return json.dumps(_hash_form(to_canonical(obj)), sort_keys=True,
                       separators=(",", ":"), allow_nan=False)
 
 
 def content_hash(obj: Any) -> str:
     """SHA-256 hex digest of :func:`canonical_json`."""
+    import hashlib  # here, not at the top: a point job never hashes
+
     return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
 
 
@@ -105,6 +107,8 @@ def stable_json(obj: Any) -> str:
     """Deterministic *readable* JSON of ``obj`` (sorted keys, plain
     float repr).  Used to freeze result payloads: two bit-identical
     results produce byte-identical text."""
+    import json
+
     return json.dumps(to_canonical(obj), sort_keys=True,
                       separators=(",", ":"), allow_nan=True)
 

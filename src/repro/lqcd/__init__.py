@@ -1,48 +1,31 @@
 """Lattice QCD application benchmark (paper sections 1, 6).
 
 The clusters' primary mission is LQCD: each node operates on a regular
-4-D sub-lattice, computing with 3x3 complex (SU(3)) matrices,
-exchanging 3-D hypersurface data with its six mesh neighbors each
-iteration, then performing a global reduction.  This package implements
-that workload for real:
+4-D sub-lattice, exchanging 3-D hypersurface data with its six mesh
+neighbors each iteration, then performing a global reduction.  This
+package holds what Table 1 runs:
 
-* :mod:`repro.lqcd.su3` — SU(3) matrix algebra (numpy) with flop
-  accounting;
 * :mod:`repro.lqcd.lattice` — 4-D domain decomposition onto the 3-D
   machine grid, surface-to-volume analysis;
-* :mod:`repro.lqcd.dslash` — a Wilson-type hopping (dslash) operator
-  on the local sub-lattice with halo dependencies;
 * :mod:`repro.lqcd.halo` — the hypersurface exchange over QMP/MPI;
-* :mod:`repro.lqcd.solver` — conjugate-gradient iteration with global
-  sums;
-* :mod:`repro.lqcd.benchmark` — the Table 1 harness: Gflops per node
-  and $/Mflops for the GigE mesh vs the Myrinet comparator.
+* :mod:`repro.lqcd.benchmark` — the Table 1 harness: the charged flop
+  counts, the cost model, Gflops per node and $/Mflops for the GigE
+  mesh vs the Myrinet comparator.
+
+The SU(3), staggered, Wilson and CG numerics behind the flop counts
+are the test suite's oracle (``tests/lqcd_oracle.py``).
 """
 
-from repro.lqcd.su3 import (
-    SU3_MULTIPLY_FLOPS,
-    random_su3,
-    reunitarize,
-    su3_multiply,
-)
-from repro.lqcd.lattice import LocalLattice, SubLatticeDecomposition
-from repro.lqcd.dslash import WilsonDslash, DSLASH_FLOPS_PER_SITE
-from repro.lqcd.wilson import WilsonFermionOperator, WILSON_FLOPS_PER_SITE
-from repro.lqcd.solver import cg_solve
-from repro.lqcd.benchmark import LqcdBenchmark, LqcdResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "random_su3",
-    "su3_multiply",
-    "reunitarize",
-    "SU3_MULTIPLY_FLOPS",
-    "LocalLattice",
-    "SubLatticeDecomposition",
-    "WilsonDslash",
-    "DSLASH_FLOPS_PER_SITE",
-    "WilsonFermionOperator",
-    "WILSON_FLOPS_PER_SITE",
-    "cg_solve",
-    "LqcdBenchmark",
-    "LqcdResult",
-]
+#: Public name -> submodule, resolved on first access.
+_EXPORTS = {
+    "LocalLattice": "lattice",
+    "SubLatticeDecomposition": "lattice",
+    "DSLASH_FLOPS_PER_SITE": "benchmark",
+    "LqcdBenchmark": "benchmark",
+    "LqcdResult": "benchmark",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -8,22 +8,17 @@ Myrinet comparator world implement (``isend``/``irecv`` with
 tags + ``torus``-style neighbor ranks supplied by the caller), so the
 same application code runs on either interconnect.
 
-Two modes:
-
-* **data mode** — numpy boundary planes really travel (used by the
-  correctness tests and examples);
-* **timing mode** (``data=None``) — only byte counts travel (used by
-  the Table 1 benchmark where per-iteration data content is
-  irrelevant).
+Table 1 runs it in timing mode (``planes=None``): only byte counts
+travel, since per-iteration data content is irrelevant to its timing.
+Given planes, they travel as the messages' data; the test oracle
+(``tests/lqcd_oracle.py``) fills halos that way and checks the result
+against the periodic single-node operator.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.lqcd.dslash import WilsonDslash
 from repro.lqcd.lattice import LocalLattice
 from repro.mpi.request import waitall
 
@@ -100,37 +95,3 @@ class HaloExchanger:
         received = yield from self.finish(recvs, sends)
         return received
 
-
-def field_planes(dslash: WilsonDslash,
-                 field: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
-    """Boundary planes of ``field`` to send: (axis, sign) -> array.
-
-    The plane sent toward ``sign`` is the owned face on that side; the
-    neighbor installs it in its opposite halo shell.
-    """
-    planes = {}
-    for axis in range(3):
-        for sign in (+1, -1):
-            planes[(axis, sign)] = np.ascontiguousarray(
-                field[dslash.boundary_slice(axis, sign)]
-            )
-    return planes
-
-
-def install_planes(dslash: WilsonDslash, field: np.ndarray,
-                   received: Dict[Tuple[int, int], np.ndarray]) -> None:
-    """Install received planes into the halo shells.
-
-    A plane received from the neighbor on side ``sign`` of ``axis``
-    fills our shell on that same side.
-    """
-    for (axis, sign), plane in received.items():
-        if plane is not None:
-            field[dslash.halo_slice(axis, sign)] = plane
-
-
-def parallel_halo_fill(dslash: WilsonDslash, exchanger: HaloExchanger,
-                       field: np.ndarray):
-    """Process: one full data-mode halo fill of ``field``."""
-    received = yield from exchanger.exchange(field_planes(dslash, field))
-    install_planes(dslash, field, received)

@@ -25,8 +25,6 @@ from repro.topology.torus import Torus
 #: 2 spins x 3 colors complex single precision (the production codes
 #: communicated 32-bit).
 HALF_SPINOR_BYTES = 2 * 3 * 2 * 4  # = 48
-#: Bytes per color-vector site (staggered-type field, complex single).
-COLOR_VECTOR_BYTES = 3 * 2 * 4  # = 24
 
 
 @dataclass(frozen=True)

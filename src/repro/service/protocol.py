@@ -31,8 +31,6 @@ Responses are one of three shapes, all carrying the request ``id``:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -155,6 +153,9 @@ class JobSpec(Canonical):
         canonical text is computed once per process, not per request
         (:func:`_default_params_json`).
         """
+        import hashlib  # here, not at the top: a worker never keys a job
+        import json
+
         gige, host, via = _default_params_json()
         text = (f'{{"code_version":{json.dumps(__version__)},'
                 f'"gige":{gige},"host":{host},'

@@ -47,12 +47,6 @@ def test_raw_via_pingpong_example():
     assert "110" in output  # simultaneous bandwidth
 
 
-def test_lqcd_halo_exchange_example():
-    output = _run_example("lqcd_halo_exchange.py")
-    assert "identical on all 8 ranks" in output
-    assert "surface-to-volume ratio: 1.50" in output
-
-
 def test_kernel_collectives_example():
     output = _run_example("kernel_collectives.py")
     assert "interrupt-level" in output

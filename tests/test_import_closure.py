@@ -79,7 +79,8 @@ NOT_BOOTED = ("repro.ckpt", "repro.telemetry", "repro.obs.recorder",
 #: A fleet worker's life in a fresh interpreter: ``worker_main`` with
 #: the fleet's ``ckpt_dir`` hand-off (``argv[2]``), over a stand-in for
 #: the fleet's end of the pipe that sends the job ``argv[1]`` and then
-#: ``stop``.  Prints the reply's kind and the ``repro`` modules loaded.
+#: ``stop``.  Prints the reply's kind and the ``repro`` modules loaded
+#: (and ``hashlib``, if it is).
 WORKER = """
 import json, sys
 from repro.service.worker import worker_main
@@ -94,8 +95,8 @@ class Pipe:
     def close(self):
         pass
 worker_main(Pipe(), ckpt_dir=sys.argv[2])
-print(json.dumps([Pipe.replies, sorted(m for m in sys.modules
-                                       if m.startswith("repro"))]))
+print(json.dumps([Pipe.replies, sorted(
+    m for m in sys.modules if m.startswith("repro") or m == "hashlib")]))
 """
 
 
@@ -107,10 +108,15 @@ def _worker_job(spec, ckpt_dir):
     return loaded
 
 
+#: Hashing is the router's (``JobSpec.cache_key``) and the checkpoint
+#: store's; a worker running a point job never hashes.
+NOT_HASHED = ("hashlib",)
+
+
 @pytest.mark.parametrize("op", sorted(POINT_OPS))
 def test_a_point_job_loads_only_the_layers_it_runs(op, tmp_path):
     loaded = _worker_job(JobSpec.make("point", op, nbytes=1024), tmp_path)
-    assert _under(loaded, NO_POINT_JOB + NOT_BOOTED) == []
+    assert _under(loaded, NO_POINT_JOB + NOT_BOOTED + NOT_HASHED) == []
     if op.startswith("mpi_"):
         assert "repro.mpi.communicator" in loaded
     else:
@@ -137,8 +143,8 @@ def test_the_simulation_kernel_loads_only_itself():
 
 
 @pytest.mark.parametrize("package", [
-    "repro.bench", "repro.cluster", "repro.hw", "repro.obs",
-    "repro.service", "repro.topology"])
+    "repro.analysis", "repro.bench", "repro.cluster", "repro.hw",
+    "repro.lqcd", "repro.obs", "repro.service", "repro.topology"])
 def test_every_lazy_export_resolves(package):
     """A typo in an ``_EXPORTS`` table fails here, not in a user's
     first ``from package import name``."""
@@ -148,6 +154,30 @@ def test_every_lazy_export_resolves(package):
     for name in module.__all__:
         assert getattr(module, name) is not None, name
         assert name in listed, name
+
+
+def test_table1_loads_no_numpy_and_no_micro_benchmarks():
+    """Table 1 moves byte-count halos and charges flop constants: the
+    lattice numerics are the test oracle's, the cost model is
+    ``repro.lqcd.benchmark``'s own."""
+    loaded = _fresh(
+        "import sys, repro.bench.table1\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy'\n"
+        "             or m.startswith(('repro.analysis', 'repro.lqcd.'))\n"
+        "             or m == 'repro.bench.microbench'))"
+    )
+    assert loaded == str(["repro.lqcd.benchmark", "repro.lqcd.halo",
+                          "repro.lqcd.lattice"])
+
+
+def test_the_timeline_report_loads_no_numpy_and_no_micro_benchmarks():
+    loaded = _fresh(
+        "import sys, repro.analysis.timeline\n"
+        "print([m for m in ('numpy', 'repro.bench.microbench',\n"
+        "                   'repro.analysis.logp', 'repro.analysis.stats')\n"
+        "       if m in sys.modules])"
+    )
+    assert loaded == "[]"
 
 
 def test_numpy_loads_on_the_first_data_carrying_reduction():

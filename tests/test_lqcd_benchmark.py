@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.analysis.costmodel import (
-    GIGE_MESH_COSTS,
-    MYRINET_COSTS,
-    dollars_per_mflops,
-)
 from repro.errors import BenchmarkError, ConfigurationError
 from repro.lqcd.benchmark import (
     DEFAULT_COMPUTE_GFLOPS,
+    GIGE_MESH_COSTS,
+    MYRINET_COSTS,
     LqcdBenchmark,
+    dollars_per_mflops,
     flops_per_iteration,
 )
 from repro.lqcd.lattice import LocalLattice

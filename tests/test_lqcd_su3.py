@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lqcd.su3 import (
+from tests.lqcd_oracle import (
     SU3_MULTIPLY_FLOPS,
     is_su3,
     random_su3,

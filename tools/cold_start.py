@@ -13,7 +13,10 @@ pipe that sends one small point job and then ``stop``.  Printed:
 * per point op of ``repro.service.jobs.POINT_OPS``: the ``repro``
   modules the worker holds after the job (boot closure included),
   their KB, and the ms from ``ready`` to the reply, which covers
-  importing ``jobs`` and running the job.
+  importing ``jobs`` and running the job;
+* Table 1's entry point, ``IMPORT``: the ``repro`` modules a bare
+  ``import`` of it loads, their KB, its ms, and whether numpy came
+  with it.
 
 Every ms cell is the median over ``RUNS`` fresh interpreters, once
 without cached bytecode (``PYTHONDONTWRITEBYTECODE=1``, so every
@@ -83,6 +86,23 @@ print(json.dumps({"boot": boot, "boot_kb": kb(boot),
 """
 
 
+#: The entry point timed as a bare import in a fresh interpreter.
+IMPORT = "repro.bench.table1"
+
+#: One child: ``import argv[1]``, then the ``repro`` modules it loaded,
+#: their KB, the ms it took and whether numpy is loaded.
+IMPORT_CHILD = """
+import importlib, json, os, sys, time
+start = time.perf_counter()
+importlib.import_module(sys.argv[1])
+ms = (time.perf_counter() - start) * 1e3
+held = sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+print(json.dumps({"held": held, "ms": ms, "numpy": "numpy" in sys.modules,
+                  "held_kb": sum(os.path.getsize(sys.modules[m].__file__)
+                                 for m in held) / 1e3}))
+"""
+
+
 def point_ops(src: str, env: dict) -> list:
     done = subprocess.run(
         [sys.executable, "-c",
@@ -95,6 +115,13 @@ def point_ops(src: str, env: dict) -> list:
 def first_job(src: str, op: str, env: dict) -> dict:
     ckpt = os.path.join(os.path.dirname(src), "ckpt")
     done = subprocess.run([sys.executable, "-c", CHILD, op, ckpt],
+                          env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def bare_import(src: str, env: dict) -> dict:
+    done = subprocess.run([sys.executable, "-c", IMPORT_CHILD, IMPORT],
                           env=dict(env, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -139,6 +166,13 @@ def main() -> None:
         for op, held, kb, cold_ms, warm_ms in rows:
             print(f"{op:28s} {held:7d} {kb:7.1f} {cold_ms:10.1f} "
                   f"{warm_ms:8.1f}")
+        cold = [bare_import(src, uncached) for _ in range(RUNS)]
+        bare_import(src, cached)
+        warm = [bare_import(src, cached) for _ in range(RUNS)]
+        numpy = "numpy" if cold[0]["numpy"] else "no numpy"
+        print(f"{'import ' + IMPORT:28s} {len(cold[0]['held']):7d} "
+              f"{cold[0]['held_kb']:7.1f} {median(cold, 'ms'):10.1f} "
+              f"{median(warm, 'ms'):8.1f}  {numpy}")
         print(f"\nboot ({len(boot)}):\n  " + " ".join(boot))
         for modules, ops in closures.items():
             print(f"\n{', '.join(ops)} adds ({len(modules)}):")
