@@ -12,7 +12,7 @@ then shows the post-run utilization report.
 
 import numpy as np
 
-from repro.analysis.timeline import utilization_report
+from repro.obs.timeline import utilization_report
 from repro.cluster import build_mesh, build_world, run_mpi
 
 DIMS = (4, 4, 4)

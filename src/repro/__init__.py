@@ -21,7 +21,8 @@ The package builds, in pure Python, every system the paper describes:
   (:mod:`repro.lqcd`),
 * cluster builders and a parallel-program API (:mod:`repro.cluster`),
 * the benchmark harness regenerating every figure and table
-  (:mod:`repro.bench`).
+  (:mod:`repro.bench`), and the analytic LogGP model derived from the
+  calibration (:mod:`repro.model`).
 
 Quickstart::
 

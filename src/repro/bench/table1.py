@@ -3,24 +3,20 @@
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentResult
-from repro.lqcd.benchmark import LqcdBenchmark
-from repro.lqcd.lattice import LocalLattice
+from repro.lqcd.benchmark import TABLE1_LATTICES, LqcdBenchmark
 
 
 def table1(quick: bool = False) -> ExperimentResult:
     """LQCD Gflops/node and estimated $/Mflops for both machines."""
     if quick:
-        bench = LqcdBenchmark(gige_dims=(2, 2, 2), myrinet_hosts=8,
+        pairs = LqcdBenchmark(gige_dims=(2, 2, 2), myrinet_hosts=8,
                               myrinet_logical_dims=(2, 2, 2),
-                              iterations=3)
-        locals_ = [LocalLattice(L, L, L, L) for L in (6, 8)]
+                              iterations=3).table1(TABLE1_LATTICES[:2])
     else:
-        bench = LqcdBenchmark(gige_dims=(4, 8, 8), myrinet_hosts=128,
-                              myrinet_logical_dims=(4, 4, 8),
-                              iterations=4)
-        locals_ = [LocalLattice(L, L, L, L) for L in (6, 8, 10, 12)]
+        # The benchmark's defaults are Table 1's machines and lattices.
+        pairs = LqcdBenchmark().table1()
     rows = []
-    for myri, gige in bench.table1(locals_):
+    for myri, gige in pairs:
         L = myri.local.lx
         rows.append([
             f"{L}^4/node",

@@ -8,7 +8,8 @@ Every algorithm exists in two forms:
   multi-port concurrency, real protocol costs);
 * an **analytic** step-count form (:mod:`repro.collectives.schedule`)
   matching the paper's synchronized-step k-port model, used to verify
-  the OPT optimality bound ``max(T1, T2)`` and the SDF comparison.
+  the OPT optimality bound ``max(T1, T2)`` and the SDF comparison
+  (the steps' times are :mod:`repro.model`'s predictions).
 
 Algorithms:
 
@@ -21,30 +22,7 @@ Algorithms:
   parallel scatter from every node.
 """
 
-from repro.collectives import (  # noqa: F401 (re-export modules)
-    allgather,
-    alltoall,
-    analysis,
-    broadcast,
-    combine,
-    gather,
-    reduce,
-    scan,
-    scatter,
-    schedule,
-    tree,
-)
-
-__all__ = [
-    "allgather",
-    "analysis",
-    "broadcast",
-    "scan",
-    "reduce",
-    "combine",
-    "scatter",
-    "gather",
-    "alltoall",
-    "schedule",
-    "tree",
-]
+#: Submodules, each imported where it is first used (``from
+#: repro.collectives import combine``): a run loads what it calls.
+__all__ = ["allgather", "alltoall", "broadcast", "combine", "gather",
+           "reduce", "scan", "scatter", "schedule", "tree"]

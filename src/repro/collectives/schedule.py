@@ -48,8 +48,6 @@ class ScheduleResult:
     #: Total message-hops taken (work).
     hops: int = 0
 
-    def max_delivery(self) -> int:
-        return max(self.delivery.values(), default=0)
 
 
 def _run(torus: Torus, root: int, messages: List[_Message],

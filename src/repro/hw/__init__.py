@@ -46,10 +46,7 @@ from repro.hw.node import (
 from repro.hw.nic import GigEPort
 
 #: Resolved on first access: only the Myrinet comparator builds these.
-_EXPORTS = {
-    "MyrinetFabric": "myrinet",
-    "MyrinetTimeModel": "myrinet",
-}
+_EXPORTS = {"MyrinetFabric": "myrinet"}
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
     "Host",
     "GigEPort",
     "MyrinetFabric",
-    "MyrinetTimeModel",
     "PRIO_IRQ",
     "PRIO_KERNEL",
     "PRIO_USER",

@@ -5,11 +5,8 @@ comparator, so the model here is message-level rather than frame-level:
 a :class:`MyrinetFabric` carries whole messages between hosts with the
 latency/bandwidth/host-overhead constants of GM on LaNai9 through a
 full-bisection Clos switch (no internal contention; only injection and
-ejection ports serialize).
-
-:class:`MyrinetTimeModel` exposes the same analytic interface as
-:class:`repro.bench.models.MessageTimeModel` so the LQCD benchmark can
-swap interconnects.
+ejection ports serialize).  Its analytic LogGP form is
+:func:`repro.model.myrinet_loggp`.
 """
 
 from __future__ import annotations
@@ -20,32 +17,6 @@ from repro.errors import ConfigurationError
 from repro.hw.params import MyrinetParams
 from repro.sim import Mutex, Simulator
 from repro.topology.switched import ClosFabric
-
-
-class MyrinetTimeModel:
-    """Analytic message time for GM-class messaging on Myrinet.
-
-    ``time(nbytes, hops)`` = host overhead + switch latency +
-    serialization at link bandwidth.  This is the standard LogGP-style
-    decomposition; constants from :class:`MyrinetParams`.
-    """
-
-    def __init__(self, params: Optional[MyrinetParams] = None) -> None:
-        self.params = params or MyrinetParams()
-
-    def latency(self, switch_hops: int = 3) -> float:
-        extra = max(0, switch_hops - 1) * self.params.per_switch_hop
-        return self.params.latency + extra
-
-    def time(self, nbytes: float, switch_hops: int = 3) -> float:
-        return (
-            self.params.host_overhead
-            + self.latency(switch_hops)
-            + nbytes / self.params.bandwidth
-        )
-
-    def bandwidth(self, nbytes: float, switch_hops: int = 3) -> float:
-        return nbytes / self.time(nbytes, switch_hops)
 
 
 class MyrinetFabric:

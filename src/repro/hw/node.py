@@ -41,6 +41,8 @@ PRIO_COMPUTE = 3
 
 #: PCI-X 64-bit/133MHz sustained rate (bytes/us); per-DMA rate cap.
 PCIX_RATE = 1064.0
+#: Setup window of every memory-bus transfer (DMA or copy), in us.
+MEMBUS_SETUP = 0.02
 
 
 class IrqController:
@@ -165,7 +167,7 @@ class Host:
         self.cpu = Mutex(sim, name=f"cpu[{node_id}]")
         self.irq = IrqController(self)
         self.membus = BandwidthBus(
-            sim, self.params.membus_rate, setup=0.02,
+            sim, self.params.membus_rate, setup=MEMBUS_SETUP,
             name=f"membus[{node_id}]",
         )
         #: Per-PCI-segment traffic counters (bytes).
@@ -242,10 +244,6 @@ class Host:
             at=when + self.membus.setup,
         )
 
-    def copy_time(self, nbytes: float) -> float:
-        """Uncontended duration of a copy (for analytic models)."""
-        return nbytes / self.params.copy_rate
-
     # -- DMA ------------------------------------------------------------
     def dma_event(self, nbytes: float, pci_index: int = 0):
         """A device DMA of ``nbytes`` to/from host memory; returns the
@@ -268,9 +266,6 @@ class Host:
             rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
                                 self.sim._now, float(nbytes))
         return self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
-
-    def interrupt_entry_cost(self) -> float:
-        return self.params.interrupt_cost
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Host(node={self.node_id})"

@@ -174,10 +174,6 @@ class BandwidthBus:
     def busy(self) -> bool:
         return bool(self._flows)
 
-    def utilization_rate(self) -> float:
-        """Currently allocated bytes/us across all flows."""
-        return sum(flow.rate for flow in self._flows)
-
     def transfer(self, nbytes: float, rate_cap: Optional[float] = None,
                  weight: float = 1.0):
         """Process: move ``nbytes``; completes when the fluid share

@@ -32,7 +32,7 @@ from repro.cluster.myrinet_world import MyriWorld
 from repro.cluster.process_api import build_world, run_mpi
 from repro.errors import BenchmarkError, ConfigurationError
 from repro.lqcd.halo import HaloExchanger
-from repro.lqcd.lattice import HALF_SPINOR_BYTES, LocalLattice
+from repro.lqcd.lattice import LocalLattice
 from repro.sim import Simulator
 from repro.topology.torus import Direction, Torus
 
@@ -50,6 +50,10 @@ DSLASH_FLOPS_PER_SITE = 8 * 66 + 7 * 6
 #: local dot products on color vectors, each 3 components of one
 #: complex multiply (6 flops) and one complex add (2 flops) = 120.
 CG_LINALG_FLOPS_PER_SITE = 3 * 3 * 8 + 2 * 3 * 8
+
+#: Table 1's per-node sub-lattices, L^4 for growing L: the surface-to-
+#: volume ratio falls down the table (``--quick`` runs the first two).
+TABLE1_LATTICES = tuple(LocalLattice(L, L, L, L) for L in (6, 8, 10, 12))
 
 
 # -- cost model (paper sections 3 and 6) --------------------------------------
@@ -129,8 +133,7 @@ def _lqcd_program(comm, torus: Torus, local: LocalLattice,
                   compute_fn, results: list):
     """SPMD benchmark iteration loop (transport-agnostic)."""
     rank = comm.rank
-    exchanger = HaloExchanger(comm, _neighbors_map(torus, rank), local,
-                              site_bytes=HALF_SPINOR_BYTES)
+    exchanger = HaloExchanger(comm, _neighbors_map(torus, rank), local)
     volume = local.volume
     boundary = local.total_surface_sites()
     interior = max(volume - boundary, 0)
@@ -175,7 +178,8 @@ def _myri_compute(comm, duration: float):
 
 
 class LqcdBenchmark:
-    """Builds clusters and produces Table 1 rows."""
+    """Builds clusters and produces Table 1 rows (by default on Table 1's
+    machines: the 4x8x8 GigE mesh and the 128-host Myrinet cluster)."""
 
     def __init__(self, gige_dims: Sequence[int] = (4, 8, 8),
                  myrinet_hosts: int = 128,
@@ -252,7 +256,7 @@ class LqcdBenchmark:
                ) -> List[Tuple[LqcdResult, LqcdResult]]:
         """(Myrinet, GigE) result pairs per lattice size."""
         if locals_ is None:
-            locals_ = [LocalLattice(L, L, L, L) for L in (6, 8, 10, 12)]
+            locals_ = TABLE1_LATTICES
         rows = []
         for local in locals_:
             myri = self.run_myrinet(local)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.lqcd.lattice import LocalLattice
+from repro.lqcd.lattice import HALF_SPINOR_BYTES, LocalLattice
 from repro.mpi.request import waitall
 
 #: Tag base for halo traffic; encodes (axis, direction).
@@ -46,15 +46,13 @@ class HaloExchanger:
     """
 
     def __init__(self, comm, neighbors: Dict[Tuple[int, int], int],
-                 local: LocalLattice, site_bytes: int = 48) -> None:
+                 local: LocalLattice,
+                 site_bytes: int = HALF_SPINOR_BYTES) -> None:
         self.comm = comm
         self.neighbors = dict(neighbors)
         self.local = local
         self.site_bytes = site_bytes
         self.stats = {"exchanges": 0, "bytes": 0}
-
-    def face_bytes(self, axis: int) -> int:
-        return self.local.surface_sites(axis) * self.site_bytes
 
     def start(self, planes: Optional[Dict[Tuple[int, int], Any]] = None):
         """Begin the 6-face exchange; returns (recv_reqs, send_reqs).
@@ -63,20 +61,21 @@ class HaloExchanger:
         that direction (None for timing mode).  Receives are posted
         first (pre-posted receives keep the eager path fast).
         """
+        face = self.local.halo_bytes
         recvs = {}
         sends = []
         for (axis, sign), peer in self.neighbors.items():
             recvs[(axis, sign)] = self.comm.irecv(
                 peer, halo_tag(axis, -sign),
-                nbytes=self.face_bytes(axis),
+                nbytes=face(axis, self.site_bytes),
             )
         for (axis, sign), peer in self.neighbors.items():
             plane = None if planes is None else planes.get((axis, sign))
+            nbytes = face(axis, self.site_bytes)
             sends.append(self.comm.isend(
-                peer, halo_tag(axis, sign),
-                nbytes=self.face_bytes(axis), data=plane,
+                peer, halo_tag(axis, sign), nbytes=nbytes, data=plane,
             ))
-            self.stats["bytes"] += self.face_bytes(axis)
+            self.stats["bytes"] += nbytes
         self.stats["exchanges"] += 1
         return recvs, sends
 

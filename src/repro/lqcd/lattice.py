@@ -16,7 +16,7 @@ performance with respect to the lattice size").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.topology.torus import Torus
@@ -96,28 +96,8 @@ class SubLatticeDecomposition:
         return (self.local.lx * mx, self.local.ly * my,
                 self.local.lz * mz, self.local.lt)
 
-    @property
-    def global_volume(self) -> int:
-        gx, gy, gz, gt = self.global_dims
-        return gx * gy * gz * gt
-
     def node_origin(self, rank: int) -> Tuple[int, int, int, int]:
         """Global coordinates of this node's first site."""
         cx, cy, cz = self.machine.coords(rank)
         return (cx * self.local.lx, cy * self.local.ly,
                 cz * self.local.lz, 0)
-
-    def halo_plan(self) -> Dict[int, int]:
-        """Per-axis halo message bytes (one face)."""
-        return {
-            axis: self.local.halo_bytes(axis) for axis in range(3)
-        }
-
-
-def standard_local_lattices() -> Sequence[LocalLattice]:
-    """The per-node sub-lattice sizes for the Table 1 sweep.
-
-    The paper's lattice-size column grows so the surface-to-volume
-    ratio falls; symmetric local volumes L^4 serve that purpose.
-    """
-    return tuple(LocalLattice(L, L, L, L) for L in (4, 6, 8, 10, 12))

@@ -9,7 +9,8 @@ and export with :mod:`repro.obs.export`.
 
 The instruments a caller attaches to a run live here too, in
 :mod:`repro.obs.monitor`: the per-event trace, the sample accumulators
-and the fault campaign's reliability counters and hang watchdog.
+and the fault campaign's reliability counters and hang watchdog; the
+post-run utilization report in :mod:`repro.obs.timeline`.
 """
 
 from repro._lazy import lazy_exports
@@ -59,6 +60,9 @@ _EXPORTS = {
     "SampleStats": "monitor",
     "Trace": "monitor",
     "TraceRecord": "monitor",
+    "link_utilization": "timeline",
+    "node_utilization": "timeline",
+    "utilization_report": "timeline",
 }
 
 __all__ = sorted([

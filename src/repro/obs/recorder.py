@@ -142,12 +142,6 @@ class FlightRecorder:
 
     # -- queries --------------------------------------------------------
 
-    def spans_of(self, trace: int) -> List[Span]:
-        return [span for span in self.spans if span.trace == trace]
-
-    def events_of(self, trace: int) -> List[Span]:
-        return [span for span in self.events if span.trace == trace]
-
     def kinds(self) -> set:
         found = {span.kind for span in self.spans}
         found.update(span.kind for span in self.events)

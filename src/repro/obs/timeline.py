@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.cluster.builder import MeshCluster
+from repro.model import mesh_loggp
+
+if TYPE_CHECKING:
+    from repro.cluster.builder import MeshCluster
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,11 @@ class NodeUtilization:
     irq_entries: int
 
 
-def link_utilization(cluster: MeshCluster, elapsed_us: float,
-                     payload_rate: float = 110.0,
-                     ) -> List[LinkUtilization]:
-    """Per-link payload utilization relative to the sustained rate."""
+def link_utilization(cluster: "MeshCluster",
+                     elapsed_us: float) -> List[LinkUtilization]:
+    """Per-link payload utilization relative to the sustained rate: the
+    analytic model's ``1/G`` for the cluster's calibration."""
+    rate = 1.0 / mesh_loggp(cluster.host_params, cluster.gige_params).G
     out = []
     for link in cluster.links:
         fwd, rev = link.stats["bytes"]
@@ -50,13 +54,13 @@ def link_utilization(cluster: MeshCluster, elapsed_us: float,
             name=link.name,
             bytes_forward=fwd,
             bytes_reverse=rev,
-            utilization_forward=fwd / (payload_rate * elapsed_us),
-            utilization_reverse=rev / (payload_rate * elapsed_us),
+            utilization_forward=fwd / (rate * elapsed_us),
+            utilization_reverse=rev / (rate * elapsed_us),
         ))
     return out
 
 
-def node_utilization(cluster: MeshCluster,
+def node_utilization(cluster: "MeshCluster",
                      elapsed_us: float) -> List[NodeUtilization]:
     """Per-node CPU/memory/interrupt accounting."""
     out = []
@@ -81,12 +85,13 @@ def _bar(fraction: float, width: int = 30) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def utilization_report(cluster: MeshCluster, elapsed_us: float,
+def utilization_report(cluster: "MeshCluster", elapsed_us: float,
                        top: Optional[int] = 10) -> str:
     """Human-readable utilization summary (busiest items first)."""
     out = io.StringIO()
     out.write(f"utilization over {elapsed_us:.1f} us\n")
-    out.write("\nlinks (payload fraction of ~110 MB/s per direction):\n")
+    out.write("\nlinks (payload fraction of the sustained rate 1/G per "
+              "direction):\n")
     links = sorted(
         link_utilization(cluster, elapsed_us),
         key=lambda l: -(l.utilization_forward + l.utilization_reverse),

@@ -51,10 +51,6 @@ class ResultCache:
         self.stats["hits"] += 1
         return json.loads(text)
 
-    def get_text(self, key: str) -> Optional[str]:
-        """The frozen JSON text under ``key`` (no stats side effects)."""
-        return self._entries.get(key)
-
     def put(self, key: str, payload: Any) -> str:
         """Freeze ``payload`` under ``key``; returns the frozen text.
 

@@ -184,15 +184,6 @@ def alive_path(torus: Torus, src: int, dst: int,
     return None
 
 
-def first_step_directions(torus: Torus, root: int, dst: int) -> List[Direction]:
-    """Directions in which a minimal path from ``root`` to ``dst`` may start.
-
-    This is the candidate set used by the OPT partition (§5.2): node
-    ``dst`` may be placed in any region whose root link is one of these.
-    """
-    return minimal_directions(torus, root, dst)
-
-
 def path_via_first_direction(torus: Torus, src: int, dst: int,
                              first: Direction) -> List[RouteStep]:
     """A minimal route that *starts* with ``first`` then follows SDF.

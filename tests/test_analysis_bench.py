@@ -1,8 +1,7 @@
-"""Tests for analysis helpers and the bench harness plumbing."""
+"""Tests for the bench harness plumbing."""
 
 import pytest
 
-from repro.analysis import geometric_mean, linear_fit, percentile
 from repro.bench.harness import (
     EXPERIMENTS,
     ExperimentResult,
@@ -10,30 +9,6 @@ from repro.bench.harness import (
 )
 from repro.bench.report import render_table, to_csv
 from repro.errors import BenchmarkError
-
-
-def test_geometric_mean():
-    assert geometric_mean([1, 10, 100]) == pytest.approx(10.0)
-    with pytest.raises(BenchmarkError):
-        geometric_mean([])
-    with pytest.raises(BenchmarkError):
-        geometric_mean([1, -1])
-
-
-def test_percentile():
-    assert percentile(range(101), 50) == 50
-    with pytest.raises(BenchmarkError):
-        percentile([], 50)
-
-
-def test_linear_fit_recovers_line():
-    xs = [1, 2, 3, 4]
-    ys = [2.5 * x + 1.0 for x in xs]
-    slope, intercept = linear_fit(xs, ys)
-    assert slope == pytest.approx(2.5)
-    assert intercept == pytest.approx(1.0)
-    with pytest.raises(BenchmarkError):
-        linear_fit([1], [2])
 
 
 def test_render_table_layout():

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.logp import (
-    LogGPParams,
+from repro.model import (
+    LogGP,
     measure_via_loggp,
     prediction_error,
     validate_model,
 )
-from repro.analysis.timeline import (
+from repro.obs.timeline import (
     link_utilization,
     node_utilization,
     utilization_report,
@@ -49,9 +49,8 @@ def test_validate_model_shape(loggp):
 
 
 def test_one_way_time_monotone():
-    params = LogGPParams(L=12.0, o_send=2.5, o_recv=3.5, g=1.0,
-                         G=0.009)
-    assert params.one_way_time(1000) > params.one_way_time(10)
+    params = LogGP(L=12.0, o_send=2.5, o_recv=3.5, g=1.0, G=0.009)
+    assert params.one_way(1000) > params.one_way(10)
     assert params.o == 6.0
 
 

@@ -143,7 +143,7 @@ def test_the_simulation_kernel_loads_only_itself():
 
 
 @pytest.mark.parametrize("package", [
-    "repro.analysis", "repro.bench", "repro.cluster", "repro.hw",
+    "repro.bench", "repro.cluster", "repro.hw",
     "repro.lqcd", "repro.obs", "repro.service", "repro.topology"])
 def test_every_lazy_export_resolves(package):
     """A typo in an ``_EXPORTS`` table fails here, not in a user's
@@ -163,7 +163,7 @@ def test_table1_loads_no_numpy_and_no_micro_benchmarks():
     loaded = _fresh(
         "import sys, repro.bench.table1\n"
         "print(sorted(m for m in sys.modules if m == 'numpy'\n"
-        "             or m.startswith(('repro.analysis', 'repro.lqcd.'))\n"
+        "             or m.startswith(('repro.model', 'repro.lqcd.'))\n"
         "             or m == 'repro.bench.microbench'))"
     )
     assert loaded == str(["repro.lqcd.benchmark", "repro.lqcd.halo",
@@ -172,12 +172,41 @@ def test_table1_loads_no_numpy_and_no_micro_benchmarks():
 
 def test_the_timeline_report_loads_no_numpy_and_no_micro_benchmarks():
     loaded = _fresh(
-        "import sys, repro.analysis.timeline\n"
-        "print([m for m in ('numpy', 'repro.bench.microbench',\n"
-        "                   'repro.analysis.logp', 'repro.analysis.stats')\n"
+        "import sys, repro.obs.timeline\n"
+        "print([m for m in ('numpy', 'repro.bench.microbench')\n"
         "       if m in sys.modules])"
     )
     assert loaded == "[]"
+
+
+def test_the_analytic_model_loads_no_numpy_and_no_micro_benchmarks():
+    """The closed form needs the parameter classes alone; the DES fit
+    imports the micro-benchmarks when it is called."""
+    loaded = _fresh(
+        "import sys, repro.model\n"
+        "print([m for m in ('numpy', 'repro.bench.microbench')\n"
+        "       if m in sys.modules])"
+    )
+    assert loaded == "[]"
+
+
+def test_an_allreduce_loads_only_the_collectives_it_runs():
+    out = _fresh(
+        "import sys\n"
+        "from repro.cluster import build_mesh, run_mpi\n"
+        "def program(comm):\n"
+        "    total = yield from comm.allreduce(nbytes=8,\n"
+        "                                      data=float(comm.rank))\n"
+        "    return total\n"
+        "print(run_mpi(build_mesh((2, 2, 2), wrap=True), program))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.collectives', 'repro.model'))))"
+    )
+    assert out.splitlines() == [
+        str([28.0] * 8),
+        str(["repro.collectives", "repro.collectives.broadcast",
+             "repro.collectives.combine", "repro.collectives.reduce",
+             "repro.collectives.tree"])]
 
 
 def test_numpy_loads_on_the_first_data_carrying_reduction():

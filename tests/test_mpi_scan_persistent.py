@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_mesh, build_world, run_mpi
-from repro.collectives.analysis import (
+from repro.model import (
     barrier_prediction,
     broadcast_prediction,
     global_combine_prediction,

@@ -5,16 +5,17 @@ import pytest
 
 from repro.cluster.myrinet_world import MyriWorld
 from repro.errors import ConfigurationError
-from repro.hw.myrinet import MyrinetFabric, MyrinetTimeModel
+from repro.hw.myrinet import MyrinetFabric
 from repro.hw.params import MyrinetParams
+from repro.model import myrinet_loggp
 from repro.sim import Simulator
 
 
 def test_time_model_decomposition():
-    model = MyrinetTimeModel()
-    params = model.params
-    assert model.time(0) == pytest.approx(
-        params.host_overhead + model.latency(3)
+    params = MyrinetParams()
+    model = myrinet_loggp(params)
+    assert model.one_way(0, hops=3) == pytest.approx(
+        params.host_overhead + params.latency + 2 * params.per_switch_hop
     )
     # Bandwidth asymptotes to the link rate.
     assert model.bandwidth(10_000_000) == pytest.approx(
@@ -23,8 +24,8 @@ def test_time_model_decomposition():
 
 
 def test_latency_grows_with_hops():
-    model = MyrinetTimeModel()
-    assert model.latency(3) > model.latency(1)
+    model = myrinet_loggp()
+    assert model.one_way(0, hops=3) > model.one_way(0, hops=1)
 
 
 def test_fabric_delivers(sim):
