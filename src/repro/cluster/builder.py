@@ -286,19 +286,16 @@ class MeshCluster:
         if node.via is not None:
             node.via.liveness.on_local_crash()
 
-    def observability(self, metrics_interval: float = 50.0):
+    def observability(self):
         """Attach (idempotently) and return the flight recorder.
 
         Attach before driving traffic so every message gets a trace id
-        at its entry point; ``metrics_interval`` is the bucket width
-        (us) of the metrics timelines.  See ``docs/OBSERVABILITY.md``.
+        at its entry point.  See ``docs/OBSERVABILITY.md``.
         """
         if self.sim.recorder is None:
             from repro.obs import FlightRecorder
 
-            self.sim.recorder = FlightRecorder(
-                metrics_interval=metrics_interval
-            )
+            self.sim.recorder = FlightRecorder()
         return self.sim.recorder
 
     def config_hash(self) -> str:

@@ -341,8 +341,8 @@ def commit_train(port, burst, plan: _Plan) -> VirtualResidue:
 
 
 def _record_train_spans(port, frames, plan: _Plan, rec) -> None:
-    """Synthesize the spans/metrics the reference per-frame path would
-    have recorded for this train (recorder-on runs only).
+    """Synthesize the spans the reference per-frame path would have
+    recorded for this train (recorder-on runs only).
 
     The fetch-start chain is recomputed with the same recurrence
     ``plan_train`` used, so every instant is the identical IEEE-754
@@ -351,18 +351,11 @@ def _record_train_spans(port, frames, plan: _Plan, rec) -> None:
     """
     sim = port.sim
     link = port.link
-    host = port.host
-    node = f"n{host.node_id}"
+    node = f"n{port.host.node_id}"
     tx_proc = port.params.tx_proc
     fifo_cap = int(port._tx_fifo.capacity)
-    dma_overhead = port.params.frame_overhead
-    bus_series = "bus:" + host.membus.name
-    pci_series = f"pci{port.pci_index}:{node}"
     p_prev = sim._now
     for i, frame in enumerate(frames):
-        wire = frame.padded_bytes + dma_overhead
-        rec.metrics.observe(bus_series, p_prev, float(wire))
-        rec.metrics.observe(pci_series, p_prev, float(wire))
         ctx = getattr(frame.payload, "trace", None)
         if ctx is not None:
             rec.span(ctx, DMA, port.name, node, p_prev, plan.dma_done[i])

@@ -261,10 +261,6 @@ class Host:
         self.stats["dmas"] += 1
         self.stats["dma_bytes"] += nbytes
         self.pci_bytes[pci_index] += nbytes
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
-                                self.sim._now, float(nbytes))
         return self.membus.transfer_event(nbytes, rate_cap=PCIX_RATE)
 
     def __repr__(self) -> str:  # pragma: no cover

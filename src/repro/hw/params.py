@@ -94,8 +94,6 @@ class GigEParams(Canonical):
     hw_checksum: bool = True
     #: Software checksum cost per byte when offload is off (us/byte).
     sw_checksum_per_byte: float = 0.0009
-    #: PCI-X DMA: bus rate handled by BandwidthBus; per-transfer setup.
-    dma_setup: float = 0.25
     #: Fault injection: damage every Nth frame per link direction
     #: (None = healthy wire).  Deterministic for reproducibility.
     corrupt_every: Optional[int] = None
@@ -104,8 +102,6 @@ class GigEParams(Canonical):
     #: established by ``faults.set_ambient`` / the bench CLI's
     #: ``--loss`` knob; a default-constructed FaultParams is healthy.
     faults: Optional[FaultParams] = None
-    #: Port price, US$ (section 3: "$140 each, $420/node").
-    price_per_port: float = 140.0
 
     def min_wire_latency(self) -> float:
         """Lower bound on any frame's link latency (microseconds).
@@ -150,8 +146,7 @@ class ViaParams(Canonical):
     #: disabling it models stock M-VIA, which silently accepts wire
     #: damage — the fault-injection tests show the difference).
     verify_checksums: bool = True
-    #: Maximum outstanding descriptors per VI send queue.
-    send_queue_depth: int = 256
+    #: Maximum posted descriptors per VI receive queue.
     recv_queue_depth: int = 256
     #: Reliable-delivery protocol (selective-repeat sequence/ACK
     #: recovery in the kernel agent).  None = auto: engage on every
@@ -239,8 +234,6 @@ class MyrinetParams(Canonical):
     per_switch_hop: float = 0.5
     #: Host send+recv overhead (OS-bypass GM, very low).
     host_overhead: float = 2.2
-    #: Port price including switch amortization, US$ (section 3).
-    price_per_port: float = 1000.0
 
 
 def default_host() -> HostParams:

@@ -68,9 +68,6 @@ class _Flow(Event):
         stats = bus.stats
         stats["transfers"] += 1
         stats["bytes"] += nbytes
-        rec = sim.recorder
-        if rec is not None:
-            rec.metrics.observe("bus:" + bus.name, now, float(nbytes))
         bus._entered += 1
         self.name = f"{bus.name}:xfer" if sim.trace is not None else ""
         self.callbacks = []

@@ -3,9 +3,9 @@
 ``FlightRecorder`` assigns every message a trace id at its QMP/MPI/VIA
 entry point and collects lifecycle spans (api-call, descriptor-queued,
 dma, wire-hop, switch-forward, irq-wait, completion plus reliability
-events) together with fixed-interval metrics timelines.  Attach one to
-a simulator via :meth:`repro.cluster.builder.MeshCluster.observability`
-and export with :mod:`repro.obs.export`.
+events).  Attach one to a simulator via
+:meth:`repro.cluster.builder.MeshCluster.observability` and export
+with :mod:`repro.obs.export`.
 
 The instruments a caller attaches to a run live here too, in
 :mod:`repro.obs.monitor`: the per-event trace, the sample accumulators
@@ -55,7 +55,6 @@ _EXPORTS = {
     "RELIABILITY_COUNTERS": "monitor",
     "Watchdog": "monitor",
     "reliability_summary": "monitor",
-    "MetricsTimeline": "monitor",
     "Probe": "monitor",
     "SampleStats": "monitor",
     "Trace": "monitor",

@@ -20,18 +20,13 @@ from repro.obs.recorder import FlightRecorder, TraceInfo
 
 
 def merge_recorders(recorders: Iterable[FlightRecorder]) -> FlightRecorder:
-    """One recorder holding every shard's spans, events and metrics.
+    """One recorder holding every shard's roots, spans and events.
 
     The result's ``span_keys()`` equals the sequential engine's for a
     bit-identical workload; span/event lists are key-sorted (shard
     interleaving is not meaningful, content identity is).
     """
-    recorders = list(recorders)
-    if not recorders:
-        return FlightRecorder()
-    merged = FlightRecorder(
-        metrics_interval=recorders[0].metrics.interval
-    )
+    merged = FlightRecorder()
     for recorder in recorders:
         for trace, info in recorder.traces.items():
             if trace in merged.traces:
@@ -48,14 +43,6 @@ def merge_recorders(recorders: Iterable[FlightRecorder]) -> FlightRecorder:
         for base, seq in recorder._base_sequences.items():
             if seq > merged._base_sequences.get(base, 0):
                 merged._base_sequences[base] = seq
-        for series, buckets in recorder.metrics.series.items():
-            target = merged.metrics.series.setdefault(series, {})
-            for bucket, stats in buckets.items():
-                existing = target.get(bucket)
-                if existing is None:
-                    target[bucket] = stats
-                else:
-                    existing.merge(stats)
     merged.spans.sort(key=lambda span: span.key())
     merged.events.sort(key=lambda span: span.key())
     # Cross-shard extent repair (see module docstring).

@@ -4,9 +4,7 @@ A :class:`Trace` passed as ``Simulator(trace=...)`` records every
 processed event (and switches the run onto the reference scheduler,
 one event at a time).  :class:`SampleStats` is the one Welford
 accumulator; :class:`Probe` keeps named series of them (optionally
-with the raw samples, for percentiles) and :class:`MetricsTimeline`
-buckets them by simulated time for a
-:class:`~repro.obs.recorder.FlightRecorder`.  For a fault campaign,
+with the raw samples, for percentiles).  For a fault campaign,
 :data:`RELIABILITY_COUNTERS` names the kernel-agent counters that
 :meth:`~repro.cluster.builder.MeshCluster.reliability_stats` sums
 mesh-wide, :func:`reliability_summary` renders the nonzero ones, and a
@@ -51,17 +49,6 @@ class Trace:
         self.records.append(
             TraceRecord(time, getattr(event, "name", ""), type(event).__name__)
         )
-
-    def filter(self, substring: str) -> List[TraceRecord]:
-        """Records whose name contains ``substring``."""
-        return [r for r in self.records if substring in r.name]
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """Records as plain dicts (JSON/export friendly)."""
-        return [
-            {"time": r.time, "name": r.name, "kind": r.kind}
-            for r in self.records
-        ]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -173,61 +160,6 @@ class Probe:
         high = min(low + 1, len(ordered) - 1)
         fraction = position - low
         return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-    def merge(self, other: "Probe") -> "Probe":
-        """Fold another probe's series into this one (mesh-wide
-        aggregation of per-node probes); returns ``self``."""
-        for name, stats in other._stats.items():
-            mine = self._stats.get(name)
-            if mine is None:
-                mine = self._stats[name] = SampleStats()
-            mine.merge(stats)
-        for name, samples in other._samples.items():
-            self._samples.setdefault(name, []).extend(samples)
-        return self
-
-
-class MetricsTimeline:
-    """Fixed-interval time series built on the Welford accumulator.
-
-    ``observe(series, t, value)`` folds ``value`` into the
-    ``int(t // interval)`` bucket of ``series``; each bucket is a
-    :class:`SampleStats`, so a series exposes mean / min / max / count
-    per interval without storing raw samples.
-    Observation never yields and never perturbs simulation state.
-    """
-
-    def __init__(self, interval: float = 50.0):
-        if interval <= 0.0:
-            raise ValueError("metrics interval must be positive")
-        self.interval = interval
-        self.series: Dict[str, Dict[int, SampleStats]] = {}
-
-    def observe(self, series: str, t: float, value: float) -> None:
-        buckets = self.series.get(series)
-        if buckets is None:
-            buckets = self.series[series] = {}
-        bucket = int(t // self.interval)
-        stats = buckets.get(bucket)
-        if stats is None:
-            stats = buckets[bucket] = SampleStats()
-        stats.add(value)
-
-    def timeline(self, series: str) -> List[tuple]:
-        """``[(bucket_start_us, SampleStats), ...]`` in time order."""
-        buckets = self.series.get(series, {})
-        return [(bucket * self.interval, buckets[bucket])
-                for bucket in sorted(buckets)]
-
-    def totals(self, series: str) -> SampleStats:
-        """All buckets of ``series`` merged into one accumulator."""
-        merged = SampleStats()
-        for stats in self.series.get(series, {}).values():
-            merged.merge(stats)
-        return merged
-
-    def names(self) -> List[str]:
-        return sorted(self.series)
 
 
 #: Kernel-agent counters that describe reliable-delivery/fault-recovery

@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs import ACK, DROP, MESSAGE, RETRANSMIT, TIMEOUT, WIRE_HOP
+from repro.obs import MESSAGE
 
 #: Trace ids are namespaced per track: ``(base << TRACK_SHIFT) + seq``
 #: where ``base`` is the rank for per-node tracks ("n<rank>") and a
@@ -89,17 +89,13 @@ class TraceInfo:
 
 
 class FlightRecorder:
-    """Collects spans, instant events and metrics for one simulator."""
+    """Collects trace roots, spans and instant events for one
+    simulator."""
 
-    def __init__(self, metrics_interval: float = 50.0):
-        # Here, not at the top: the hardware and VIA layers import this
-        # module for its span kinds, and an untraced run needs no stats.
-        from repro.obs.monitor import MetricsTimeline
-
+    def __init__(self):
         self.traces: Dict[int, TraceInfo] = {}
         self.spans: List[Span] = []
         self.events: List[Span] = []
-        self.metrics = MetricsTimeline(metrics_interval)
         #: Per-namespace allocation counters (see :func:`track_base`).
         self._base_sequences: Dict[int, int] = {}
 
@@ -130,15 +126,11 @@ class FlightRecorder:
              start: float, end: float) -> None:
         self.spans.append(Span(trace, kind, name, track, start, end))
         self._touch(trace, end)
-        if kind == WIRE_HOP:
-            self.metrics.observe("link-util:" + track, start, end - start)
 
     def event(self, trace: int, kind: str, name: str, track: str,
               when: float) -> None:
         self.events.append(Span(trace, kind, name, track, when, when))
         self._touch(trace, when)
-        if kind in (RETRANSMIT, ACK, TIMEOUT, DROP):
-            self.metrics.observe("rate:" + kind, when, 1.0)
 
     # -- queries --------------------------------------------------------
 

@@ -508,7 +508,6 @@ def run_sharded(dims: Sequence[int], wrap: bool = True,
                 workload: str = "aggregate", nshards: int = 1, *,
                 kwargs: Optional[dict] = None,
                 observe: bool = False,
-                metrics_interval: float = 50.0,
                 processes: bool = False,
                 max_windows: Optional[int] = None,
                 checkpoint: Optional[CheckpointPolicy] = None) -> PdesResult:
@@ -538,7 +537,6 @@ def run_sharded(dims: Sequence[int], wrap: bool = True,
         "kwargs": dict(kwargs or {}),
         "fast": fastpath.enabled(),
         "observe": bool(observe),
-        "metrics_interval": metrics_interval,
     }
     config_hash = content_hash(
         {"config": base_spec, "code_version": __version__})

@@ -74,8 +74,8 @@ class ShardRuntime:
     """Build and drive one shard from a picklable spec dict.
 
     Spec keys: ``dims``, ``wrap``, ``nshards``, ``shard_id``,
-    ``workload``, ``kwargs``, ``fast``, ``observe``,
-    ``metrics_interval``.
+    ``workload``, ``kwargs``, ``fast``, ``observe``; any other key is
+    ignored.
     """
 
     def __init__(self, spec: dict) -> None:
@@ -95,8 +95,7 @@ class ShardRuntime:
                                    shard_id=self.shard_id)
         self.cluster.attach_via()
         if spec.get("observe"):
-            self.cluster.observability(
-                metrics_interval=spec.get("metrics_interval", 50.0))
+            self.cluster.observability()
         self.local_ranks = list(self.plan.local_ranks(self.shard_id))
         self.notify_outbox: List[tuple] = []
         self.manager = ShardConnectionManager(self.local_ranks,

@@ -1,7 +1,7 @@
 """Structured, leveled wall-clock event log.
 
-Records are plain dicts — one JSON object per line on export — with a
-fixed envelope and free-form ``fields``:
+Records are plain JSON-able dicts with a fixed envelope and free-form
+``fields``:
 
 ``t``
     Seconds since the telemetry plane was enabled (monotonic clock, so
@@ -29,7 +29,6 @@ buffer (the tail is what matters).
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from typing import Dict, List, Optional
@@ -86,14 +85,6 @@ class EventLog:
 
     def records(self) -> List[Dict[str, object]]:
         return list(self._records)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the buffer as JSON lines; returns the record count."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
 
 
 __all__ = ["EventLog", "LEVELS"]

@@ -1,11 +1,10 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-The registry is the wall-clock sibling of the simulator's
-:class:`~repro.obs.monitor.MetricsTimeline`: where the timeline
-aggregates *simulated* quantities against simulated time, the registry
-aggregates *operational* quantities (requests routed, windows run,
-checkpoint bytes written) against wall time, across every process that
-makes up a run.
+Where the simulator's counters and flight recorder describe
+*simulated* quantities against simulated time, the registry aggregates
+*operational* quantities (requests routed, windows run, checkpoint
+bytes written) against wall time, across every process that makes up a
+run.
 
 Design constraints, in order:
 
@@ -293,13 +292,6 @@ def merge_snapshots(snapshots: Iterable[Dict[str, dict]]) -> Dict[str, dict]:
     return merged
 
 
-def snapshot_counter(snapshot: Dict[str, dict], name: str,
-                     **labels) -> int:
-    """One counter series' value from a snapshot (0 when absent)."""
-    return snapshot.get("counters", {}).get(name, {}).get(
-        _label_key(labels), 0)
-
-
 def top_counters(snapshot: Dict[str, dict],
                  limit: int = 10) -> List[Tuple[str, int]]:
     """The ``limit`` largest counter series, ``(rendered_name, value)``
@@ -380,7 +372,6 @@ __all__ = [
     "geometric_bounds",
     "histogram_percentile",
     "merge_snapshots",
-    "snapshot_counter",
     "to_prometheus",
     "top_counters",
 ]

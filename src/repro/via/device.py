@@ -341,8 +341,6 @@ class ViaDevice:
         if rec is not None and descriptor.trace is not None:
             rec.event(descriptor.trace, _DESC_QUEUED, port.name,
                       f"n{self.rank}", self.sim.now)
-            rec.metrics.observe("ring:" + port.name, self.sim.now,
-                                float(port.tx_queue.frames()))
         yield from port.send_frames(fragments)
 
     def transmit_control(self, dst_node: int, kind: PacketKind,

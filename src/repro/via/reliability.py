@@ -185,16 +185,10 @@ class ReliableChannel:
         entry = _SendEntry(packet.seq, packet, route, descriptor)
         self.unacked.append(entry)
         rec = self.sim.recorder
-        if rec is not None:
-            rank = self.agent.device.rank
-            if packet.trace is not None:
-                rec.event(packet.trace, _DESC_QUEUED,
-                          f"vi{self.vi.vi_id} seq{packet.seq}",
-                          f"n{rank}", self.sim.now)
-            rec.metrics.observe(
-                f"window:n{rank}-vi{self.vi.vi_id}", self.sim.now,
-                float(len(self.unacked)),
-            )
+        if rec is not None and packet.trace is not None:
+            rec.event(packet.trace, _DESC_QUEUED,
+                      f"vi{self.vi.vi_id} seq{packet.seq}",
+                      f"n{self.agent.device.rank}", self.sim.now)
         yield from self._send_entry(entry, route)
         if self.unacked:  # not if a teardown emptied it meanwhile
             self.timer.start()

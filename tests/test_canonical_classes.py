@@ -67,25 +67,24 @@ PINS = {
          ' interrupt_per_frame=0.35, syscall_cost=1.1,'
          ' napi_poll_window=0.0, memory_mb=512)')),
     "GigEParams": Pin(
-        "e4c179ad835dbee707aa548400fa2a2886b5c96193db28caeafad577a6e5fd10",
-        "f833945528a9408342c6ac6c8999c9fe3b7d9c7fd4356afd3bc8048a0f5447d2",
-        "e5bab0b48b9a978d55f75e4bd91653dfceb794a12708f9a183cb9a02cf82225d",
+        "5f05ecefc4319bc1d6d5741ce94679a20581d22594a722766505911525e74ad8",
+        "9e55ab0b6a922fb7c1d40b82e7f11519a5b1cf0b1850398e4e8427bbbf59d942",
+        "1274a2500123eb7355002f3e9cef2529aaaa87c41b10066c1a141d1ebefb292b",
         ('GigEParams(wire_rate=125.0, mtu=9000, frame_overhead=38,'
          ' propagation=0.3, tx_proc=0.9, rx_proc=0.9, tx_ring=2048,'
          ' rx_ring=2048, coalesce_delay=6.9, coalesce_frames=10,'
-         ' hw_checksum=True, sw_checksum_per_byte=0.0009, dma_setup=0.25,'
+         ' hw_checksum=True, sw_checksum_per_byte=0.0009,'
          ' corrupt_every=None, faults=FaultParams(seed=3, loss_rate=0.01,'
          ' corrupt_rate=0.0, drop_frames=(), flap_period=None,'
-         ' flap_down=0.0, flap_offset=0.0, down_at=(), die_at=None),'
-         ' price_per_port=140.0)')),
+         ' flap_down=0.0, flap_offset=0.0, down_at=(), die_at=None))')),
     "ViaParams": Pin(
-        "ee5db15b537ab5281049a601050db929a3080cba13a4f25ec496819651e78248",
-        "149e2949ff00d64030e08f5038b57d0129a0cccc440300d4e6c73114f85f6181",
-        "49b401ccded8af41f4cdff44c78b3f8fe2910e1648cfcb2f27f339f9c3f782f4",
+        "220823b3c962193f6b68be8a42fe6ff4608221df44f335596cb8c84616d37bfc",
+        "3830eae655919301d37cfe4b98e05ccc8b767b8fbe5b23be377472da2b833a31",
+        "05ecef78223bf52131b6bb3d8f957953bcda99bcea39bfbec85a4947a7f7118f",
         ('ViaParams(header_bytes=42, send_overhead=2.5, recv_overhead=3.68,'
          ' recv_copy=True, switch_forward_cost=0.68, rx_demux_cost=0.3,'
-         ' verify_checksums=True, send_queue_depth=256,'
-         ' recv_queue_depth=256, reliable=True, rel_window=64,'
+         ' verify_checksums=True, recv_queue_depth=256, reliable=True,'
+         ' rel_window=64,'
          ' rel_rto=300.0, rel_rto_backoff=2.0, rel_rto_max=5000.0,'
          ' rel_max_retries=10, rel_ack_every=4, rel_ack_delay=25.0,'
          ' fd_interval=200.0, fd_timeout=1000.0)')),
@@ -98,11 +97,11 @@ PINS = {
          ' recv_copy=True, ack_cost=0.6, segments_per_ack=2,'
          ' window_bytes=65536, ip_forward_cost=2.6)')),
     "MyrinetParams": Pin(
-        "202266859eda0e95f365035ec27aee34a3eefd66959f551fbbc2373a77cf8145",
-        "e55b1c8e5ec09f96c35cca0c68fc5931329c4e9470c30e94ff2b3cd1731fc5e8",
-        "150cdc7795836b138db1c3e4fa0056ace79727ae18b5ed44b36387d869ac4ef0",
+        "0e772ef53295b6b5e49a8a27f97a513b1bd06eafe6e4502d773b153235356dd8",
+        "73c4df961d0c4d0fcf1c3e26f3ecb305943d1dcc660e292b6238f4214ae5fb78",
+        "3486bd994890a57566f1639f2c44beed3f049c9cb5b7938c4d33434051a143cb",
         ('MyrinetParams(latency=7.5, bandwidth=250.0, per_switch_hop=0.5,'
-         ' host_overhead=2.2, price_per_port=1000.0)')),
+         ' host_overhead=2.2)')),
     "FaultParams": Pin(
         "2aae74f82e2563ad8240b441821b76ea1fedbc0cf34eae073ed3a5fabc80cc3c",
         "fd2e7d3b9cad184035c68bb880bfa3c74eb8a087a34ee7ca0b640364b26e64f4",

@@ -25,7 +25,7 @@ from repro.hw.params import GigEParams, default_gige, default_via
 # which is exactly the point: it silently invalidates every cached
 # service result keyed on the old configuration.
 PINNED_GIGE_DIGEST = \
-    "f833945528a9408342c6ac6c8999c9fe3b7d9c7fd4356afd3bc8048a0f5447d2"
+    "9e55ab0b6a922fb7c1d40b82e7f11519a5b1cf0b1850398e4e8427bbbf59d942"
 
 
 def test_default_gige_digest_is_pinned():

@@ -206,13 +206,17 @@ class TestRestoreGuards:
         differs in its kernel rows.  1.0.13 queued a CPU grant as a
         ``PriorityRequest``, where 1.0.14 has one lock class and queues
         a ``Request``: a digest over the queued entries' type names
-        differs."""
+        differs.  1.0.14's ``GigEParams`` / ``ViaParams`` carried
+        ``dma_setup``, ``price_per_port`` and ``send_queue_depth`` and
+        its PDES run identity ``metrics_interval``, where 1.0.15 has
+        none of them: a config hash or cache key differs."""
         from repro import __version__
-        assert __version__ == "1.0.14"
+        assert __version__ == "1.0.15"
         store = CheckpointStore(tmp_path)
         for stale in ("1.0.0", "1.0.1", "1.0.2", "1.0.3", "1.0.4",
                       "1.0.5", "1.0.6", "1.0.7", "1.0.8", "1.0.9",
-                      "1.0.10", "1.0.11", "1.0.12", "1.0.13"):
+                      "1.0.10", "1.0.11", "1.0.12", "1.0.13",
+                      "1.0.14"):
             store.open_key(f"old-{stale}", "item", config_hash="hash-a",
                            code_version=stale)
             with pytest.raises(CheckpointMismatchError,

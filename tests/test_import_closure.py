@@ -131,6 +131,24 @@ def test_a_lossy_point_job_loads_the_reliability_protocol(tmp_path):
     assert _under(loaded, ("repro.ckpt", "repro.telemetry")) == []
 
 
+def test_tracing_loads_only_the_recorder():
+    """A traced run keeps roots, spans and events: the recorder needs
+    neither the run instruments nor the exporters."""
+    out = _fresh(
+        "import sys\n"
+        "from repro.bench.microbench import via_latency\n"
+        "from repro.obs.recorder import FlightRecorder\n"
+        "from repro.sim import Simulator\n"
+        "sim = Simulator()\n"
+        "sim.recorder = recorder = FlightRecorder()\n"
+        "via_latency(nbytes=4, sim=sim)\n"
+        "print(bool(recorder.spans))\n"
+        "print([m for m in ('repro.obs.monitor', 'repro.obs.export')\n"
+        "       if m in sys.modules])"
+    )
+    assert out.splitlines() == ["True", "[]"]
+
+
 def test_the_simulation_kernel_loads_only_itself():
     loaded = _fresh(
         "import sys, repro.sim\n"

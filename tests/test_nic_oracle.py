@@ -61,10 +61,6 @@ class FrozenHost(Host):
         self.stats["dmas"] += 1
         self.stats["dma_bytes"] += nbytes
         self.pci_bytes[pci_index] += nbytes
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.metrics.observe(f"pci{pci_index}:n{self.node_id}",
-                                self.sim._now, float(nbytes))
 
     def dma(self, nbytes, pci_index=0):
         """Process: a device DMA of ``nbytes`` to/from host memory.

@@ -198,3 +198,18 @@ class TestGuards:
         with pytest.raises(SimulationError, match="exceeded 1 window"):
             run_sharded((3, 3), workload="collective", nshards=3,
                         max_windows=1)
+
+    def test_a_spec_key_the_runtime_does_not_read_is_ignored(self):
+        from repro import fastpath
+        from repro.pdes.shard import ShardRuntime
+
+        # ``ledger/workloads.py``'s shard set-up passes
+        # ``metrics_interval``, which no runtime reads any more.
+        runtime = ShardRuntime({
+            "dims": [2, 2, 2], "wrap": True, "nshards": 2,
+            "shard_id": 0, "workload": "aggregate", "kwargs": {},
+            "fast": fastpath.enabled(), "observe": True,
+            "metrics_interval": 50.0,
+        })
+        assert runtime.sim.recorder is not None
+        assert runtime.local_ranks

@@ -35,16 +35,17 @@ def test_cache_key_covers_seed_and_args():
         "point", "via_latency", nbytes=64).cache_key()
 
 
-#: Keys computed under code version 1.0.5, when ``cache_key`` still
-#: canonicalised the default parameter sets on every call.
+#: Keys computed under code version 1.0.5 by the full-hash formula
+#: below, when ``cache_key`` still canonicalised the default parameter
+#: sets on every call.
 PINNED_KEYS = [
     (JobSpec.make("point", "via_latency", nbytes=1024, repeats=5, seed=3),
-     "d78c964e573b82698ab04a0e6c4e85d3ea160c0b80214d1112c062a3a76d2b15"),
+     "b49fde2ca772eb14c9696e6fc670bc95024d618318edac9c70f53852152647ac"),
     (JobSpec.make("figure", "fig2", quick=True),
-     "8529b989d74ed7eba730f0e639b4de7959874c3a7460cfd071dbd3d824fdf70d"),
+     "ec06456d3ebb9cec8bc0964f1fb3dfc2aa8e61aa2aaadb6750b0e7b2b031eea4"),
     (JobSpec.make("pdes", "aggregate", dims="4x4x4", nshards=2,
                   ckpt_every=16),
-     "0ee4fbc3ec85be2b02be4f8ea883bbad91473e4327949603a7c630e95902ff23"),
+     "6ca88fee2bf3518423134e2cfa2ab1eee0d8ebfbb19012431b93aaf7db1177d8"),
 ]
 
 

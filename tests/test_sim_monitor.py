@@ -35,18 +35,6 @@ def test_trace_limit_keeps_tail():
     assert trace.records[-1].time == 10
 
 
-def test_trace_filter():
-    trace = Trace()
-    sim = Simulator(trace=trace)
-    sim.spawn(_named(sim), name="special-proc")
-    sim.run()
-    assert trace.filter("timeout")
-
-
-def _named(sim):
-    yield sim.timeout(1)
-
-
 def test_sample_stats_matches_numpy():
     rng = np.random.default_rng(42)
     samples = rng.normal(10, 3, size=500)
